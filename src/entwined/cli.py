@@ -309,7 +309,7 @@ def _run_carrier(config: dict, art: _Artifacts, threads: int) -> list[str]:
     cable = build_cable((0.0, 0.0), lattice, M=block["m_cords"], repeats=block["repeats"])
     env = right_envelope(cable)
     field = field_for_segments(cable.segs, pad=2)
-    accumulate(field, env, clip=config["run"]["clip"], threads=threads)
+    accumulate(field, env, clip=config["run"]["clip"])
     art.add(export_field(field, art.out_dir, "carrier_field"))
 
     region = steady_region(cable, field)
@@ -377,8 +377,7 @@ def _run_ring(config: dict, art: _Artifacts, threads: int) -> list[str]:
                                                     block["circumference"])
     spec = RingSpec(circumference=block["circumference"], mode=block["mode"], speed=speed,
                     cycles=block["cycles"])
-    field = run_ring(spec, lattice, M=block["m_cords"], origin_cell=block["origin_cell"],
-                     threads=threads)
+    field = run_ring(spec, lattice, M=block["m_cords"], origin_cell=block["origin_cell"])
     art.add(export_field(field, art.out_dir, "ring_field"))
 
     v = spec.resolved_speed(lattice.mass)
@@ -421,8 +420,8 @@ def run(config: dict) -> int:
     art = _Artifacts(out_dir)
     try:
         lines = _RUNNERS[config["experiment"]](config, art, threads)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     summary = "\n".join([f"experiment: {config['experiment']}"] + lines) + "\n"
     art.write_text("summary.txt", summary)

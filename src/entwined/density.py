@@ -9,14 +9,15 @@ cells, so integer counts are exact; boundary events at exact cell edges bind
 to the later cell (half-open cells).
 
 Fields hold two integer channels: adolescent (right movers) and senescent
-(left movers).
+(left movers).  A stored segment of multiplicity w counts w times, through
+one weighted bincount per pass; the float64 sums stay integer-exact while
+the summed |w| of a pass is below 2**53, and a larger pass raises.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .lattice import PERIOD
 from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray
 
-_CHUNK_SEGMENTS = 16384
+_EXACT_LIMIT = 2 ** 53  # float64 sums of integers are exact below this
 
 CHANNELS = ("adolescent", "senescent")
 
@@ -132,12 +133,17 @@ def steady_region(path: EntwinedPath, field: DensityField) -> Region:
 
 def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int = 1,
                        wrap_x: bool = False) -> DensityField:
-    """Smallest cell-aligned field covering the segments, padded by ``pad`` cells."""
+    """Smallest cell-aligned field covering the segments, padded by ``pad`` cells.
+
+    Stored rows of weight 0 are not part of the logical path and never
+    widen the field.
+    """
     if len(segs) == 0:
         raise ValueError("no segments")
     if cell is None:
         cell = segs.lattice.eps
-    x1, t1, x2, t2 = segs.physical_endpoints()
+    live = segs.weight > 0
+    x1, t1, x2, t2 = (e[live] for e in segs.row_endpoints())
     t_lo = _cell_floor(float(min(t1.min(), t2.min())), cell) - pad
     t_hi = _cell_ceil(float(max(t1.max(), t2.max())), cell) + pad
     x_lo = _cell_floor(float(min(x1.min(), x2.min())), cell) - pad
@@ -153,7 +159,9 @@ def _as_segment_array(envelope, cell: float) -> SegmentArray | None:
     envelopes from this package arrive as SegmentArray already.
     """
     if isinstance(envelope, SegmentArray):
-        return envelope if len(envelope) else None
+        if not envelope.weight.all():
+            envelope = envelope.subset(envelope.weight > 0)
+        return envelope if envelope.rows else None
     if isinstance(envelope, EntwinedPath):
         raise TypeError("pass the path's right envelope, not the path itself")
     segments = list(envelope)
@@ -173,58 +181,16 @@ def _frames_identity(segs: SegmentArray) -> bool:
     return all(segs.frames[i].is_identity for i in used)
 
 
-def _uniform_int_counts(segs: SegmentArray, sl: slice, field: DensityField):
-    """Fused counting for cell-aligned equal-span segments (the common case:
-    envelope segments of lattice constructs each cover exactly n/2 full
-    cells).  Returns the signed (2, t_cells, x_cells) block, or None when the
-    chunk does not qualify.  All arithmetic is exact int32.
-    """
-    x1 = segs.x1[sl]
-    t1 = segs.t1[sl]
-    x2 = segs.x2[sl]
-    t2 = segs.t2[sl]
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
-    span = segs.lattice.n // 2
-    if ((lo & 1) != 0).any() or ((hi & 1) != 0).any() or (hi - lo != 2 * span).any():
-        return None
-    t_cells, x_cells = field.t_cells, field.x_cells
-    size = t_cells * x_cells
-    slope = (np.sign(x2 - x1) * np.sign(t2 - t1)).astype(np.int32)
-    base2x = 2 * x1 - slope * (2 * t1)
-    ar = np.arange(span, dtype=np.int32)
-    kk = (lo >> 1)[:, None] + ar[None, :]
-    x2x = (kk << 2) + 2
-    x2x *= slope[:, None]
-    x2x += base2x[:, None]
-    j_rel = np.floor_divide(x2x, 4)
-    j_rel -= field.x0_cell
-    if field.wrap_x:
-        np.mod(j_rel, x_cells, out=j_rel)
-    k_rel = kk
-    k_rel -= field.t0_cell
-    if (k_rel < 0).any() or (k_rel >= t_cells).any() or (j_rel < 0).any() or (j_rel >= x_cells).any():
-        return None  # let the generic path handle bounds reporting/clipping
-    lin = k_rel
-    lin *= x_cells
-    lin += j_rel
-    lin += (segs.species[sl] != RIGHT_MOVER).astype(np.int32)[:, None] * size
-    plus_rows = segs.time_dir[sl] > 0
-    plus = np.bincount(lin[plus_rows].ravel(), minlength=2 * size)
-    minus = np.bincount(lin[~plus_rows].ravel(), minlength=2 * size)
-    return (plus - minus).reshape(2, t_cells, x_cells)
-
-
-def _incidences_int(segs: SegmentArray, sl: slice):
+def _incidences_int(segs: SegmentArray):
     """Exact integer slab expansion for identity-frame segments.
 
-    Returns absolute (t_cell, x_cell) indices plus species/time_dir per
-    (segment, covered time-cell) incidence, all in half-cell integer math.
+    Returns absolute (t_cell, x_cell) indices plus the stored row of every
+    (row, covered time-cell) incidence, all in half-cell integer math.
     """
-    x1 = segs.x1[sl].astype(np.int64)
-    t1 = segs.t1[sl].astype(np.int64)
-    x2 = segs.x2[sl].astype(np.int64)
-    t2 = segs.t2[sl].astype(np.int64)
+    x1 = segs.x1.astype(np.int64)
+    t1 = segs.t1.astype(np.int64)
+    x2 = segs.x2.astype(np.int64)
+    t2 = segs.t2.astype(np.int64)
     lo = np.minimum(t1, t2)
     hi = np.maximum(t1, t2)
     k_lo = lo // 2
@@ -240,10 +206,10 @@ def _incidences_int(segs: SegmentArray, sl: slice):
     slope = np.sign((x2 - x1) * (t2 - t1))[idx]
     x2x = 2 * x1[idx] + slope * (t2x - 2 * t1[idx])
     j = np.floor_divide(x2x, 4)
-    return k, j, segs.species[sl][idx], segs.time_dir[sl][idx], idx
+    return k, j, idx
 
 
-def _incidences_float(segs: SegmentArray, sl: slice, cell: float, need_x: bool = True):
+def _incidences_float(segs: SegmentArray, cell: float, need_x: bool = True):
     """General slab expansion through per-segment frames (float binning)."""
     half = segs.lattice.half
     ts_tab = np.array([f.t_scale for f in segs.frames])
@@ -251,9 +217,9 @@ def _incidences_float(segs: SegmentArray, sl: slice, cell: float, need_x: bool =
     v_tab = np.array([f.drift for f in segs.frames])
     x0_tab = np.array([f.x0 for f in segs.frames])
     t0_tab = np.array([f.t0 for f in segs.frames])
-    fi = segs.frame_idx[sl]
-    t1i = segs.t1[sl] * half
-    t2i = segs.t2[sl] * half
+    fi = segs.frame_idx
+    t1i = segs.t1 * half
+    t2i = segs.t2 * half
     ta = ts_tab[fi] * t1i + t0_tab[fi]
     tb = ts_tab[fi] * t2i + t0_tab[fi]
     lo = np.minimum(ta, tb)
@@ -268,75 +234,77 @@ def _incidences_float(segs: SegmentArray, sl: slice, cell: float, need_x: bool =
     s_hi = np.minimum(hi[idx], (k + 1) * cell)
     if need_x:
         t_m = 0.5 * (s_lo + s_hi)
-        dt = segs.t2[sl] - segs.t1[sl]
-        dx = segs.x2[sl] - segs.x1[sl]
+        dt = segs.t2 - segs.t1
+        dx = segs.x2 - segs.x1
         slope = np.where(dt != 0, dx / np.where(dt == 0, 1, dt), 0.0)
         t_int_m = (t_m - t0_tab[fi][idx]) / ts_tab[fi][idx]
-        x_int_m = (segs.x1[sl] * half)[idx] + slope[idx] * (t_int_m - t1i[idx])
+        x_int_m = (segs.x1 * half)[idx] + slope[idx] * (t_int_m - t1i[idx])
         x_phys = xs_tab[fi][idx] * x_int_m + v_tab[fi][idx] * t_m + x0_tab[fi][idx]
         j = np.floor(x_phys / cell).astype(np.int64)
     else:
         j = None
-    return k, j, segs.species[sl][idx], segs.time_dir[sl][idx], idx
+    return k, j, idx
 
 
-def _bincount_channels(shape, k_rel, j_rel, species, tdir):
-    """Per-channel signed integer counts on a (t_cells, x_cells) grid."""
-    t_cells, x_cells = shape
-    size = t_cells * x_cells
-    # fold the channel into the linear index so one bincount pass covers both
-    lin = k_rel * x_cells + j_rel + np.where(species == RIGHT_MOVER, 0, size)
-    plus = np.bincount(lin[tdir > 0], minlength=2 * size)
-    minus = np.bincount(lin[tdir < 0], minlength=2 * size)
-    signed = (plus - minus).reshape(2, t_cells, x_cells)
-    return {"adolescent": signed[0], "senescent": signed[1]}
+def _incidences(segs: SegmentArray, cell: float, need_x: bool = True):
+    """(t_cell, x_cell, stored row) per incidence; exact integer binning for
+    identity frames on the lattice's own cells, float binning otherwise."""
+    if _frames_identity(segs) and cell == segs.lattice.eps:
+        return _incidences_int(segs)
+    return _incidences_float(segs, cell, need_x)
 
 
-def accumulate(field: DensityField, envelope, clip: bool = False, threads: int = 1) -> DensityField:
+def _signed_bincount(lin: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """Integer sums of ``weights`` per bin, exact or an OverflowError."""
+    mag = np.abs(weights)
+    if len(mag) and int(mag.max()) * len(mag) >= _EXACT_LIMIT and math.fsum(mag) >= _EXACT_LIMIT:
+        raise OverflowError(
+            f"summed segment weight {math.fsum(mag):.0f} reaches 2**53; "
+            "float64 bincounts would no longer be integer-exact")
+    return np.bincount(lin, weights=weights, minlength=length).astype(np.int64)
+
+
+def _channel(segs: SegmentArray, idx: np.ndarray) -> np.ndarray:
+    """0 for right movers (adolescent), 1 for left movers (senescent)."""
+    return (segs.species != RIGHT_MOVER).astype(np.int64)[idx]
+
+
+def _signed_weight(segs: SegmentArray, idx: np.ndarray) -> np.ndarray:
+    """Traversal sign times multiplicity of each incidence's row."""
+    return (segs.time_dir * segs.weight)[idx]
+
+
+def accumulate(field: DensityField, envelope, clip: bool = False) -> DensityField:
     """Add the envelope's signed counts into ``field`` (in place) and return it.
 
-    Counts are integers and the result is independent of segment order and
-    of ``threads``.  Out-of-bounds incidences raise unless ``clip`` is set.
+    Each stored row counts with its multiplicity; counts are integers and
+    the result is independent of segment order.  Out-of-bounds incidences
+    raise unless ``clip`` is set.
     """
     segs = _as_segment_array(envelope, field.cell)
     if segs is None:
         return field
-    use_int = (_frames_identity(segs) and field.cell == segs.lattice.eps)
-    shape = (field.t_cells, field.x_cells)
-
-    def chunk_counts(sl: slice):
-        if use_int:
-            fused = _uniform_int_counts(segs, sl, field)
-            if fused is not None:
-                return {"adolescent": fused[0], "senescent": fused[1]}
-            k, j, species, tdir, idx = _incidences_int(segs, sl)
-        else:
-            k, j, species, tdir, idx = _incidences_float(segs, sl, field.cell)
-        k_rel = k - field.t0_cell
-        j_rel = j - field.x0_cell
-        if field.wrap_x:
-            j_rel = np.mod(j_rel, field.x_cells)
-        ok = (k_rel >= 0) & (k_rel < field.t_cells) & (j_rel >= 0) & (j_rel < field.x_cells)
-        if not ok.all():
-            if not clip:
-                bad = int(np.nonzero(~ok)[0][0])
-                seg = sl.start + int(idx[bad])
-                raise ValueError(
-                    f"segment {seg} writes outside the field at cell "
-                    f"(t={int(k[bad])}, x={int(j[bad])}); pass clip=True to drop it"
-                )
-            k_rel, j_rel, species, tdir = k_rel[ok], j_rel[ok], species[ok], tdir[ok]
-        return _bincount_channels(shape, k_rel, j_rel, species, tdir)
-
-    slices = [slice(i, min(i + _CHUNK_SEGMENTS, len(segs))) for i in range(0, len(segs), _CHUNK_SEGMENTS)]
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(chunk_counts, slices))
-    else:
-        results = [chunk_counts(sl) for sl in slices]
-    for counts in results:
-        field.adolescent += counts["adolescent"]
-        field.senescent += counts["senescent"]
+    k, j, idx = _incidences(segs, field.cell)
+    k_rel = k - field.t0_cell
+    j_rel = j - field.x0_cell
+    if field.wrap_x:
+        j_rel = np.mod(j_rel, field.x_cells)
+    ok = (k_rel >= 0) & (k_rel < field.t_cells) & (j_rel >= 0) & (j_rel < field.x_cells)
+    if not ok.all():
+        if not clip:
+            bad = int(np.nonzero(~ok)[0][0])
+            raise ValueError(
+                f"stored row {int(idx[bad])} writes outside the field at cell "
+                f"(t={int(k[bad])}, x={int(j[bad])}); pass clip=True to drop it"
+            )
+        k_rel, j_rel, idx = k_rel[ok], j_rel[ok], idx[ok]
+    size = field.t_cells * field.x_cells
+    # fold the channel into the linear index so one bincount pass covers both
+    lin = k_rel * field.x_cells + j_rel + _channel(segs, idx) * size
+    signed = _signed_bincount(lin, _signed_weight(segs, idx), 2 * size)
+    signed = signed.reshape(2, field.t_cells, field.x_cells)
+    field.adolescent += signed[0]
+    field.senescent += signed[1]
     return field
 
 
@@ -344,28 +312,19 @@ def accumulate_profile(envelope, cell: float, t0_cell: int, t_cells: int,
                        clip: bool = False) -> dict[str, np.ndarray]:
     """Signed counts per time cell, summed over all x (per-construct profiles)."""
     segs = _as_segment_array(envelope, cell)
-    out = {name: np.zeros(t_cells, dtype=np.int64) for name in CHANNELS}
     if segs is None:
-        return out
-    use_int = _frames_identity(segs) and cell == segs.lattice.eps
-    for start in range(0, len(segs), _CHUNK_SEGMENTS):
-        sl = slice(start, min(start + _CHUNK_SEGMENTS, len(segs)))
-        if use_int:
-            k, _, species, tdir, idx = _incidences_int(segs, sl)
-        else:
-            k, _, species, tdir, idx = _incidences_float(segs, sl, cell, need_x=False)
-        k_rel = k - t0_cell
-        ok = (k_rel >= 0) & (k_rel < t_cells)
-        if not ok.all():
-            if not clip:
-                bad = int(np.nonzero(~ok)[0][0])
-                raise ValueError(f"segment {sl.start + int(idx[bad])} writes outside the profile window")
-            k_rel, species, tdir = k_rel[ok], species[ok], tdir[ok]
-        for name, smask in (("adolescent", species == RIGHT_MOVER), ("senescent", species != RIGHT_MOVER)):
-            plus = np.bincount(k_rel[smask & (tdir > 0)], minlength=t_cells)
-            minus = np.bincount(k_rel[smask & (tdir < 0)], minlength=t_cells)
-            out[name] += plus - minus
-    return out
+        return {name: np.zeros(t_cells, dtype=np.int64) for name in CHANNELS}
+    k, _, idx = _incidences(segs, cell, need_x=False)
+    k_rel = k - t0_cell
+    ok = (k_rel >= 0) & (k_rel < t_cells)
+    if not ok.all():
+        if not clip:
+            bad = int(np.nonzero(~ok)[0][0])
+            raise ValueError(f"stored row {int(idx[bad])} writes outside the profile window")
+        k_rel, idx = k_rel[ok], idx[ok]
+    lin = k_rel + _channel(segs, idx) * t_cells
+    signed = _signed_bincount(lin, _signed_weight(segs, idx), 2 * t_cells)
+    return {"adolescent": signed[:t_cells], "senescent": signed[t_cells:]}
 
 
 # ---------------------------------------------------------------------------

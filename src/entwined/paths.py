@@ -97,27 +97,66 @@ class PathSegment:
     frame: Frame = Frame()
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def _coordinate_column(values) -> np.ndarray:
+    """Half-cell coordinates as int32, refusing values that would wrap."""
+    arr = np.asarray(values)
+    if arr.dtype != np.int32 and arr.size:
+        lo, hi = arr.min(), arr.max()
+        if lo < _INT32.min or hi > _INT32.max:
+            bad = lo if lo < _INT32.min else hi
+            raise ValueError(f"vertex coordinate {bad} half-cell units is outside the int32 "
+                             f"range [{_INT32.min}, {_INT32.max}]")
+    return arr.astype(np.int32, copy=False)
+
+
+_NO_RUNS = np.zeros((0, 4), dtype=np.int64)
+_NO_RUNS.setflags(write=False)
+
+
 class SegmentArray:
-    """Ordered, array-backed segment collection.
+    """Ordered, array-backed segment collection with multiplicities.
 
     Endpoint coordinates are integers in half-cell units (``eps/2``); the
-    per-segment ``frame_idx`` selects the mapping into a small frame table.
-    Behaves as a sequence of :class:`PathSegment`.
+    per-row ``frame_idx`` selects the mapping into a small frame table.
+
+    Every stored row carries an int64 multiplicity ``weight``: a row of
+    weight w stands for w identical segments of the logical path.  ``runs``
+    records how repeated rows interleave: a run ``(start, body, link,
+    copies)`` covers the stored rows ``[start, start + body + link)`` and
+    stands for the body rows, then ``copies - 1`` more times the link rows
+    followed by the body rows again; body rows have weight ``copies`` and
+    link rows ``copies - 1``.  A row outside every run stands for ``weight``
+    consecutive copies of itself.
+
+    ``len()`` counts logical segments (the sum of the weights) and ``rows``
+    counts stored rows.  Iteration, indexing and :meth:`physical_endpoints`
+    follow the logical path; :meth:`expand` materialises it row for row.
     """
 
-    __slots__ = ("lattice", "x1", "t1", "x2", "t2", "time_dir", "species", "envelope", "frame_idx", "frames")
+    __slots__ = ("lattice", "x1", "t1", "x2", "t2", "time_dir", "species", "envelope", "frame_idx",
+                 "frames", "weight", "runs")
 
-    def __init__(self, lattice, x1, t1, x2, t2, time_dir, species, envelope, frame_idx, frames):
+    def __init__(self, lattice, x1, t1, x2, t2, time_dir, species, envelope, frame_idx, frames,
+                 weight=None, runs=None):
         self.lattice = lattice
-        self.x1 = np.asarray(x1, dtype=np.int32)
-        self.t1 = np.asarray(t1, dtype=np.int32)
-        self.x2 = np.asarray(x2, dtype=np.int32)
-        self.t2 = np.asarray(t2, dtype=np.int32)
+        self.x1 = _coordinate_column(x1)
+        self.t1 = _coordinate_column(t1)
+        self.x2 = _coordinate_column(x2)
+        self.t2 = _coordinate_column(t2)
         self.time_dir = np.asarray(time_dir, dtype=np.int8)
         self.species = np.asarray(species, dtype=np.int8)
         self.envelope = np.asarray(envelope, dtype=np.int8)
         self.frame_idx = np.asarray(frame_idx, dtype=np.int32)
         self.frames: tuple[Frame, ...] = tuple(frames)
+        if weight is None:
+            weight = np.ones(len(self.x1), dtype=np.int64)
+        self.weight = np.asarray(weight, dtype=np.int64)
+        if (self.weight < 0).any():
+            raise ValueError("segment weights must be non-negative")
+        self.runs = _NO_RUNS if runs is None else np.asarray(runs, dtype=np.int64).reshape(-1, 4)
 
     @classmethod
     def empty(cls, lattice: LatticeSpec) -> "SegmentArray":
@@ -167,7 +206,7 @@ class SegmentArray:
 
     @classmethod
     def from_columns(cls, lattice: LatticeSpec, cols: np.ndarray, envelope, frame_idx, frames,
-                     time_dir=None) -> "SegmentArray":
+                     time_dir=None, weight=None, runs=None) -> "SegmentArray":
         """Build from an (N, 4) int column block [x1, t1, x2, t2]."""
         cols = np.asarray(cols)
         x1, t1, x2, t2 = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
@@ -181,16 +220,83 @@ class SegmentArray:
             envelope = np.full(len(cols), envelope, dtype=np.int8)
         if np.isscalar(frame_idx):
             frame_idx = np.full(len(cols), frame_idx, dtype=np.int32)
-        return cls(lattice, x1, t1, x2, t2, time_dir, species, envelope, frame_idx, frames)
+        return cls(lattice, x1, t1, x2, t2, time_dir, species, envelope, frame_idx, frames,
+                   weight=weight, runs=runs)
 
-    def __len__(self) -> int:
+    @classmethod
+    def stack(cls, parts: Sequence["SegmentArray"], frames) -> "SegmentArray":
+        """Join arrays end to end; every part's ``frame_idx`` must index ``frames``."""
+        offsets = np.cumsum([0] + [p.rows for p in parts[:-1]])
+        runs = np.concatenate([p.runs + (off, 0, 0, 0) for p, off in zip(parts, offsets)])
+        return cls(parts[0].lattice,
+                   *(np.concatenate([getattr(p, name) for p in parts])
+                     for name in ("x1", "t1", "x2", "t2", "time_dir", "species", "envelope",
+                                  "frame_idx")),
+                   frames,
+                   weight=np.concatenate([p.weight for p in parts]), runs=runs)
+
+    @property
+    def rows(self) -> int:
+        """Stored rows; each stands for ``weight`` logical segments."""
         return len(self.x1)
 
+    def __len__(self) -> int:
+        return int(self.weight.sum())
+
+    @property
+    def is_expanded(self) -> bool:
+        """True when stored rows and logical segments coincide one to one."""
+        return not len(self.runs) and bool((self.weight == 1).all())
+
+    def _blocks(self) -> Iterator[tuple]:
+        """Stored rows in path order: runs, and the plain stretches between them
+        (``copies`` None: each row repeats by its own weight)."""
+        pos = 0
+        for start, body, link, copies in self.runs.tolist():
+            yield pos, start - pos, 0, None
+            yield start, body, link, copies
+            pos = start + body + link
+        yield pos, self.rows - pos, 0, None
+
+    def _block_index(self, start: int, body: int, link: int, copies: int | None) -> np.ndarray:
+        if copies is None:
+            return np.repeat(np.arange(start, start + body), self.weight[start:start + body])
+        cycle = np.arange(start, start + body + link)
+        return np.tile(cycle, copies)[:copies * (body + link) - link]
+
+    def expand_index(self) -> np.ndarray:
+        """Stored-row index of every logical segment, in path order."""
+        if self.is_expanded:
+            return np.arange(self.rows)
+        return np.concatenate([self._block_index(*b) for b in self._blocks()])
+
+    def _end_rows(self) -> tuple[int, int]:
+        """Stored rows of the first and the last logical segment."""
+        blocks = list(self._blocks())
+        first = next(ix[0] for ix in (self._block_index(*b) for b in blocks) if len(ix))
+        last = next(ix[-1] for ix in (self._block_index(*b) for b in reversed(blocks)) if len(ix))
+        return int(first), int(last)
+
+    def expand(self) -> "SegmentArray":
+        """The logical path with one stored row per segment and unit weights."""
+        if self.is_expanded:
+            return self
+        idx = self.expand_index()
+        return SegmentArray(self.lattice, self.x1[idx], self.t1[idx], self.x2[idx], self.t2[idx],
+                            self.time_dir[idx], self.species[idx], self.envelope[idx],
+                            self.frame_idx[idx], self.frames)
+
     def __iter__(self) -> Iterator[PathSegment]:
-        for i in range(len(self)):
-            yield self[i]
+        segs = self.expand()
+        for i in range(segs.rows):
+            yield segs._row_segment(i)
 
     def __getitem__(self, i: int) -> PathSegment:
+        if self.is_expanded:
+            return self._row_segment(range(self.rows)[i])
+        return self._row_segment(int(self.expand_index()[i]))
+
+    def _row_segment(self, i: int) -> PathSegment:
         half = self.lattice.half
         frame = self.frames[self.frame_idx[i]]
         xs, ts = frame.apply(self.x1[i] * half, self.t1[i] * half)
@@ -206,15 +312,40 @@ class SegmentArray:
         )
 
     def subset(self, mask: np.ndarray) -> "SegmentArray":
+        """Stored rows selected by a boolean mask or an index array, weights kept.
+
+        A boolean mask keeps the run layout, so the subset's logical path is
+        the logical path filtered by the mask.  An index array reorders
+        rows and drops the layout: each row then stands for ``weight``
+        consecutive copies of itself.
+        """
+        mask = np.asarray(mask)
+        runs = None
+        if mask.dtype == bool and len(self.runs):
+            kept = np.concatenate(([0], np.cumsum(mask)))
+            start, body, link, copies = self.runs.T
+            new_start = kept[start]
+            new_body = kept[start + body] - new_start
+            new_link = kept[start + body + link] - kept[start + body]
+            runs = np.column_stack([new_start, new_body, new_link, copies])
+            runs = runs[new_body + new_link > 0]
         return SegmentArray(
             self.lattice,
             self.x1[mask], self.t1[mask], self.x2[mask], self.t2[mask],
             self.time_dir[mask], self.species[mask], self.envelope[mask],
-            self.frame_idx[mask], self.frames,
+            self.frame_idx[mask], self.frames, weight=self.weight[mask], runs=runs,
         )
 
     def physical_endpoints(self):
-        """Frame-applied (x1, t1, x2, t2) float arrays for every segment."""
+        """Frame-applied (x1, t1, x2, t2) float arrays, one entry per logical segment."""
+        ends = self.row_endpoints()
+        if self.is_expanded:
+            return ends
+        idx = self.expand_index()
+        return tuple(e[idx] for e in ends)
+
+    def row_endpoints(self):
+        """Frame-applied (x1, t1, x2, t2) float arrays, one entry per stored row."""
         half = self.lattice.half
         ts_tab = np.array([f.t_scale for f in self.frames])
         xs_tab = np.array([f.x_scale for f in self.frames])
@@ -258,17 +389,18 @@ class EntwinedPath:
     def t_extent_internal(self) -> tuple[float, float]:
         """(min, max) internal time over all vertices, in internal units."""
         half = self.lattice.half
-        lo = min(self.segs.t1.min(), self.segs.t2.min())
-        hi = max(self.segs.t1.max(), self.segs.t2.max())
-        return lo * half, hi * half
+        live = self.segs.weight > 0
+        t1, t2 = self.segs.t1[live], self.segs.t2[live]
+        return min(t1.min(), t2.min()) * half, max(t1.max(), t2.max()) * half
 
     def validate_continuity(self) -> None:
         """Check every segment starts where the previous one ended.
 
         Same-frame joins are compared exactly on the integer grid;
-        cross-frame joins compare frame-applied coordinates.
+        cross-frame joins compare frame-applied coordinates.  Segment
+        numbers refer to the expanded (logical) path.
         """
-        s = self.segs
+        s = self.segs.expand()
         if len(s) < 2:
             return
         same = s.frame_idx[1:] == s.frame_idx[:-1]
@@ -424,6 +556,12 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
     cord are concatenated; the resulting counted density approximates a
     period-4 sinusoid of amplitude 2M, with the left-mover channel lagging
     by one quarter period.
+
+    The copies at one shift are identical cord trains chained by a
+    connector back from a train's end to its start.  Each shift's train is
+    stored once with weight ``count`` and the back connector once with
+    weight ``count - 1``, as one run of the segment array, so storage and
+    counting grow with the distinct trains, not with M.
     """
     if spec is None:
         raise ValueError("a LatticeSpec is required")
@@ -437,13 +575,15 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
 
     block_cols, block_env = _cord_block(spec, repeats)
     block_end = (0, 4 * n * (repeats - 1) + _quartet_offsets(n)[-1])
-    # connector returning from a train's end to its own start, prepended to
-    # every copy after the first so tiles chain into one continuous path
+    # connector returning from a train's end to its own start; it chains
+    # consecutive copies at one shift, so it exists only where count >= 2
     back = _connector_columns(block_end, (0, 0))
-    back_env = np.zeros(len(back), dtype=np.int8)
 
     col_parts: list[np.ndarray] = []
     env_parts: list[np.ndarray] = []
+    weight_parts: list[np.ndarray] = []
+    runs: list[tuple[int, int, int, int]] = []
+    rows = 0
     prev_end: tuple[int, int] | None = None
     total_cords = 0
     for k, count in enumerate(counts):
@@ -452,15 +592,20 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
         shift = 2 * k
         if prev_end is not None:
             conn = _connector_columns(prev_end, (0, shift))
-            if len(conn):
-                col_parts.append(conn)
-                env_parts.append(np.zeros(len(conn), dtype=np.int8))
-        tile_cols = np.concatenate([block_cols] + [np.concatenate([back, block_cols])] * (count - 1))
-        tile_env = np.concatenate([block_env] + [np.concatenate([back_env, block_env])] * (count - 1))
+            col_parts.append(conn)
+            env_parts.append(np.zeros(len(conn), dtype=np.int8))
+            weight_parts.append(np.ones(len(conn), dtype=np.int64))
+            rows += len(conn)
+        link = back if count > 1 else back[:0]
+        tile_cols = np.concatenate([block_cols, link])
         tile_cols[:, 1] += shift
         tile_cols[:, 3] += shift
         col_parts.append(tile_cols)
-        env_parts.append(tile_env)
+        env_parts.append(np.concatenate([block_env, np.zeros(len(link), dtype=np.int8)]))
+        weight_parts.append(np.repeat(np.array([count, count - 1], dtype=np.int64),
+                                      [len(block_cols), len(link)]))
+        runs.append((rows, len(block_cols), len(link), count))
+        rows += len(tile_cols)
         prev_end = (0, block_end[1] + shift)
         total_cords += count * repeats
     if not col_parts:
@@ -472,7 +617,8 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
     cols[:, 2] += ox
     cols[:, 1] += ot
     cols[:, 3] += ot
-    segs = SegmentArray.from_columns(spec, cols, env, 0, (Frame(),))
+    segs = SegmentArray.from_columns(spec, cols, env, 0, (Frame(),),
+                                     weight=np.concatenate(weight_parts), runs=runs)
 
     # steady region: intersection of the constituent trains' steady windows
     t0 = origin[1]
@@ -517,7 +663,7 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
 
     def endpoint(path: EntwinedPath, first: bool):
         s = path.segs
-        i = 0 if first else len(s) - 1
+        i = s._end_rows()[0 if first else 1]
         frame = s.frames[s.frame_idx[i]]
         xi = s.x1[i] if first else s.x2[i]
         ti = s.t1[i] if first else s.t2[i]
@@ -528,7 +674,8 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
         mapping = np.array([intern(f) for f in segs.frames], dtype=np.int32)
         return SegmentArray(lattice, segs.x1, segs.t1, segs.x2, segs.t2,
                             segs.time_dir, segs.species, segs.envelope,
-                            mapping[segs.frame_idx], tuple(frames))
+                            mapping[segs.frame_idx], tuple(frames),
+                            weight=segs.weight, runs=segs.runs)
 
     for i, path in enumerate(paths):
         if i > 0:
@@ -550,19 +697,7 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
         parts.append(reindexed(path.segs))
 
     # frame tables grew as parts were built; rebind every part to the final table
-    table = tuple(frames)
-    merged = SegmentArray(
-        lattice,
-        np.concatenate([p.x1 for p in parts]),
-        np.concatenate([p.t1 for p in parts]),
-        np.concatenate([p.x2 for p in parts]),
-        np.concatenate([p.t2 for p in parts]),
-        np.concatenate([p.time_dir for p in parts]),
-        np.concatenate([p.species for p in parts]),
-        np.concatenate([p.envelope for p in parts]),
-        np.concatenate([p.frame_idx for p in parts]),
-        table,
-    )
+    merged = SegmentArray.stack(parts, tuple(frames))
     windows = [p.steady_window for p in paths]
     steady = None
     if all(w is not None for w in windows):
@@ -585,7 +720,7 @@ def with_frame(path: EntwinedPath, frame: Frame) -> EntwinedPath:
         raise ValueError("frame t_scale must be positive")
     s = path.segs
     segs = SegmentArray(s.lattice, s.x1, s.t1, s.x2, s.t2, s.time_dir, s.species,
-                        s.envelope, s.frame_idx, (frame,))
+                        s.envelope, s.frame_idx, (frame,), weight=s.weight, runs=s.runs)
     window = None
     if path.steady_window is not None:
         lo, hi = path.steady_window
@@ -598,7 +733,8 @@ def right_envelope(path: EntwinedPath) -> SegmentArray:
     """Counted segments: the right half of every constituent fiber.
 
     Membership is recorded at construction; connectors are excluded.
-    Raises if any segment lacks envelope provenance.
+    Multiplicities carry over, so a cable's envelope stores each distinct
+    counted segment once.  Raises if any segment lacks envelope provenance.
     """
     env = path.segs.envelope
     if (env == _ENV_UNKNOWN).any():
@@ -618,10 +754,11 @@ def dump_path(path: EntwinedPath, fh) -> None:
     (right/left).  Intended for debugging and plotting.
     """
     fh.write("\t".join(DUMP_COLUMNS) + "\n")
-    x1, t1, x2, t2 = path.segs.physical_endpoints()
-    td = path.segs.time_dir
-    sp = path.segs.species
-    for i in range(len(path.segs)):
+    segs = path.segs.expand()
+    x1, t1, x2, t2 = segs.row_endpoints()
+    td = segs.time_dir
+    sp = segs.species
+    for i in range(segs.rows):
         fh.write(
             f"{float(x1[i])!r}\t{float(t1[i])!r}\t{float(x2[i])!r}\t{float(t2[i])!r}\t"
             f"{int(td[i])}\t{species_name(sp[i])}\n"

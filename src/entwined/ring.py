@@ -67,8 +67,7 @@ class RingSpec:
         return eigen_speed(self.mode, mass, self.circumference)
 
 
-def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0,
-             threads: int = 1) -> DensityField:
+def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0) -> DensityField:
     """Write the counter-propagating pair on the periodic domain.
 
     The two drifted cables are concatenated into one continuous path (the
@@ -104,7 +103,7 @@ def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0,
     t0_cell = math.ceil(lo / cell - 1e-9)
     t_cells = int(round(spec.cycles * carrier_period / cell))
     field = DensityField(cell, t0_cell, 0, t_cells, x_cells, wrap_x=True)
-    accumulate(field, right_envelope(path), clip=True, threads=threads)
+    accumulate(field, right_envelope(path), clip=True)
     if origin_cell % x_cells:
         shift = origin_cell % x_cells
         field.adolescent[:] = np.roll(field.adolescent, shift, axis=1)

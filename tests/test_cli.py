@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from entwined import cli
 from entwined.cli import ConfigError, load_config, main, validate
 
 
@@ -96,6 +97,20 @@ def test_runtime_error_exit_code(tmp_path):
     code = run_cli(["ring", "--n", "20", "--circumference", "10.0001",
                     "--cords", "5", "--cycles", "2", "--out", str(out)])
     assert code == 2  # caught by validation: not a whole number of cells
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 1.07 GiB for an array"), "error: Unable to allocate 1.07 GiB"),
+    (MemoryError(), "error: out of memory")])
+def test_memory_error_reported_not_raised(tmp_path, capsys, monkeypatch, exc, message):
+    def exhausted(config, art, threads):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "carrier", exhausted)
+    out = tmp_path / "out"
+    assert run_cli(["carrier", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (out / "manifest.json").exists()
 
 
 # --- experiments produce their artifacts ------------------------------------

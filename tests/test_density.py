@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from entwined.density import (DensityField, ReferenceDensity, Region, accumulate,
-                              best_lag, compare, export_field, field_for_segments,
-                              fit_sinusoid, reference_eval, steady_region, whole_region)
+                              accumulate_profile, best_lag, compare, export_field,
+                              field_for_segments, fit_sinusoid, reference_eval, steady_region,
+                              whole_region)
 from entwined.lattice import LatticeSpec
-from entwined.paths import build_cable, build_cord, build_fiber, right_envelope
+from entwined.paths import (Frame, SegmentArray, build_cable, build_cord, build_fiber,
+                            concatenate, right_envelope, with_frame)
+from entwined.propagator import RaySpec, write_ray
+from test_paths import materialised_cable
 from helpers import cord_fiber_offsets, profile_oracle
 
 
@@ -103,16 +107,112 @@ def test_accumulation_is_order_independent(spec):
     assert np.array_equal(a.senescent, b.senescent)
 
 
-def test_accumulation_is_thread_schedule_independent(spec):
-    cable = build_cable((0.0, 0.0), spec, M=20, repeats=2)
+def _identity_case():
+    spec = LatticeSpec(n=10)
+    cable = build_cable((0.2, 0.4), spec, M=20, repeats=3)
+    return right_envelope(cable), field_for_segments(cable.segs, pad=2)
+
+
+def _ray_case():
+    lattice = LatticeSpec.for_mass(20, mass=1.0)
+    ray = RaySpec.from_velocity(0.2, lattice.mass, (12.0, 30.0))
+    path = write_ray(ray, lattice, M=12)
+    return right_envelope(path), field_for_segments(path.segs, cell=lattice.cell_physical, pad=2)
+
+
+def _ring_case():
+    lattice = LatticeSpec(n=20)
+    cable = build_cable((0.0, 0.0), lattice, M=30, repeats=4)
+    path = concatenate([with_frame(cable, Frame(t_scale=7.3, x_scale=lattice.mass_scale,
+                                                drift=v, t0=0.31)) for v in (0.3, -0.3)])
+    bounds = field_for_segments(path.segs, cell=lattice.cell_physical)
+    field = DensityField(lattice.cell_physical, bounds.t0_cell, 0, bounds.t_cells, 40, wrap_x=True)
+    return right_envelope(path), field
+
+
+@pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
+                         ids=["identity", "ray", "ring"])
+def test_weighted_counting_matches_expanded_rows(case):
+    env, field = case()
+    unit = env.expand()
+    assert env.rows < unit.rows and (unit.weight == 1).all()
+    weighted_field = accumulate(field.copy(), env)
+    unit_field = accumulate(field.copy(), unit)
+    assert weighted_field.adolescent.any()
+    assert np.array_equal(weighted_field.adolescent, unit_field.adolescent)
+    assert np.array_equal(weighted_field.senescent, unit_field.senescent)
+    window = (field.cell, field.t0_cell, field.t_cells)
+    weighted_profile = accumulate_profile(env, *window)
+    unit_profile = accumulate_profile(unit, *window)
+    for name in ("adolescent", "senescent"):
+        assert np.array_equal(weighted_profile[name], unit_profile[name])
+        assert np.array_equal(weighted_profile[name], weighted_field.channel(name).sum(axis=1))
+
+
+@pytest.mark.parametrize("M", [1, 5, 20])
+def test_field_extent_matches_materialised_cable(M):
+    # the back connector between copies sets the cable's x extent; it exists
+    # only at shifts with two or more copies (M=1 has none, M=5 mixes both)
+    spec = LatticeSpec(n=10)
+    ours = field_for_segments(build_cable((0.0, 0.0), spec, M=M, repeats=2).segs, pad=2)
+    ref = field_for_segments(materialised_cable((0.0, 0.0), spec, M, 2).segs, pad=2)
+    assert (ours.t0_cell, ours.x0_cell, ours.t_cells, ours.x_cells) == \
+        (ref.t0_cell, ref.x0_cell, ref.t_cells, ref.x_cells)
+
+
+def test_carrier_field_extent_at_large_m():
+    cable = build_cable((0.0, 0.0), LatticeSpec(n=100), M=1000, repeats=3)
+    field = field_for_segments(cable.segs, pad=2)
+    assert (field.t_cells, field.x_cells) == (853, 330)
+    assert len(cable) == 7633438 and cable.segs.rows < 20000
+
+
+def _with_far_weight_zero_row(segs: SegmentArray) -> SegmentArray:
+    far = SegmentArray.from_columns(segs.lattice, np.array([[500, 500, 510, 510]]), 1, 0,
+                                    segs.frames, weight=np.zeros(1, dtype=np.int64))
+    return SegmentArray.stack([segs, far], segs.frames)
+
+
+def test_weight_zero_rows_never_widen_or_write(spec):
+    cable = build_cable((0.0, 0.0), spec, M=5, repeats=2)
+    padded = _with_far_weight_zero_row(cable.segs)
+    assert len(padded) == len(cable.segs)
+    a = field_for_segments(cable.segs, pad=2)
+    b = field_for_segments(padded, pad=2)
+    assert (a.t0_cell, a.x0_cell, a.t_cells, a.x_cells) == (b.t0_cell, b.x0_cell, b.t_cells, b.x_cells)
     env = right_envelope(cable)
-    fields = []
-    for threads in (1, 4):
-        field = field_for_segments(cable.segs, pad=2)
-        accumulate(field, env, threads=threads)
-        fields.append(field)
-    assert np.array_equal(fields[0].adolescent, fields[1].adolescent)
-    assert np.array_equal(fields[0].senescent, fields[1].senescent)
+    accumulate(a, env)
+    accumulate(b, _with_far_weight_zero_row(env))  # would fall outside the field if counted
+    assert np.array_equal(a.adolescent, b.adolescent)
+    assert np.array_equal(a.senescent, b.senescent)
+
+
+def _weighted_fiber_envelope(spec, weight):
+    env = right_envelope(build_fiber((0.0, 0.0), spec))
+    return SegmentArray(spec, env.x1, env.t1, env.x2, env.t2, env.time_dir, env.species,
+                        env.envelope, env.frame_idx, env.frames,
+                        weight=np.full(env.rows, weight, dtype=np.int64))
+
+
+def test_weighted_counts_stay_integer_exact(spec):
+    # four counted rows of n/2 = 5 cells each: 20 incidences, 20 * weight < 2**53
+    fiber = build_fiber((0.0, 0.0), spec)
+    empty = field_for_segments(fiber.segs, pad=2)
+    unit = accumulate(empty.copy(), right_envelope(fiber))
+    weight = 2 ** 48 + 1
+    big = accumulate(empty.copy(), _weighted_fiber_envelope(spec, weight))
+    assert np.array_equal(big.adolescent, unit.adolescent * weight)
+    assert np.array_equal(big.senescent, unit.senescent * weight)
+
+
+def test_weighted_counts_refuse_inexact_sums(spec):
+    field = field_for_segments(build_fiber((0.0, 0.0), spec).segs, pad=2)
+    env = _weighted_fiber_envelope(spec, 2 ** 49)  # 20 * 2**49 > 2**53
+    with pytest.raises(OverflowError, match="2\\*\\*53"):
+        accumulate(field, env)
+    with pytest.raises(OverflowError):
+        accumulate_profile(env, field.cell, field.t0_cell, field.t_cells)
+    assert not field.adolescent.any()
 
 
 def test_accumulate_linearity_over_concatenated_envelopes(spec):

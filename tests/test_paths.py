@@ -5,8 +5,11 @@ import pytest
 
 from entwined.density import accumulate, field_for_segments
 from entwined.lattice import LatticeSpec
-from entwined.paths import (LEFT_MOVER, RIGHT_MOVER, Frame, build_cable, build_cord, build_fiber,
+from entwined.paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, SegmentArray,
+                            _connector_columns, build_cable, build_cord, build_fiber,
                             concatenate, cords_per_shift, dump_path, right_envelope, with_frame)
+
+COLUMNS = ("x1", "t1", "x2", "t2", "time_dir", "species", "envelope", "frame_idx")
 
 
 @pytest.fixture
@@ -211,3 +214,130 @@ def test_dump_path_format(spec):
     assert [float(first[2]), float(first[3])] == [1.0, 1.0]
     assert first[4] == "1"
     assert first[5] == "right"
+
+
+# --- multiplicity-encoded cables ---------------------------------------------
+
+
+def materialised_cable(origin, spec, M, repeats):
+    """A cable with every cord copy stored: ``build_cord`` trains chained in
+    path order by lightlike connectors, one row per segment."""
+    cols, env = [], []
+    prev_end = None
+    total_cords = 0
+    for k, count in enumerate(cords_per_shift(spec.n, M)):
+        if not count:
+            continue
+        cord = build_cord((origin[0], origin[1] + k * spec.eps), spec, repeats=repeats).segs
+        train = np.column_stack([cord.x1, cord.t1, cord.x2, cord.t2]).astype(np.int64)
+        start = (int(train[0, 0]), int(train[0, 1]))
+        end = (int(train[-1, 2]), int(train[-1, 3]))
+        for _ in range(count):
+            if prev_end is not None:
+                link = _connector_columns(prev_end, start)
+                cols.append(link)
+                env.append(np.zeros(len(link), dtype=np.int8))
+            cols.append(train)
+            env.append(cord.envelope)
+            prev_end = end
+        total_cords += count * repeats
+    segs = SegmentArray.from_columns(spec, np.concatenate(cols), np.concatenate(env), 0, (Frame(),))
+    return EntwinedPath(segs, "cable", origin, n_fibers=4 * total_cords)
+
+
+def assert_same_rows(weighted: SegmentArray, unit: SegmentArray):
+    expanded = weighted.expand()
+    assert len(weighted) == len(unit) == expanded.rows == unit.rows
+    assert (expanded.weight == 1).all()
+    for name in COLUMNS:
+        assert np.array_equal(getattr(expanded, name), getattr(unit, name)), name
+    assert expanded.frames == unit.frames
+
+
+CABLES = [(10, 5, 2, (0.0, 0.0)), (10, 20, 3, (0.3, 0.1)), (4, 3, 1, (0.5, 1.0)),
+          (6, 1, 2, (0.0, 0.0)), (8, 8, 2, (-0.25, 0.5))]
+
+
+@pytest.mark.parametrize("n, M, repeats, origin", CABLES)
+def test_expanded_cable_matches_materialised_cable(n, M, repeats, origin):
+    spec = LatticeSpec(n=n)
+    cable = build_cable(origin, spec, M=M, repeats=repeats)
+    ref = materialised_cable(origin, spec, M, repeats)
+    assert_same_rows(cable.segs, ref.segs)
+    assert len(cable) == len(ref)
+    assert cable.n_fibers == ref.n_fibers
+    ref.validate_continuity()
+    cable.validate_continuity()
+    # the envelope keeps the run layout, so it expands to the filtered path
+    assert_same_rows(right_envelope(cable), right_envelope(ref))
+
+
+def test_cable_stores_each_distinct_train_once(spec):
+    cable = build_cable((0.0, 0.0), spec, M=20, repeats=2)
+    cord_rows = build_cord((0.0, 0.0), spec, repeats=2).segs.rows
+    shifts = sum(1 for c in cords_per_shift(spec.n, 20) if c)
+    # one train per shift plus at most a two-leg back connector and a
+    # two-leg shift connector
+    assert cable.segs.rows <= shifts * (cord_rows + 4)
+    assert len(cable) > 10 * cable.segs.rows
+    assert right_envelope(cable).rows == 4 * 4 * 2 * shifts
+
+
+def test_logical_views_follow_the_expanded_path(spec):
+    cable = build_cable((0.0, 0.1), spec, M=5, repeats=2)
+    ref = materialised_cable((0.0, 0.1), spec, 5, 2)
+    assert list(cable) == list(ref)
+    for i in (0, 1, 57, len(ref) // 2, len(ref) - 1, -1):
+        assert cable.segment(i) == ref.segment(i)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(cable.segs.physical_endpoints(), ref.segs.physical_endpoints()))
+    ours, theirs = io.StringIO(), io.StringIO()
+    dump_path(cable, ours)
+    dump_path(ref, theirs)
+    assert ours.getvalue() == theirs.getvalue()
+    assert len(ours.getvalue().splitlines()) == len(ref) + 1
+    assert cable.t_extent_internal() == ref.t_extent_internal()
+
+
+def test_validate_continuity_reports_logical_segment(spec):
+    cable = build_cable((0.0, 0.0), spec, M=5, repeats=1)
+    # break the second copy's back connector at shift 2 (count 2)
+    segs = cable.segs
+    start, body, link, copies = segs.runs[1]
+    assert (link, copies) == (2, 2)
+    segs.x2[start + body] += 2
+    # every earlier stored row has weight 1, so the broken leg is logical
+    # segment start + body, followed by the second copy's first segment
+    i = start + body + 1
+    with pytest.raises(AssertionError, match=f"between segments {i - 1} and {i}$"):
+        cable.validate_continuity()
+
+
+@pytest.mark.parametrize("frames", [
+    (Frame(), Frame()),
+    (Frame(t_scale=7.3, x_scale=0.5, drift=0.25, t0=0.31),
+     Frame(t_scale=7.3, x_scale=0.5, drift=-0.25, t0=0.31))])
+def test_concatenated_cables_expand_to_materialised_concatenation(frames):
+    spec = LatticeSpec(n=8)
+    origins = [(0.0, 0.0), (0.5, 3.0)]
+    ours = concatenate([with_frame(build_cable(o, spec, M=8, repeats=2), f)
+                        for o, f in zip(origins, frames)])
+    ref = concatenate([with_frame(materialised_cable(o, spec, 8, 2), f)
+                       for o, f in zip(origins, frames)])
+    assert_same_rows(ours.segs, ref.segs)
+    ours.validate_continuity()
+    assert_same_rows(right_envelope(ours), right_envelope(ref))
+
+
+def test_out_of_range_coordinates_fail_loudly():
+    # t = 250000 at n = 10000 is 2.5e9 half-cell units, past int32
+    with pytest.raises(ValueError, match="int32"):
+        build_fiber((0, 250000), LatticeSpec(n=10000))
+    build_fiber((0, 100000), LatticeSpec(n=10000))  # 1e9 units still fit
+
+
+def test_negative_weights_rejected(spec):
+    segs = build_fiber((0.0, 0.0), spec).segs
+    with pytest.raises(ValueError, match="non-negative"):
+        SegmentArray(spec, segs.x1, segs.t1, segs.x2, segs.t2, segs.time_dir, segs.species,
+                     segs.envelope, segs.frame_idx, segs.frames, weight=-segs.weight)

@@ -142,11 +142,3 @@ def test_metrics_on_uniform_single_slice_field():
     assert metrics.dominant_mode == 0
     assert metrics.phase_drift == 0.0
     assert math.isnan(metrics.mode_purity)
-
-
-def test_ring_threads_identical(lattice, circumference):
-    spec = RingSpec(circumference=circumference, mode=1, cycles=3)
-    a = run_ring(spec, lattice, M=8, threads=1)
-    b = run_ring(spec, lattice, M=8, threads=4)
-    assert np.array_equal(a.adolescent, b.adolescent)
-    assert np.array_equal(a.senescent, b.senescent)
