@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -33,8 +32,6 @@ LEFT = "left"
 ANY = "any"
 
 ENUMERATION_CAP = 24
-
-_CHUNK_BITS = 20  # sequences enumerated per block: 2**20
 
 
 @dataclass(frozen=True)
@@ -96,41 +93,69 @@ class KernelValue:
         return complex(self.phi_plus) + 1j * complex(self.phi_minus)
 
 
+def _half_table(width: int) -> np.ndarray:
+    """Counts of all ``2**width`` bit patterns (bit = left step), indexed
+    ``[first bit, last bit, lefts, internal corners]``.
+
+    The corner axis has ``width + 1`` entries so one extra corner fits.
+    """
+    b = np.arange(1 << width, dtype=np.uint64)
+    first = (b & np.uint64(1)).astype(np.int64)
+    last = (b >> np.uint64(width - 1)).astype(np.int64)
+    lefts = np.bitwise_count(b).astype(np.int64)
+    pair_mask = np.uint64((1 << (width - 1)) - 1)
+    corners = np.bitwise_count((b ^ (b >> np.uint64(1))) & pair_mask).astype(np.int64)
+    size = width + 1
+    flat = ((first * 2 + last) * size + lefts) * size + corners
+    return np.bincount(flat, minlength=4 * size * size).reshape(2, 2, size, size)
+
+
+def _first_step(table: np.ndarray, init_bit: int, incoming: bool) -> np.ndarray:
+    """Drop the leading first-bit axis under the first-step constraint."""
+    if not incoming:
+        return table[init_bit]
+    out = table[init_bit].copy()
+    out[..., 1:] += table[1 - init_bit][..., :-1]  # immediate reversal: one corner
+    return out
+
+
+def _last_step(table: np.ndarray, final_bit: int | None) -> np.ndarray:
+    """Drop the last-bit axis (third from the end) under ``final_direction``."""
+    return table.sum(axis=-3) if final_bit is None else table[..., final_bit, :, :]
+
+
 def enumerate_corner_histogram(problem: ChessboardProblem, cap: int = ENUMERATION_CAP) -> CornerHistogram:
     """Count corners over every step sequence consistent with the problem.
 
-    Sequences are enumerated as bit masks (bit = left step) in fixed-size
-    blocks; per-R counts are integers, so the result is identical for any
-    block split.  Raises when ``n_steps`` exceeds ``cap``.
+    Sequences are bit masks (bit = left step) split into a low half of
+    ``n_steps // 2`` bits and a high half of the rest.  Each half's
+    ``2**width`` patterns are counted exhaustively by (first bit, last bit,
+    lefts, corners); the halves are joined by convolving their corner counts
+    over left counts that add up to the displacement, with one more corner
+    where the boundary bits differ.  Per-R counts are integers, so the result
+    equals a walk over all sequences.  Raises when ``n_steps`` exceeds ``cap``.
     """
     n = problem.n_steps
     if n > cap:
         raise ValueError(f"enumeration too large: n_steps={n} exceeds cap {cap}")
+    if not problem.has_paths:
+        return CornerHistogram({})
     init_bit = 0 if problem.initial_direction == RIGHT else 1
-    free_bits = n if problem.incoming_corner else n - 1
-    pair_mask = np.uint64((1 << (n - 1)) - 1) if n > 1 else np.uint64(0)
     final_bit = {RIGHT: 0, LEFT: 1}.get(problem.final_direction)
-
-    hist = np.zeros(n + 1, dtype=np.int64)
-    total = 1 << free_bits
-    block = 1 << _CHUNK_BITS
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        b = np.arange(start, stop, dtype=np.uint64)
-        if problem.incoming_corner:
-            seq = b
-            extra = ((seq & np.uint64(1)) != np.uint64(init_bit)).astype(np.int64)
-        else:
-            seq = (b << np.uint64(1)) | np.uint64(init_bit)
-            extra = 0
-        lefts = np.bitwise_count(seq).astype(np.int64)
-        disp = n - 2 * lefts
-        corners = np.bitwise_count((seq ^ (seq >> np.uint64(1))) & pair_mask).astype(np.int64) + extra
-        ok = disp == problem.displacement
-        if final_bit is not None:
-            ok &= ((seq >> np.uint64(n - 1)) & np.uint64(1)) == np.uint64(final_bit)
-        if ok.any():
-            hist += np.bincount(corners[ok], minlength=n + 1)
+    lefts = (n - problem.displacement) // 2
+    low_bits = n // 2
+    high = _last_step(_half_table(n - low_bits), final_bit)  # [first, lefts, corners]
+    if low_bits == 0:  # n == 1: the high half holds the first step too
+        hist = _first_step(high, init_bit, problem.incoming_corner)[lefts]
+    else:
+        low = _first_step(_half_table(low_bits), init_bit, problem.incoming_corner)  # [last, lefts, corners]
+        hist = np.zeros(n + 2, dtype=np.int64)
+        for low_lefts in range(max(0, lefts - (n - low_bits)), min(low_bits, lefts) + 1):
+            for a in (0, 1):
+                for b in (0, 1):
+                    joined = np.convolve(low[a, low_lefts], high[b, lefts - low_lefts])
+                    shift = int(a != b)
+                    hist[shift:shift + joined.size] += joined
     return CornerHistogram({int(r): int(c) for r, c in enumerate(hist) if c})
 
 
@@ -162,68 +187,77 @@ def kernel_corner_sum(hist: CornerHistogram, eps, mass, exact: bool = False) -> 
     return KernelValue(phi_plus=plus, phi_minus=minus)
 
 
-def _transfer_float(problem: ChessboardProblem) -> KernelValue:
-    n = problem.n_steps
-    w = 1j * problem.step_size * problem.mass
-    width = 2 * n + 1
-    psi = np.zeros((width, 2), dtype=np.complex128)
-    init = 0 if problem.initial_direction == RIGHT else 1
-    psi[n, init] = 1.0
+def _float_steps(n: int, w: complex, initial_direction: str, incoming_corner: bool):
+    """Yield the (position, direction) amplitudes after each of ``n`` steps.
+
+    Row ``n`` of the ``(2n+1, 2)`` array is displacement 0; column 0 holds
+    right movers, column 1 left movers.  A reversal weighs ``w``.
+    """
+    psi = np.zeros((2 * n + 1, 2), dtype=np.complex128)
+    psi[n, 0 if initial_direction == RIGHT else 1] = 1.0
     for step in range(n):
-        allow_flip = problem.incoming_corner or step > 0
+        allow_flip = incoming_corner or step > 0
         new = np.zeros_like(psi)
         new[1:, 0] = psi[:-1, 0] + (w * psi[:-1, 1] if allow_flip else 0.0)
         new[:-1, 1] = psi[1:, 1] + (w * psi[1:, 0] if allow_flip else 0.0)
         psi = new
-    idx = n + problem.displacement
-    if not (0 <= idx < width):
-        return KernelValue(0.0, 0.0)
-    if problem.final_direction == ANY:
+        yield psi
+
+
+def _read_float(psi: np.ndarray, idx: int, final_direction: str) -> KernelValue:
+    if final_direction == ANY:
         k = psi[idx, 0] + psi[idx, 1]
     else:
-        k = psi[idx, 0 if problem.final_direction == RIGHT else 1]
+        k = psi[idx, 0 if final_direction == RIGHT else 1]
     return KernelValue(float(k.real), float(k.imag))
 
 
-def _transfer_exact(problem: ChessboardProblem) -> KernelValue:
+def _transfer_float(problem: ChessboardProblem) -> KernelValue:
     n = problem.n_steps
+    idx = n + problem.displacement
+    if not (0 <= idx < 2 * n + 1):
+        return KernelValue(0.0, 0.0)
+    w = 1j * problem.step_size * problem.mass
+    for psi in _float_steps(n, w, problem.initial_direction, problem.incoming_corner):
+        pass
+    return _read_float(psi, idx, problem.final_direction)
+
+
+def _transfer_exact(problem: ChessboardProblem) -> KernelValue:
+    """Exact stepper on Gaussian-integer numerators over ``r**n``.
+
+    With ``eps*mass = p/r`` in lowest terms, scaling every step by ``r``
+    makes a straight move weigh ``r`` and a reversal ``i*p``, so the
+    amplitudes stay integers (held as Python ints in ``re``/``im`` object
+    arrays, laid out as in :func:`_float_steps`) and only the final
+    components are rationals.
+    """
+    n = problem.n_steps
+    idx = n + problem.displacement
+    if not (0 <= idx < 2 * n + 1):
+        return KernelValue(Fraction(0), Fraction(0))
     q = Fraction(problem.step_size) * Fraction(problem.mass)
-    zero = (Fraction(0), Fraction(0))
-
-    def mul_iq(value):  # multiply (re, im) by i*q
-        re, im = value
-        return (-im * q, re * q)
-
-    def add(a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    init = 0 if problem.initial_direction == RIGHT else 1
-    psi: dict[tuple[int, int], tuple[Fraction, Fraction]] = {(0, init): (Fraction(1), Fraction(0))}
+    p, r = q.numerator, q.denominator
+    re = np.zeros((2 * n + 1, 2), dtype=object)
+    im = np.zeros((2 * n + 1, 2), dtype=object)
+    re[n, 0 if problem.initial_direction == RIGHT else 1] = 1
     for step in range(n):
-        allow_flip = problem.incoming_corner or step > 0
-        new: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        for (pos, d), amp in psi.items():
-            move = 1 if d == 0 else -1
-            key = (pos + move, d)
-            new[key] = add(new.get(key, zero), amp)
-            if allow_flip:
-                flip = 1 - d
-                move = 1 if flip == 0 else -1
-                key = (pos + move, flip)
-                new[key] = add(new.get(key, zero), mul_iq(amp))
-        psi = new
-    if problem.final_direction == ANY:
-        dirs: Iterable[int] = (0, 1)
-    else:
-        dirs = (0,) if problem.final_direction == RIGHT else (1,)
-    re = Fraction(0)
-    im = Fraction(0)
-    for d in dirs:
-        amp = psi.get((problem.displacement, d))
-        if amp:
-            re += amp[0]
-            im += amp[1]
-    return KernelValue(phi_plus=re, phi_minus=im)
+        new_re = np.zeros_like(re)
+        new_im = np.zeros_like(im)
+        new_re[1:, 0] = r * re[:-1, 0]
+        new_im[1:, 0] = r * im[:-1, 0]
+        new_re[:-1, 1] = r * re[1:, 1]
+        new_im[:-1, 1] = r * im[1:, 1]
+        if problem.incoming_corner or step > 0:  # reversal: multiply by i*p
+            new_re[1:, 0] -= p * im[:-1, 1]
+            new_im[1:, 0] += p * re[:-1, 1]
+            new_re[:-1, 1] -= p * im[1:, 0]
+            new_im[:-1, 1] += p * re[1:, 0]
+        re, im = new_re, new_im
+    dirs = [0, 1] if problem.final_direction == ANY else [0 if problem.final_direction == RIGHT else 1]
+    denominator = r**n
+    return KernelValue(phi_plus=Fraction(re[idx, dirs].sum(), denominator),
+                       phi_minus=Fraction(im[idx, dirs].sum(), denominator))
 
 
 def kernel_transfer_matrix(problem: ChessboardProblem, exact: bool = False) -> KernelValue:
@@ -256,20 +290,5 @@ def kernel_phase_series(t_max: float, eps: float, mass: float,
     if n < 1:
         raise ValueError("t_max is smaller than one step")
     w = 1j * eps * mass
-    width = 2 * n + 1
-    psi = np.zeros((width, 2), dtype=np.complex128)
-    init = 0 if initial_direction == RIGHT else 1
-    psi[n, init] = 1.0
-    out: list[tuple[float, KernelValue]] = []
-    for step in range(n):
-        allow_flip = incoming_corner or step > 0
-        new = np.zeros_like(psi)
-        new[1:, 0] = psi[:-1, 0] + (w * psi[:-1, 1] if allow_flip else 0.0)
-        new[:-1, 1] = psi[1:, 1] + (w * psi[1:, 0] if allow_flip else 0.0)
-        psi = new
-        if final_direction == ANY:
-            k = psi[n, 0] + psi[n, 1]
-        else:
-            k = psi[n, 0 if final_direction == RIGHT else 1]
-        out.append(((step + 1) * eps, KernelValue(float(k.real), float(k.imag))))
-    return out
+    return [((step + 1) * eps, _read_float(psi, n, final_direction))
+            for step, psi in enumerate(_float_steps(n, w, initial_direction, incoming_corner))]

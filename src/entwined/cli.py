@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chessboard import (ANY, LEFT, RIGHT, ChessboardProblem, enumerate_corner_histogram,
-                         kernel_corner_sum, kernel_phase_series, kernel_transfer_matrix)
+from .chessboard import (ANY, ENUMERATION_CAP, LEFT, RIGHT, ChessboardProblem,
+                         enumerate_corner_histogram, kernel_corner_sum, kernel_phase_series,
+                         kernel_transfer_matrix)
 from .density import (ReferenceDensity, accumulate, best_lag, compare, export_field,
                       field_for_segments, steady_region)
 from .lattice import LatticeSpec
@@ -157,6 +158,8 @@ def validate(config: dict) -> list[str]:
     if exp == "chessboard":
         if block["n_steps"] < 1:
             issues.append("chessboard.n_steps: must be >= 1")
+        elif block["n_steps"] > ENUMERATION_CAP:
+            issues.append(f"chessboard.n_steps: exceeds enumeration cap {ENUMERATION_CAP}")
         if not block["step_size"] > 0:
             issues.append("chessboard.step_size: must be positive")
         if block["mass"] < 0:

@@ -5,15 +5,15 @@ chessboard oracle walks explicit step tuples, and the profile oracle stamps
 the closed-form single-loop density directly onto cell arrays.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 
-def brute_histogram(n_steps, displacement, initial="right", final="any", incoming=False):
-    """Corner histogram by explicit enumeration of +-1 step tuples."""
+def brute_corners(n_steps, displacement, initial="right", final="any", incoming=False):
+    """Yield the corner count of every matching +-1 step tuple, in a fixed order."""
     init = +1 if initial == "right" else -1
-    hist = {}
     firsts = [+1, -1] if incoming else [init]
     for first in firsts:
         for rest in product((+1, -1), repeat=n_steps - 1):
@@ -27,29 +27,41 @@ def brute_histogram(n_steps, displacement, initial="right", final="any", incomin
             corners = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
             if incoming and first != init:
                 corners += 1
-            hist[corners] = hist.get(corners, 0) + 1
+            yield corners
+
+
+def brute_histogram(n_steps, displacement, initial="right", final="any", incoming=False):
+    """Corner histogram by explicit enumeration of +-1 step tuples."""
+    hist = {}
+    for corners in brute_corners(n_steps, displacement, initial, final, incoming):
+        hist[corners] = hist.get(corners, 0) + 1
     return hist
 
 
 def brute_kernel(n_steps, displacement, eps, mass, initial="right", final="any", incoming=False):
     """Kernel directly as sum over paths of (i*eps*mass)**corners."""
-    init = +1 if initial == "right" else -1
     total = 0j
-    firsts = [+1, -1] if incoming else [init]
-    for first in firsts:
-        for rest in product((+1, -1), repeat=n_steps - 1):
-            seq = (first,) + rest
-            if sum(seq) != displacement:
-                continue
-            if final == "right" and seq[-1] != +1:
-                continue
-            if final == "left" and seq[-1] != -1:
-                continue
-            corners = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-            if incoming and first != init:
-                corners += 1
-            total += (1j * eps * mass) ** corners
+    for corners in brute_corners(n_steps, displacement, initial, final, incoming):
+        total += (1j * eps * mass) ** corners
     return total
+
+
+def brute_kernel_exact(n_steps, displacement, q, initial="right", final="any", incoming=False):
+    """Kernel as exact (real, imaginary) Fractions: the sum over paths of (i*q)**corners.
+
+    ``q`` (eps*mass) is taken as ``Fraction(q)``, so a float is its exact
+    binary value.  Powers of i*q are built by explicit multiplication.
+    """
+    q = Fraction(q)
+    powers = [(Fraction(1), Fraction(0))]  # (i*q)**R as (real, imaginary)
+    for _ in range(n_steps + 1):
+        re, im = powers[-1]
+        powers.append((-im * q, re * q))
+    re = im = Fraction(0)
+    for corners in brute_corners(n_steps, displacement, initial, final, incoming):
+        re += powers[corners][0]
+        im += powers[corners][1]
+    return re, im
 
 
 def loop_cells(n):

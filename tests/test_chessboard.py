@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from entwined.chessboard import (ChessboardProblem, CornerHistogram, enumerate_corner_histogram,
                                  kernel_corner_sum, kernel_phase_series, kernel_transfer_matrix)
-from helpers import brute_histogram, brute_kernel
+from helpers import brute_histogram, brute_kernel, brute_kernel_exact
 
 
 def test_single_step_straight_path():
@@ -26,18 +27,37 @@ def test_four_steps_return_total():
     assert hist.counts == {1: 1, 2: 1, 3: 1}
 
 
-@pytest.mark.parametrize("n_steps", range(1, 11))
+@pytest.mark.parametrize("n_steps", range(1, 13))
 @pytest.mark.parametrize("incoming", [False, True])
 def test_enumeration_matches_brute_force(n_steps, incoming):
-    for displacement in range(-n_steps, n_steps + 1, 2):
-        if (n_steps - displacement) % 2:
-            continue
-        for final in ("any", "right", "left"):
+    # odd and even n cover both split shapes; the displacement range includes
+    # out-of-range and wrong-parity endpoints, which have no paths
+    for displacement in range(-n_steps - 1, n_steps + 2):
+        for initial, final in product(("right", "left"), ("any", "right", "left")):
             problem = ChessboardProblem(n_steps=n_steps, displacement=displacement,
-                                        final_direction=final, incoming_corner=incoming)
+                                        initial_direction=initial, final_direction=final,
+                                        incoming_corner=incoming)
             got = enumerate_corner_histogram(problem).counts
-            want = brute_histogram(n_steps, displacement, final=final, incoming=incoming)
+            want = brute_histogram(n_steps, displacement, initial=initial, final=final,
+                                   incoming=incoming)
             assert got == want
+
+
+@pytest.mark.parametrize("incoming", [False, True])
+@pytest.mark.parametrize("initial", ["right", "left"])
+def test_histogram_mass_closed_form(initial, incoming):
+    # k left steps out of n: all C(n, k) placements with a free first step,
+    # C(n-1, k - first) with the first step fixed
+    init_bit = 0 if initial == "right" else 1
+    for n_steps in range(1, 25):
+        for lefts in range(n_steps + 1):
+            problem = ChessboardProblem(n_steps=n_steps, displacement=n_steps - 2 * lefts,
+                                        initial_direction=initial, incoming_corner=incoming)
+            if incoming:
+                want = math.comb(n_steps, lefts)
+            else:
+                want = math.comb(n_steps - 1, lefts - init_bit) if lefts >= init_bit else 0
+            assert enumerate_corner_histogram(problem).total() == want
 
 
 def test_histogram_mass_equals_brute_count():
@@ -143,6 +163,22 @@ def test_exact_mode_agrees_between_backends():
             transferred = kernel_transfer_matrix(problem, exact=True)
             assert summed.phi_plus == transferred.phi_plus
             assert summed.phi_minus == transferred.phi_minus
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, Fraction(3, 10)])
+def test_exact_transfer_equals_brute_kernel(eps):
+    # float step sizes are exact binary fractions with denominators near 2**55
+    for n_steps in range(1, 11):
+        for displacement in range(-n_steps, n_steps + 1):
+            for initial, final, incoming in product(("right", "left"), ("any", "right", "left"),
+                                                    (False, True)):
+                problem = ChessboardProblem(n_steps=n_steps, displacement=displacement,
+                                            step_size=eps, mass=1, initial_direction=initial,
+                                            final_direction=final, incoming_corner=incoming)
+                k = kernel_transfer_matrix(problem, exact=True)
+                assert type(k.phi_plus) is Fraction and type(k.phi_minus) is Fraction
+                assert (k.phi_plus, k.phi_minus) == brute_kernel_exact(
+                    n_steps, displacement, eps, initial=initial, final=final, incoming=incoming)
 
 
 def test_invalid_problem_rejected():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from entwined import cli
+from entwined.chessboard import ENUMERATION_CAP
 from entwined.cli import ConfigError, load_config, main, validate
 
 
@@ -83,6 +84,18 @@ def test_validate_subcommand_exit_codes(tmp_path, capsys):
     assert run_cli(["validate", "--experiment", "carrier"]) == 0
     assert "configuration ok" in capsys.readouterr().out
     assert run_cli(["validate", "--n", "0"]) == 2
+
+
+def test_validate_rejects_n_steps_past_enumeration_cap(tmp_path, capsys):
+    ini = tmp_path / "big.ini"
+    ini.write_text("[chessboard]\nn_steps = 30\n")
+    assert run_cli(["validate", "--experiment", "chessboard", "--config", str(ini)]) == 2
+    assert "chessboard.n_steps: exceeds enumeration cap 24" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert run_cli(["chessboard", "--n-steps", "30", "--out", str(out)]) == 2
+    assert not out.exists()
+    config = load_config("chessboard", None, {("chessboard", "n_steps"): ENUMERATION_CAP})
+    assert validate(config) == []
 
 
 def test_run_refuses_invalid_config(tmp_path):
