@@ -210,36 +210,46 @@ def _incidences_int(segs: SegmentArray):
 
 
 def _incidences_float(segs: SegmentArray, cell: float, need_x: bool = True):
-    """General slab expansion through per-segment frames (float binning)."""
+    """General slab expansion through per-segment frames (float binning).
+
+    Row quantities are gathered from the frame table once per stored row
+    and spread to that row's incidences with ``np.repeat``.
+    """
     half = segs.lattice.half
-    ts_tab = np.array([f.t_scale for f in segs.frames])
-    xs_tab = np.array([f.x_scale for f in segs.frames])
-    v_tab = np.array([f.drift for f in segs.frames])
-    x0_tab = np.array([f.x0 for f in segs.frames])
-    t0_tab = np.array([f.t0 for f in segs.frames])
     fi = segs.frame_idx
+
+    def per_row(attr: str) -> np.ndarray:
+        return np.array([getattr(f, attr) for f in segs.frames])[fi]
+
+    ts, t0 = per_row("t_scale"), per_row("t0")
     t1i = segs.t1 * half
     t2i = segs.t2 * half
-    ta = ts_tab[fi] * t1i + t0_tab[fi]
-    tb = ts_tab[fi] * t2i + t0_tab[fi]
+    ta = ts * t1i + t0
+    tb = ts * t2i + t0
     lo = np.minimum(ta, tb)
     hi = np.maximum(ta, tb)
     k_lo = np.floor(lo / cell).astype(np.int64)
     k_hi = np.ceil(hi / cell).astype(np.int64)  # exclusive
     counts = (k_hi - k_lo).clip(min=1)
-    idx = np.repeat(np.arange(len(fi)), counts)
+
+    def spread(row_values: np.ndarray) -> np.ndarray:
+        return np.repeat(row_values, counts)
+
+    idx = spread(np.arange(len(fi)))
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    k = k_lo[idx] + (np.arange(counts.sum()) - np.repeat(starts, counts))
-    s_lo = np.maximum(lo[idx], k * cell)
-    s_hi = np.minimum(hi[idx], (k + 1) * cell)
+    k = spread(k_lo - starts) + np.arange(counts.sum())
     if need_x:
+        s_lo = np.maximum(spread(lo), k * cell)
+        s_hi = np.minimum(spread(hi), (k + 1) * cell)
         t_m = 0.5 * (s_lo + s_hi)
-        dt = segs.t2 - segs.t1
-        dx = segs.x2 - segs.x1
+        # int64: int32 differences of far-apart endpoints would wrap
+        dt = segs.t2.astype(np.int64) - segs.t1
+        dx = segs.x2.astype(np.int64) - segs.x1
         slope = np.where(dt != 0, dx / np.where(dt == 0, 1, dt), 0.0)
-        t_int_m = (t_m - t0_tab[fi][idx]) / ts_tab[fi][idx]
-        x_int_m = (segs.x1 * half)[idx] + slope[idx] * (t_int_m - t1i[idx])
-        x_phys = xs_tab[fi][idx] * x_int_m + v_tab[fi][idx] * t_m + x0_tab[fi][idx]
+        t_int_m = (t_m - spread(t0)) / spread(ts)
+        x_int_m = spread(segs.x1 * half) + spread(slope) * (t_int_m - spread(t1i))
+        x_phys = (spread(per_row("x_scale")) * x_int_m + spread(per_row("drift")) * t_m
+                  + spread(per_row("x0")))
         j = np.floor(x_phys / cell).astype(np.int64)
     else:
         j = None
@@ -499,11 +509,47 @@ def compare(field: DensityField, ref: ReferenceDensity, channel: str, region: Re
 # export
 
 
+def _format_matrix(matrix: np.ndarray) -> bytes:
+    """Decimal text of a 2-D int64 matrix: the bytes that
+    ``np.savetxt(f, matrix, fmt="%d", delimiter="\\t")`` writes.
+
+    Every cell gets a zeroed row of ``digits + 2`` bytes: the sign, the
+    digits right-aligned, then ``\\t``, or ``\\n`` at a row end.  The zero
+    bytes (no sign, leading zeros) are dropped at the end.  Magnitudes are
+    taken in uint64, so -2**63 renders exactly.
+    """
+    rows = matrix.shape[0]
+    flat = matrix.ravel()
+    neg = flat < 0
+    mag = flat.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # modular: |v| for every int64, -2**63 included
+    top = int(mag.max())
+    mag = mag.astype(np.min_scalar_type(top))  # narrow ints divide faster
+    digits = len(str(top))
+    width = digits + 2
+    out = np.zeros((flat.size, width), dtype=np.uint8)
+    out[:, 0] = neg * np.uint8(ord("-"))
+    out[:, -1] = ord("\t")
+    out.reshape(rows, -1)[:, -1] = ord("\n")
+    rem = mag
+    for d in range(digits):
+        quot = rem // 10
+        digit = (rem - quot * 10).astype(np.uint8) + np.uint8(ord("0"))
+        if d:
+            digit *= mag >= 10 ** d  # zero past the leading digit
+        out[:, width - 2 - d] = digit
+        rem = quot
+    text = out.ravel()
+    return text[text != 0].tobytes()
+
+
 def export_field(field: DensityField, directory, basename: str) -> list:
     """Write one integer matrix per channel plus a JSON metadata record.
 
     Returns the written paths.  Matrices are tab-delimited rows (one row per
-    time cell); integers render exactly, so files are bit-reproducible.
+    time cell, each ending in ``\\n``) of decimal integers with a leading
+    ``-`` for negatives and no header; integers render exactly, so files are
+    bit-reproducible.
     """
     from pathlib import Path
 
@@ -512,7 +558,7 @@ def export_field(field: DensityField, directory, basename: str) -> list:
     written = []
     for name in CHANNELS:
         path = directory / f"{basename}.{name}.tsv"
-        np.savetxt(path, field.channel(name), fmt="%d", delimiter="\t")
+        path.write_bytes(_format_matrix(field.channel(name)))
         written.append(path)
     meta = {
         "cell_size": field.cell,

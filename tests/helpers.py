@@ -1,10 +1,12 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the library's path/accumulation machinery: the
-chessboard oracle walks explicit step tuples, and the profile oracle stamps
-the closed-form single-loop density directly onto cell arrays.
+chessboard oracle walks explicit step tuples, the profile oracle stamps
+the closed-form single-loop density directly onto cell arrays, and field
+text is checked against numpy's own ``savetxt``.
 """
 
+import io
 from fractions import Fraction
 from itertools import product
 
@@ -99,3 +101,10 @@ def cord_fiber_offsets(n, origin_cells=0, repeats=1):
     for r in range(repeats):
         out.extend(origin_cells + q + 2 * n * r for q in quartet)
     return out
+
+
+def savetxt_bytes(matrix):
+    """The bytes ``np.savetxt`` writes for an integer matrix, tab-delimited."""
+    buf = io.BytesIO()
+    np.savetxt(buf, matrix, fmt="%d", delimiter="\t")
+    return buf.getvalue()

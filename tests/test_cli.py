@@ -2,11 +2,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entwined import cli
 from entwined.chessboard import ENUMERATION_CAP
 from entwined.cli import ConfigError, load_config, main, validate
+from helpers import savetxt_bytes
 
 
 def run_cli(args):
@@ -190,6 +192,25 @@ def test_outputs_byte_identical_across_thread_counts(tmp_path, experiment, flags
         assert run_cli([experiment, *flags, "--threads", threads, "--out", str(out)]) == 0
         trees.append(read_tree(out))
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("experiment,flags", [
+    ("carrier", ["--n", "6", "--cords", "8"]),
+    ("propagate", ["--n", "8", "--cords", "6", "--v-count", "3", "--n-periods", "2"]),
+    ("ring", ["--n", "8", "--cords", "6", "--cycles", "3"]),
+])
+def test_field_files_match_savetxt_of_their_values(tmp_path, experiment, flags):
+    # two routes to the same bytes: the written field, and np.savetxt of the
+    # integers read back from it
+    out = tmp_path / experiment
+    assert run_cli([experiment, *flags, "--out", str(out)]) == 0
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    fields = sorted(out.glob("*.adolescent.tsv")) + sorted(out.glob("*.senescent.tsv"))
+    assert len(fields) == 2
+    for path in fields:
+        body = path.read_bytes()
+        assert body == savetxt_bytes(np.loadtxt(path, dtype=np.int64, delimiter="\t", ndmin=2))
+        assert hashlib.sha256(body).hexdigest() == artifacts[path.name]["sha256"]
 
 
 def test_manifest_lists_every_artifact_with_checksum(tmp_path):

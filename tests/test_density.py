@@ -3,16 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from entwined.density import (DensityField, ReferenceDensity, Region, accumulate,
-                              accumulate_profile, best_lag, compare, export_field,
-                              field_for_segments, fit_sinusoid, reference_eval, steady_region,
-                              whole_region)
+from entwined.density import (DensityField, ReferenceDensity, Region, _format_matrix,
+                              _incidences_float, accumulate, accumulate_profile, best_lag,
+                              compare, export_field, field_for_segments, fit_sinusoid,
+                              reference_eval, steady_region, whole_region)
 from entwined.lattice import LatticeSpec
 from entwined.paths import (Frame, SegmentArray, build_cable, build_cord, build_fiber,
                             concatenate, right_envelope, with_frame)
 from entwined.propagator import RaySpec, write_ray
 from test_paths import materialised_cable
-from helpers import cord_fiber_offsets, profile_oracle
+from helpers import cord_fiber_offsets, profile_oracle, savetxt_bytes
 
 
 @pytest.fixture
@@ -240,6 +240,16 @@ def test_out_of_bounds_raises_unless_clipping(spec):
     assert small.adolescent[0, 0] == 1
 
 
+def test_float_binning_slope_survives_int32_differences():
+    # t2 - t1 = 4e9 half-cell units does not fit int32; a wrapped difference
+    # flips the slope and sends a right-moving segment left
+    lat = LatticeSpec(n=10)
+    segs = SegmentArray(lat, [0], [-2e9], [2e9], [2e9], [1], [0], [1], [0], (Frame(x0=0.5),))
+    k, j, idx = _incidences_float(segs, cell=lat.eps * 1e8)
+    assert np.array_equal(k, np.arange(-10, 10))
+    assert np.array_equal(j, np.arange(20) // 2)  # x cells rise with t
+
+
 # --- reference densities ---------------------------------------------------
 
 
@@ -414,3 +424,30 @@ def test_export_field_roundtrip(tmp_path, spec):
     assert meta["cell_size"] == field.cell
     assert meta["t_cells"] == field.t_cells
     assert meta["origin_cell"] == {"x": field.x0_cell, "t": field.t0_cell}
+
+
+_I64 = np.iinfo(np.int64)
+
+
+def _random_matrix(shape, magnitude, seed):
+    lo, hi = (-magnitude, magnitude) if magnitude else (_I64.min, _I64.max)
+    return np.random.default_rng(seed).integers(lo, hi, size=shape, dtype=np.int64,
+                                                endpoint=True)
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param(np.zeros((1, 1), dtype=np.int64), id="zero-1x1"),
+    pytest.param(np.arange(-6, 7, dtype=np.int64).reshape(1, -1), id="row"),
+    pytest.param(np.arange(-6, 7, dtype=np.int64).reshape(-1, 1), id="column"),
+    pytest.param(-np.arange(1, 13, dtype=np.int64).reshape(3, 4) ** 3, id="all-negative"),
+    pytest.param(np.array([[-1, 0, 1], [10, -10, 0], [0, 0, -999]]), id="mixed-sign"),
+    pytest.param(np.array([[1, 22, 333, 4444], [-55555, 6, -77, 8], [0, 0, 0, 9999999]]),
+                 id="ragged-digits"),
+    pytest.param(np.array([[2 ** 53, -2 ** 53], [_I64.max, _I64.min], [0, -1]]), id="extremes"),
+    pytest.param(np.full((2, 3), _I64.min), id="int64-min"),
+    *(pytest.param(_random_matrix((17, 23), 10 ** e, seed=e), id=f"random-1e{e}")
+      for e in (1, 3, 6, 12, 18)),
+    pytest.param(_random_matrix((31, 7), 0, seed=0), id="random-int64"),
+])
+def test_format_matrix_matches_savetxt(matrix):
+    assert _format_matrix(matrix) == savetxt_bytes(matrix)
