@@ -10,9 +10,8 @@ from .chessboard import (ChessboardProblem, CornerHistogram, KernelValue,
                          enumerate_corner_histogram, kernel_corner_sum,
                          kernel_phase_series, kernel_transfer_matrix)
 from .density import (DensityField, ErrorReport, ReferenceDensity, Region, SinusoidFit,
-                      accumulate, accumulate_profile, best_lag, compare, export_field,
-                      field_for_segments, fit_sinusoid, reference_eval, steady_region,
-                      whole_region)
+                      accumulate, best_lag, compare, export_field, field_for_segments,
+                      fit_sinusoid, reference_eval, steady_region, whole_region)
 from .lattice import PERIOD, LatticeSpec
 from .paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, PathSegment, SegmentArray,
                     build_cable, build_cord, build_fiber, concatenate, cords_per_shift,
@@ -34,7 +33,7 @@ __all__ = [
     "build_fiber", "build_cord", "build_cable", "concatenate", "cords_per_shift",
     "right_envelope", "with_frame", "dump_path",
     "DensityField", "Region", "ReferenceDensity", "ErrorReport", "SinusoidFit",
-    "accumulate", "accumulate_profile", "best_lag", "compare", "export_field",
+    "accumulate", "best_lag", "compare", "export_field",
     "field_for_segments", "fit_sinusoid", "reference_eval", "steady_region", "whole_region",
     "RaySpec", "RayReport", "RegionSpec", "RegionResult",
     "analytic_kernel", "reduced_frequency", "region_for_fan", "write_ray", "write_region",

@@ -208,10 +208,10 @@ def validate(config: dict) -> list[str]:
             cells = block["circumference"] / lattice.cell_physical
             if abs(cells - round(cells)) > 1e-9 or round(cells) < 2:
                 issues.append("ring.circumference: must be a whole number of lattice cells")
-            if speed is None:
-                v = 2.0 * math.pi * block["mode"] / (lattice.mass * block["circumference"])
-                v *= block["speed_factor"]
-                if v >= 1.0:
+            if speed is None and block["circumference"] > 0:
+                # the run resolves the eigen speed before scaling it, so both must be subluminal
+                eigen = 2.0 * math.pi * block["mode"] / (lattice.mass * block["circumference"])
+                if max(eigen, eigen * block["speed_factor"]) >= 1.0:
                     issues.append("ring.speed: superluminal drift (eigen speed too high; increase circumference or mass)")
     return issues
 

@@ -151,31 +151,6 @@ def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int =
     return DensityField(cell, t_lo, x_lo, t_hi - t_lo, x_hi - x_lo, wrap_x=wrap_x)
 
 
-def _as_segment_array(envelope, cell: float) -> SegmentArray | None:
-    """Coerce an envelope to a SegmentArray; None means nothing to count.
-
-    Plain iterables of PathSegment are quantized onto the half-cell grid
-    implied by ``cell`` (internal units), which covers hand-built segments;
-    envelopes from this package arrive as SegmentArray already.
-    """
-    if isinstance(envelope, SegmentArray):
-        if not envelope.weight.all():
-            envelope = envelope.subset(envelope.weight > 0)
-        return envelope if envelope.rows else None
-    if isinstance(envelope, EntwinedPath):
-        raise TypeError("pass the path's right envelope, not the path itself")
-    segments = list(envelope)
-    if not segments:
-        return None
-    n = 2.0 / cell
-    if abs(n - round(n)) > 1e-9 or round(n) % 2:
-        raise TypeError("plain segment lists need an internal-unit field "
-                        "(cell = 2/n, n even); pass a SegmentArray instead")
-    from .lattice import LatticeSpec
-
-    return SegmentArray.from_segments(LatticeSpec(n=int(round(n))), segments)
-
-
 def _frames_identity(segs: SegmentArray) -> bool:
     used = np.unique(segs.frame_idx)
     return all(segs.frames[i].is_identity for i in used)
@@ -209,7 +184,7 @@ def _incidences_int(segs: SegmentArray):
     return k, j, idx
 
 
-def _incidences_float(segs: SegmentArray, cell: float, need_x: bool = True):
+def _incidences_float(segs: SegmentArray, cell: float):
     """General slab expansion through per-segment frames (float binning).
 
     Row quantities are gathered from the frame table once per stored row
@@ -238,30 +213,27 @@ def _incidences_float(segs: SegmentArray, cell: float, need_x: bool = True):
     idx = spread(np.arange(len(fi)))
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     k = spread(k_lo - starts) + np.arange(counts.sum())
-    if need_x:
-        s_lo = np.maximum(spread(lo), k * cell)
-        s_hi = np.minimum(spread(hi), (k + 1) * cell)
-        t_m = 0.5 * (s_lo + s_hi)
-        # int64: int32 differences of far-apart endpoints would wrap
-        dt = segs.t2.astype(np.int64) - segs.t1
-        dx = segs.x2.astype(np.int64) - segs.x1
-        slope = np.where(dt != 0, dx / np.where(dt == 0, 1, dt), 0.0)
-        t_int_m = (t_m - spread(t0)) / spread(ts)
-        x_int_m = spread(segs.x1 * half) + spread(slope) * (t_int_m - spread(t1i))
-        x_phys = (spread(per_row("x_scale")) * x_int_m + spread(per_row("drift")) * t_m
-                  + spread(per_row("x0")))
-        j = np.floor(x_phys / cell).astype(np.int64)
-    else:
-        j = None
+    s_lo = np.maximum(spread(lo), k * cell)
+    s_hi = np.minimum(spread(hi), (k + 1) * cell)
+    t_m = 0.5 * (s_lo + s_hi)
+    # int64: int32 differences of far-apart endpoints would wrap
+    dt = segs.t2.astype(np.int64) - segs.t1
+    dx = segs.x2.astype(np.int64) - segs.x1
+    slope = np.where(dt != 0, dx / np.where(dt == 0, 1, dt), 0.0)
+    t_int_m = (t_m - spread(t0)) / spread(ts)
+    x_int_m = spread(segs.x1 * half) + spread(slope) * (t_int_m - spread(t1i))
+    x_phys = (spread(per_row("x_scale")) * x_int_m + spread(per_row("drift")) * t_m
+              + spread(per_row("x0")))
+    j = np.floor(x_phys / cell).astype(np.int64)
     return k, j, idx
 
 
-def _incidences(segs: SegmentArray, cell: float, need_x: bool = True):
+def _incidences(segs: SegmentArray, cell: float):
     """(t_cell, x_cell, stored row) per incidence; exact integer binning for
     identity frames on the lattice's own cells, float binning otherwise."""
     if _frames_identity(segs) and cell == segs.lattice.eps:
         return _incidences_int(segs)
-    return _incidences_float(segs, cell, need_x)
+    return _incidences_float(segs, cell)
 
 
 def _signed_bincount(lin: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
@@ -274,25 +246,20 @@ def _signed_bincount(lin: np.ndarray, weights: np.ndarray, length: int) -> np.nd
     return np.bincount(lin, weights=weights, minlength=length).astype(np.int64)
 
 
-def _channel(segs: SegmentArray, idx: np.ndarray) -> np.ndarray:
-    """0 for right movers (adolescent), 1 for left movers (senescent)."""
-    return (segs.species != RIGHT_MOVER).astype(np.int64)[idx]
-
-
-def _signed_weight(segs: SegmentArray, idx: np.ndarray) -> np.ndarray:
-    """Traversal sign times multiplicity of each incidence's row."""
-    return (segs.time_dir * segs.weight)[idx]
-
-
-def accumulate(field: DensityField, envelope, clip: bool = False) -> DensityField:
+def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) -> DensityField:
     """Add the envelope's signed counts into ``field`` (in place) and return it.
 
-    Each stored row counts with its multiplicity; counts are integers and
-    the result is independent of segment order.  Out-of-bounds incidences
-    raise unless ``clip`` is set.
+    ``envelope`` is a SegmentArray, usually ``right_envelope(path)``.  Each
+    stored row counts with its multiplicity; counts are integers and the
+    result is independent of segment order.  Out-of-bounds incidences raise
+    unless ``clip`` is set.  An x-summed profile is a row sum of the field:
+    ``field.channel(name).sum(axis=1)``.
     """
-    segs = _as_segment_array(envelope, field.cell)
-    if segs is None:
+    if not isinstance(envelope, SegmentArray):
+        raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
+                        "pass the path's right envelope, right_envelope(path)")
+    segs = envelope if envelope.weight.all() else envelope.subset(envelope.weight > 0)
+    if not segs.rows:
         return field
     k, j, idx = _incidences(segs, field.cell)
     k_rel = k - field.t0_cell
@@ -309,32 +276,16 @@ def accumulate(field: DensityField, envelope, clip: bool = False) -> DensityFiel
             )
         k_rel, j_rel, idx = k_rel[ok], j_rel[ok], idx[ok]
     size = field.t_cells * field.x_cells
-    # fold the channel into the linear index so one bincount pass covers both
-    lin = k_rel * field.x_cells + j_rel + _channel(segs, idx) * size
-    signed = _signed_bincount(lin, _signed_weight(segs, idx), 2 * size)
+    # fold the channel (0 for right movers, adolescent; 1 for left movers,
+    # senescent) into the linear index so one bincount pass covers both
+    row_channel = (segs.species != RIGHT_MOVER).astype(np.int64)
+    lin = k_rel * field.x_cells + j_rel + row_channel[idx] * size
+    # each incidence adds its row's traversal sign times multiplicity
+    signed = _signed_bincount(lin, (segs.time_dir * segs.weight)[idx], 2 * size)
     signed = signed.reshape(2, field.t_cells, field.x_cells)
     field.adolescent += signed[0]
     field.senescent += signed[1]
     return field
-
-
-def accumulate_profile(envelope, cell: float, t0_cell: int, t_cells: int,
-                       clip: bool = False) -> dict[str, np.ndarray]:
-    """Signed counts per time cell, summed over all x (per-construct profiles)."""
-    segs = _as_segment_array(envelope, cell)
-    if segs is None:
-        return {name: np.zeros(t_cells, dtype=np.int64) for name in CHANNELS}
-    k, _, idx = _incidences(segs, cell, need_x=False)
-    k_rel = k - t0_cell
-    ok = (k_rel >= 0) & (k_rel < t_cells)
-    if not ok.all():
-        if not clip:
-            bad = int(np.nonzero(~ok)[0][0])
-            raise ValueError(f"stored row {int(idx[bad])} writes outside the profile window")
-        k_rel, idx = k_rel[ok], idx[ok]
-    lin = k_rel + _channel(segs, idx) * t_cells
-    signed = _signed_bincount(lin, _signed_weight(segs, idx), 2 * t_cells)
-    return {"adolescent": signed[:t_cells], "senescent": signed[t_cells:]}
 
 
 # ---------------------------------------------------------------------------

@@ -164,47 +164,6 @@ class SegmentArray:
         return cls(lattice, z, z, z, z, z, z, z, z, (Frame(),))
 
     @classmethod
-    def from_segments(cls, lattice: LatticeSpec, segments) -> "SegmentArray":
-        """Build from PathSegment objects, inverting each segment's frame.
-
-        Endpoints must land back on the half-cell grid once the frame is
-        undone (within 1e-9 of a grid point), which holds for any segment
-        produced by this package.
-        """
-        segments = list(segments)
-        if not segments:
-            return cls.empty(lattice)
-        n = lattice.n
-        frames: list[Frame] = []
-        frame_of: dict[Frame, int] = {}
-        rows = np.zeros((len(segments), 4), dtype=np.int64)
-        time_dir = np.zeros(len(segments), dtype=np.int8)
-        envelope = np.zeros(len(segments), dtype=np.int8)
-        frame_idx = np.zeros(len(segments), dtype=np.int32)
-        for i, seg in enumerate(segments):
-            frame = seg.frame
-            idx = frame_of.get(frame)
-            if idx is None:
-                idx = len(frames)
-                frames.append(frame)
-                frame_of[frame] = idx
-            frame_idx[i] = idx
-            for j, (x, t) in enumerate((seg.start, seg.end)):
-                t_int = (t - frame.t0) / frame.t_scale
-                x_int = (x - frame.drift * t - frame.x0) / frame.x_scale
-                for k, value in enumerate((x_int, t_int)):
-                    scaled = value * n
-                    snapped = round(scaled)
-                    if abs(scaled - snapped) > 1e-9:
-                        raise ValueError(
-                            f"segment {i} endpoint is not on the eps/2 grid (n={n})")
-                    rows[i, 2 * j + k] = int(snapped)
-            time_dir[i] = seg.time_dir
-            envelope[i] = _ENV_UNKNOWN if seg.in_envelope is None else int(seg.in_envelope)
-        return cls.from_columns(lattice, rows, envelope, frame_idx, tuple(frames),
-                                time_dir=time_dir)
-
-    @classmethod
     def from_columns(cls, lattice: LatticeSpec, cols: np.ndarray, envelope, frame_idx, frames,
                      time_dir=None, weight=None, runs=None) -> "SegmentArray":
         """Build from an (N, 4) int column block [x1, t1, x2, t2]."""

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (DensityField, accumulate, accumulate_profile, best_lag, fit_sinusoid,
-                      _cell_ceil, _cell_floor)
+from .density import DensityField, accumulate, best_lag, fit_sinusoid, _cell_ceil, _cell_floor
 from .lattice import PERIOD, LatticeSpec
 from .paths import EntwinedPath, Frame, build_cable, cords_per_shift, right_envelope, with_frame
 
@@ -166,12 +165,12 @@ class RegionResult:
         return max(r.rel_rms for r in self.reports)
 
 
-def _ray_report(ray: RaySpec, profile: dict[str, np.ndarray], cell: float, t0_cell: int) -> RayReport:
-    ado = profile["adolescent"]
-    sen = profile["senescent"]
-    centers = (t0_cell + np.arange(len(ado)) + 0.5) * cell
-    fit = fit_sinusoid(centers, ado.astype(float))
-    period_cells = 2.0 * np.pi / ray.omega / cell
+def _ray_report(ray: RaySpec, field: DensityField) -> RayReport:
+    """Fit the ray's own field, summed over x, against the frequency law."""
+    ado = field.adolescent.sum(axis=1)
+    sen = field.senescent.sum(axis=1)
+    fit = fit_sinusoid(field.t_centers(), ado.astype(float))
+    period_cells = 2.0 * np.pi / ray.omega / field.cell
     max_lag = int(period_cells) + 2
     lag = best_lag(ado, sen, max_lag)
     return RayReport(
@@ -191,6 +190,10 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     Rays are independent work units; the summed field and the per-ray
     reports are identical for any ``threads``.  Cells outside the region
     are clipped silently (cables overhang the window by construction).
+    Each ray's report fits the row sums of its own field, so it sees only
+    what lands inside the x window: ``region_for_fan`` pads that window so
+    no ray is clipped in x, but a hand-built ``RegionSpec`` narrower than
+    its rays gets profiles of the part inside.
     """
     if not region.ray_fan:
         raise ValueError("ray fan is empty")
@@ -205,11 +208,9 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     def one_ray(v: float):
         ray = RaySpec.from_velocity(v, mass, region.t_range)
         path = write_ray(ray, lattice, M)
-        env = right_envelope(path)
         sub = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
-        accumulate(sub, env, clip=True)
-        profile = accumulate_profile(env, cell, t0_cell, t_cells, clip=True)
-        return sub, _ray_report(ray, profile, cell, t0_cell)
+        accumulate(sub, right_envelope(path), clip=True)
+        return sub, _ray_report(ray, sub)
 
     if threads > 1 and len(region.ray_fan) > 1:
         from concurrent.futures import ThreadPoolExecutor

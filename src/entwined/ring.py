@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, accumulate
+from .density import DensityField, accumulate, _cell_ceil
 from .lattice import PERIOD, LatticeSpec
 from .paths import Frame, build_cable, concatenate, right_envelope, with_frame
 
@@ -99,8 +99,7 @@ def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0)
         pair.append(with_frame(cable, frame))
     path = concatenate(pair)
 
-    lo = path.steady_window[0]
-    t0_cell = math.ceil(lo / cell - 1e-9)
+    t0_cell = _cell_ceil(path.steady_window[0], cell)
     t_cells = int(round(spec.cycles * carrier_period / cell))
     field = DensityField(cell, t0_cell, 0, t_cells, x_cells, wrap_x=True)
     accumulate(field, right_envelope(path), clip=True)

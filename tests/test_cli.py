@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,25 @@ def test_validate_superluminal_ring_speed():
     config = load_config("ring", None, {("ring", "speed"): 1.2})
     issues = validate(config)
     assert any("superluminal drift" in issue for issue in issues)
+
+
+def test_validate_rejects_relativistic_eigen_speed_before_scaling(tmp_path, capsys):
+    # the eigen speed 2*pi/(m*L) is exactly 1 here; a speed factor of 0.5 does
+    # not rescue the run, which resolves the eigen speed before scaling it
+    L = repr(2.0 * math.pi)
+    config = load_config("ring", None, {("ring", "circumference"): float(L),
+                                        ("ring", "speed_factor"): 0.5})
+    assert any(issue.startswith("ring.speed:") for issue in validate(config))
+    out = tmp_path / "out"
+    assert run_cli(["ring", "--circumference", L, "--speed-factor", "0.5", "--out", str(out)]) == 2
+    assert "error: ring.speed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_reports_zero_circumference(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["ring", "--circumference", "0", "--out", str(out)]) == 2
+    assert "error: ring.circumference: must be positive" in capsys.readouterr().err
 
 
 def test_validate_zero_n():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from entwined.density import (DensityField, ReferenceDensity, Region, _format_matrix,
-                              _incidences_float, accumulate, accumulate_profile, best_lag,
-                              compare, export_field, field_for_segments, fit_sinusoid,
-                              reference_eval, steady_region, whole_region)
+                              _incidences_float, accumulate, best_lag, compare, export_field,
+                              field_for_segments, fit_sinusoid, reference_eval, steady_region,
+                              whole_region)
 from entwined.lattice import LatticeSpec
 from entwined.paths import (Frame, SegmentArray, build_cable, build_cord, build_fiber,
                             concatenate, right_envelope, with_frame)
@@ -36,20 +36,19 @@ def test_empty_envelope_leaves_field_unchanged(spec):
     fiber = build_fiber((0.0, 0.0), spec)
     field = field_for_segments(fiber.segs)
     accumulate(field, fiber.segs.subset(np.zeros(8, dtype=bool)))
-    accumulate(field, [])
+    accumulate(field, SegmentArray.empty(spec))
     assert not field.adolescent.any() and not field.senescent.any()
 
 
-def test_accumulate_accepts_plain_segment_lists(spec):
-    # a materialized list of PathSegment counts identically to the backing array
+def test_accumulate_takes_only_segment_arrays(spec):
+    # counting has one input type; paths, segment lists and empty lists all
+    # raise with the hint to pass the path's right envelope
     fiber = build_fiber((0.0, 0.0), spec, drift=0.2)
-    env = right_envelope(fiber)
-    via_array = field_for_segments(fiber.segs, pad=2)
-    accumulate(via_array, env)
-    via_list = field_for_segments(fiber.segs, pad=2)
-    accumulate(via_list, list(env))
-    assert np.array_equal(via_array.adolescent, via_list.adolescent)
-    assert np.array_equal(via_array.senescent, via_list.senescent)
+    field = field_for_segments(fiber.segs, pad=2)
+    for envelope in (fiber, list(right_envelope(fiber)), []):
+        with pytest.raises(TypeError, match="right_envelope\\(path\\)"):
+            accumulate(field, envelope)
+    assert not field.adolescent.any() and not field.senescent.any()
 
 
 def test_fiber_densities_match_closed_form_exactly(spec):
@@ -141,12 +140,6 @@ def test_weighted_counting_matches_expanded_rows(case):
     assert weighted_field.adolescent.any()
     assert np.array_equal(weighted_field.adolescent, unit_field.adolescent)
     assert np.array_equal(weighted_field.senescent, unit_field.senescent)
-    window = (field.cell, field.t0_cell, field.t_cells)
-    weighted_profile = accumulate_profile(env, *window)
-    unit_profile = accumulate_profile(unit, *window)
-    for name in ("adolescent", "senescent"):
-        assert np.array_equal(weighted_profile[name], unit_profile[name])
-        assert np.array_equal(weighted_profile[name], weighted_field.channel(name).sum(axis=1))
 
 
 @pytest.mark.parametrize("M", [1, 5, 20])
@@ -210,8 +203,6 @@ def test_weighted_counts_refuse_inexact_sums(spec):
     env = _weighted_fiber_envelope(spec, 2 ** 49)  # 20 * 2**49 > 2**53
     with pytest.raises(OverflowError, match="2\\*\\*53"):
         accumulate(field, env)
-    with pytest.raises(OverflowError):
-        accumulate_profile(env, field.cell, field.t0_cell, field.t_cells)
     assert not field.adolescent.any()
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from entwined.density import accumulate_profile, best_lag, fit_sinusoid, _cell_ceil, _cell_floor
+from entwined.density import (CHANNELS, DensityField, accumulate, best_lag, field_for_segments,
+                              fit_sinusoid, _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec
 from entwined.paths import right_envelope
 from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, reduced_frequency,
@@ -16,14 +17,17 @@ def lattice():
 
 
 def ray_profile(lattice, ray, M):
+    """x-summed profile over the ray's t span: row sums of a field that
+    covers the path's whole x extent, so nothing is clipped in x."""
     path = write_ray(ray, lattice, M)
-    env = right_envelope(path)
     cell = lattice.cell_physical
     t0 = _cell_floor(ray.t_span[0], cell)
     t_cells = _cell_ceil(ray.t_span[1], cell) - t0
-    prof = accumulate_profile(env, cell, t0, t_cells, clip=True)
-    centers = (t0 + np.arange(t_cells) + 0.5) * cell
-    return prof, centers
+    bounds = field_for_segments(path.segs, cell=cell)
+    field = DensityField(cell, t0, bounds.x0_cell, t_cells, bounds.x_cells)
+    accumulate(field, right_envelope(path), clip=True)
+    prof = {name: field.channel(name).sum(axis=1) for name in CHANNELS}
+    return prof, field.t_centers()
 
 
 # --- analytic kernel -------------------------------------------------------
@@ -141,8 +145,41 @@ def test_single_ray_region_reduces_to_write_ray(lattice):
     ray = RaySpec.from_velocity(0.0, lattice.mass, region.t_range)
     prof, centers = ray_profile(lattice, ray, M=20)
     fit = fit_sinusoid(centers, prof["adolescent"].astype(float))
-    assert report.omega_fitted == pytest.approx(fit.omega)
-    assert report.amplitude == pytest.approx(fit.amplitude)
+    # the region's narrow x window loses nothing, so the fits agree exactly
+    assert report.omega_fitted == fit.omega
+    assert report.amplitude == fit.amplitude
+
+
+@pytest.mark.parametrize("n, M, fan, start_periods", [
+    (10, 20, tuple(float(v) for v in np.linspace(-0.25, 0.25, 11)), 2.0),
+    (20, 30, (-0.5, 0.0, 0.3, 0.6), 2.0),
+    (20, 12, (-0.5, 0.6), 0.5),
+    (10, 5, (-0.9, 0.9), 2.0),
+    (10, 5, (-0.9, 0.0, 0.9), 4.5),
+    (50, 60, (-0.25, 0.25), 2.0),
+])
+def test_region_for_fan_never_clips_a_ray_in_x(n, M, fan, start_periods):
+    # write_region fits each ray's row sums inside the region's x window;
+    # that is the whole x-summed profile only if no incidence lands outside it
+    lattice = LatticeSpec.for_mass(n, mass=1.0)
+    region = region_for_fan(lattice, fan, start_periods=start_periods, n_periods=3.0)
+    cell = lattice.cell_physical
+    t0 = _cell_floor(region.t_range[0], cell)
+    t_cells = _cell_ceil(region.t_range[1], cell) - t0
+    x0 = _cell_floor(region.x_range[0], cell)
+    x_cells = _cell_ceil(region.x_range[1], cell) - x0
+    margin = 50
+    for v in fan:
+        ray = RaySpec.from_velocity(v, lattice.mass, region.t_range)
+        env = right_envelope(write_ray(ray, lattice, M))
+        narrow = accumulate(DensityField(cell, t0, x0, t_cells, x_cells), env, clip=True)
+        wide = accumulate(DensityField(cell, t0, x0 - margin, t_cells, x_cells + 2 * margin),
+                          env, clip=True)
+        for name in CHANNELS:
+            assert narrow.channel(name).any()
+            assert wide.channel(name).sum() == narrow.channel(name).sum()
+            block = wide.channel(name)[:, margin:margin + x_cells]
+            assert np.array_equal(block, narrow.channel(name))
 
 
 def test_fan_frequency_law(lattice, calibration):

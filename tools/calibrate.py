@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entwined.density import (ReferenceDensity, accumulate, accumulate_profile, compare,
+from entwined.density import (DensityField, ReferenceDensity, accumulate, compare,
                               field_for_segments, fit_sinusoid, steady_region,
                               _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec
@@ -51,15 +51,18 @@ def amplitude_uniformity():
     lattice = LatticeSpec.for_mass(20, mass=1.0)
     ray = RaySpec.from_velocity(0.1, lattice.mass, (2 * math.pi, 14 * math.pi))
     path = write_ray(ray, lattice, M=40)
-    env = right_envelope(path)
     cell = lattice.cell_physical
     t0 = _cell_floor(ray.t_span[0], cell)
     t_cells = _cell_ceil(ray.t_span[1], cell) - t0
-    prof = accumulate_profile(env, cell, t0, t_cells, clip=True)
-    centers = (t0 + np.arange(t_cells) + 0.5) * cell
+    # the path's whole x extent over the ray's t span: row sums are the full profile
+    bounds = field_for_segments(path.segs, cell=cell)
+    field = DensityField(cell, t0, bounds.x0_cell, t_cells, bounds.x_cells)
+    accumulate(field, right_envelope(path), clip=True)
+    ado = field.adolescent.sum(axis=1).astype(float)
+    centers = field.t_centers()
     half = t_cells // 2
-    first = fit_sinusoid(centers[:half], prof["adolescent"][:half].astype(float))
-    second = fit_sinusoid(centers[half:], prof["adolescent"][half:].astype(float))
+    first = fit_sinusoid(centers[:half], ado[:half])
+    second = fit_sinusoid(centers[half:], ado[half:])
     return abs(first.amplitude - second.amplitude) / first.amplitude
 
 
