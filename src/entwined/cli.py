@@ -203,6 +203,9 @@ def validate(config: dict) -> list[str]:
             issues.append("ring.speed: superluminal drift")
         if not block["speed_factor"] > 0:
             issues.append("ring.speed_factor: must be positive")
+        elif speed is not None and block["speed_factor"] != 1.0:
+            # the factor scales the eigen speed; an explicit speed replaces it
+            issues.append("ring.speed_factor: cannot be combined with ring.speed")
         if n > 0 and n % 2 == 0 and lat["mass_scale"] > 0:
             lattice = LatticeSpec(n=n, mass_scale=lat["mass_scale"])
             cells = block["circumference"] / lattice.cell_physical

@@ -156,11 +156,13 @@ def _frames_identity(segs: SegmentArray) -> bool:
     return all(segs.frames[i].is_identity for i in used)
 
 
-def _incidences_int(segs: SegmentArray):
+def _incidences_int(segs: SegmentArray, window=None):
     """Exact integer slab expansion for identity-frame segments.
 
     Returns absolute (t_cell, x_cell) indices plus the stored row of every
     (row, covered time-cell) incidence, all in half-cell integer math.
+    ``window`` (t_lo, t_hi), if given, drops slabs outside [t_lo, t_hi)
+    before they are expanded.
     """
     x1 = segs.x1.astype(np.int64)
     t1 = segs.t1.astype(np.int64)
@@ -169,8 +171,11 @@ def _incidences_int(segs: SegmentArray):
     lo = np.minimum(t1, t2)
     hi = np.maximum(t1, t2)
     k_lo = lo // 2
-    k_hi = (hi - 1) // 2  # inclusive; zero-measure touch of the next cell excluded
-    counts = (k_hi - k_lo + 1).clip(min=0)
+    k_hi = (hi - 1) // 2 + 1  # exclusive; zero-measure touch of the next cell excluded
+    if window is not None:
+        np.clip(k_lo, window[0], None, out=k_lo)
+        np.clip(k_hi, None, window[1], out=k_hi)
+    counts = (k_hi - k_lo).clip(min=0)
     idx = np.repeat(np.arange(len(x1)), counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     k = k_lo[idx] + (np.arange(counts.sum()) - np.repeat(starts, counts))
@@ -184,17 +189,22 @@ def _incidences_int(segs: SegmentArray):
     return k, j, idx
 
 
-def _incidences_float(segs: SegmentArray, cell: float):
+def _incidences_float(segs: SegmentArray, cell: float, window=None):
     """General slab expansion through per-segment frames (float binning).
 
     Row quantities are gathered from the frame table once per stored row
-    and spread to that row's incidences with ``np.repeat``.
+    and spread to that row's incidences with ``np.repeat``; with a single
+    frame its values stay scalars and nothing is spread.  ``window``
+    (t_lo, t_hi), if given, drops slabs outside [t_lo, t_hi) before they
+    are expanded.
     """
     half = segs.lattice.half
     fi = segs.frame_idx
+    one_frame = len(segs.frames) == 1
 
-    def per_row(attr: str) -> np.ndarray:
-        return np.array([getattr(f, attr) for f in segs.frames])[fi]
+    def per_row(attr: str):
+        values = np.array([getattr(f, attr) for f in segs.frames])
+        return values[0] if one_frame else values[fi]
 
     ts, t0 = per_row("t_scale"), per_row("t0")
     t1i = segs.t1 * half
@@ -204,11 +214,15 @@ def _incidences_float(segs: SegmentArray, cell: float):
     lo = np.minimum(ta, tb)
     hi = np.maximum(ta, tb)
     k_lo = np.floor(lo / cell).astype(np.int64)
-    k_hi = np.ceil(hi / cell).astype(np.int64)  # exclusive
-    counts = (k_hi - k_lo).clip(min=1)
+    # exclusive; a zero-length row still covers the one slab it sits in
+    k_hi = np.maximum(np.ceil(hi / cell).astype(np.int64), k_lo + 1)
+    if window is not None:
+        np.clip(k_lo, window[0], None, out=k_lo)
+        np.clip(k_hi, None, window[1], out=k_hi)
+    counts = (k_hi - k_lo).clip(min=0)
 
-    def spread(row_values: np.ndarray) -> np.ndarray:
-        return np.repeat(row_values, counts)
+    def spread(row_values):
+        return np.repeat(row_values, counts) if np.ndim(row_values) else row_values
 
     idx = spread(np.arange(len(fi)))
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -228,21 +242,23 @@ def _incidences_float(segs: SegmentArray, cell: float):
     return k, j, idx
 
 
-def _incidences(segs: SegmentArray, cell: float):
+def _incidences(segs: SegmentArray, cell: float, window=None):
     """(t_cell, x_cell, stored row) per incidence; exact integer binning for
-    identity frames on the lattice's own cells, float binning otherwise."""
+    identity frames on the lattice's own cells, float binning otherwise.
+    ``window`` (t_lo, t_hi) keeps only slabs t_lo <= t_cell < t_hi."""
     if _frames_identity(segs) and cell == segs.lattice.eps:
-        return _incidences_int(segs)
-    return _incidences_float(segs, cell)
+        return _incidences_int(segs, window)
+    return _incidences_float(segs, cell, window)
 
 
 def _signed_bincount(lin: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
     """Integer sums of ``weights`` per bin, exact or an OverflowError."""
-    mag = np.abs(weights)
-    if len(mag) and int(mag.max()) * len(mag) >= _EXACT_LIMIT and math.fsum(mag) >= _EXACT_LIMIT:
-        raise OverflowError(
-            f"summed segment weight {math.fsum(mag):.0f} reaches 2**53; "
-            "float64 bincounts would no longer be integer-exact")
+    if len(weights):
+        top = int(max(weights.max(), -weights.min()))
+        if top * len(weights) >= _EXACT_LIMIT and math.fsum(np.abs(weights)) >= _EXACT_LIMIT:
+            raise OverflowError(
+                f"summed segment weight {math.fsum(np.abs(weights)):.0f} reaches 2**53; "
+                "float64 bincounts would no longer be integer-exact")
     return np.bincount(lin, weights=weights, minlength=length).astype(np.int64)
 
 
@@ -252,7 +268,12 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     ``envelope`` is a SegmentArray, usually ``right_envelope(path)``.  Each
     stored row counts with its multiplicity; counts are integers and the
     result is independent of segment order.  Out-of-bounds incidences raise
-    unless ``clip`` is set.  An x-summed profile is a row sum of the field:
+    unless ``clip`` is set.  With ``clip``, each row's slab range is first
+    cut to the field's t window, so slabs outside it are never expanded;
+    what still falls outside in x is dropped.  The one weighted bincount
+    runs over the bounding box of the incidences that land, and that box is
+    added into the field, so the cost follows the envelope's own cells, not
+    the field's.  An x-summed profile is a row sum of the field:
     ``field.channel(name).sum(axis=1)``.
     """
     if not isinstance(envelope, SegmentArray):
@@ -261,30 +282,45 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     segs = envelope if envelope.weight.all() else envelope.subset(envelope.weight > 0)
     if not segs.rows:
         return field
-    k, j, idx = _incidences(segs, field.cell)
-    k_rel = k - field.t0_cell
-    j_rel = j - field.x0_cell
-    if field.wrap_x:
-        j_rel = np.mod(j_rel, field.x_cells)
-    ok = (k_rel >= 0) & (k_rel < field.t_cells) & (j_rel >= 0) & (j_rel < field.x_cells)
+    window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
+    k, j, idx = _incidences(segs, field.cell, window)
+    k -= field.t0_cell
+    j -= field.x0_cell
+    col = np.mod(j, field.x_cells) if field.wrap_x else j
+    ok = (k >= 0) & (k < field.t_cells) & (col >= 0) & (col < field.x_cells)
     if not ok.all():
         if not clip:
             bad = int(np.nonzero(~ok)[0][0])
             raise ValueError(
                 f"stored row {int(idx[bad])} writes outside the field at cell "
-                f"(t={int(k[bad])}, x={int(j[bad])}); pass clip=True to drop it"
+                f"(t={int(k[bad]) + field.t0_cell}, x={int(j[bad]) + field.x0_cell}); "
+                "pass clip=True to drop it"
             )
-        k_rel, j_rel, idx = k_rel[ok], j_rel[ok], idx[ok]
-    size = field.t_cells * field.x_cells
+        k, col, idx = k[ok], col[ok], idx[ok]
+    del ok, j
+    if not len(k):
+        return field
+    # bin over the bounding box of the surviving cells only
+    t_lo, x_lo = int(k.min()), int(col.min())
+    rows = int(k.max()) + 1 - t_lo
+    cols = int(col.max()) + 1 - x_lo
+    size = rows * cols
     # fold the channel (0 for right movers, adolescent; 1 for left movers,
     # senescent) into the linear index so one bincount pass covers both
-    row_channel = (segs.species != RIGHT_MOVER).astype(np.int64)
-    lin = k_rel * field.x_cells + j_rel + row_channel[idx] * size
+    row_channel = np.where(segs.species != RIGHT_MOVER, size, 0)
+    lin = k  # built in place: no more incidence-length temporaries than needed
+    lin -= t_lo
+    lin *= cols
+    lin += col
+    lin -= x_lo
+    lin += row_channel[idx]
+    del col
     # each incidence adds its row's traversal sign times multiplicity
-    signed = _signed_bincount(lin, (segs.time_dir * segs.weight)[idx], 2 * size)
-    signed = signed.reshape(2, field.t_cells, field.x_cells)
-    field.adolescent += signed[0]
-    field.senescent += signed[1]
+    row_weight = (segs.time_dir * segs.weight).astype(np.float64)
+    signed = _signed_bincount(lin, row_weight[idx], 2 * size).reshape(2, rows, cols)
+    box = slice(t_lo, t_lo + rows), slice(x_lo, x_lo + cols)
+    field.adolescent[box] += signed[0]
+    field.senescent[box] += signed[1]
     return field
 
 

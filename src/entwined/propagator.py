@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, accumulate, best_lag, fit_sinusoid, _cell_ceil, _cell_floor
+from .density import (DensityField, accumulate, best_lag, field_for_segments, fit_sinusoid,
+                      _cell_ceil, _cell_floor)
 from .lattice import PERIOD, LatticeSpec
 from .paths import EntwinedPath, Frame, build_cable, cords_per_shift, right_envelope, with_frame
 
@@ -187,10 +188,14 @@ def _ray_report(ray: RaySpec, field: DensityField) -> RayReport:
 def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     """Sweep every ray in the fan, sum their densities, compare per ray.
 
+    Each ray counts into its own band: a field over the region's t window
+    that spans, in x, only the ray's extent (``field_for_segments``) inside
+    the region's x window.  Bands are folded into the region field in fan
+    order as they arrive, so at most the bands not yet folded are alive.
     Rays are independent work units; the summed field and the per-ray
     reports are identical for any ``threads``.  Cells outside the region
     are clipped silently (cables overhang the window by construction).
-    Each ray's report fits the row sums of its own field, so it sees only
+    Each ray's report fits the row sums of its own band, so it sees only
     what lands inside the x window: ``region_for_fan`` pads that window so
     no ray is clipped in x, but a hand-built ``RegionSpec`` narrower than
     its rays gets profiles of the part inside.
@@ -207,26 +212,35 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
 
     def one_ray(v: float):
         ray = RaySpec.from_velocity(v, mass, region.t_range)
-        path = write_ray(ray, lattice, M)
-        sub = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
-        accumulate(sub, right_envelope(path), clip=True)
-        return sub, _ray_report(ray, sub)
+        envelope = right_envelope(write_ray(ray, lattice, M))
+        extent = field_for_segments(envelope, cell)
+        x_lo = max(extent.x0_cell, x0_cell)
+        x_hi = min(extent.x0_cell + extent.x_cells, x0_cell + x_cells)
+        if x_hi <= x_lo:  # the ray misses the window: nothing of it lands in any column
+            x_lo, x_hi = x0_cell, x0_cell + 1
+        band = DensityField(cell, t0_cell, x_lo, t_cells, x_hi - x_lo)
+        accumulate(band, envelope, clip=True)
+        return band, _ray_report(ray, band)
+
+    field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
+
+    def fold(results) -> tuple[RayReport, ...]:
+        reports = []
+        for band, report in results:
+            cols = slice(band.x0_cell - x0_cell, band.x0_cell - x0_cell + band.x_cells)
+            field.adolescent[:, cols] += band.adolescent
+            field.senescent[:, cols] += band.senescent
+            reports.append(report)
+        return tuple(reports)
 
     if threads > 1 and len(region.ray_fan) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_ray, region.ray_fan))
+            reports = fold(pool.map(one_ray, region.ray_fan))
     else:
-        results = [one_ray(v) for v in region.ray_fan]
-
-    field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
-    reports = []
-    for sub, report in results:
-        field.adolescent += sub.adolescent
-        field.senescent += sub.senescent
-        reports.append(report)
-    return RegionResult(field=field, reports=tuple(reports))
+        reports = fold(map(one_ray, region.ray_fan))
+    return RegionResult(field=field, reports=reports)
 
 
 RAY_REPORT_COLUMNS = ("v", "omega_expected", "omega_fitted", "rel_freq_error",

@@ -3,7 +3,9 @@
 These deliberately avoid the library's path/accumulation machinery: the
 chessboard oracle walks explicit step tuples, the profile oracle stamps
 the closed-form single-loop density directly onto cell arrays, and field
-text is checked against numpy's own ``savetxt``.
+text is checked against numpy's own ``savetxt``.  The one exception checks
+clipped counting: it takes the library's slab expansion with no window,
+masks it afterwards and adds it up with ``np.add.at``.
 """
 
 import io
@@ -11,6 +13,9 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from entwined.density import _incidences
+from entwined.paths import RIGHT_MOVER
 
 
 def brute_corners(n_steps, displacement, initial="right", final="any", incoming=False):
@@ -108,3 +113,21 @@ def savetxt_bytes(matrix):
     buf = io.BytesIO()
     np.savetxt(buf, matrix, fmt="%d", delimiter="\t")
     return buf.getvalue()
+
+
+def expand_then_mask(field, envelope):
+    """What ``accumulate(field, envelope, clip=True)`` should leave in a copy of
+    ``field``: every slab of every row expanded with no window, the
+    incidences outside the field dropped, the rest added one at a time."""
+    out = field.copy()
+    k, j, idx = _incidences(envelope, field.cell)
+    k = k - field.t0_cell
+    j = j - field.x0_cell
+    if field.wrap_x:
+        j = np.mod(j, field.x_cells)
+    inside = (k >= 0) & (k < field.t_cells) & (j >= 0) & (j < field.x_cells)
+    signed = (envelope.time_dir.astype(np.int64) * envelope.weight)[idx]
+    right = (envelope.species == RIGHT_MOVER)[idx]
+    for channel, keep in ((out.adolescent, inside & right), (out.senescent, inside & ~right)):
+        np.add.at(channel, (k[keep], j[keep]), signed[keep])
+    return out

@@ -91,6 +91,21 @@ def test_validate_reports_zero_circumference(tmp_path, capsys):
     assert "error: ring.circumference: must be positive" in capsys.readouterr().err
 
 
+def test_validate_rejects_speed_factor_with_explicit_speed(tmp_path, capsys):
+    # the factor scales the eigen speed, which an explicit speed replaces
+    config = load_config("ring", None, {("ring", "speed"): 0.3, ("ring", "speed_factor"): 1.5})
+    assert "ring.speed_factor: cannot be combined with ring.speed" in validate(config)
+    for alone in ({("ring", "speed"): 0.3}, {("ring", "speed_factor"): 1.5},
+                  {("ring", "speed"): 0.3, ("ring", "speed_factor"): 1.0}):
+        assert not any("cannot be combined" in i for i in validate(load_config("ring", None, alone)))
+    out = tmp_path / "out"
+    args = ["ring", "--n", "8", "--cords", "4", "--cycles", "2", "--speed", "0.3",
+            "--speed-factor", "1.5", "--out", str(out)]
+    assert run_cli(args) == 2
+    assert "error: ring.speed_factor: cannot be combined with ring.speed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_zero_n():
     config = load_config("carrier", None, {("lattice", "n"): 0})
     issues = validate(config)

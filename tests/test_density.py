@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from entwined.density import (DensityField, ReferenceDensity, Region, _format_matrix,
-                              _incidences_float, accumulate, best_lag, compare, export_field,
-                              field_for_segments, fit_sinusoid, reference_eval, steady_region,
-                              whole_region)
+                              _incidences, _incidences_float, accumulate, best_lag, compare,
+                              export_field, field_for_segments, fit_sinusoid, reference_eval,
+                              steady_region, whole_region)
 from entwined.lattice import LatticeSpec
 from entwined.paths import (Frame, SegmentArray, build_cable, build_cord, build_fiber,
                             concatenate, right_envelope, with_frame)
 from entwined.propagator import RaySpec, write_ray
 from test_paths import materialised_cable
-from helpers import cord_fiber_offsets, profile_oracle, savetxt_bytes
+from helpers import cord_fiber_offsets, expand_then_mask, profile_oracle, savetxt_bytes
 
 
 @pytest.fixture
@@ -229,6 +229,123 @@ def test_out_of_bounds_raises_unless_clipping(spec):
         accumulate(small, right_envelope(fiber))
     accumulate(small, right_envelope(fiber), clip=True)
     assert small.adolescent[0, 0] == 1
+
+
+
+def _cut_window(env, field, keep=0.5):
+    """The field cut to its middle ``keep`` fraction of t cells; asserts that
+    stored rows straddle both cut edges, so the clamp really cuts rows."""
+    t_cells = max(1, int(field.t_cells * keep))
+    t0 = field.t0_cell + (field.t_cells - t_cells) // 2
+    x1, t1, x2, t2 = env.row_endpoints()
+    lo, hi = np.minimum(t1, t2) / field.cell, np.maximum(t1, t2) / field.cell
+    for edge in (t0, t0 + t_cells):
+        assert ((lo < edge - 0.5) & (hi > edge + 0.5)).any()
+    return DensityField(field.cell, t0, field.x0_cell, t_cells, field.x_cells, wrap_x=field.wrap_x)
+
+
+@pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
+                         ids=["identity", "ray", "ring"])
+def test_clipped_counting_matches_expand_then_mask(case):
+    env, field = case()
+    cut = _cut_window(env, field)
+    expected = expand_then_mask(cut, env)
+    # start from a filled field: counting adds, and must not touch other cells
+    rng = np.random.default_rng(3)
+    filled = cut.copy()
+    filled.adolescent[:] = rng.integers(-5, 5, cut.adolescent.shape)
+    filled.senescent[:] = rng.integers(-5, 5, cut.senescent.shape)
+    counted, oracle = accumulate(filled.copy(), env, clip=True), expand_then_mask(filled, env)
+    assert np.array_equal(counted.adolescent, oracle.adolescent)
+    assert np.array_equal(counted.senescent, oracle.senescent)
+    accumulate(cut, env, clip=True)
+    assert np.array_equal(cut.adolescent, expected.adolescent)
+    assert np.array_equal(cut.senescent, expected.senescent)
+    # a window narrower than the counted columns as well: drops on both axes
+    hit = np.nonzero((expected.adolescent != 0).any(axis=0))[0]
+    lo, hi = hit[0] + (hit[-1] - hit[0]) // 4, hit[-1] - (hit[-1] - hit[0]) // 4
+    narrow = DensityField(cut.cell, cut.t0_cell, cut.x0_cell + lo, cut.t_cells, hi - lo + 1,
+                          wrap_x=cut.wrap_x)
+    expected = expand_then_mask(narrow, env)
+    assert expected.adolescent.any() and hit[0] < lo <= hi < hit[-1]
+    accumulate(narrow, env, clip=True)
+    assert np.array_equal(narrow.adolescent, expected.adolescent)
+    assert np.array_equal(narrow.senescent, expected.senescent)
+
+
+@pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
+                         ids=["identity", "ray", "ring"])
+def test_windowed_expansion_is_the_full_expansion_masked(case):
+    env, field = case()
+    cut = _cut_window(env, field)
+    window = (cut.t0_cell, cut.t0_cell + cut.t_cells)
+    k, j, idx = _incidences(env, cut.cell)
+    keep = (k >= window[0]) & (k < window[1])
+    wk, wj, widx = _incidences(env, cut.cell, window)
+    assert 0 < len(wk) < len(k)
+    for got, full in ((wk, k), (wj, j), (widx, idx)):
+        assert np.array_equal(got, full[keep])
+
+
+def test_single_frame_scalars_match_the_per_row_gather():
+    env, field = _ray_case()
+    assert len(env.frames) == 1
+    # the same rows over a two-entry table of that frame take the per-row route
+    twice = SegmentArray(env.lattice, env.x1, env.t1, env.x2, env.t2, env.time_dir, env.species,
+                         env.envelope, np.arange(env.rows) % 2, env.frames * 2, env.weight,
+                         env.runs)
+    for got, want in zip(_incidences_float(env, field.cell), _incidences_float(twice, field.cell)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
+                         ids=["identity", "ray", "ring"])
+def test_envelope_outside_the_window_leaves_field_untouched(case):
+    env, field = case()
+    after = DensityField(field.cell, field.t0_cell + field.t_cells + 5, field.x0_cell, 20,
+                         field.x_cells, wrap_x=field.wrap_x)
+    after.adolescent[:] = 7
+    before = DensityField(field.cell, field.t0_cell - 25, field.x0_cell, 20, field.x_cells,
+                          wrap_x=field.wrap_x)
+    for outside in (after, before):
+        kept = outside.copy()
+        assert not expand_then_mask(outside, env).senescent.any()
+        assert accumulate(outside, env, clip=True) is outside
+        assert np.array_equal(outside.adolescent, kept.adolescent)
+        assert np.array_equal(outside.senescent, kept.senescent)
+
+
+@pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
+                         ids=["identity", "ray", "ring"])
+def test_unclipped_out_of_field_error_names_the_first_escaping_incidence(case):
+    env, field = case()
+    cut = _cut_window(env, field)
+    if cut.wrap_x:  # the same wrapped columns, but every unwrapped x lies left of the field
+        cut = DensityField(cut.cell, cut.t0_cell, cut.x0_cell + 25 * cut.x_cells, cut.t_cells,
+                           cut.x_cells, wrap_x=True)
+    k, j, idx = _incidences(env, cut.cell)
+    assert not cut.wrap_x or (j < cut.x0_cell).all()
+    col = np.mod(j - cut.x0_cell, cut.x_cells) if cut.wrap_x else j - cut.x0_cell
+    out = ((k < cut.t0_cell) | (k >= cut.t0_cell + cut.t_cells) | (col < 0) | (col >= cut.x_cells))
+    bad = int(np.nonzero(out)[0][0])
+    message = (f"stored row {int(idx[bad])} writes outside the field at cell "
+               f"(t={int(k[bad])}, x={int(j[bad])}); pass clip=True to drop it")
+    kept = cut.copy()
+    with pytest.raises(ValueError) as err:
+        accumulate(cut, env)
+    assert str(err.value) == message
+    assert np.array_equal(cut.adolescent, kept.adolescent)
+
+
+
+def test_zero_length_row_counts_in_the_one_slab_it_sits_in():
+    # t1 == t2 on a cell edge: the row still covers one slab, also under a window
+    lat = LatticeSpec(n=10)
+    segs = SegmentArray(lat, [0], [4], [2], [4], [1], [0], [1], [0], (Frame(x0=0.5),))
+    for window, cells in ((None, [2]), ((2, 3), [2]), ((0, 2), []), ((3, 9), [])):
+        k, j, idx = _incidences_float(segs, lat.eps, window)
+        assert k.tolist() == cells and idx.tolist() == [0] * len(cells)
 
 
 def test_float_binning_slope_survives_int32_differences():

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from entwined.density import (CHANNELS, DensityField, accumulate, best_lag, field_for_segments,
-                              fit_sinusoid, _cell_ceil, _cell_floor)
+from entwined.density import (CHANNELS, DensityField, Region, accumulate, best_lag,
+                              field_for_segments, fit_sinusoid, _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec
 from entwined.paths import right_envelope
 from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, reduced_frequency,
-                                 region_for_fan, write_ray, write_region)
+                                 region_for_fan, write_ray, write_region, _ray_report)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,77 @@ def test_region_for_fan_never_clips_a_ray_in_x(n, M, fan, start_periods):
             assert wide.channel(name).sum() == narrow.channel(name).sum()
             block = wide.channel(name)[:, margin:margin + x_cells]
             assert np.array_equal(block, narrow.channel(name))
+
+
+def full_field_region(region, M):
+    """write_region the old way: every ray counted with no window into a field
+    holding all of it and the region, cut to the region afterwards, fitted
+    there, and summed."""
+    lattice = region.lattice
+    cell = lattice.cell_physical
+    t0 = _cell_floor(region.t_range[0], cell)
+    t_cells = _cell_ceil(region.t_range[1], cell) - t0
+    x0 = _cell_floor(region.x_range[0], cell)
+    x_cells = _cell_ceil(region.x_range[1], cell) - x0
+    window = Region(t0, t0 + t_cells, x0, x0 + x_cells)
+    total = DensityField(cell, t0, x0, t_cells, x_cells)
+    reports, clipped_x = [], 0
+    for v in region.ray_fan:
+        ray = RaySpec.from_velocity(v, lattice.mass, region.t_range)
+        env = right_envelope(write_ray(ray, lattice, M))
+        ext = field_for_segments(env, cell)
+        t_lo, x_lo = min(ext.t0_cell, t0), min(ext.x0_cell, x0)
+        t_hi = max(ext.t0_cell + ext.t_cells, t0 + t_cells)
+        x_hi = max(ext.x0_cell + ext.x_cells, x0 + x_cells)
+        whole = accumulate(DensityField(cell, t_lo, x_lo, t_hi - t_lo, x_hi - x_lo), env)
+        ts, xs = window.slices(whole)
+        sub = DensityField(cell, t0, x0, t_cells, x_cells)
+        for name in CHANNELS:
+            sub.channel(name)[:] = whole.channel(name)[ts, xs]
+            total.channel(name)[:] += sub.channel(name)
+            clipped_x += int(np.abs(whole.channel(name)[ts]).sum() - np.abs(sub.channel(name)).sum())
+        reports.append(_ray_report(ray, sub))
+    return total, tuple(reports), clipped_x
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("n, M, region_of, clips_x", [
+    # the acceptance fan
+    (50, 60, lambda lat: region_for_fan(lat, tuple(float(v) for v in np.linspace(-0.25, 0.25, 11))),
+     False),
+    (10, 5, lambda lat: region_for_fan(lat, tuple(float(v) for v in np.linspace(-0.9, 0.9, 7)),
+                                       n_periods=3.0), False),
+    # narrower than its rays in x and shorter than them in t
+    (20, 12, lambda lat: RegionSpec(x_range=(-3.5, 4.2), t_range=(14.0, 21.0),
+                                    ray_fan=(-0.2, 0.0, 0.25), lattice=lat), True),
+], ids=["acceptance-fan", "n10-wide-fan", "narrow-region"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_band_fields_match_full_region_fields(n, M, region_of, clips_x, threads):
+    region = region_of(LatticeSpec.for_mass(n, mass=1.0))
+    field, reports, clipped_x = full_field_region(region, M)
+    assert (clipped_x > 0) == clips_x
+    result = write_region(region, M, threads=threads)
+    assert (result.field.t0_cell, result.field.x0_cell) == (field.t0_cell, field.x0_cell)
+    for name in CHANNELS:
+        assert result.field.channel(name).any()
+        assert np.array_equal(result.field.channel(name), field.channel(name))
+    assert result.reports == reports
+
+
+@pytest.mark.parametrize("fan", [(0.0,), (-0.2, 0.0)])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ray_outside_the_x_window_fails_as_with_full_fields(fan, threads):
+    lattice = LatticeSpec.for_mass(20, mass=1.0)
+    region = RegionSpec(x_range=(6.0, 7.5), t_range=(14.0, 21.0), ray_fan=fan, lattice=lattice)
+    expected = _outcome(lambda: full_field_region(region, M=12))
+    assert expected == repr(ValueError("no oscillatory content to fit"))
+    assert _outcome(lambda: write_region(region, M=12, threads=threads)) == expected
 
 
 def test_fan_frequency_law(lattice, calibration):
