@@ -9,9 +9,11 @@ cells, so integer counts are exact; boundary events at exact cell edges bind
 to the later cell (half-open cells).
 
 Fields hold two integer channels: adolescent (right movers) and senescent
-(left movers).  A stored segment of multiplicity w counts w times, through
-one weighted bincount per pass; the float64 sums stay integer-exact while
-the summed |w| of a pass is below 2**53, and a larger pass raises.
+(left movers).  A stored segment of multiplicity w counts w times: each of
+its incidences scatter-adds the int64 signed weight into an int64
+accumulator, so counts are exact.  A pass whose summed |w| reaches 2**53
+raises, so every count also holds exactly as a float64, the type profiles
+and fits read it as.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 from .lattice import PERIOD
 from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray
 
-_EXACT_LIMIT = 2 ** 53  # float64 sums of integers are exact below this
+_EXACT_LIMIT = 2 ** 53  # summed |weight| refused from here: float64 holds integers below it
+_BLOCK = 16384  # incidences expanded at once by ``accumulate``
 
 CHANNELS = ("adolescent", "senescent")
 
@@ -131,6 +134,19 @@ def steady_region(path: EntwinedPath, field: DensityField) -> Region:
     return Region(t_lo, t_hi, field.x0_cell, field.x0_cell + field.x_cells)
 
 
+def _segment_bounds(segs: SegmentArray, cell: float, pad: int = 1) -> tuple[int, int, int, int]:
+    """Cell-index bounds (t_lo, t_hi, x_lo, x_hi) of ``field_for_segments``,
+    with no field allocated."""
+    if len(segs) == 0:
+        raise ValueError("no segments")
+    live = segs.weight > 0
+    x1, t1, x2, t2 = (e[live] for e in segs.row_endpoints())
+    return (_cell_floor(float(min(t1.min(), t2.min())), cell) - pad,
+            _cell_ceil(float(max(t1.max(), t2.max())), cell) + pad,
+            _cell_floor(float(min(x1.min(), x2.min())), cell) - pad,
+            _cell_ceil(float(max(x1.max(), x2.max())), cell) + pad)
+
+
 def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int = 1,
                        wrap_x: bool = False) -> DensityField:
     """Smallest cell-aligned field covering the segments, padded by ``pad`` cells.
@@ -138,16 +154,9 @@ def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int =
     Stored rows of weight 0 are not part of the logical path and never
     widen the field.
     """
-    if len(segs) == 0:
-        raise ValueError("no segments")
     if cell is None:
         cell = segs.lattice.eps
-    live = segs.weight > 0
-    x1, t1, x2, t2 = (e[live] for e in segs.row_endpoints())
-    t_lo = _cell_floor(float(min(t1.min(), t2.min())), cell) - pad
-    t_hi = _cell_ceil(float(max(t1.max(), t2.max())), cell) + pad
-    x_lo = _cell_floor(float(min(x1.min(), x2.min())), cell) - pad
-    x_hi = _cell_ceil(float(max(x1.max(), x2.max())), cell) + pad
+    t_lo, t_hi, x_lo, x_hi = _segment_bounds(segs, cell, pad)
     return DensityField(cell, t_lo, x_lo, t_hi - t_lo, x_hi - x_lo, wrap_x=wrap_x)
 
 
@@ -156,13 +165,21 @@ def _frames_identity(segs: SegmentArray) -> bool:
     return all(segs.frames[i].is_identity for i in used)
 
 
-def _incidences_int(segs: SegmentArray, window=None):
-    """Exact integer slab expansion for identity-frame segments.
+def _slabs(k_lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Slab index of every incidence: each row's run k_lo, k_lo+1, ... of
+    ``counts`` slabs, rows one after the other."""
+    starts = np.cumsum(counts) - counts
+    return np.repeat(k_lo - starts, counts) + np.arange(int(counts.sum()))
 
-    Returns absolute (t_cell, x_cell) indices plus the stored row of every
-    (row, covered time-cell) incidence, all in half-cell integer math.
-    ``window`` (t_lo, t_hi), if given, drops slabs outside [t_lo, t_hi)
-    before they are expanded.
+
+def _rows_int(segs: SegmentArray, window=None):
+    """Row phase of the exact integer slab expansion for identity-frame segments.
+
+    Returns each stored row's first slab and slab count, and ``expand(a,
+    b)``, which gives the absolute (t_cell, x_cell) and the stored row of
+    every (row, covered time-cell) incidence of rows a..b-1, all in
+    half-cell integer math.  ``window`` (t_lo, t_hi), if given, clamps each
+    row's slab range to [t_lo, t_hi), so slabs outside it are never expanded.
     """
     x1 = segs.x1.astype(np.int64)
     t1 = segs.t1.astype(np.int64)
@@ -176,27 +193,32 @@ def _incidences_int(segs: SegmentArray, window=None):
         np.clip(k_lo, window[0], None, out=k_lo)
         np.clip(k_hi, None, window[1], out=k_hi)
     counts = (k_hi - k_lo).clip(min=0)
-    idx = np.repeat(np.arange(len(x1)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    k = k_lo[idx] + (np.arange(counts.sum()) - np.repeat(starts, counts))
-    # midpoint of the covered part of slab k, in doubled half-cell units
-    s_lo = np.maximum(lo[idx], 2 * k)
-    s_hi = np.minimum(hi[idx], 2 * k + 2)
-    t2x = s_lo + s_hi
-    slope = np.sign((x2 - x1) * (t2 - t1))[idx]
-    x2x = 2 * x1[idx] + slope * (t2x - 2 * t1[idx])
-    j = np.floor_divide(x2x, 4)
-    return k, j, idx
+    slope = np.sign((x2 - x1) * (t2 - t1))
+
+    def expand(a: int, b: int):
+        c = counts[a:b]
+
+        def spread(row_values):
+            return np.repeat(row_values[a:b], c)
+
+        k = _slabs(k_lo[a:b], c)
+        # midpoint of the covered part of slab k, in doubled half-cell units
+        t2x = np.maximum(spread(lo), 2 * k) + np.minimum(spread(hi), 2 * k + 2)
+        x2x = 2 * spread(x1) + spread(slope) * (t2x - 2 * spread(t1))
+        return k, np.floor_divide(x2x, 4), np.repeat(np.arange(a, b), c)
+
+    return k_lo, counts, expand
 
 
-def _incidences_float(segs: SegmentArray, cell: float, window=None):
-    """General slab expansion through per-segment frames (float binning).
+def _rows_float(segs: SegmentArray, cell: float, window=None):
+    """Row phase of the general slab expansion through per-segment frames
+    (float binning); returns what ``_rows_int`` returns.
 
     Row quantities are gathered from the frame table once per stored row
     and spread to that row's incidences with ``np.repeat``; with a single
     frame its values stay scalars and nothing is spread.  ``window``
-    (t_lo, t_hi), if given, drops slabs outside [t_lo, t_hi) before they
-    are expanded.
+    (t_lo, t_hi), if given, clamps each row's slab range to [t_lo, t_hi)
+    after the one-slab rule for zero-length rows.
     """
     half = segs.lattice.half
     fi = segs.frame_idx
@@ -207,10 +229,11 @@ def _incidences_float(segs: SegmentArray, cell: float, window=None):
         return values[0] if one_frame else values[fi]
 
     ts, t0 = per_row("t_scale"), per_row("t0")
+    xs, drift, x0 = per_row("x_scale"), per_row("drift"), per_row("x0")
     t1i = segs.t1 * half
-    t2i = segs.t2 * half
+    x1i = segs.x1 * half
     ta = ts * t1i + t0
-    tb = ts * t2i + t0
+    tb = ts * (segs.t2 * half) + t0
     lo = np.minimum(ta, tb)
     hi = np.maximum(ta, tb)
     k_lo = np.floor(lo / cell).astype(np.int64)
@@ -220,46 +243,54 @@ def _incidences_float(segs: SegmentArray, cell: float, window=None):
         np.clip(k_lo, window[0], None, out=k_lo)
         np.clip(k_hi, None, window[1], out=k_hi)
     counts = (k_hi - k_lo).clip(min=0)
-
-    def spread(row_values):
-        return np.repeat(row_values, counts) if np.ndim(row_values) else row_values
-
-    idx = spread(np.arange(len(fi)))
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    k = spread(k_lo - starts) + np.arange(counts.sum())
-    s_lo = np.maximum(spread(lo), k * cell)
-    s_hi = np.minimum(spread(hi), (k + 1) * cell)
-    t_m = 0.5 * (s_lo + s_hi)
     # int64: int32 differences of far-apart endpoints would wrap
     dt = segs.t2.astype(np.int64) - segs.t1
     dx = segs.x2.astype(np.int64) - segs.x1
     slope = np.where(dt != 0, dx / np.where(dt == 0, 1, dt), 0.0)
-    t_int_m = (t_m - spread(t0)) / spread(ts)
-    x_int_m = spread(segs.x1 * half) + spread(slope) * (t_int_m - spread(t1i))
-    x_phys = (spread(per_row("x_scale")) * x_int_m + spread(per_row("drift")) * t_m
-              + spread(per_row("x0")))
-    j = np.floor(x_phys / cell).astype(np.int64)
-    return k, j, idx
+
+    def expand(a: int, b: int):
+        c = counts[a:b]
+
+        def spread(row_values):
+            return np.repeat(row_values[a:b], c) if np.ndim(row_values) else row_values
+
+        k = _slabs(k_lo[a:b], c)
+        s_lo = np.maximum(spread(lo), k * cell)
+        s_hi = np.minimum(spread(hi), (k + 1) * cell)
+        t_m = 0.5 * (s_lo + s_hi)
+        t_int_m = (t_m - spread(t0)) / spread(ts)
+        x_int_m = spread(x1i) + spread(slope) * (t_int_m - spread(t1i))
+        x_phys = spread(xs) * x_int_m + spread(drift) * t_m + spread(x0)
+        return k, np.floor(x_phys / cell).astype(np.int64), np.repeat(np.arange(a, b), c)
+
+    return k_lo, counts, expand
+
+
+def _rows(segs: SegmentArray, cell: float, window=None):
+    """Row phase of the slab expansion: exact integer binning for identity
+    frames on the lattice's own cells, float binning otherwise."""
+    if _frames_identity(segs) and cell == segs.lattice.eps:
+        return _rows_int(segs, window)
+    return _rows_float(segs, cell, window)
 
 
 def _incidences(segs: SegmentArray, cell: float, window=None):
-    """(t_cell, x_cell, stored row) per incidence; exact integer binning for
-    identity frames on the lattice's own cells, float binning otherwise.
-    ``window`` (t_lo, t_hi) keeps only slabs t_lo <= t_cell < t_hi."""
-    if _frames_identity(segs) and cell == segs.lattice.eps:
-        return _incidences_int(segs, window)
-    return _incidences_float(segs, cell, window)
+    """(t_cell, x_cell, stored row) of every incidence, the whole expansion
+    at once.  ``window`` (t_lo, t_hi) keeps only slabs t_lo <= t_cell < t_hi."""
+    _, counts, expand = _rows(segs, cell, window)
+    return expand(0, len(counts))
 
 
-def _signed_bincount(lin: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
-    """Integer sums of ``weights`` per bin, exact or an OverflowError."""
-    if len(weights):
-        top = int(max(weights.max(), -weights.min()))
-        if top * len(weights) >= _EXACT_LIMIT and math.fsum(np.abs(weights)) >= _EXACT_LIMIT:
-            raise OverflowError(
-                f"summed segment weight {math.fsum(np.abs(weights)):.0f} reaches 2**53; "
-                "float64 bincounts would no longer be integer-exact")
-    return np.bincount(lin, weights=weights, minlength=length).astype(np.int64)
+def _blocks(counts: np.ndarray):
+    """Consecutive row ranges (a, b) of at most ``_BLOCK`` incidences each;
+    a row with more incidences than that is a range of its own."""
+    ends = np.cumsum(counts)
+    a = 0
+    while a < len(counts):
+        base = int(ends[a - 1]) if a else 0
+        b = max(int(np.searchsorted(ends, base + _BLOCK, side="right")), a + 1)
+        yield a, b
+        a = b
 
 
 def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) -> DensityField:
@@ -270,11 +301,16 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     result is independent of segment order.  Out-of-bounds incidences raise
     unless ``clip`` is set.  With ``clip``, each row's slab range is first
     cut to the field's t window, so slabs outside it are never expanded;
-    what still falls outside in x is dropped.  The one weighted bincount
-    runs over the bounding box of the incidences that land, and that box is
-    added into the field, so the cost follows the envelope's own cells, not
-    the field's.  An x-summed profile is a row sum of the field:
-    ``field.channel(name).sum(axis=1)``.
+    what still falls outside in x is dropped.
+
+    Rows are expanded in consecutive blocks of at most ``_BLOCK``
+    incidences, so transient memory is one block, not the whole incidence
+    list.  Each block's int64 signed weights are scatter-added into one
+    int64 accumulator that spans the rows' slab range inside the field, by
+    the field's width; it is added into the field once, at the end, so a
+    call that raises leaves the field unchanged.  A pass whose summed |w|
+    reaches 2**53 raises OverflowError.  An x-summed profile is a row sum
+    of the field: ``field.channel(name).sum(axis=1)``.
     """
     if not isinstance(envelope, SegmentArray):
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
@@ -283,44 +319,52 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     if not segs.rows:
         return field
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
-    k, j, idx = _incidences(segs, field.cell, window)
-    k -= field.t0_cell
-    j -= field.x0_cell
-    col = np.mod(j, field.x_cells) if field.wrap_x else j
-    ok = (k >= 0) & (k < field.t_cells) & (col >= 0) & (col < field.x_cells)
-    if not ok.all():
-        if not clip:
-            bad = int(np.nonzero(~ok)[0][0])
-            raise ValueError(
-                f"stored row {int(idx[bad])} writes outside the field at cell "
-                f"(t={int(k[bad]) + field.t0_cell}, x={int(j[bad]) + field.x0_cell}); "
-                "pass clip=True to drop it"
-            )
-        k, col, idx = k[ok], col[ok], idx[ok]
-    del ok, j
-    if not len(k):
+    k_lo, counts, expand = _rows(segs, field.cell, window)
+    live = counts > 0
+    if not live.any():
         return field
-    # bin over the bounding box of the surviving cells only
-    t_lo, x_lo = int(k.min()), int(col.min())
-    rows = int(k.max()) + 1 - t_lo
-    cols = int(col.max()) + 1 - x_lo
-    size = rows * cols
-    # fold the channel (0 for right movers, adolescent; 1 for left movers,
-    # senescent) into the linear index so one bincount pass covers both
-    row_channel = np.where(segs.species != RIGHT_MOVER, size, 0)
-    lin = k  # built in place: no more incidence-length temporaries than needed
-    lin -= t_lo
-    lin *= cols
-    lin += col
-    lin -= x_lo
-    lin += row_channel[idx]
-    del col
+    t_lo = max(int(k_lo[live].min()), field.t0_cell)
+    t_hi = min(int((k_lo + counts)[live].max()), field.t0_cell + field.t_cells)
+    rows = max(t_hi - t_lo, 0)  # 0: unclipped rows wholly outside the field; the first block raises
+    cols = field.x_cells
+    acc = np.zeros(2 * rows * cols, dtype=np.int64)
+    # the channel (0 for right movers, adolescent; 1 for left movers,
+    # senescent) is folded into the linear index, so one pass covers both
+    channel_offset = np.where(segs.species != RIGHT_MOVER, rows, 0)
     # each incidence adds its row's traversal sign times multiplicity
-    row_weight = (segs.time_dir * segs.weight).astype(np.float64)
-    signed = _signed_bincount(lin, row_weight[idx], 2 * size).reshape(2, rows, cols)
-    box = slice(t_lo, t_lo + rows), slice(x_lo, x_lo + cols)
-    field.adolescent[box] += signed[0]
-    field.senescent[box] += signed[1]
+    signed = segs.time_dir.astype(np.int64) * segs.weight
+    # exact sums only where the summed |w| could reach the limit at all
+    summing = int(segs.weight.max()) * int(counts.sum()) >= _EXACT_LIMIT
+    total = 0
+    for a, b in _blocks(counts):
+        k, j, idx = expand(a, b)
+        k -= t_lo
+        j -= field.x0_cell
+        col = np.mod(j, cols) if field.wrap_x else j
+        ok = (k >= 0) & (k < rows) & (col >= 0) & (col < cols)
+        if not ok.all():
+            if not clip:
+                bad = int(np.flatnonzero(~ok)[0])
+                raise ValueError(
+                    f"stored row {int(idx[bad])} writes outside the field at cell "
+                    f"(t={int(k[bad]) + t_lo}, x={int(j[bad]) + field.x0_cell}); "
+                    "pass clip=True to drop it"
+                )
+            k, col, idx = k[ok], col[ok], idx[ok]
+        if summing:
+            total += sum(segs.weight[idx].tolist())  # Python ints: exact
+        lin = k  # built in place
+        lin += channel_offset[idx]
+        lin *= cols
+        lin += col
+        np.add.at(acc, lin, signed[idx])
+    if total >= _EXACT_LIMIT:
+        raise OverflowError(f"summed segment weight {total} reaches 2**53; "
+                            "counts past it would not be exact as float64")
+    acc = acc.reshape(2, rows, cols)
+    ts = slice(t_lo - field.t0_cell, t_lo - field.t0_cell + rows)
+    field.adolescent[ts] += acc[0]
+    field.senescent[ts] += acc[1]
     return field
 
 

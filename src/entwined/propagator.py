@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (DensityField, accumulate, best_lag, field_for_segments, fit_sinusoid,
-                      _cell_ceil, _cell_floor)
+from .density import (DensityField, accumulate, best_lag, fit_sinusoid, _cell_ceil, _cell_floor,
+                      _segment_bounds)
 from .lattice import PERIOD, LatticeSpec
 from .paths import EntwinedPath, Frame, build_cable, cords_per_shift, right_envelope, with_frame
 
@@ -189,9 +189,10 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     """Sweep every ray in the fan, sum their densities, compare per ray.
 
     Each ray counts into its own band: a field over the region's t window
-    that spans, in x, only the ray's extent (``field_for_segments``) inside
-    the region's x window.  Bands are folded into the region field in fan
-    order as they arrive, so at most the bands not yet folded are alive.
+    that spans, in x, only the ray's own extent (the x bounds
+    ``field_for_segments`` would give it) inside the region's x window.
+    Bands are folded into the region field in fan order as they arrive, so
+    at most the bands not yet folded are alive.
     Rays are independent work units; the summed field and the per-ray
     reports are identical for any ``threads``.  Cells outside the region
     are clipped silently (cables overhang the window by construction).
@@ -213,9 +214,9 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     def one_ray(v: float):
         ray = RaySpec.from_velocity(v, mass, region.t_range)
         envelope = right_envelope(write_ray(ray, lattice, M))
-        extent = field_for_segments(envelope, cell)
-        x_lo = max(extent.x0_cell, x0_cell)
-        x_hi = min(extent.x0_cell + extent.x_cells, x0_cell + x_cells)
+        _, _, ray_x_lo, ray_x_hi = _segment_bounds(envelope, cell)
+        x_lo = max(ray_x_lo, x0_cell)
+        x_hi = min(ray_x_hi, x0_cell + x_cells)
         if x_hi <= x_lo:  # the ray misses the window: nothing of it lands in any column
             x_lo, x_hi = x0_cell, x0_cell + 1
         band = DensityField(cell, t0_cell, x_lo, t_cells, x_hi - x_lo)

@@ -1,16 +1,20 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from entwined import density, ring
 from entwined.density import (DensityField, ReferenceDensity, Region, _format_matrix,
-                              _incidences, _incidences_float, accumulate, best_lag, compare,
+                              _incidences, accumulate, best_lag, compare,
                               export_field, field_for_segments, fit_sinusoid, reference_eval,
                               steady_region, whole_region)
 from entwined.lattice import LatticeSpec
 from entwined.paths import (Frame, SegmentArray, build_cable, build_cord, build_fiber,
                             concatenate, right_envelope, with_frame)
 from entwined.propagator import RaySpec, write_ray
+from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
 from helpers import cord_fiber_offsets, expand_then_mask, profile_oracle, savetxt_bytes
 
@@ -129,6 +133,23 @@ def _ring_case():
     return right_envelope(path), field
 
 
+CASES = {"identity": _identity_case, "ray": _ray_case, "ring": _ring_case}
+
+
+def blocked(cases=CASES):
+    """Every case at the default block size (id: the case name) and at 1 and 7
+    incidences per block."""
+    return [pytest.param(case, size, id=name if size is None else f"{name}-block{size}")
+            for size in (None, 1, 7) for name, case in cases.items()]
+
+
+def set_block(monkeypatch, size):
+    """Expand ``size`` incidences at a time in ``accumulate`` (None: the default)."""
+    if size is not None:
+        monkeypatch.setattr(density, "_BLOCK", size)
+    return density._BLOCK
+
+
 @pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
                          ids=["identity", "ray", "ring"])
 def test_weighted_counting_matches_expanded_rows(case):
@@ -206,6 +227,55 @@ def test_weighted_counts_refuse_inexact_sums(spec):
     assert not field.adolescent.any()
 
 
+def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkeypatch):
+    # four rows of five incidences, each row a block of its own: the summed
+    # |weight| reaches 2**53 only in the last block
+    set_block(monkeypatch, 3)
+    env = right_envelope(build_fiber((0.0, 0.0), spec))
+    _, counts, _ = density._rows(env, spec.eps)
+    assert counts.tolist() == [5] * 4 and len(list(density._blocks(counts))) == 4
+    least = -(-2 ** 53 // 20)  # the least weight whose 20 incidences sum to 2**53
+    unit = accumulate(field_for_segments(env, pad=2), env)
+    filled = _filled(unit)
+    message = _raises_and_leaves_unchanged(filled, _weighted_fiber_envelope(spec, least),
+                                           OverflowError)
+    assert message.startswith(f"summed segment weight {20 * least} reaches 2**53")
+    below = accumulate(filled.copy(), _weighted_fiber_envelope(spec, least - 1))
+    assert np.array_equal(below.adolescent, filled.adolescent + unit.adolescent * (least - 1))
+    assert np.array_equal(below.senescent, filled.senescent + unit.senescent * (least - 1))
+    # the limit is on what lands, and includes 2**53 itself: 16 of the 20
+    # slabs lie in this window
+    short = DensityField(unit.cell, 4, unit.x0_cell, unit.t0_cell + unit.t_cells - 4, unit.x_cells)
+    assert len(_incidences(env, spec.eps, (4, short.t0_cell + short.t_cells))[0]) == 16
+    _raises_and_leaves_unchanged(_filled(short), _weighted_fiber_envelope(spec, 2 ** 49),
+                                 OverflowError, clip=True)
+    clipped = accumulate(short.copy(), _weighted_fiber_envelope(spec, 2 ** 49 - 1), clip=True)
+    unit_short = accumulate(short.copy(), env, clip=True)
+    assert np.array_equal(clipped.adolescent, unit_short.adolescent * (2 ** 49 - 1))
+
+
+def test_counting_memory_is_one_block_not_the_incidence_list(monkeypatch):
+    # the ring-modes eigen run's one accumulate: 780k incidences over 5120 x 160 cells
+    calls = []
+    monkeypatch.setattr(ring, "accumulate",
+                        lambda field, env, clip: calls.append((field, env, clip)))
+    run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
+    (field, env, clip), = calls
+    twice = SegmentArray.stack([env, env], env.frames)
+    peaks = []
+    for envelope in (env, twice):
+        counted = field.copy()
+        tracemalloc.start()
+        try:
+            accumulate(counted, envelope, clip=clip)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert counted.adolescent.any()
+    assert peaks[0] < 25 * 2 ** 20
+    assert peaks[1] < 1.1 * peaks[0]  # twice the incidences, the same blocks and accumulator
+
+
 def test_accumulate_linearity_over_concatenated_envelopes(spec):
     a = build_fiber((0.0, 0.0), spec)
     b = build_fiber((0.0, 2.0), spec)
@@ -227,6 +297,9 @@ def test_out_of_bounds_raises_unless_clipping(spec):
     small = DensityField(spec.eps, 0, 0, 4, 4)
     with pytest.raises(ValueError, match="outside the field"):
         accumulate(small, right_envelope(fiber))
+    later = DensityField(spec.eps, 100, 0, 4, 4)  # no slab of the fiber reaches its t window
+    with pytest.raises(ValueError, match=r"stored row 0 writes outside the field at cell \(t=0,"):
+        accumulate(later, right_envelope(fiber))
     accumulate(small, right_envelope(fiber), clip=True)
     assert small.adolescent[0, 0] == 1
 
@@ -244,17 +317,43 @@ def _cut_window(env, field, keep=0.5):
     return DensityField(field.cell, t0, field.x0_cell, t_cells, field.x_cells, wrap_x=field.wrap_x)
 
 
-@pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
-                         ids=["identity", "ray", "ring"])
-def test_clipped_counting_matches_expand_then_mask(case):
+def _filled(field, seed=3):
+    """A copy of ``field`` holding random counts: counting adds, and must not
+    touch other cells."""
+    rng = np.random.default_rng(seed)
+    filled = field.copy()
+    filled.adolescent[:] = rng.integers(-5, 5, field.adolescent.shape)
+    filled.senescent[:] = rng.integers(-5, 5, field.senescent.shape)
+    return filled
+
+
+def _blocks_wholly_outside(env, field):
+    """Blocks of ``accumulate(field, env, clip=True)`` that expand incidences
+    of which none lands in the field."""
+    window = (field.t0_cell, field.t0_cell + field.t_cells)
+    _, counts, expand = density._rows(env, field.cell, window)
+    outside = 0
+    for a, b in density._blocks(counts):
+        _, j, _ = expand(a, b)
+        col = np.mod(j - field.x0_cell, field.x_cells) if field.wrap_x else j - field.x0_cell
+        outside += bool(len(col)) and not ((col >= 0) & (col < field.x_cells)).any()
+    return outside
+
+
+@pytest.mark.parametrize("case, block", blocked())
+def test_clipped_counting_matches_expand_then_mask(case, block, monkeypatch):
+    block = set_block(monkeypatch, block)
     env, field = case()
+    if block == 1:  # rows longer than a block are a block of their own
+        assert (density._rows(env, field.cell)[1] > block).any()
+    # unclipped over a field that holds every incidence
+    filled = _filled(field)
+    counted, oracle = accumulate(filled.copy(), env), expand_then_mask(filled, env)
+    assert np.array_equal(counted.adolescent, oracle.adolescent)
+    assert np.array_equal(counted.senescent, oracle.senescent)
     cut = _cut_window(env, field)
     expected = expand_then_mask(cut, env)
-    # start from a filled field: counting adds, and must not touch other cells
-    rng = np.random.default_rng(3)
-    filled = cut.copy()
-    filled.adolescent[:] = rng.integers(-5, 5, cut.adolescent.shape)
-    filled.senescent[:] = rng.integers(-5, 5, cut.senescent.shape)
+    filled = _filled(cut)
     counted, oracle = accumulate(filled.copy(), env, clip=True), expand_then_mask(filled, env)
     assert np.array_equal(counted.adolescent, oracle.adolescent)
     assert np.array_equal(counted.senescent, oracle.senescent)
@@ -268,6 +367,8 @@ def test_clipped_counting_matches_expand_then_mask(case):
                           wrap_x=cut.wrap_x)
     expected = expand_then_mask(narrow, env)
     assert expected.adolescent.any() and hit[0] < lo <= hi < hit[-1]
+    if block == 1 and not narrow.wrap_x:  # a wrapped x never falls outside
+        assert _blocks_wholly_outside(env, narrow)
     accumulate(narrow, env, clip=True)
     assert np.array_equal(narrow.adolescent, expected.adolescent)
     assert np.array_equal(narrow.senescent, expected.senescent)
@@ -294,7 +395,7 @@ def test_single_frame_scalars_match_the_per_row_gather():
     twice = SegmentArray(env.lattice, env.x1, env.t1, env.x2, env.t2, env.time_dir, env.species,
                          env.envelope, np.arange(env.rows) % 2, env.frames * 2, env.weight,
                          env.runs)
-    for got, want in zip(_incidences_float(env, field.cell), _incidences_float(twice, field.cell)):
+    for got, want in zip(_incidences(env, field.cell), _incidences(twice, field.cell)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -316,26 +417,55 @@ def test_envelope_outside_the_window_leaves_field_untouched(case):
         assert np.array_equal(outside.senescent, kept.senescent)
 
 
-@pytest.mark.parametrize("case", [_identity_case, _ray_case, _ring_case],
-                         ids=["identity", "ray", "ring"])
-def test_unclipped_out_of_field_error_names_the_first_escaping_incidence(case):
+def _first_escape_message(env, field):
+    """The ValueError text for the first incidence, in expansion order, that
+    falls outside ``field``; and the stored row it belongs to."""
+    k, j, idx = _incidences(env, field.cell)
+    col = np.mod(j - field.x0_cell, field.x_cells) if field.wrap_x else j - field.x0_cell
+    out = ((k < field.t0_cell) | (k >= field.t0_cell + field.t_cells) | (col < 0)
+           | (col >= field.x_cells))
+    bad = int(np.nonzero(out)[0][0])
+    return (f"stored row {int(idx[bad])} writes outside the field at cell "
+            f"(t={int(k[bad])}, x={int(j[bad])}); pass clip=True to drop it"), int(idx[bad])
+
+
+def _raises_and_leaves_unchanged(field, env, error, clip=False):
+    """``accumulate(field, env, clip)`` raises ``error``; returns its text.
+    Every cell of both channels keeps its value."""
+    kept = field.copy()
+    with pytest.raises(error) as err:
+        accumulate(field, env, clip=clip)
+    assert np.array_equal(field.adolescent, kept.adolescent)
+    assert np.array_equal(field.senescent, kept.senescent)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("case, block", blocked())
+def test_unclipped_out_of_field_error_names_the_first_escaping_incidence(case, block, monkeypatch):
+    set_block(monkeypatch, block)
     env, field = case()
     cut = _cut_window(env, field)
     if cut.wrap_x:  # the same wrapped columns, but every unwrapped x lies left of the field
         cut = DensityField(cut.cell, cut.t0_cell, cut.x0_cell + 25 * cut.x_cells, cut.t_cells,
                            cut.x_cells, wrap_x=True)
-    k, j, idx = _incidences(env, cut.cell)
-    assert not cut.wrap_x or (j < cut.x0_cell).all()
-    col = np.mod(j - cut.x0_cell, cut.x_cells) if cut.wrap_x else j - cut.x0_cell
-    out = ((k < cut.t0_cell) | (k >= cut.t0_cell + cut.t_cells) | (col < 0) | (col >= cut.x_cells))
-    bad = int(np.nonzero(out)[0][0])
-    message = (f"stored row {int(idx[bad])} writes outside the field at cell "
-               f"(t={int(k[bad])}, x={int(j[bad])}); pass clip=True to drop it")
-    kept = cut.copy()
-    with pytest.raises(ValueError) as err:
-        accumulate(cut, env)
-    assert str(err.value) == message
-    assert np.array_equal(cut.adolescent, kept.adolescent)
+        assert (_incidences(env, cut.cell)[1] < cut.x0_cell).all()
+    message, _ = _first_escape_message(env, cut)
+    assert _raises_and_leaves_unchanged(_filled(cut), env, ValueError) == message
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_unclipped_error_from_a_later_block_leaves_the_field_unchanged(case, monkeypatch):
+    # earlier blocks land in the field; the accumulator must not reach it
+    set_block(monkeypatch, 7)
+    env, field = case()
+    late = DensityField(field.cell, field.t0_cell, field.x0_cell, field.t_cells * 3 // 4,
+                        field.x_cells, wrap_x=field.wrap_x)
+    message, row = _first_escape_message(env, late)
+    _, counts, _ = density._rows(env, late.cell)
+    blocks = list(density._blocks(counts))
+    first_bad = next(i for i, (a, b) in enumerate(blocks) if a <= row < b)
+    assert first_bad >= 2
+    assert _raises_and_leaves_unchanged(_filled(late), env, ValueError) == message
 
 
 
@@ -344,7 +474,7 @@ def test_zero_length_row_counts_in_the_one_slab_it_sits_in():
     lat = LatticeSpec(n=10)
     segs = SegmentArray(lat, [0], [4], [2], [4], [1], [0], [1], [0], (Frame(x0=0.5),))
     for window, cells in ((None, [2]), ((2, 3), [2]), ((0, 2), []), ((3, 9), [])):
-        k, j, idx = _incidences_float(segs, lat.eps, window)
+        k, j, idx = _incidences(segs, lat.eps, window)
         assert k.tolist() == cells and idx.tolist() == [0] * len(cells)
 
 
@@ -353,7 +483,7 @@ def test_float_binning_slope_survives_int32_differences():
     # flips the slope and sends a right-moving segment left
     lat = LatticeSpec(n=10)
     segs = SegmentArray(lat, [0], [-2e9], [2e9], [2e9], [1], [0], [1], [0], (Frame(x0=0.5),))
-    k, j, idx = _incidences_float(segs, cell=lat.eps * 1e8)
+    k, j, idx = _incidences(segs, cell=lat.eps * 1e8)
     assert np.array_equal(k, np.arange(-10, 10))
     assert np.array_equal(j, np.arange(20) // 2)  # x cells rise with t
 
