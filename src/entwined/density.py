@@ -23,12 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import PERIOD
 from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray
 
 _EXACT_LIMIT = 2 ** 53  # summed |weight| refused from here: float64 holds integers below it
 _BLOCK = 16384  # incidences expanded at once by ``accumulate``
+_UNIFORM_TOL = 1e-6  # largest spread of the time steps, relative to their mean, still called uniform
 
 CHANNELS = ("adolescent", "senescent")
 
@@ -440,24 +442,79 @@ class SinusoidFit:
         return 2.0 * np.pi / self.period
 
 
+def _fit_at(omega: float, times: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """rms residual and coefficients (a, b, c) of the least-squares
+    a*sin(omega t) + b*cos(omega t) + c at one frequency.
+
+    ``rows`` is 4 x N scratch: the first two rows are overwritten with
+    sin(omega t) and cos(omega t), the last two hold ones and the values, so
+    one product gives the 3x3 normal matrix and its right-hand side.  They
+    are solved by cofactors.  The rms comes from the explicit residual, not
+    from y.y - coef.rhs, which would lose the objective to cancellation.
+    """
+    phase = omega * times
+    np.sin(phase, out=rows[0])
+    np.cos(phase, out=rows[1])
+    (g00, g01, g02, r0), (_, g11, g12, r1), (_, _, g22, r2), _ = (rows @ rows.T).tolist()
+    c00 = g11 * g22 - g12 * g12
+    c01 = g02 * g12 - g01 * g22
+    c02 = g01 * g12 - g02 * g11
+    det = g00 * c00 + g01 * c01 + g02 * c02
+    if not det > 0.0:
+        raise ValueError(f"singular normal equations at omega={omega!r}")
+    c11 = g00 * g22 - g02 * g02
+    c12 = g01 * g02 - g00 * g12
+    c22 = g00 * g11 - g01 * g01
+    coef = np.array([c00 * r0 + c01 * r1 + c02 * r2,
+                     c01 * r0 + c11 * r1 + c12 * r2,
+                     c02 * r0 + c12 * r1 + c22 * r2]) / det
+    resid = rows[3] - coef @ rows[:3]
+    return math.sqrt(resid @ resid / len(resid)), coef
+
+
 def fit_sinusoid(times: np.ndarray, values: np.ndarray,
                  omega_bracket: tuple[float, float] | None = None) -> SinusoidFit:
     """Least-squares fit of a*sin(w t) + b*cos(w t) + c with free frequency.
 
     The frequency starts from the dominant FFT bin of the detrended data
-    (uniform spacing assumed) and is refined by a fixed-iteration golden
-    section search, so results are deterministic.
+    and is refined by a fixed-iteration golden section search, so results
+    are deterministic.  Each trial frequency is solved once, from the 3x3
+    normal equations of ``_fit_at``; a trial the search asks for again
+    (the bracket collapses to one ulp before the last iterations) is read
+    back.
+
+    ``times`` must be finite, increasing and uniformly spaced (the FFT start
+    assumes so), ``values`` finite, and ``omega_bracket`` finite with
+    0 < lo < hi; anything else raises ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or values.shape != times.shape:
+        raise ValueError("times and values must be 1-D arrays of one length")
     if len(times) < 8:
         raise ValueError("too few samples for a sinusoid fit")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    steps = np.diff(times)
+    if not np.all(steps > 0.0):
+        raise ValueError("times must be increasing")
+    if np.ptp(steps) > _UNIFORM_TOL * steps.mean():
+        raise ValueError("times must be uniformly spaced")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if omega_bracket is not None:
+        lo, hi = omega_bracket
+        if not (math.isfinite(hi) and 0.0 < lo < hi):
+            raise ValueError(f"omega_bracket must be finite with 0 < lo < hi, got {omega_bracket!r}")
+
+    rows = np.ones((4, len(times)))  # sin, cos, 1, values
+    rows[3] = values
+    solved = {}
 
     def residual(omega: float):
-        basis = np.column_stack([np.sin(omega * times), np.cos(omega * times), np.ones_like(times)])
-        coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
-        resid = values - basis @ coef
-        return float(np.sqrt(np.mean(resid**2))), coef
+        if omega not in solved:
+            solved[omega] = _fit_at(omega, times, rows)
+        return solved[omega]
 
     if omega_bracket is None:
         dt = times[1] - times[0]
@@ -468,8 +525,6 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray,
             raise ValueError("no oscillatory content to fit")
         omega0 = 2.0 * np.pi * peak / (dt * len(times))
         lo, hi = 0.6 * omega0, 1.6 * omega0
-    else:
-        lo, hi = omega_bracket
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -505,7 +560,10 @@ def best_lag(reference: np.ndarray, delayed: np.ndarray, max_lag: int) -> int:
     window = len(reference) - max_lag
     if window <= 0:
         raise ValueError("max_lag leaves no overlap window")
-    scores = [int(np.dot(reference[:window], delayed[lag:lag + window])) for lag in range(max_lag + 1)]
+    if len(delayed) < len(reference):
+        raise ValueError("delayed is shorter than reference")
+    # row lag of the view is delayed[lag:lag + window]; int64 arithmetic, as one np.dot per lag was
+    scores = sliding_window_view(delayed[:len(reference)], window) @ reference[:window]
     return int(np.argmax(scores))
 
 

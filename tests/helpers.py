@@ -5,7 +5,9 @@ chessboard oracle walks explicit step tuples, the profile oracle stamps
 the closed-form single-loop density directly onto cell arrays, and field
 text is checked against numpy's own ``savetxt``.  The one exception checks
 clipped counting: it takes the library's slab expansion with no window,
-masks it afterwards and adds it up with ``np.add.at``.
+masks it afterwards and adds it up with ``np.add.at``.  The sinusoid fit and
+the channel lag are checked against the forms they replaced: an SVD
+(``lstsq``) solve per trial frequency, and one ``np.dot`` per lag.
 """
 
 import io
@@ -14,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from entwined.density import _incidences
+from entwined.density import SinusoidFit, _incidences
 from entwined.paths import RIGHT_MOVER
 
 
@@ -131,3 +133,64 @@ def expand_then_mask(field, envelope):
     for channel, keep in ((out.adolescent, inside & right), (out.senescent, inside & ~right)):
         np.add.at(channel, (k[keep], j[keep]), signed[keep])
     return out
+
+
+def fit_sinusoid_oracle(times, values, omega_bracket=None):
+    """The sinusoid fit with an SVD per trial: ``fit_sinusoid``'s golden
+    section search with every trial frequency (repeats included) solved by
+    ``np.linalg.lstsq``."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(times) < 8:
+        raise ValueError("too few samples for a sinusoid fit")
+
+    def residual(omega: float):
+        basis = np.column_stack([np.sin(omega * times), np.cos(omega * times), np.ones_like(times)])
+        coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
+        resid = values - basis @ coef
+        return float(np.sqrt(np.mean(resid**2))), coef
+
+    if omega_bracket is None:
+        dt = times[1] - times[0]
+        spec = np.abs(np.fft.rfft(values - values.mean()))
+        spec[0] = 0.0
+        peak = int(np.argmax(spec))
+        if peak == 0:
+            raise ValueError("no oscillatory content to fit")
+        omega0 = 2.0 * np.pi * peak / (dt * len(times))
+        lo, hi = 0.6 * omega0, 1.6 * omega0
+    else:
+        lo, hi = omega_bracket
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, _ = residual(c)
+    fd, _ = residual(d)
+    for _ in range(90):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc, _ = residual(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd, _ = residual(d)
+    omega = 0.5 * (a + b)
+    rms, coef = residual(omega)
+    amp = float(np.hypot(coef[0], coef[1]))
+    phase = float(np.arctan2(coef[1], coef[0]))
+    return SinusoidFit(amplitude=amp, period=float(2.0 * np.pi / omega), phase=phase,
+                       offset=float(coef[2]), rms_residual=rms)
+
+
+def best_lag_loop(reference, delayed, max_lag):
+    """``best_lag`` as one ``np.dot`` per lag, scored in Python ints."""
+    reference = np.asarray(reference, dtype=np.int64)
+    delayed = np.asarray(delayed, dtype=np.int64)
+    window = len(reference) - max_lag
+    if window <= 0:
+        raise ValueError("max_lag leaves no overlap window")
+    scores = [int(np.dot(reference[:window], delayed[lag:lag + window])) for lag in range(max_lag + 1)]
+    return int(np.argmax(scores))

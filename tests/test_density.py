@@ -5,18 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from entwined import density, ring
-from entwined.density import (DensityField, ReferenceDensity, Region, _format_matrix,
+from entwined import density, propagator, ring
+from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, _format_matrix,
                               _incidences, accumulate, best_lag, compare,
                               export_field, field_for_segments, fit_sinusoid, reference_eval,
                               steady_region, whole_region)
 from entwined.lattice import LatticeSpec
 from entwined.paths import (Frame, SegmentArray, build_cable, build_cord, build_fiber,
                             concatenate, right_envelope, with_frame)
-from entwined.propagator import RaySpec, write_ray
+from entwined.propagator import RaySpec, region_for_fan, write_ray, write_region
 from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
-from helpers import cord_fiber_offsets, expand_then_mask, profile_oracle, savetxt_bytes
+from helpers import (best_lag_loop, cord_fiber_offsets, expand_then_mask, fit_sinusoid_oracle,
+                     profile_oracle, savetxt_bytes)
 
 
 @pytest.fixture
@@ -617,6 +618,189 @@ def test_fit_sinusoid_needs_oscillation():
         fit_sinusoid(t, np.ones_like(t))
 
 
+def noisy_sinusoids(count, seed):
+    """Seeded (times, values) of a*sin(w t + phase) + offset + noise: N from
+    8 to 2000, 1 to 20 periods in the window (at least 4 samples a period)
+    and noise up to 5 % of the amplitude, as in the fan and carrier profiles
+    (rel_rms 0.6-4 %)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(8, 2001))
+        dt = rng.uniform(0.05, 2.0)
+        times = (np.arange(n) + rng.uniform(0.0, 1.0)) * dt + rng.uniform(-50.0, 50.0)
+        omega = 2.0 * np.pi * rng.uniform(1.0, min(20.0, n / 4)) / (n * dt)
+        amplitude = rng.uniform(0.1, 100.0)
+        values = (amplitude * np.sin(omega * times + rng.uniform(-np.pi, np.pi))
+                  + rng.uniform(-2.0, 2.0) * amplitude
+                  + rng.uniform(0.0, 0.05) * amplitude * rng.standard_normal(n))
+        yield times, values
+
+
+def fan_profiles():
+    """(times, values) of every ray fit of the n=20 calibration fan (11 rays, M=20)."""
+    lattice = LatticeSpec.for_mass(20, mass=1.0)
+    fan = tuple(float(v) for v in np.linspace(-0.25, 0.25, 11))
+    region = region_for_fan(lattice, fan, start_periods=2.0, n_periods=4.0)
+    seen = []
+
+    def record(times, values):
+        seen.append((np.array(times), np.array(values)))
+        return fit_sinusoid(times, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagator, "fit_sinusoid", record)
+        write_region(region, M=20)
+    return seen
+
+
+def carrier_profiles(M):
+    """(times, values) of both channels of the n=10 carrier over its steady region."""
+    spec = LatticeSpec(n=10)
+    cable = build_cable((0.0, 0.0), spec, M=M, repeats=3)
+    field = field_for_segments(cable.segs, pad=2)
+    accumulate(field, right_envelope(cable))
+    region = steady_region(cable, field)
+    centers = field.t_centers()[region.slices(field)[0]]
+    return [(centers, x_summed(field, name, region).astype(float)) for name in CHANNELS]
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda: noisy_sinusoids(40, seed=2024),
+    fan_profiles,
+    lambda: carrier_profiles(20),
+], ids=["noisy-sweep", "fan-n20", "carrier-n10"])
+def test_fit_sinusoid_matches_the_lstsq_fit(inputs):
+    """The normal-equation fit against the SVD fit it replaced, with the same
+    search.  Worst deviations measured (omega, amplitude, rms relative;
+    offset over amplitude): the 40 draws here 3.8e-10, 2.7e-11, 2.0e-14,
+    2.7e-10; fan 3.8e-11, 3.2e-12, 2.0e-15, 2.2e-11; carrier 2.4e-12,
+    2.3e-13, 7.2e-15, 4.7e-13.  In 2000 draws of the sweep's distribution
+    (seeds 1 and 2) one omega deviated by 1.1e-9, the rest by at most
+    8.6e-10.  The spread is where each search stops in the flat bottom of
+    its objective; the lstsq fit moves as far when its times change by one
+    ulp (next test)."""
+    for times, values in inputs():
+        new, old = fit_sinusoid(times, values), fit_sinusoid_oracle(times, values)
+        assert new.omega == pytest.approx(old.omega, rel=1e-9, abs=0)
+        assert new.amplitude == pytest.approx(old.amplitude, rel=1e-9, abs=0)
+        assert new.rms_residual == pytest.approx(old.rms_residual, rel=1e-9, abs=0)
+        assert new.offset == pytest.approx(old.offset, rel=0, abs=1e-9 * old.amplitude)
+
+
+def test_fit_sinusoid_stops_in_the_lstsq_minimum_where_it_is_flat():
+    """The noisy n=10, M=5 carrier (rel_rms 9 %, 1.3 periods) has an objective
+    so flat that the two searches stop 1.7e-9 apart in omega; the lstsq fit
+    itself moves up to 2.5e-9 when its times change by one ulp.  The new
+    omega is as good a minimiser of the lstsq objective as the old one, to
+    the objective's own rounding (each residual carries eps * max|values|)."""
+    def lstsq_rms(times, values, omega):
+        basis = np.column_stack([np.sin(omega * times), np.cos(omega * times), np.ones_like(times)])
+        coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
+        return float(np.sqrt(np.mean((values - basis @ coef) ** 2)))
+
+    for times, values in carrier_profiles(5):
+        new, old = fit_sinusoid(times, values), fit_sinusoid_oracle(times, values)
+        assert new.omega == pytest.approx(old.omega, rel=1e-8, abs=0)
+        assert new.rms_residual == pytest.approx(old.rms_residual, rel=1e-9, abs=0)
+        rounding = 4 * np.finfo(float).eps * np.max(np.abs(values))
+        assert lstsq_rms(times, values, new.omega) <= lstsq_rms(times, values, old.omega) + rounding
+
+
+def test_fit_sinusoid_is_repeatable_and_solves_each_trial_once(monkeypatch):
+    """The search asks for 93 trials (2 + 90 + the final one); once the
+    bracket has collapsed to an ulp some repeat, and those are read back."""
+    solved = []
+    solve = density._fit_at
+
+    def record(omega, times, rows):
+        solved.append(omega)
+        return solve(omega, times, rows)
+
+    monkeypatch.setattr(density, "_fit_at", record)
+    for times, values in fan_profiles():
+        solved.clear()
+        first = fit_sinusoid(times, values)
+        assert len(set(solved)) == len(solved) < 93
+        assert fit_sinusoid(times, values) == first
+
+
+@pytest.mark.parametrize("case, message", [
+    ("shuffled", "uniformly spaced"),
+    ("decreasing", "increasing"),
+    ("repeated", "increasing"),
+    ("nan-time", "times must be finite"),
+    ("inf-time", "times must be finite"),
+    ("nan-value", "values must be finite"),
+    ("inf-value", "values must be finite"),
+    ("short-values", "one length"),
+])
+def test_fit_sinusoid_refuses_input_it_would_misfit(case, message):
+    """Unchecked, sorted random times sampling sin(1.3 t) fit omega = 4.51
+    and a single NaN value gives an all-NaN fit, both silently."""
+    rng = np.random.default_rng(3)
+    times = np.arange(0.0, 40.0, 0.1)
+    if case == "shuffled":
+        times = np.sort(rng.uniform(0.0, 40.0, len(times)))
+    elif case == "decreasing":
+        times = times[::-1].copy()
+    elif case == "repeated":
+        times[7] = times[6]
+    values = np.sin(1.3 * times)
+    if case == "nan-time":
+        times[5] = np.nan
+    elif case == "inf-time":
+        times[-1] = np.inf
+    elif case == "nan-value":
+        values[5] = np.nan
+    elif case == "inf-value":
+        values[5] = -np.inf
+    elif case == "short-values":
+        values = values[:-1]
+    with pytest.raises(ValueError, match=message):
+        fit_sinusoid(times, values)
+
+
+@pytest.mark.parametrize("bracket", [
+    (0.0, 2.0), (-1.0, 2.0), (2.0, 1.0), (1.3, 1.3),
+    (np.nan, 2.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 2.0),
+])
+def test_fit_sinusoid_refuses_a_bracket_outside_0_lo_hi(bracket):
+    times = np.arange(0.0, 40.0, 0.1)
+    with pytest.raises(ValueError, match="omega_bracket"):
+        fit_sinusoid(times, np.sin(1.3 * times), omega_bracket=bracket)
+
+
+def test_fit_sinusoid_searches_a_given_bracket():
+    times = np.arange(0.0, 40.0, 0.1)
+    fit = fit_sinusoid(times, 2.0 * np.sin(1.3 * times) + 0.5, omega_bracket=(1.0, 2.0))
+    assert fit.omega == pytest.approx(1.3, rel=1e-9)
+    assert fit.amplitude == pytest.approx(2.0, rel=1e-9)
+
+
+def test_singular_normal_equations_raise():
+    """At omega = 2 pi / dt every sample sits at one phase: cos is exactly
+    one, the column of the constant."""
+    times = np.arange(64) * 0.1
+    rows = np.ones((4, len(times)))
+    with pytest.raises(ValueError, match="singular"):
+        density._fit_at(2.0 * np.pi / 0.1, times, rows)
+
+
+@pytest.mark.parametrize("offset, rel", [(0.0, 1e-12), (0.5, 1e-12), (0.25, 1e-7)])
+@pytest.mark.parametrize("n", [8, 64, 600])
+def test_fit_sinusoid_fits_a_nyquist_alternating_input(n, offset, rel):
+    """5 * (-1)**k sits at the Nyquist frequency, where sin and cos of the
+    samples are collinear.  On the lattice points (offset 0) and the cell
+    centres (0.5) one of them vanishes and the fit gives amplitude 5 to
+    1e-15, as the lstsq fit does.  A quarter cell off, both are +-1/sqrt(2)
+    and the normal equations keep only about half the digits: amplitude
+    5 + 2e-8 at most (measured), rms 2e-8, where lstsq gives 5 to 1e-15."""
+    times = (np.arange(n) + offset) * 0.1
+    fit = fit_sinusoid(times, 5.0 * (-1.0) ** np.arange(n))
+    assert fit.amplitude == pytest.approx(5.0, rel=rel)
+    assert fit.omega == pytest.approx(np.pi / 0.1, rel=1e-4)
+
+
 def test_best_lag_on_shifted_copies():
     rng = np.random.default_rng(7)
     a = rng.integers(-3, 4, size=200)
@@ -624,6 +808,26 @@ def test_best_lag_on_shifted_copies():
     assert best_lag(a, b, 30) == 12
     with pytest.raises(ValueError):
         best_lag(a, b, 250)
+    with pytest.raises(ValueError, match="shorter"):
+        best_lag(a, b[:-1], 30)
+
+
+def test_best_lag_matches_the_per_lag_loop_and_breaks_ties_low():
+    rng = np.random.default_rng(11)
+    ties = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        max_lag = int(rng.integers(0, n))
+        high = int(rng.choice([1, 2, 1000]))
+        reference = rng.integers(-high, high + 1, size=n)
+        delayed = rng.integers(-high, high + 1, size=n + int(rng.integers(0, 3)))
+        if rng.random() < 0.1:
+            reference[:] = 0
+        window = n - max_lag
+        scores = [int(np.dot(reference[:window], delayed[lag:lag + window])) for lag in range(max_lag + 1)]
+        ties += scores.count(max(scores)) > 1
+        assert best_lag(reference, delayed, max_lag) == best_lag_loop(reference, delayed, max_lag)
+    assert ties > 30
 
 
 # --- regions and export ----------------------------------------------------
