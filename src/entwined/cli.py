@@ -104,9 +104,12 @@ def _coerce(section: str, key: str, raw) -> object:
             return False
         raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
     try:
-        return typ(raw)
+        value = typ(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{section}.{key}: expected {typ.__name__}, got {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite float, got {str(raw)!r}")
+    return value
 
 
 def load_config(experiment: str, config_path: str | None, overrides: dict) -> dict:

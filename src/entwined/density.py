@@ -4,9 +4,22 @@ Counting rule: a segment contributes to every time cell its span overlaps
 (zero-measure touches excluded); within each covered slab it adds its
 traversal sign (+1 forward in t, -1 backward) to the channel named by its
 species, in the spatial cell containing the segment midpoint of that slab.
-Midpoints of lattice-aligned construct segments always fall strictly inside
-cells, so integer counts are exact; boundary events at exact cell edges bind
-to the later cell (half-open cells).
+Boundary events at exact cell edges bind to the later cell (half-open
+cells).
+
+There is one slab expansion, through each segment's frame, in float64.
+Slab edges and x midpoints in cells are floored or ceiled, except that a
+value within max(1e-9, 1e-12*|s|) of an integer is snapped to it
+(``_snapped``).  For identity frames on the lattice's own cells this is
+exact over the whole int32 half-cell range.  Slab edges of lattice rows
+there are exact half cells and x midpoints exact quarter cells; float64
+computes them to a few ulps, far below 1e-12*|s|.  Up to 2**31 half cells
+the tolerance stays under 1.1e-3 cells, far short of the quarter cell
+between a true non-integer value and an integer.  So identity-frame counts
+equal the integer half-cell expansion (a zero-length row, which no
+construct's envelope holds, covers the one slab it sits in), and a frame
+that shifts a path by whole cells counts exactly like building the path at
+the shifted origin.
 
 Fields hold two integer channels: adolescent (right movers) and senescent
 (left movers).  A stored segment of multiplicity w counts w times: each of
@@ -110,16 +123,26 @@ def whole_region(field: DensityField) -> Region:
                   field.x0_cell, field.x0_cell + field.x_cells)
 
 
+def _snapped(rounding, s):
+    """``rounding`` (``np.floor`` or ``np.ceil``) of the cell coordinates
+    ``s``, as int64, except that a value within max(1e-9, 1e-12*|s|) of an
+    integer is that integer.
+
+    The tolerance grows with |s| because the rounding error of a float
+    cell coordinate does: a fixed 1e-9 misbins coordinates of 1e8 cells
+    and more, which int32 half-cell columns still reach.
+    """
+    r = np.rint(s)
+    near = np.abs(s - r) <= np.maximum(1e-9, 1e-12 * np.abs(s))
+    return np.where(near, r, rounding(s)).astype(np.int64)
+
+
 def _cell_floor(value: float, cell: float) -> int:
-    s = value / cell
-    r = round(s)
-    return int(r) if abs(s - r) < 1e-9 else math.floor(s)
+    return int(_snapped(np.floor, value / cell))
 
 
 def _cell_ceil(value: float, cell: float) -> int:
-    s = value / cell
-    r = round(s)
-    return int(r) if abs(s - r) < 1e-9 else math.ceil(s)
+    return int(_snapped(np.ceil, value / cell))
 
 
 def steady_region(path: EntwinedPath, field: DensityField) -> Region:
@@ -162,11 +185,6 @@ def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int =
     return DensityField(cell, t_lo, x_lo, t_hi - t_lo, x_hi - x_lo, wrap_x=wrap_x)
 
 
-def _frames_identity(segs: SegmentArray) -> bool:
-    used = np.unique(segs.frame_idx)
-    return all(segs.frames[i].is_identity for i in used)
-
-
 def _slabs(k_lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Slab index of every incidence: each row's run k_lo, k_lo+1, ... of
     ``counts`` slabs, rows one after the other."""
@@ -174,53 +192,18 @@ def _slabs(k_lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(k_lo - starts, counts) + np.arange(int(counts.sum()))
 
 
-def _rows_int(segs: SegmentArray, window=None):
-    """Row phase of the exact integer slab expansion for identity-frame segments.
+def _rows(segs: SegmentArray, cell: float, window=None):
+    """Row phase of the slab expansion through per-segment frames.
 
     Returns each stored row's first slab and slab count, and ``expand(a,
     b)``, which gives the absolute (t_cell, x_cell) and the stored row of
-    every (row, covered time-cell) incidence of rows a..b-1, all in
-    half-cell integer math.  ``window`` (t_lo, t_hi), if given, clamps each
-    row's slab range to [t_lo, t_hi), so slabs outside it are never expanded.
-    """
-    x1 = segs.x1.astype(np.int64)
-    t1 = segs.t1.astype(np.int64)
-    x2 = segs.x2.astype(np.int64)
-    t2 = segs.t2.astype(np.int64)
-    lo = np.minimum(t1, t2)
-    hi = np.maximum(t1, t2)
-    k_lo = lo // 2
-    k_hi = (hi - 1) // 2 + 1  # exclusive; zero-measure touch of the next cell excluded
-    if window is not None:
-        np.clip(k_lo, window[0], None, out=k_lo)
-        np.clip(k_hi, None, window[1], out=k_hi)
-    counts = (k_hi - k_lo).clip(min=0)
-    slope = np.sign((x2 - x1) * (t2 - t1))
-
-    def expand(a: int, b: int):
-        c = counts[a:b]
-
-        def spread(row_values):
-            return np.repeat(row_values[a:b], c)
-
-        k = _slabs(k_lo[a:b], c)
-        # midpoint of the covered part of slab k, in doubled half-cell units
-        t2x = np.maximum(spread(lo), 2 * k) + np.minimum(spread(hi), 2 * k + 2)
-        x2x = 2 * spread(x1) + spread(slope) * (t2x - 2 * spread(t1))
-        return k, np.floor_divide(x2x, 4), np.repeat(np.arange(a, b), c)
-
-    return k_lo, counts, expand
-
-
-def _rows_float(segs: SegmentArray, cell: float, window=None):
-    """Row phase of the general slab expansion through per-segment frames
-    (float binning); returns what ``_rows_int`` returns.
-
-    Row quantities are gathered from the frame table once per stored row
-    and spread to that row's incidences with ``np.repeat``; with a single
-    frame its values stay scalars and nothing is spread.  ``window``
-    (t_lo, t_hi), if given, clamps each row's slab range to [t_lo, t_hi)
-    after the one-slab rule for zero-length rows.
+    every (row, covered time-cell) incidence of rows a..b-1.  Slab edges
+    and x midpoints are binned by ``_snapped``.  Row quantities are gathered
+    from the frame table once per stored row and spread to that row's
+    incidences with ``np.repeat``; with a single frame its values stay
+    scalars and nothing is spread.  ``window`` (t_lo, t_hi), if given,
+    clamps each row's slab range to [t_lo, t_hi) after the one-slab rule
+    for zero-length rows, so slabs outside it are never expanded.
     """
     half = segs.lattice.half
     fi = segs.frame_idx
@@ -238,9 +221,9 @@ def _rows_float(segs: SegmentArray, cell: float, window=None):
     tb = ts * (segs.t2 * half) + t0
     lo = np.minimum(ta, tb)
     hi = np.maximum(ta, tb)
-    k_lo = np.floor(lo / cell).astype(np.int64)
+    k_lo = _snapped(np.floor, lo / cell)
     # exclusive; a zero-length row still covers the one slab it sits in
-    k_hi = np.maximum(np.ceil(hi / cell).astype(np.int64), k_lo + 1)
+    k_hi = np.maximum(_snapped(np.ceil, hi / cell), k_lo + 1)
     if window is not None:
         np.clip(k_lo, window[0], None, out=k_lo)
         np.clip(k_hi, None, window[1], out=k_hi)
@@ -263,17 +246,9 @@ def _rows_float(segs: SegmentArray, cell: float, window=None):
         t_int_m = (t_m - spread(t0)) / spread(ts)
         x_int_m = spread(x1i) + spread(slope) * (t_int_m - spread(t1i))
         x_phys = spread(xs) * x_int_m + spread(drift) * t_m + spread(x0)
-        return k, np.floor(x_phys / cell).astype(np.int64), np.repeat(np.arange(a, b), c)
+        return k, _snapped(np.floor, x_phys / cell), np.repeat(np.arange(a, b), c)
 
     return k_lo, counts, expand
-
-
-def _rows(segs: SegmentArray, cell: float, window=None):
-    """Row phase of the slab expansion: exact integer binning for identity
-    frames on the lattice's own cells, float binning otherwise."""
-    if _frames_identity(segs) and cell == segs.lattice.eps:
-        return _rows_int(segs, window)
-    return _rows_float(segs, cell, window)
 
 
 def _incidences(segs: SegmentArray, cell: float, window=None):

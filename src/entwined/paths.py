@@ -61,16 +61,6 @@ class Frame:
     x0: float = 0.0
     t0: float = 0.0
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.t_scale == 1.0
-            and self.x_scale == 1.0
-            and self.drift == 0.0
-            and self.x0 == 0.0
-            and self.t0 == 0.0
-        )
-
     def apply(self, x_internal, t_internal):
         """Map internal-unit coordinates (arrays or scalars) to output coords."""
         t = self.t_scale * np.asarray(t_internal, dtype=float) + self.t0

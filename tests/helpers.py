@@ -5,7 +5,9 @@ chessboard oracle walks explicit step tuples, the profile oracle stamps
 the closed-form single-loop density directly onto cell arrays, and field
 text is checked against numpy's own ``savetxt``.  The one exception checks
 clipped counting: it takes the library's slab expansion with no window,
-masks it afterwards and adds it up with ``np.add.at``.  The sinusoid fit and
+masks it afterwards and adds it up with ``np.add.at``.  Identity-frame
+counting is checked against an integer slab expansion, which bins in
+half-cell integers and never rounds.  The sinusoid fit and
 the channel lag are checked against the forms they replaced: an SVD
 (``lstsq``) solve per trial frequency, and one ``np.dot`` per lag.
 """
@@ -16,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from entwined.density import SinusoidFit, _incidences
+from entwined.density import SinusoidFit, _incidences, _slabs
 from entwined.paths import RIGHT_MOVER
 
 
@@ -133,6 +135,51 @@ def expand_then_mask(field, envelope):
     for channel, keep in ((out.adolescent, inside & right), (out.senescent, inside & ~right)):
         np.add.at(channel, (k[keep], j[keep]), signed[keep])
     return out
+
+
+def rows_int(segs, window=None):
+    """Row phase of the exact integer slab expansion for identity-frame segments.
+
+    Returns each stored row's first slab and slab count, and ``expand(a,
+    b)``, which gives the absolute (t_cell, x_cell) and the stored row of
+    every (row, covered time-cell) incidence of rows a..b-1, all in
+    half-cell integer math.  ``window`` (t_lo, t_hi), if given, clamps each
+    row's slab range to [t_lo, t_hi), so slabs outside it are never expanded.
+    """
+    x1 = segs.x1.astype(np.int64)
+    t1 = segs.t1.astype(np.int64)
+    x2 = segs.x2.astype(np.int64)
+    t2 = segs.t2.astype(np.int64)
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2)
+    k_lo = lo // 2
+    k_hi = (hi - 1) // 2 + 1  # exclusive; zero-measure touch of the next cell excluded
+    if window is not None:
+        np.clip(k_lo, window[0], None, out=k_lo)
+        np.clip(k_hi, None, window[1], out=k_hi)
+    counts = (k_hi - k_lo).clip(min=0)
+    slope = np.sign((x2 - x1) * (t2 - t1))
+
+    def expand(a: int, b: int):
+        c = counts[a:b]
+
+        def spread(row_values):
+            return np.repeat(row_values[a:b], c)
+
+        k = _slabs(k_lo[a:b], c)
+        # midpoint of the covered part of slab k, in doubled half-cell units
+        t2x = np.maximum(spread(lo), 2 * k) + np.minimum(spread(hi), 2 * k + 2)
+        x2x = 2 * spread(x1) + spread(slope) * (t2x - 2 * spread(t1))
+        return k, np.floor_divide(x2x, 4), np.repeat(np.arange(a, b), c)
+
+    return k_lo, counts, expand
+
+
+def incidences_int(segs, window=None):
+    """(t_cell, x_cell, stored row) of every incidence of identity-frame
+    ``segs`` on the lattice's own cells, by ``rows_int``."""
+    _, counts, expand = rows_int(segs, window)
+    return expand(0, len(counts))
 
 
 def fit_sinusoid_oracle(times, values, omega_bracket=None):

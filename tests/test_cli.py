@@ -63,6 +63,28 @@ def test_type_errors_reported(tmp_path):
         load_config("carrier", str(ini), {})
 
 
+_FLOAT_KEYS = [(section, key) for section, keys in cli._SCHEMA.items()
+               for key, (typ, _default) in keys.items() if typ is float]
+
+
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in _FLOAT_KEYS])
+def test_non_finite_floats_are_configuration_errors(section, key, tmp_path, capsys):
+    # a non-finite value stops at the configuration, before validate or a
+    # run can trip over it or write files
+    experiment = section if section in cli.EXPERIMENTS else "carrier"
+    ini = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    for value in ("inf", "-inf", "nan"):
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        for args in ([f"--{key.replace('_', '-')}={value}"], ["--config", str(ini)]):
+            assert run_cli([experiment, *args, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {section}.{key}: expected a finite float, got '{value}'\n"
+            assert not out.exists()
+    with pytest.raises(ConfigError, match=f"{section}.{key}: expected a finite float"):
+        load_config(experiment, None, {(section, key): math.inf})
+
+
 # --- validate --------------------------------------------------------------
 
 

@@ -11,13 +11,13 @@ from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, 
                               export_field, field_for_segments, fit_sinusoid, reference_eval,
                               steady_region, whole_region)
 from entwined.lattice import LatticeSpec
-from entwined.paths import (Frame, SegmentArray, build_cable, build_cord, build_fiber,
-                            concatenate, right_envelope, with_frame)
+from entwined.paths import (RIGHT_MOVER, Frame, SegmentArray, build_cable, build_cord,
+                            build_fiber, concatenate, right_envelope, with_frame)
 from entwined.propagator import RaySpec, region_for_fan, write_ray, write_region
 from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
 from helpers import (best_lag_loop, cord_fiber_offsets, expand_then_mask, fit_sinusoid_oracle,
-                     profile_oracle, savetxt_bytes)
+                     incidences_int, profile_oracle, savetxt_bytes)
 
 
 @pytest.fixture
@@ -487,6 +487,90 @@ def test_float_binning_slope_survives_int32_differences():
     k, j, idx = _incidences(segs, cell=lat.eps * 1e8)
     assert np.array_equal(k, np.arange(-10, 10))
     assert np.array_equal(j, np.arange(20) // 2)  # x cells rise with t
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 13, 101])
+def test_cell_aligned_frame_translation_counts_like_the_shifted_origin(k):
+    # a frame offset of k cells lands slab edges within an ulp of the cell
+    # edges, where a bare floor or ceil would add phantom slabs
+    spec = LatticeSpec(n=10)
+    shift = k * spec.eps
+    built = build_cable((shift, shift), spec, M=5, repeats=2)
+    moved = with_frame(build_cable((0.0, 0.0), spec, M=5, repeats=2), Frame(x0=shift, t0=shift))
+    field = field_for_segments(built.segs, pad=2)
+    framed = field_for_segments(moved.segs, pad=2)
+    assert (framed.t0_cell, framed.x0_cell, framed.t_cells, framed.x_cells) == \
+        (field.t0_cell, field.x0_cell, field.t_cells, field.x_cells)
+    want = accumulate(field.copy(), right_envelope(built))
+    got = accumulate(field.copy(), right_envelope(moved))
+    assert want.adolescent.any()
+    assert np.array_equal(got.adolescent, want.adolescent)
+    assert np.array_equal(got.senescent, want.senescent)
+
+
+def _shifted(segs, ox, ot):
+    """``segs`` moved by (ox, ot) half-cell units, in its integer columns."""
+    return SegmentArray(segs.lattice, segs.x1.astype(np.int64) + ox,
+                        segs.t1.astype(np.int64) + ot, segs.x2.astype(np.int64) + ox,
+                        segs.t2.astype(np.int64) + ot, segs.time_dir, segs.species,
+                        segs.envelope, segs.frame_idx, segs.frames, segs.weight, segs.runs)
+
+
+# origins in cells; from 1e8 cells on, a fixed 1e-9 snap misbins slab edges
+_FAR_ORIGINS = [(1e8, 1e8), (-1e8, 3e8 + 7), (5e8, 5e8), (-5e8 + 3, -5e8), (5e8, -123457)]
+
+
+def _identity_sweep(seed=2026, draws=24):
+    """Identity-frame envelopes as (label, envelope): seeded fibers, cords
+    and cables of several n, M and repeats at near origins, and the n=10
+    fiber, cord and cable at each of ``_FAR_ORIGINS``."""
+    rng = np.random.default_rng(seed)
+    near = [tuple(int(c) for c in rng.integers(-10 ** 4, 10 ** 4, 2)) for _ in range(draws)]
+    cases = [(origin, ("fiber", "cord", "cable")[i % 3], int(rng.choice([2, 4, 6, 10, 20])),
+              int(rng.integers(1, 13)), int(rng.integers(1, 4))) for i, origin in enumerate(near)]
+    cases += [((int(x), int(t)), kind, 10, 5, 2) for x, t in _FAR_ORIGINS
+              for kind in ("fiber", "cord", "cable")]
+    out = []
+    for (ox, oy), kind, n, M, repeats in cases:
+        spec = LatticeSpec(n=n)
+        if kind == "fiber":
+            path = build_fiber((0.0, 0.0), spec)
+        elif kind == "cord":
+            path = build_cord((0.0, 0.0), spec, repeats=repeats)
+        else:
+            path = build_cable((0.0, 0.0), spec, M=M, repeats=repeats)
+        # a cell is two half-cell units; half_x and half_t add half a cell or not
+        half_x, half_t = (int(h) for h in rng.integers(0, 2, 2))
+        out.append((f"{kind} n={n} M={M} repeats={repeats} at ({ox}, {oy})+({half_x}, {half_t})/2",
+                    _shifted(right_envelope(path), 2 * ox + half_x, 2 * oy + half_t)))
+    return out
+
+
+def test_identity_frame_expansion_matches_the_integer_oracle():
+    far = 0
+    for label, env in _identity_sweep():
+        k, j, idx = incidences_int(env)
+        assert len(k), label
+        for got, want in zip(_incidences(env, env.lattice.eps), (k, j, idx)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), label
+        # a window cutting through the rows
+        lo = int(k.min()) + (int(k.max()) - int(k.min())) // 3
+        window = (lo, lo + max(1, (int(k.max()) - lo) // 2))
+        for got, want in zip(_incidences(env, env.lattice.eps, window), incidences_int(env, window)):
+            assert np.array_equal(got, want), label
+        # and counted: the field is sized by the same snapping rule
+        field = field_for_segments(env, pad=1)
+        assert field.t0_cell < k.min() and k.max() < field.t0_cell + field.t_cells - 1, label
+        assert field.x0_cell < j.min() and j.max() < field.x0_cell + field.x_cells - 1, label
+        counted = accumulate(field.copy(), env)
+        signed = (env.time_dir.astype(np.int64) * env.weight)[idx]
+        right = (env.species == RIGHT_MOVER)[idx]
+        for channel, keep in ((field.adolescent, right), (field.senescent, ~right)):
+            np.add.at(channel, (k[keep] - field.t0_cell, j[keep] - field.x0_cell), signed[keep])
+        assert np.array_equal(counted.adolescent, field.adolescent), label
+        assert np.array_equal(counted.senescent, field.senescent), label
+        far += max(abs(int(k[0])), abs(int(j[0]))) >= 10 ** 8
+    assert far == 3 * len(_FAR_ORIGINS)
 
 
 # --- reference densities ---------------------------------------------------

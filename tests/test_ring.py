@@ -82,6 +82,14 @@ def test_eigen_run_shows_requested_mode(lattice, circumference, calibration):
         assert drift < calibration["ring_eigen_drift_cells_per_period"]
 
 
+def test_eigen_mode_nodes_stand_still(lattice, circumference):
+    # an eigenpath's standing wave does not move; a residual drift means
+    # slab edges within an ulp of a cell edge were misbinned
+    field, metrics = run_metrics(lattice, RingSpec(circumference=circumference, mode=1, cycles=8))
+    assert metrics.dominant_mode == 1
+    assert drift_in_cells_per_period(metrics, field.x_cells) < 1e-9
+
+
 def test_one_wavelength_spans_the_ring_for_first_mode(lattice, circumference):
     spec = RingSpec(circumference=circumference, mode=1, cycles=8)
     field, metrics = run_metrics(lattice, spec)

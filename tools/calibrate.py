@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Regenerate tests/fixtures/calibration.json.
+"""Refresh the measured values in tests/fixtures/calibration.json.
 
-Runs the oracle experiments once and freezes the measured values together
-with the bounds the tests assert.  Bounds are the measured values with a
+Runs the oracle experiments and rewrites the fixture's ``measured`` block.
+Every bound the tests assert that the fixture already holds is carried
+through unchanged: bounds are frozen, and a new measurement never moves
+one.  Only a bound the fixture lacks is set, from the measured value with a
 safety margin, capped by the contract limits (1% ray frequency error, 0.1
 cells/period eigen drift).
 """
@@ -98,15 +100,16 @@ def main():
     measured["ray_amplitude_uniformity"] = amplitude_uniformity()
     measured["ring"] = ring_drifts()
 
-    calibration = {
-        "_comment": "measured once by tools/calibrate.py; bounds frozen with margin",
-        "measured": measured,
+    new_bounds = {
+        "_comment": "measured by tools/calibrate.py; bounds frozen with margin",
         "carrier_rel_rms_bound_n10_m20": round(3.0 * measured["carrier_rel_rms_n10_m20"], 4),
         "fan_rel_freq_error_bound_n20": round(3.0 * measured["fan_max_rel_freq_error_n20_m20"], 6),
         "fan_rel_freq_error_bound_n50": min(0.01, round(5.0 * measured["fan_max_rel_freq_error_n50_m60"], 6)),
         "ray_amplitude_uniformity_bound": round(3.0 * measured["ray_amplitude_uniformity"], 4),
         "ring_eigen_drift_cells_per_period": 0.1,
     }
+    frozen = json.loads(OUT.read_text()) if OUT.exists() else {}
+    calibration = {**new_bounds, **frozen, "measured": measured}
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(calibration, indent=2, sort_keys=True) + "\n")
     print(json.dumps(calibration, indent=2, sort_keys=True))
