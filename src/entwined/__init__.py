@@ -17,7 +17,8 @@ from .paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, PathSegment, S
                     build_cable, build_cord, build_fiber, concatenate, cords_per_shift,
                     dump_path, right_envelope, with_frame)
 from .propagator import (RaySpec, RayReport, RegionResult, RegionSpec, analytic_kernel,
-                         reduced_frequency, region_for_fan, write_ray, write_region)
+                         ray_repeats, reduced_frequency, region_for_fan, write_ray,
+                         write_region)
 from .ring import (RingMetrics, RingSpec, drift_in_cells_per_period, eigen_speed, run_ring,
                    standing_wave_metrics)
 
@@ -36,7 +37,8 @@ __all__ = [
     "accumulate", "best_lag", "compare", "export_field",
     "field_for_segments", "fit_sinusoid", "reference_eval", "steady_region", "whole_region",
     "RaySpec", "RayReport", "RegionSpec", "RegionResult",
-    "analytic_kernel", "reduced_frequency", "region_for_fan", "write_ray", "write_region",
+    "analytic_kernel", "ray_repeats", "reduced_frequency", "region_for_fan", "write_ray",
+    "write_region",
     "RingSpec", "RingMetrics", "eigen_speed", "run_ring", "standing_wave_metrics",
     "drift_in_cells_per_period",
 ]

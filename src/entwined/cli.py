@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import io
 import json
@@ -322,11 +323,12 @@ def _run_carrier(config: dict, art: _Artifacts, threads: int) -> list[str]:
     art.add(export_field(field, art.out_dir, "carrier_field"))
 
     region = steady_region(cable, field)
-    ts, xs = region.slices(field)
-    if ts.stop - ts.start < 8:
+    steady_cells = max(0, region.t_hi - region.t_lo)
+    if steady_cells < 8:
         raise ValueError(
-            f"steady region is only {ts.stop - ts.start} cells; "
+            f"steady region is only {steady_cells} cells; "
             "increase carrier.repeats or lattice.n for a meaningful fit")
+    ts, xs = region.slices(field)
     ado = field.adolescent[ts, xs].sum(axis=1)
     sen = field.senescent[ts, xs].sum(axis=1)
     centers = field.t_centers()[ts]
@@ -449,7 +451,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="physical time per internal unit (default pi/2, i.e. mass 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``entwined`` argument parser, built once per process and shared:
+    building it costs more than a small experiment, and parsing never
+    changes it."""
     parser = argparse.ArgumentParser(prog="entwined",
                                      description="deterministic entwined-path experiments")
     parser.add_argument("--version", action="version", version=f"entwined {__version__}")

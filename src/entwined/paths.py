@@ -285,6 +285,19 @@ class SegmentArray:
             self.frame_idx[mask], self.frames, weight=self.weight[mask], runs=runs,
         )
 
+    def counted(self) -> "SegmentArray":
+        """The rows density counting reads, weights and run layout kept.
+
+        Returns ``self``, not a copy, when every row is counted.  Raises if
+        any row lacks envelope provenance.
+        """
+        env = self.envelope
+        if (env == _ENV_UNKNOWN).any():
+            i = int(np.nonzero(env == _ENV_UNKNOWN)[0][0])
+            raise ValueError(f"segment {i} lacks envelope provenance")
+        counted = env == _ENV_COUNTED
+        return self if counted.all() else self.subset(counted)
+
     def physical_endpoints(self):
         """Frame-applied (x1, t1, x2, t2) float arrays, one entry per logical segment."""
         ends = self.row_endpoints()
@@ -683,13 +696,11 @@ def right_envelope(path: EntwinedPath) -> SegmentArray:
 
     Membership is recorded at construction; connectors are excluded.
     Multiplicities carry over, so a cable's envelope stores each distinct
-    counted segment once.  Raises if any segment lacks envelope provenance.
+    counted segment once.  A path whose rows are all counted is its own
+    envelope (``path.segs``, not a copy).  Raises if any segment lacks
+    envelope provenance.
     """
-    env = path.segs.envelope
-    if (env == _ENV_UNKNOWN).any():
-        i = int(np.nonzero(env == _ENV_UNKNOWN)[0][0])
-        raise ValueError(f"segment {i} lacks envelope provenance")
-    return path.segs.subset(env == _ENV_COUNTED)
+    return path.segs.counted()
 
 
 DUMP_COLUMNS = ("start_x", "start_t", "end_x", "end_t", "time_dir", "species")

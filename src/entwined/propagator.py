@@ -98,25 +98,50 @@ def region_for_fan(lattice: LatticeSpec, ray_fan, start_periods: float = 2.0,
     return RegionSpec(x_range=x_range, t_range=t_range, ray_fan=tuple(ray_fan), lattice=lattice)
 
 
-def write_ray(ray: RaySpec, spec: LatticeSpec, M: int) -> EntwinedPath:
-    """Build the retuned, sheared cable whose counted density writes the ray.
+def _t_scale(ray: RaySpec, spec: LatticeSpec) -> float:
+    """Internal-to-physical time scale that retunes a loop period to 2*pi/omega(v)."""
+    return spec.mass_scale * spec.mass / ray.omega
 
-    The cable's internal period is stretched by m/omega(v) so the carrier
-    along the ray oscillates at omega(v); spatial loop size stays at the
-    lattice's own scale.  Enough repeats are concatenated for the steady
-    region to cover ``t_span``.
-    """
-    mass = spec.mass
-    t_scale = spec.mass_scale * mass / ray.omega
-    counts = cords_per_shift(spec.n, M)
+
+def _repeats_needed(ray: RaySpec, spec: LatticeSpec, counts: list[int]) -> int:
     if not any(counts):
         raise ValueError("M too small: cable would be empty")
     last_shift = max(k for k, c in enumerate(counts) if c) * spec.eps
     span = ray.t_span[1] - ray.t_span[0]
     # steady window of a cable with R repeats: [last_shift + 4, 4R - 1 + eps]
-    need = last_shift + 5.0 - spec.eps + span / t_scale
-    repeats = max(1, math.ceil(need / PERIOD))
-    cable = build_cable((0.0, 0.0), spec, M=M, repeats=repeats)
+    need = last_shift + 5.0 - spec.eps + span / _t_scale(ray, spec)
+    return max(1, math.ceil(need / PERIOD))
+
+
+def ray_repeats(ray: RaySpec, spec: LatticeSpec, M: int) -> int:
+    """Cord repeats of the cable that writes ``ray``: the fewest whose steady
+    window, retuned to the ray's frequency, covers ``ray.t_span``."""
+    return _repeats_needed(ray, spec, cords_per_shift(spec.n, M))
+
+
+def write_ray(ray: RaySpec, cable: EntwinedPath) -> EntwinedPath:
+    """Frame a prebuilt, unframed cable so its counted density writes the ray.
+
+    The cable's internal period is stretched by m/omega(v) so the carrier
+    along the ray oscillates at omega(v); spatial loop size stays at the
+    lattice's own scale.  Its steady window starts at ``ray.t_span[0]``.
+    The integer rows are shared, not copied, so one cable can write every
+    ray that needs its ``repeats``: build it with
+    ``build_cable((0.0, 0.0), spec, M, repeats=ray_repeats(ray, spec, M))``.
+    A cable with fewer repeats than that, whose steady window would end
+    before ``ray.t_span[1]``, is refused.
+    """
+    if cable.kind != "cable" or cable.segs.frames != (Frame(),):
+        raise ValueError("write_ray frames an unframed cable from build_cable")
+    spec = cable.lattice
+    # compared by the repeats rule, not by framed floats, so a cable built
+    # with ray_repeats is never refused on rounding
+    repeats = cable.extras["repeats"]
+    needed = _repeats_needed(ray, spec, cable.extras["cords_per_shift"])
+    if repeats < needed:
+        raise ValueError(f"cable of {repeats} repeats is too short for t_span {ray.t_span}: "
+                         f"its steady window needs {needed}")
+    t_scale = _t_scale(ray, spec)
     t0 = ray.t_span[0] - t_scale * cable.steady_window[0]
     frame = Frame(t_scale=t_scale, x_scale=spec.mass_scale, drift=ray.v, x0=0.0, t0=t0)
     path = with_frame(cable, frame)
@@ -188,11 +213,15 @@ def _ray_report(ray: RaySpec, field: DensityField) -> RayReport:
 def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     """Sweep every ray in the fan, sum their densities, compare per ray.
 
-    Each ray counts into its own band: a field over the region's t window
-    that spans, in x, only the ray's own extent (the x bounds
-    ``field_for_segments`` would give it) inside the region's x window.
-    Bands are folded into the region field in fan order as they arrive, so
-    at most the bands not yet folded are alive.
+    Rays differ only in their ``Frame``, so one cable is built for each
+    distinct ``ray_repeats`` count (one for most fans), before any ray is
+    written, and cut to its counted rows: every ray with that count frames
+    those shared rows through ``write_ray``.  Each ray counts into its own
+    band: a field over the region's t window that spans, in x, only the
+    ray's own extent (the x bounds ``field_for_segments`` would give it)
+    inside the region's x window.  Bands are folded into the region field
+    in fan order as they arrive, so at most the bands not yet folded are
+    alive.
     Rays are independent work units; the summed field and the per-ray
     reports are identical for any ``threads``.  Cells outside the region
     are clipped silently (cables overhang the window by construction).
@@ -211,9 +240,22 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     x0_cell = _cell_floor(region.x_range[0], cell)
     x_cells = _cell_ceil(region.x_range[1], cell) - x0_cell
 
-    def one_ray(v: float):
-        ray = RaySpec.from_velocity(v, mass, region.t_range)
-        envelope = right_envelope(write_ray(ray, lattice, M))
+    # allocated before the cables are built: in the opposite order the n=50
+    # fan's peak RSS reads about 0.3 MB higher (heap layout, not live data)
+    field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
+    rays = [RaySpec.from_velocity(v, mass, region.t_range) for v in region.ray_fan]
+    repeats = [ray_repeats(ray, lattice, M) for ray in rays]
+    cables = {}
+    for r in dict.fromkeys(repeats):
+        cable = build_cable((0.0, 0.0), lattice, M=M, repeats=r)
+        # keep only the rows counting reads, so the connectors do not stay
+        # alive for the whole fan; trimmed in place because perfbench's
+        # tracer knows a path by the object build_cable returned
+        cable.segs = cable.segs.counted()
+        cables[r] = cable
+
+    def one_ray(ray: RaySpec, r: int):
+        envelope = right_envelope(write_ray(ray, cables[r]))
         _, _, ray_x_lo, ray_x_hi = _segment_bounds(envelope, cell)
         x_lo = max(ray_x_lo, x0_cell)
         x_hi = min(ray_x_hi, x0_cell + x_cells)
@@ -222,8 +264,6 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
         band = DensityField(cell, t0_cell, x_lo, t_cells, x_hi - x_lo)
         accumulate(band, envelope, clip=True)
         return band, _ray_report(ray, band)
-
-    field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
 
     def fold(results) -> tuple[RayReport, ...]:
         reports = []
@@ -238,9 +278,9 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = fold(pool.map(one_ray, region.ray_fan))
+            reports = fold(pool.map(one_ray, rays, repeats))
     else:
-        reports = fold(map(one_ray, region.ray_fan))
+        reports = fold(map(one_ray, rays, repeats))
     return RegionResult(field=field, reports=reports)
 
 

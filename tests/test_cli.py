@@ -185,6 +185,34 @@ def test_memory_error_reported_not_raised(tmp_path, capsys, monkeypatch, exc, me
     assert not (out / "manifest.json").exists()
 
 
+def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
+    # n=2 with one repeat: the cable's steady window holds no whole cell
+    out = tmp_path / "out"
+    assert run_cli(["carrier", "--n", "2", "--cords", "1", "--repeats", "1",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: steady region is only 0 cells; increase carrier.repeats or lattice.n "
+        "for a meaningful fit\n")
+    assert not (out / "manifest.json").exists()
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_rejected_command_lines_leave_the_shared_parser_intact(tmp_path, monkeypatch, capsys):
+    for bad in (["propagate", "--n", "ten"], ["propagate", "--wibble", "1"], ["wibble"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+    argv = ["propagate", "--n", "10", "--cords", "10", "--v-count", "3", "--n-periods", "3"]
+    assert run_cli(argv + ["--out", str(tmp_path / "shared")]) == 0
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run_cli(argv + ["--out", str(tmp_path / "fresh")]) == 0
+    assert read_tree(tmp_path / "shared") == read_tree(tmp_path / "fresh")
+
+
 # --- experiments produce their artifacts ------------------------------------
 
 

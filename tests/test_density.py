@@ -13,9 +13,10 @@ from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, 
 from entwined.lattice import LatticeSpec
 from entwined.paths import (RIGHT_MOVER, Frame, SegmentArray, build_cable, build_cord,
                             build_fiber, concatenate, right_envelope, with_frame)
-from entwined.propagator import RaySpec, region_for_fan, write_ray, write_region
+from entwined.propagator import RaySpec, region_for_fan, write_region
 from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
+from test_propagator import fresh_ray
 from helpers import (best_lag_loop, cord_fiber_offsets, expand_then_mask, fit_sinusoid_oracle,
                      incidences_int, profile_oracle, savetxt_bytes)
 
@@ -120,7 +121,7 @@ def _identity_case():
 def _ray_case():
     lattice = LatticeSpec.for_mass(20, mass=1.0)
     ray = RaySpec.from_velocity(0.2, lattice.mass, (12.0, 30.0))
-    path = write_ray(ray, lattice, M=12)
+    path = fresh_ray(ray, lattice, M=12)
     return right_envelope(path), field_for_segments(path.segs, cell=lattice.cell_physical, pad=2)
 
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from entwined import propagator
 from entwined.density import (CHANNELS, DensityField, Region, accumulate, best_lag,
                               field_for_segments, fit_sinusoid, _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec
-from entwined.paths import right_envelope
-from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, reduced_frequency,
-                                 region_for_fan, write_ray, write_region, _ray_report)
+from entwined.paths import build_cable, right_envelope
+from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, ray_repeats,
+                                 reduced_frequency, region_for_fan, write_ray, write_region,
+                                 _ray_report)
 
 
 @pytest.fixture(scope="module")
@@ -16,10 +18,16 @@ def lattice():
     return LatticeSpec.for_mass(20, mass=1.0)
 
 
+def fresh_ray(ray, lattice, M):
+    """``write_ray`` over a whole cable built for this ray alone."""
+    cable = build_cable((0.0, 0.0), lattice, M=M, repeats=ray_repeats(ray, lattice, M))
+    return write_ray(ray, cable)
+
+
 def ray_profile(lattice, ray, M):
     """x-summed profile over the ray's t span: row sums of a field that
     covers the path's whole x extent, so nothing is clipped in x."""
-    path = write_ray(ray, lattice, M)
+    path = fresh_ray(ray, lattice, M)
     cell = lattice.cell_physical
     t0 = _cell_floor(ray.t_span[0], cell)
     t_cells = _cell_ceil(ray.t_span[1], cell) - t0
@@ -99,10 +107,28 @@ def test_zero_velocity_ray_oscillates_at_the_carrier(lattice):
 
 def test_written_ray_is_one_continuous_path(lattice):
     ray = RaySpec.from_velocity(0.15, lattice.mass, (2 * math.pi, 6 * math.pi))
-    path = write_ray(ray, lattice, M=8)
+    path = fresh_ray(ray, lattice, M=8)
     path.validate_continuity()
     assert path.steady_window[0] <= ray.t_span[0]
     assert path.steady_window[1] >= ray.t_span[1]
+
+
+def test_write_ray_refuses_a_cable_too_short_for_the_span(lattice):
+    ray = RaySpec.from_velocity(0.15, lattice.mass, (2 * math.pi, 6 * math.pi))
+    repeats = ray_repeats(ray, lattice, M=8)
+    short = build_cable((0.0, 0.0), lattice, M=8, repeats=repeats - 1)
+    with pytest.raises(ValueError, match=f"{repeats - 1} repeats is too short"):
+        write_ray(ray, short)
+    # the same cable covers a span one loop period shorter
+    shorter = RaySpec(ray.v, ray.omega, (ray.t_span[0], ray.t_span[1] - 2 * math.pi / ray.omega))
+    assert ray_repeats(shorter, lattice, M=8) == repeats - 1
+    assert write_ray(shorter, short).steady_window[1] >= shorter.t_span[1]
+
+
+def test_write_ray_refuses_a_framed_path(lattice):
+    ray = RaySpec.from_velocity(0.15, lattice.mass, (2 * math.pi, 6 * math.pi))
+    with pytest.raises(ValueError, match="unframed cable"):
+        write_ray(ray, fresh_ray(ray, lattice, M=8))
 
 
 def test_drifting_ray_frequency_reduced(lattice):
@@ -171,7 +197,7 @@ def test_region_for_fan_never_clips_a_ray_in_x(n, M, fan, start_periods):
     margin = 50
     for v in fan:
         ray = RaySpec.from_velocity(v, lattice.mass, region.t_range)
-        env = right_envelope(write_ray(ray, lattice, M))
+        env = right_envelope(fresh_ray(ray, lattice, M))
         narrow = accumulate(DensityField(cell, t0, x0, t_cells, x_cells), env, clip=True)
         wide = accumulate(DensityField(cell, t0, x0 - margin, t_cells, x_cells + 2 * margin),
                           env, clip=True)
@@ -183,9 +209,9 @@ def test_region_for_fan_never_clips_a_ray_in_x(n, M, fan, start_periods):
 
 
 def full_field_region(region, M):
-    """write_region the old way: every ray counted with no window into a field
-    holding all of it and the region, cut to the region afterwards, fitted
-    there, and summed."""
+    """write_region the old way: every ray written from a cable built for it
+    alone, counted with no window into a field holding all of it and the
+    region, cut to the region afterwards, fitted there, and summed."""
     lattice = region.lattice
     cell = lattice.cell_physical
     t0 = _cell_floor(region.t_range[0], cell)
@@ -197,7 +223,7 @@ def full_field_region(region, M):
     reports, clipped_x = [], 0
     for v in region.ray_fan:
         ray = RaySpec.from_velocity(v, lattice.mass, region.t_range)
-        env = right_envelope(write_ray(ray, lattice, M))
+        env = right_envelope(fresh_ray(ray, lattice, M))
         ext = field_for_segments(env, cell)
         t_lo, x_lo = min(ext.t0_cell, t0), min(ext.x0_cell, x0)
         t_hi = max(ext.t0_cell + ext.t_cells, t0 + t_cells)
@@ -220,19 +246,24 @@ def _outcome(fn):
         return repr(exc)
 
 
-@pytest.mark.parametrize("n, M, region_of, clips_x", [
+@pytest.mark.parametrize("n, M, region_of, clips_x, repeats", [
     # the acceptance fan
     (50, 60, lambda lat: region_for_fan(lat, tuple(float(v) for v in np.linspace(-0.25, 0.25, 11))),
-     False),
+     False, {8}),
+    # the fastest rays' periods stretch most, so they need one repeat fewer:
+    # write_region shares two cables, each across the rays of its repeats
     (10, 5, lambda lat: region_for_fan(lat, tuple(float(v) for v in np.linspace(-0.9, 0.9, 7)),
-                                       n_periods=3.0), False),
+                                       n_periods=3.0), False, {4, 5}),
     # narrower than its rays in x and shorter than them in t
     (20, 12, lambda lat: RegionSpec(x_range=(-3.5, 4.2), t_range=(14.0, 21.0),
-                                    ray_fan=(-0.2, 0.0, 0.25), lattice=lat), True),
+                                    ray_fan=(-0.2, 0.0, 0.25), lattice=lat), True, {3}),
 ], ids=["acceptance-fan", "n10-wide-fan", "narrow-region"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_band_fields_match_full_region_fields(n, M, region_of, clips_x, threads):
-    region = region_of(LatticeSpec.for_mass(n, mass=1.0))
+def test_band_fields_match_full_region_fields(n, M, region_of, clips_x, repeats, threads):
+    lattice = LatticeSpec.for_mass(n, mass=1.0)
+    region = region_of(lattice)
+    assert {ray_repeats(RaySpec.from_velocity(v, lattice.mass, region.t_range), lattice, M)
+            for v in region.ray_fan} == repeats
     field, reports, clipped_x = full_field_region(region, M)
     assert (clipped_x > 0) == clips_x
     result = write_region(region, M, threads=threads)
@@ -241,6 +272,24 @@ def test_band_fields_match_full_region_fields(n, M, region_of, clips_x, threads)
         assert result.field.channel(name).any()
         assert np.array_equal(result.field.channel(name), field.channel(name))
     assert result.reports == reports
+
+
+@pytest.mark.parametrize("n, M, fan, n_periods, built", [
+    (50, 60, tuple(float(v) for v in np.linspace(-0.25, 0.25, 11)), 6.0, [8]),
+    (10, 5, tuple(float(v) for v in np.linspace(-0.9, 0.9, 7)), 3.0, [4, 5]),
+])
+def test_write_region_builds_one_cable_per_distinct_repeats(n, M, fan, n_periods, built,
+                                                            monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["repeats"])
+        return build_cable(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "build_cable", counting)
+    region = region_for_fan(LatticeSpec.for_mass(n, mass=1.0), fan, n_periods=n_periods)
+    write_region(region, M, threads=2)
+    assert calls == built
 
 
 @pytest.mark.parametrize("fan", [(0.0,), (-0.2, 0.0)])

@@ -70,5 +70,9 @@ def test_command_lines_cover_workloads_acceptance_and_extras(same_bytes):
     assert sum(name.startswith("kernel-sweep/") for name in lines) == 30
     assert [lines[f"acceptance-8/cmd{i:02d}"][0] for i in range(4)] == [
         "chessboard", "carrier", "propagate", "ring"]
+    assert lines["mixed-repeats/cmd00"] == [
+        "propagate", "--n", "10", "--cords", "5", "--v-min", "-0.9", "--v-max", "0.9",
+        "--v-count", "7", "--n-periods", "3"]
     assert lines["extra/cmd00"] == ["propagate", "--n", "200", "--cords", "240"]
+    assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1
     assert not any("--threads" in argv or "--out" in argv for argv in lines.values())

@@ -25,7 +25,7 @@ from entwined.density import (DensityField, ReferenceDensity, accumulate, compar
                               _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec
 from entwined.paths import build_cable, right_envelope
-from entwined.propagator import RaySpec, region_for_fan, write_ray, write_region
+from entwined.propagator import RaySpec, ray_repeats, region_for_fan, write_ray, write_region
 from entwined.ring import RingSpec, drift_in_cells_per_period, eigen_speed, run_ring, standing_wave_metrics
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "calibration.json"
@@ -52,7 +52,8 @@ def fan_error(n, M, n_periods):
 def amplitude_uniformity():
     lattice = LatticeSpec.for_mass(20, mass=1.0)
     ray = RaySpec.from_velocity(0.1, lattice.mass, (2 * math.pi, 14 * math.pi))
-    path = write_ray(ray, lattice, M=40)
+    cable = build_cable((0.0, 0.0), lattice, M=40, repeats=ray_repeats(ray, lattice, 40))
+    path = write_ray(ray, cable)
     cell = lattice.cell_physical
     t0 = _cell_floor(ray.t_span[0], cell)
     t_cells = _cell_ceil(ray.t_span[1], cell) - t0

@@ -10,6 +10,7 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
 - the command lines of the four benchmark workloads, imported read-only from
   ``perfbench/workloads.py`` (the kernel sweep is drawn from ``--seed``);
 - the four acceptance-8 configurations;
+- a ray fan whose rays need two different cable repeats counts;
 - every ``--command`` given.
 
 Both sides write under the same relative ``--out``.  Every output file whose
@@ -42,6 +43,10 @@ ACCEPTANCE_8 = (
     ["ring", "--n", "8", "--cords", "8", "--cycles", "4"],
 )
 
+# v = +-0.9 need 4 cord repeats and the slower rays 5, so the fan shares two cables
+MIXED_REPEATS = ["propagate", "--n", "10", "--cords", "5", "--v-min", "-0.9", "--v-max", "0.9",
+                 "--v-count", "7", "--n-periods", "3"]
+
 # runs argument lists through entwined.cli.main in one process and prints
 # their exit codes as JSON; argparse rejects a bad flag with SystemExit
 _RUNNER = """
@@ -71,6 +76,7 @@ def command_lines(seed: int, extra=()) -> dict[str, list[str]]:
             lines[f"{name}/cmd{i:02d}"] = argv
     for i, argv in enumerate(ACCEPTANCE_8):
         lines[f"acceptance-8/cmd{i:02d}"] = list(argv)
+    lines["mixed-repeats/cmd00"] = list(MIXED_REPEATS)
     for i, argv in enumerate(extra):
         lines[f"extra/cmd{i:02d}"] = list(argv)
     return lines
