@@ -12,7 +12,7 @@ from .chessboard import (ChessboardProblem, CornerHistogram, KernelValue,
 from .density import (DensityField, ErrorReport, ReferenceDensity, Region, SinusoidFit,
                       accumulate, best_lag, compare, export_field, field_for_segments,
                       fit_sinusoid, reference_eval, steady_region, whole_region)
-from .lattice import PERIOD, LatticeSpec
+from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, PathSegment, SegmentArray,
                     build_cable, build_cord, build_fiber, concatenate, cords_per_shift,
                     dump_path, right_envelope, with_frame)
@@ -25,7 +25,7 @@ from .ring import (RingMetrics, RingSpec, drift_in_cells_per_period, eigen_speed
 __version__ = "0.1.0"
 
 __all__ = [
-    "PERIOD", "LatticeSpec",
+    "PERIOD", "LatticeSpec", "SpecError",
     "ChessboardProblem", "CornerHistogram", "KernelValue",
     "enumerate_corner_histogram", "kernel_corner_sum", "kernel_transfer_matrix",
     "kernel_phase_series",

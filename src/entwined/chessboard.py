@@ -27,6 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .lattice import SpecError
+
 RIGHT = "right"
 LEFT = "left"
 ANY = "any"
@@ -51,16 +53,18 @@ class ChessboardProblem:
     incoming_corner: bool = False
 
     def __post_init__(self):
+        problems = []
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            problems.append("n_steps: must be >= 1")
         if not (self.step_size > 0):
-            raise ValueError("step_size must be positive")
+            problems.append("step_size: must be positive")
         if self.mass < 0:
-            raise ValueError("mass must be non-negative")
+            problems.append("mass: must be non-negative")
         if self.initial_direction not in (RIGHT, LEFT):
-            raise ValueError(f"initial_direction must be {RIGHT!r} or {LEFT!r}")
+            problems.append(f"initial_direction: must be {RIGHT} or {LEFT}")
         if self.final_direction not in (RIGHT, LEFT, ANY):
-            raise ValueError(f"final_direction must be {RIGHT!r}, {LEFT!r} or {ANY!r}")
+            problems.append(f"final_direction: must be {RIGHT}, {LEFT} or {ANY}")
+        SpecError.check(problems)
 
     @property
     def has_paths(self) -> bool:
@@ -91,6 +95,12 @@ class KernelValue:
 
     def as_complex(self) -> complex:
         return complex(self.phi_plus) + 1j * complex(self.phi_minus)
+
+
+def _check_cap(n_steps: int, cap: int) -> None:
+    if n_steps > cap:
+        raise SpecError([f"n_steps: exceeds enumeration cap {cap} "
+                         f"(enumeration too large: n_steps={n_steps} > {cap})"])
 
 
 def _half_table(width: int) -> np.ndarray:
@@ -136,8 +146,7 @@ def enumerate_corner_histogram(problem: ChessboardProblem, cap: int = ENUMERATIO
     equals a walk over all sequences.  Raises when ``n_steps`` exceeds ``cap``.
     """
     n = problem.n_steps
-    if n > cap:
-        raise ValueError(f"enumeration too large: n_steps={n} exceeds cap {cap}")
+    _check_cap(n, cap)
     if not problem.has_paths:
         return CornerHistogram({})
     init_bit = 0 if problem.initial_direction == RIGHT else 1
@@ -273,6 +282,20 @@ def kernel_transfer_matrix(problem: ChessboardProblem, exact: bool = False) -> K
     return _transfer_float(problem)
 
 
+def _phase_steps(t_max: float, eps: float, mass: float) -> int:
+    """Steps of a phase series up to ``t_max``; raises SpecError on a broken precondition."""
+    if not (eps > 0):
+        raise SpecError(["eps: must be positive"])
+    problems = []
+    if eps * mass >= 1.0:
+        problems.append(f"t_max: a phase series needs eps*mass < 1 (got {eps * mass})")
+    n = int(np.floor(t_max / eps + 1e-9))
+    if n < 1:
+        problems.append(f"t_max: smaller than one step of {eps}")
+    SpecError.check(problems)
+    return n
+
+
 def kernel_phase_series(t_max: float, eps: float, mass: float,
                         initial_direction: str = RIGHT, final_direction: str = ANY,
                         incoming_corner: bool = False) -> list[tuple[float, KernelValue]]:
@@ -282,13 +305,7 @@ def kernel_phase_series(t_max: float, eps: float, mass: float,
     after every step (odd step counts have no returning path and yield 0).
     Used to watch the carrier phase build up; requires ``eps*mass < 1``.
     """
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
-    if eps * mass >= 1.0:
-        raise ValueError(f"eps*mass must be < 1 (got {eps * mass})")
-    n = int(np.floor(t_max / eps + 1e-9))
-    if n < 1:
-        raise ValueError("t_max is smaller than one step")
+    n = _phase_steps(t_max, eps, mass)
     w = 1j * eps * mass
     return [((step + 1) * eps, _read_float(psi, n, final_direction))
             for step, psi in enumerate(_float_steps(n, w, initial_direction, incoming_corner))]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import hashlib
 import io
@@ -26,15 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chessboard import (ANY, ENUMERATION_CAP, LEFT, RIGHT, ChessboardProblem,
-                         enumerate_corner_histogram, kernel_corner_sum, kernel_phase_series,
-                         kernel_transfer_matrix)
+from .chessboard import (ANY, ENUMERATION_CAP, RIGHT, ChessboardProblem, _check_cap,
+                         _phase_steps, enumerate_corner_histogram, kernel_corner_sum,
+                         kernel_phase_series, kernel_transfer_matrix)
 from .density import (ReferenceDensity, accumulate, best_lag, compare, export_field,
                       field_for_segments, steady_region)
-from .lattice import LatticeSpec
+from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import build_cable, right_envelope
 from .propagator import region_for_fan, write_ray_report, write_region
-from .ring import (RingSpec, drift_in_cells_per_period, eigen_speed, run_ring,
+from .ring import (RingSpec, drift_in_cells_per_period, ring_cells, ring_clock, run_ring,
                    standing_wave_metrics)
 
 EXPERIMENTS = ("chessboard", "carrier", "propagate", "ring")
@@ -138,95 +139,84 @@ def load_config(experiment: str, config_path: str | None, overrides: dict) -> di
             "run": resolved["run"], experiment: resolved[experiment]}
 
 
-def validate(config: dict) -> list[str]:
-    """Return every configuration violation (empty list means runnable)."""
-    issues: list[str] = []
-    lat = config["lattice"]
-    n = lat["n"]
-    if n <= 0:
-        issues.append("lattice.n: n must be positive")
-    elif n % 2 != 0:
-        issues.append("lattice.n: n must be even")
-    if not lat["mass_scale"] > 0:
-        issues.append("lattice.mass_scale: must be positive")
-    threads = config["run"]["threads"]
-    if threads != "auto":
-        try:
-            if int(threads) < 1:
-                issues.append("run.threads: must be >= 1 or 'auto'")
-        except ValueError:
-            issues.append(f"run.threads: expected an integer or 'auto', got {threads!r}")
-
-    exp = config["experiment"]
-    block = config[exp]
-    if exp == "chessboard":
-        if block["n_steps"] < 1:
-            issues.append("chessboard.n_steps: must be >= 1")
-        elif block["n_steps"] > ENUMERATION_CAP:
-            issues.append(f"chessboard.n_steps: exceeds enumeration cap {ENUMERATION_CAP}")
-        if not block["step_size"] > 0:
-            issues.append("chessboard.step_size: must be positive")
-        if block["mass"] < 0:
-            issues.append("chessboard.mass: must be non-negative")
-        if block["initial_direction"] not in (RIGHT, LEFT):
-            issues.append("chessboard.initial_direction: must be right or left")
-        if block["final_direction"] not in (RIGHT, LEFT, ANY):
-            issues.append("chessboard.final_direction: must be right, left or any")
-        if block["phase_t_max"] > 0 and block["step_size"] * block["mass"] >= 1:
-            issues.append("chessboard.phase_t_max: phase series needs step_size*mass < 1")
-    elif exp == "carrier":
-        if block["m_cords"] < 1:
-            issues.append("carrier.m_cords: must be >= 1")
-        if block["repeats"] < 1:
-            issues.append("carrier.repeats: must be >= 1")
-    elif exp == "propagate":
-        if block["m_cords"] < 1:
-            issues.append("propagate.m_cords: must be >= 1")
-        if block["v_count"] < 1:
-            issues.append("propagate.v_count: must be >= 1")
-        if not block["v_min"] <= block["v_max"]:
-            issues.append("propagate.v_min: must not exceed v_max")
-        for key in ("v_min", "v_max"):
-            if abs(block[key]) >= 1:
-                issues.append(f"propagate.{key}: superluminal drift")
-        if not block["start_periods"] > 0:
-            issues.append("propagate.start_periods: must be positive (rays emanate from the origin)")
-        if not block["n_periods"] > 0:
-            issues.append("propagate.n_periods: must be positive")
-    elif exp == "ring":
-        if block["m_cords"] < 1:
-            issues.append("ring.m_cords: must be >= 1")
-        if not block["circumference"] > 0:
-            issues.append("ring.circumference: must be positive")
-        if block["mode"] < 1:
-            issues.append("ring.mode: must be >= 1")
-        if block["cycles"] < 1:
-            issues.append("ring.cycles: must be >= 1")
-        speed = block["speed"]
-        if speed is not None and not 0.0 <= speed < 1.0:
-            issues.append("ring.speed: superluminal drift")
-        if not block["speed_factor"] > 0:
-            issues.append("ring.speed_factor: must be positive")
-        elif speed is not None and block["speed_factor"] != 1.0:
-            # the factor scales the eigen speed; an explicit speed replaces it
-            issues.append("ring.speed_factor: cannot be combined with ring.speed")
-        if n > 0 and n % 2 == 0 and lat["mass_scale"] > 0:
-            lattice = LatticeSpec(n=n, mass_scale=lat["mass_scale"])
-            cells = block["circumference"] / lattice.cell_physical
-            if abs(cells - round(cells)) > 1e-9 or round(cells) < 2:
-                issues.append("ring.circumference: must be a whole number of lattice cells")
-            if speed is None and block["circumference"] > 0:
-                # the run resolves the eigen speed before scaling it, so both must be subluminal
-                eigen = 2.0 * math.pi * block["mode"] / (lattice.mass * block["circumference"])
-                if max(eigen, eigen * block["speed_factor"]) >= 1.0:
-                    issues.append("ring.speed: superluminal drift (eigen speed too high; increase circumference or mass)")
-    return issues
-
-
 def _resolve_threads(value: str) -> int:
     if value == "auto":
         return min(8, os.cpu_count() or 1)
-    return int(value)
+    try:
+        threads = int(value)
+    except ValueError:
+        raise SpecError([f"threads: expected an integer or 'auto', got {value!r}"]) from None
+    SpecError.check([] if threads >= 1 else ["threads: must be >= 1 or 'auto'"])
+    return threads
+
+
+def _specs(config: dict) -> tuple[dict, list[str]]:
+    """Build every library object the configured run uses.
+
+    Each object checks its own rules.  Returns the objects and every broken
+    rule as ``section.key: reason``; a run may start only when there is none.
+    """
+    problems: list[str] = []
+
+    def build(section, make, names=None):
+        try:
+            return make()
+        except SpecError as exc:
+            for problem in exc.problems:
+                field, reason = problem.split(": ", 1)
+                problems.append(f"{section}.{(names or {}).get(field, field)}: {reason}")
+            return None
+
+    def from_section(cls, section):
+        # the spec's fields are the section's keys of the same names
+        block = config[section]
+        return build(section, lambda: cls(**{f.name: block[f.name] for f in dataclasses.fields(cls)}))
+
+    lattice = from_section(LatticeSpec, "lattice")
+    specs = {"lattice": lattice,
+             "threads": build("run", lambda: _resolve_threads(config["run"]["threads"]))}
+    exp = config["experiment"]
+    block = config[exp]
+    for key in ("m_cords", "repeats", "v_count"):
+        if key in block and block[key] < 1:
+            problems.append(f"{exp}.{key}: must be >= 1")
+    if exp == "chessboard":
+        problem = specs["problem"] = from_section(ChessboardProblem, exp)
+        build(exp, lambda: _check_cap(block["n_steps"], ENUMERATION_CAP))
+        if problem is not None and block["phase_t_max"] > 0:
+            build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
+                  {"t_max": "phase_t_max"})
+    elif exp == "propagate":
+        if not block["v_min"] <= block["v_max"]:
+            problems.append("propagate.v_min: must not exceed v_max")
+        for key in ("v_min", "v_max"):
+            if abs(block[key]) >= 1:
+                problems.append(f"propagate.{key}: superluminal drift")
+        if not block["start_periods"] > 0:
+            problems.append("propagate.start_periods: must be positive (rays emanate from the origin)")
+        if not block["n_periods"] > 0:
+            problems.append("propagate.n_periods: must be positive")
+    elif exp == "ring":
+        spec = from_section(RingSpec, exp)
+        # the factor scales the eigen speed; an explicit speed replaces it
+        factor = block["speed_factor"]
+        if not factor > 0:
+            problems.append("ring.speed_factor: must be positive")
+            factor = 1.0
+        elif block["speed"] is not None and factor != 1.0:
+            problems.append("ring.speed_factor: cannot be combined with ring.speed")
+        if spec is not None and lattice is not None:
+            build("ring", lambda: ring_cells(spec.circumference, lattice))
+            v = build("ring", lambda: spec.resolved_speed(lattice.mass))
+            if v is not None and spec.speed is None and factor != 1.0:
+                spec = build("ring", lambda: dataclasses.replace(spec, speed=factor * v))
+        specs["ring"] = spec
+    return specs, problems
+
+
+def validate(config: dict) -> list[str]:
+    """Check a configuration and list every violation; an empty list means runnable."""
+    return _specs(config)[1]
 
 
 def _fmt(value) -> str:
@@ -236,21 +226,28 @@ def _fmt(value) -> str:
 
 
 class _Artifacts:
+    """Output files of one run.  ``--out`` is created by the first write, and
+    runners compute all that can raise before they write, so a run that fails
+    leaves ``--out`` as it was."""
+
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.out_dir / name
+    def _dir(self) -> Path:
+        if not self.paths:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir
+
+    def write_text(self, name: str, text: str) -> None:
+        path = self._dir() / name
         path.write_text(text)
         self.paths.append(path)
-        return path
 
-    def add(self, paths) -> None:
-        self.paths.extend(paths)
+    def export(self, field, name: str) -> None:
+        self.paths.extend(export_field(field, self._dir(), name))
 
-    def manifest(self, config: dict) -> Path:
+    def manifest(self, config: dict) -> None:
         entries = {}
         for path in sorted(self.paths):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -261,22 +258,23 @@ class _Artifacts:
         recorded = {k: v for k, v in config.items()}
         recorded["run"] = {k: v for k, v in config["run"].items() if k not in ("threads", "out")}
         body = {"version": __version__, "config": recorded, "artifacts": entries}
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(body, sort_keys=True, indent=2, default=str) + "\n")
-        return path
+        self.write_text("manifest.json", json.dumps(body, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _run_chessboard(config: dict, art: _Artifacts, threads: int) -> list[str]:
+def _run_chessboard(config: dict, art: _Artifacts, specs: dict) -> list[str]:
+    """Three-backend lattice kernel table."""
     block = config["chessboard"]
-    problem = ChessboardProblem(
-        n_steps=block["n_steps"], displacement=block["displacement"],
-        step_size=block["step_size"], mass=block["mass"],
-        initial_direction=block["initial_direction"], final_direction=block["final_direction"],
-        incoming_corner=block["incoming_corner"])
+    problem = specs["problem"]
     hist = enumerate_corner_histogram(problem)
     by_sum = kernel_corner_sum(hist, problem.step_size, problem.mass)
     by_transfer = kernel_transfer_matrix(problem)
     exact = kernel_transfer_matrix(problem, exact=True)
+    series = []
+    if block["phase_t_max"] > 0:
+        series = kernel_phase_series(block["phase_t_max"], problem.step_size, problem.mass,
+                                     initial_direction=problem.initial_direction,
+                                     final_direction=problem.final_direction,
+                                     incoming_corner=problem.incoming_corner)
     rows = [
         ("enumeration+corner_sum", by_sum.phi_plus, by_sum.phi_minus),
         ("transfer_matrix", by_transfer.phi_plus, by_transfer.phi_minus),
@@ -299,11 +297,7 @@ def _run_chessboard(config: dict, art: _Artifacts, threads: int) -> list[str]:
         + _fmt(max(abs(by_sum.phi_plus - by_transfer.phi_plus),
                    abs(by_sum.phi_minus - by_transfer.phi_minus))),
     ]
-    if block["phase_t_max"] > 0:
-        series = kernel_phase_series(block["phase_t_max"], problem.step_size, problem.mass,
-                                     initial_direction=problem.initial_direction,
-                                     final_direction=problem.final_direction,
-                                     incoming_corner=problem.incoming_corner)
+    if series:
         text = "t\tphi_plus\tphi_minus\targ\n"
         for t, k in series:
             arg = math.atan2(k.phi_minus, k.phi_plus) if (k.phi_plus, k.phi_minus) != (0.0, 0.0) else 0.0
@@ -313,14 +307,14 @@ def _run_chessboard(config: dict, art: _Artifacts, threads: int) -> list[str]:
     return lines
 
 
-def _run_carrier(config: dict, art: _Artifacts, threads: int) -> list[str]:
-    lattice = LatticeSpec(n=config["lattice"]["n"], mass_scale=config["lattice"]["mass_scale"])
+def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
+    """Cable density and sinusoid fit."""
+    lattice = specs["lattice"]
     block = config["carrier"]
     cable = build_cable((0.0, 0.0), lattice, M=block["m_cords"], repeats=block["repeats"])
     env = right_envelope(cable)
     field = field_for_segments(cable.segs, pad=2)
     accumulate(field, env, clip=config["run"]["clip"])
-    art.add(export_field(field, art.out_dir, "carrier_field"))
 
     region = steady_region(cable, field)
     steady_cells = max(0, region.t_hi - region.t_lo)
@@ -332,11 +326,6 @@ def _run_carrier(config: dict, art: _Artifacts, threads: int) -> list[str]:
     ado = field.adolescent[ts, xs].sum(axis=1)
     sen = field.senescent[ts, xs].sum(axis=1)
     centers = field.t_centers()[ts]
-    profile = "t_center\tadolescent\tsenescent\n"
-    for t, a, s in zip(centers, ado, sen):
-        profile += f"{_fmt(float(t))}\t{int(a)}\t{int(s)}\n"
-    art.write_text("carrier_profile.tsv", profile)
-
     report = compare(field, ReferenceDensity("sinusoid"), "adolescent", region)
     fit = report.fitted
     quarter = lattice.cells_per_period // 4
@@ -345,6 +334,12 @@ def _run_carrier(config: dict, art: _Artifacts, threads: int) -> list[str]:
     full_ado = field.adolescent.sum(axis=1)
     full_sen = field.senescent.sum(axis=1)
     lag = best_lag(full_ado, full_sen, lattice.cells_per_period // 2)
+
+    art.export(field, "carrier_field")
+    profile = "t_center\tadolescent\tsenescent\n"
+    for t, a, s in zip(centers, ado, sen):
+        profile += f"{_fmt(float(t))}\t{int(a)}\t{int(s)}\n"
+    art.write_text("carrier_profile.tsv", profile)
     fit_text = (
         "period\tamplitude\tphase\toffset\trms_residual\trel_rms\tlag_cells\tquarter_period_cells\n"
         f"{_fmt(fit.period)}\t{_fmt(fit.amplitude)}\t{_fmt(fit.phase)}\t{_fmt(fit.offset)}\t"
@@ -358,17 +353,17 @@ def _run_carrier(config: dict, art: _Artifacts, threads: int) -> list[str]:
     ]
 
 
-def _run_propagate(config: dict, art: _Artifacts, threads: int) -> list[str]:
-    lattice = LatticeSpec(n=config["lattice"]["n"], mass_scale=config["lattice"]["mass_scale"])
+def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
+    """Ray-fan region write and frequency law."""
     block = config["propagate"]
     if block["v_count"] == 1:
         fan = (block["v_min"],)
     else:
         fan = tuple(float(v) for v in np.linspace(block["v_min"], block["v_max"], block["v_count"]))
-    region = region_for_fan(lattice, fan, start_periods=block["start_periods"],
+    region = region_for_fan(specs["lattice"], fan, start_periods=block["start_periods"],
                             n_periods=block["n_periods"])
-    result = write_region(region, M=block["m_cords"], threads=threads)
-    art.add(export_field(result.field, art.out_dir, "region_field"))
+    result = write_region(region, M=block["m_cords"], threads=specs["threads"])
+    art.export(result.field, "region_field")
     buf = io.StringIO()
     write_ray_report(result.reports, buf)
     art.write_text("ray_report.tsv", buf.getvalue())
@@ -379,25 +374,19 @@ def _run_propagate(config: dict, art: _Artifacts, threads: int) -> list[str]:
     ]
 
 
-def _run_ring(config: dict, art: _Artifacts, threads: int) -> list[str]:
-    lattice = LatticeSpec(n=config["lattice"]["n"], mass_scale=config["lattice"]["mass_scale"])
+def _run_ring(config: dict, art: _Artifacts, specs: dict) -> list[str]:
+    """Ring standing-wave experiment."""
+    lattice, spec = specs["lattice"], specs["ring"]
     block = config["ring"]
-    speed = block["speed"]
-    if speed is None and block["speed_factor"] != 1.0:
-        speed = block["speed_factor"] * eigen_speed(block["mode"], lattice.mass,
-                                                    block["circumference"])
-    spec = RingSpec(circumference=block["circumference"], mode=block["mode"], speed=speed,
-                    cycles=block["cycles"])
     field = run_ring(spec, lattice, M=block["m_cords"], origin_cell=block["origin_cell"])
-    art.add(export_field(field, art.out_dir, "ring_field"))
-
-    v = spec.resolved_speed(lattice.mass)
-    t_scale = lattice.mass_scale / (v * v) if v > 0 else lattice.mass_scale
-    period_cells = 4.0 * t_scale / lattice.cell_physical
-    wrap_cells = (spec.circumference / v) / lattice.cell_physical if v > 0 else field.t_cells
+    v, t_scale, wrap_time = ring_clock(spec, lattice)
+    period_cells = PERIOD * t_scale / lattice.cell_physical
+    wrap_cells = wrap_time / lattice.cell_physical if wrap_time is not None else field.t_cells
     metrics = standing_wave_metrics(field, slice_cells=max(1, int(round(wrap_cells))),
                                     period_cells=period_cells)
     cells_per_period = drift_in_cells_per_period(metrics, field.x_cells)
+
+    art.export(field, "ring_field")
     text = (
         "dominant_mode\tphase_drift_rad_per_period\tdrift_cells_per_period\tmode_purity\tn_slices\tspeed\n"
         f"{metrics.dominant_mode}\t{_fmt(metrics.phase_drift)}\t{_fmt(cells_per_period)}\t"
@@ -421,16 +410,15 @@ _RUNNERS = {
 
 def run(config: dict) -> int:
     """Execute the configured experiment; returns the process exit status."""
-    issues = validate(config)
-    if issues:
-        for issue in issues:
-            print(f"error: {issue}", file=sys.stderr)
+    specs, problems = _specs(config)
+    if problems:
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
         return 2
-    threads = _resolve_threads(config["run"]["threads"])
     out_dir = Path(config["run"]["out"])
     art = _Artifacts(out_dir)
     try:
-        lines = _RUNNERS[config["experiment"]](config, art, threads)
+        lines = _RUNNERS[config["experiment"]](config, art, specs)
     except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
@@ -438,81 +426,48 @@ def run(config: dict) -> int:
     art.write_text("summary.txt", summary)
     art.manifest(config)
     print(summary, end="")
-    print(f"wrote {len(art.paths) + 1} files to {out_dir}")
+    print(f"wrote {len(art.paths)} files to {out_dir}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI config file; flags override its values")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--threads", help="worker threads, integer or 'auto' (default: 1)")
-    parser.add_argument("--n", type=int, help="lattice half-steps per period (even)")
-    parser.add_argument("--mass-scale", type=float, dest="mass_scale",
-                        help="physical time per internal unit (default pi/2, i.e. mass 1)")
+def _flag_keys(command: str) -> list[tuple[str, str]]:
+    """(section, key) of every config key that ``command`` sets with a flag."""
+    sections = ("lattice", "run") + ((command,) if command in EXPERIMENTS else ())
+    return [(section, key) for section in sections for key in _SCHEMA[section]
+            if (section, key) != ("run", "clip")]  # set in a config file only
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``entwined`` argument parser, built once per process and shared:
     building it costs more than a small experiment, and parsing never
-    changes it."""
+    changes it.
+
+    Each config key is set by the flag ``--key-with-dashes`` (``m_cords`` by
+    ``--cords``), whose ``dest`` is the key itself.
+    """
     parser = argparse.ArgumentParser(prog="entwined",
                                      description="deterministic entwined-path experiments")
     parser.add_argument("--version", action="version", version=f"entwined {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chessboard", help="three-backend lattice kernel table")
-    _add_common(p)
-    p.add_argument("--n-steps", type=int, dest="n_steps")
-    p.add_argument("--displacement", type=int)
-    p.add_argument("--step-size", type=float, dest="step_size")
-    p.add_argument("--mass", type=float)
-    p.add_argument("--initial-direction", dest="initial_direction", choices=(RIGHT, LEFT))
-    p.add_argument("--final-direction", dest="final_direction", choices=(RIGHT, LEFT, ANY))
-    p.add_argument("--incoming-corner", dest="incoming_corner", action="store_const", const="true")
-    p.add_argument("--phase-t-max", type=float, dest="phase_t_max")
-
-    p = sub.add_parser("carrier", help="cable density and sinusoid fit")
-    _add_common(p)
-    p.add_argument("--cords", type=int, dest="m_cords", help="cord amplitude M")
-    p.add_argument("--repeats", type=int)
-
-    p = sub.add_parser("propagate", help="ray-fan region write and frequency law")
-    _add_common(p)
-    p.add_argument("--cords", type=int, dest="m_cords")
-    p.add_argument("--v-min", type=float, dest="v_min")
-    p.add_argument("--v-max", type=float, dest="v_max")
-    p.add_argument("--v-count", type=int, dest="v_count")
-    p.add_argument("--start-periods", type=float, dest="start_periods")
-    p.add_argument("--n-periods", type=float, dest="n_periods")
-
-    p = sub.add_parser("ring", help="ring standing-wave experiment")
-    _add_common(p)
-    p.add_argument("--cords", type=int, dest="m_cords")
-    p.add_argument("--circumference", type=float)
-    p.add_argument("--mode", type=int)
-    p.add_argument("--speed", type=float)
-    p.add_argument("--speed-factor", type=float, dest="speed_factor")
-    p.add_argument("--cycles", type=int)
-    p.add_argument("--origin-cell", type=int, dest="origin_cell")
-
-    p = sub.add_parser("validate", help="check a configuration and exit")
-    _add_common(p)
-    p.add_argument("--experiment", choices=EXPERIMENTS, default="carrier",
-                   help="experiment block to validate (default carrier)")
+    for command, runner in {**_RUNNERS, "validate": validate}.items():
+        p = sub.add_parser(command, help=runner.__doc__)
+        p.add_argument("--config", help="INI config file; flags override its values")
+        for section, key in _flag_keys(command):
+            typ, default = _SCHEMA[section][key]
+            flag = "--" + ("cords" if key == "m_cords" else key).replace("_", "-")
+            kind = ({"action": "store_const", "const": "true"} if typ is bool
+                    else {"type": typ} if typ is not str else {})
+            p.add_argument(flag, dest=key, help=f"[{section}] {key} (default {_fmt(default)})",
+                           **kind)
+    sub.choices["validate"].add_argument(
+        "--experiment", choices=EXPERIMENTS, default="carrier",
+        help="experiment block to validate (default carrier)")
     return parser
 
 
-def _overrides_from_args(experiment: str, args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    mapping = {("lattice", "n"): "n", ("lattice", "mass_scale"): "mass_scale",
-               ("run", "threads"): "threads", ("run", "out"): "out"}
-    for key in _SCHEMA.get(experiment, {}):
-        mapping[(experiment, key)] = key
-    for target, attr in mapping.items():
-        if hasattr(args, attr):
-            overrides[target] = getattr(args, attr)
-    return overrides
+def _overrides_from_args(args: argparse.Namespace) -> dict:
+    return {(section, key): getattr(args, key) for section, key in _flag_keys(args.command)}
 
 
 def main(argv=None) -> int:
@@ -520,7 +475,7 @@ def main(argv=None) -> int:
     command = args.command
     experiment = args.experiment if command == "validate" else command
     try:
-        config = load_config(experiment, args.config, _overrides_from_args(experiment, args))
+        config = load_config(experiment, args.config, _overrides_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,19 @@ from dataclasses import dataclass
 PERIOD = 4.0  # internal time units per fiber loop
 
 
+class SpecError(ValueError):
+    """Every rule that a set of parameters breaks, each as a ``field: reason`` string."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
+    @classmethod
+    def check(cls, problems: list[str]) -> None:
+        if problems:
+            raise cls(problems)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Grid resolution and internal-to-physical time normalization.
@@ -29,12 +42,14 @@ class LatticeSpec:
     mass_scale: float = math.pi / 2.0  # physical seconds per internal unit; pi/2 <=> m = 1
 
     def __post_init__(self) -> None:
+        problems = []
         if self.n <= 0:
-            raise ValueError("n must be positive")
-        if self.n % 2 != 0:
-            raise ValueError(f"n must be even so quarter periods align to cells (got n={self.n})")
+            problems.append("n: n must be positive")
+        elif self.n % 2 != 0:
+            problems.append("n: n must be even so quarter periods align to cells")
         if not (self.mass_scale > 0.0):
-            raise ValueError("mass_scale must be positive")
+            problems.append("mass_scale: must be positive")
+        SpecError.check(problems)
 
     @classmethod
     def for_mass(cls, n: int, mass: float = 1.0) -> "LatticeSpec":

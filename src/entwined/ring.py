@@ -21,19 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityField, accumulate, _cell_ceil
-from .lattice import PERIOD, LatticeSpec
+from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import Frame, build_cable, concatenate, right_envelope, with_frame
 
 
 def eigen_speed(k: int, mass: float, circumference: float) -> float:
     """Speed closing the ring in phase: momentum quantization p = m*v = 2*pi*k/L."""
     if k < 1:
-        raise ValueError("mode number k must be >= 1")
+        raise SpecError(["k: mode number must be >= 1"])
     if not (mass > 0 and circumference > 0):
-        raise ValueError("mass and circumference must be positive")
+        raise SpecError(["mass: mass and circumference must be positive"])
     v = 2.0 * math.pi * k / (mass * circumference)
     if v >= 1.0:
-        raise ValueError(f"relativistic eigen speed {v:.3f}; increase L or m")
+        raise SpecError([f"speed: relativistic eigen speed {v:.3f}; increase circumference or mass"])
     return v
 
 
@@ -52,19 +52,39 @@ class RingSpec:
     cycles: int = 8
 
     def __post_init__(self):
+        problems = []
         if not (self.circumference > 0):
-            raise ValueError("circumference must be positive")
+            problems.append("circumference: must be positive")
         if self.mode < 1:
-            raise ValueError("mode must be >= 1")
+            problems.append("mode: must be >= 1")
         if self.speed is not None and not (0.0 <= self.speed < 1.0):
-            raise ValueError(f"speed must lie in [0, 1) (got {self.speed})")
+            problems.append(f"speed: superluminal drift; must lie in [0, 1) (got {self.speed})")
         if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+            problems.append("cycles: must be >= 1")
+        SpecError.check(problems)
 
     def resolved_speed(self, mass: float) -> float:
         if self.speed is not None:
             return self.speed
         return eigen_speed(self.mode, mass, self.circumference)
+
+
+def ring_cells(circumference: float, lattice: LatticeSpec) -> int:
+    """Cells around the ring; the circumference must be a whole number of them, at least 2."""
+    cells = circumference / lattice.cell_physical
+    if abs(cells - round(cells)) > 1e-9 or round(cells) < 2:
+        raise SpecError([f"circumference: must be a whole number of cells, at least 2 "
+                         f"(L/cell = {cells:.6f})"])
+    return round(cells)
+
+
+def ring_clock(spec: RingSpec, lattice: LatticeSpec) -> tuple[float, float, float | None]:
+    """Drift speed ``v``, the cables' time scale (carrier at the de Broglie rate
+    m*v**2) and the physical time ``L / v`` of one wrap (``None`` at ``v = 0``)."""
+    v = spec.resolved_speed(lattice.mass)
+    if v > 0.0:
+        return v, lattice.mass_scale / (v * v), spec.circumference / v
+    return v, lattice.mass_scale, None
 
 
 def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0) -> DensityField:
@@ -76,19 +96,9 @@ def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0)
     whole cells; by ring symmetry this only rolls the field.  The degenerate
     ``speed=0`` run writes plain carrier columns with no spatial mode.
     """
-    mass = lattice.mass
     cell = lattice.cell_physical
-    v = spec.resolved_speed(mass)
-    x_cells_f = spec.circumference / cell
-    x_cells = round(x_cells_f)
-    if abs(x_cells_f - x_cells) > 1e-9 or x_cells < 2:
-        raise ValueError(
-            f"circumference must be a whole number of cells (L/cell = {x_cells_f:.6f})")
-
-    if v > 0.0:
-        t_scale = lattice.mass_scale / (v * v)  # carrier at the de Broglie rate m*v^2
-    else:
-        t_scale = lattice.mass_scale
+    v, t_scale, _wrap = ring_clock(spec, lattice)
+    x_cells = ring_cells(spec.circumference, lattice)
     carrier_period = PERIOD * t_scale
 
     repeats = spec.cycles + 2

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from entwined import cli
-from entwined.chessboard import ENUMERATION_CAP
+from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem
 from entwined.cli import ConfigError, load_config, main, validate
+from entwined.lattice import LatticeSpec, SpecError
+from entwined.ring import RingSpec, eigen_speed, ring_cells
 from helpers import savetxt_bytes
 
 
@@ -194,6 +197,122 @@ def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
         "error: steady region is only 0 cells; increase carrier.repeats or lattice.n "
         "for a meaningful fit\n")
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["carrier", "--n", "2", "--cords", "1", "--repeats", "1"],
+     "error: steady region is only 0 cells; increase carrier.repeats or lattice.n "
+     "for a meaningful fit\n"),
+    (["ring", "--n", "4", "--cords", "1", "--cycles", "1", "--mode", "3"],
+     "error: slice_cells exceeds the field extent\n"),
+], ids=["carrier", "ring"])
+def test_failed_run_leaves_a_missing_out_missing(tmp_path, capsys, argv, message):
+    # both fail after counting their field; nothing may be written before that
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--phase-t-max", "0.05"], "error: chessboard.phase_t_max: smaller than one step of 0.1\n"),
+    (["--initial-direction", "up"], "error: chessboard.initial_direction: must be right or left\n"),
+], ids=["phase-t-max", "direction"])
+def test_chessboard_rules_stop_the_run_before_it_writes(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert run_cli(["chessboard", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # the validate subcommand reads the same rule from a config file
+    key, value = flags[0][2:].replace("-", "_"), flags[1]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[chessboard]\n{key} = {value}\n")
+    assert run_cli(["validate", "--experiment", "chessboard", "--config", str(ini)]) == 2
+    assert capsys.readouterr().out == message.removeprefix("error: ")
+
+
+_EIGEN_L = 22 * math.pi / 10  # 22 cells at n=10; eigen speed 20/22
+
+# (experiment, overrides, section, the library call that holds the rule)
+_BAD_VALUES = {
+    "lattice-n-zero": ("carrier", {("lattice", "n"): 0}, "lattice",
+                       lambda: LatticeSpec(n=0)),
+    "lattice-odd-n-and-mass-scale": (
+        "ring", {("lattice", "n"): 7, ("lattice", "mass_scale"): -1.0}, "lattice",
+        lambda: LatticeSpec(n=7, mass_scale=-1.0)),
+    "chessboard-steps-size-mass": (
+        "chessboard", {("chessboard", "n_steps"): 0, ("chessboard", "step_size"): 0.0,
+                       ("chessboard", "mass"): -1.0}, "chessboard",
+        lambda: ChessboardProblem(n_steps=0, displacement=0, step_size=0.0, mass=-1.0)),
+    "chessboard-directions": (
+        "chessboard", {("chessboard", "initial_direction"): "up",
+                       ("chessboard", "final_direction"): "down"}, "chessboard",
+        lambda: ChessboardProblem(n_steps=12, displacement=0, step_size=0.1,
+                                  initial_direction="up", final_direction="down")),
+    "ring-spec": ("ring", {("ring", "circumference"): -1.0, ("ring", "mode"): 0,
+                           ("ring", "speed"): 1.2, ("ring", "cycles"): 0}, "ring",
+                  lambda: RingSpec(circumference=-1.0, mode=0, speed=1.2, cycles=0)),
+    "ring-cells": ("ring", {("ring", "circumference"): 10.0001}, "ring",
+                   lambda: ring_cells(10.0001, LatticeSpec(n=10))),
+    "eigen-before-factor": (
+        "ring", {("ring", "circumference"): 2.0 * math.pi, ("ring", "speed_factor"): 0.5}, "ring",
+        lambda: eigen_speed(1, LatticeSpec(n=10).mass, 2.0 * math.pi)),
+    "eigen-after-factor": (
+        "ring", {("ring", "circumference"): _EIGEN_L, ("ring", "speed_factor"): 1.2}, "ring",
+        lambda: RingSpec(circumference=_EIGEN_L,
+                         speed=1.2 * eigen_speed(1, LatticeSpec(n=10).mass, _EIGEN_L))),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+def test_validate_reports_the_problems_the_library_raises(case):
+    experiment, overrides, section, library_call = _BAD_VALUES[case]
+    with pytest.raises(SpecError) as exc:
+        library_call()
+    assert exc.value.problems
+    assert validate(load_config(experiment, None, overrides)) == [
+        f"{section}.{problem}" for problem in exc.value.problems]
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _non_default(section, key):
+    typ, default = cli._SCHEMA[section][key]
+    if typ is bool:
+        return [], True
+    if typ is int:
+        return [str(default + 3)], default + 3
+    if typ is float:
+        return ["0.375"], 0.375
+    return [f"x{default}"], f"x{default}"
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_every_schema_key_is_set_by_its_generated_flag(experiment):
+    keys = [("lattice", "n"), ("lattice", "mass_scale"), ("run", "threads"), ("run", "out")]
+    keys += [(experiment, key) for key in cli._SCHEMA[experiment]]
+    argv, expected = [experiment], {}
+    for section, key in keys:
+        flag = "--cords" if key == "m_cords" else "--" + key.replace("_", "-")
+        words, expected[section, key] = _non_default(section, key)
+        argv += [flag, *words]
+    args = cli.build_parser().parse_args(argv)
+    config = load_config(experiment, None, cli._overrides_from_args(args))
+    assert {(section, key): config[section][key] for section, key in keys} == expected
+
+
+@pytest.mark.parametrize("command", [*cli.EXPERIMENTS, "validate"])
+def test_no_flag_without_a_config_key(command):
+    sections = ["lattice", "run"] + ([command] if command in cli.EXPERIMENTS else [])
+    keys = {key for section in sections for key in cli._SCHEMA[section]}
+    dests = {action.dest for action in _subcommands()[command]._actions}
+    extra = {"help", "config"} | ({"experiment"} if command == "validate" else set())
+    assert dests - extra <= keys
+    assert keys - dests == {"clip"}  # [run] clip is set in a config file only
 
 
 def test_parser_is_built_once_per_process():

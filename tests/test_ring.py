@@ -5,8 +5,9 @@ import pytest
 
 from entwined.density import DensityField
 from entwined.lattice import LatticeSpec
-from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, run_ring,
-                           standing_wave_metrics)
+from entwined.lattice import PERIOD
+from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, ring_clock,
+                           run_ring, standing_wave_metrics)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,19 @@ def test_ring_requires_whole_number_of_cells(lattice):
     spec = RingSpec(circumference=10.0, mode=1)
     with pytest.raises(ValueError, match="whole number of cells"):
         run_ring(spec, lattice, M=5)
+
+
+@pytest.mark.parametrize("speed", [None, 0.3, 0.0])
+def test_ring_clock_sets_the_written_extent(lattice, circumference, speed):
+    spec = RingSpec(circumference=circumference, mode=1, speed=speed, cycles=3)
+    v, t_scale, wrap_time = ring_clock(spec, lattice)
+    assert v == spec.resolved_speed(lattice.mass)
+    if v > 0:
+        assert (t_scale, wrap_time) == (lattice.mass_scale / (v * v), circumference / v)
+    else:
+        assert (t_scale, wrap_time) == (lattice.mass_scale, None)
+    field = run_ring(spec, lattice, M=4)
+    assert field.t_cells == round(spec.cycles * PERIOD * t_scale / lattice.cell_physical)
 
 
 def test_metrics_reject_empty_field():

@@ -23,10 +23,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from entwined.density import (DensityField, ReferenceDensity, accumulate, compare,
                               field_for_segments, fit_sinusoid, steady_region,
                               _cell_ceil, _cell_floor)
-from entwined.lattice import LatticeSpec
+from entwined.lattice import PERIOD, LatticeSpec
 from entwined.paths import build_cable, right_envelope
 from entwined.propagator import RaySpec, ray_repeats, region_for_fan, write_ray, write_region
-from entwined.ring import RingSpec, drift_in_cells_per_period, eigen_speed, run_ring, standing_wave_metrics
+from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, ring_clock, run_ring,
+                          standing_wave_metrics)
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "calibration.json"
 
@@ -80,11 +81,10 @@ def ring_drifts():
                                    speed=1.5 * eigen_speed(1, lattice.mass, L), cycles=8)),
     ):
         field = run_ring(spec, lattice, M=30)
-        v = spec.resolved_speed(lattice.mass)
-        t_scale = lattice.mass_scale / (v * v)
+        _v, t_scale, wrap_time = ring_clock(spec, lattice)
         metrics = standing_wave_metrics(
-            field, slice_cells=int(round((L / v) / lattice.cell_physical)),
-            period_cells=4.0 * t_scale / lattice.cell_physical)
+            field, slice_cells=int(round(wrap_time / lattice.cell_physical)),
+            period_cells=PERIOD * t_scale / lattice.cell_physical)
         out[label] = {
             "dominant_mode": metrics.dominant_mode,
             "drift_cells_per_period": drift_in_cells_per_period(metrics, field.x_cells),
