@@ -13,7 +13,7 @@ from .density import (DensityField, ErrorReport, ReferenceDensity, Region, Sinus
                       accumulate, best_lag, compare, export_field, field_for_segments,
                       fit_sinusoid, reference_eval, steady_region, whole_region)
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, PathSegment, SegmentArray,
+from .paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, SegmentArray,
                     build_cable, build_cord, build_fiber, concatenate, cords_per_shift,
                     dump_path, right_envelope, with_frame)
 from .propagator import (RaySpec, RayReport, RegionResult, RegionSpec, analytic_kernel,
@@ -29,7 +29,7 @@ __all__ = [
     "ChessboardProblem", "CornerHistogram", "KernelValue",
     "enumerate_corner_histogram", "kernel_corner_sum", "kernel_transfer_matrix",
     "kernel_phase_series",
-    "EntwinedPath", "Frame", "PathSegment", "SegmentArray",
+    "EntwinedPath", "Frame", "SegmentArray",
     "RIGHT_MOVER", "LEFT_MOVER",
     "build_fiber", "build_cord", "build_cable", "concatenate", "cords_per_shift",
     "right_envelope", "with_frame", "dump_path",

@@ -30,13 +30,13 @@ from . import __version__
 from .chessboard import (ANY, ENUMERATION_CAP, RIGHT, ChessboardProblem, _check_cap,
                          _phase_steps, enumerate_corner_histogram, kernel_corner_sum,
                          kernel_phase_series, kernel_transfer_matrix)
-from .density import (ReferenceDensity, accumulate, best_lag, compare, export_field,
-                      field_for_segments, steady_region)
+from .density import (ReferenceDensity, accumulate, best_lag, carrier_steady_cells, compare,
+                      export_field, field_for_segments, steady_region)
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import build_cable, right_envelope
 from .propagator import region_for_fan, write_ray_report, write_region
 from .ring import (RingSpec, drift_in_cells_per_period, ring_cells, ring_clock, run_ring,
-                   standing_wave_metrics)
+                   standing_wave_metrics, wrap_rows)
 
 EXPERIMENTS = ("chessboard", "carrier", "propagate", "ring")
 
@@ -196,6 +196,8 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             problems.append("propagate.start_periods: must be positive (rays emanate from the origin)")
         if not block["n_periods"] > 0:
             problems.append("propagate.n_periods: must be positive")
+    elif exp == "carrier" and lattice is not None and min(block["m_cords"], block["repeats"]) >= 1:
+        build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]))
     elif exp == "ring":
         spec = from_section(RingSpec, exp)
         # the factor scales the eigen speed; an explicit speed replaces it
@@ -210,6 +212,8 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             v = build("ring", lambda: spec.resolved_speed(lattice.mass))
             if v is not None and spec.speed is None and factor != 1.0:
                 spec = build("ring", lambda: dataclasses.replace(spec, speed=factor * v))
+            if v is not None and spec is not None:
+                build("ring", lambda: wrap_rows(spec, lattice))
         specs["ring"] = spec
     return specs, problems
 
@@ -317,11 +321,6 @@ def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     accumulate(field, env, clip=config["run"]["clip"])
 
     region = steady_region(cable, field)
-    steady_cells = max(0, region.t_hi - region.t_lo)
-    if steady_cells < 8:
-        raise ValueError(
-            f"steady region is only {steady_cells} cells; "
-            "increase carrier.repeats or lattice.n for a meaningful fit")
     ts, xs = region.slices(field)
     ado = field.adolescent[ts, xs].sum(axis=1)
     sen = field.senescent[ts, xs].sum(axis=1)
@@ -379,11 +378,9 @@ def _run_ring(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     lattice, spec = specs["lattice"], specs["ring"]
     block = config["ring"]
     field = run_ring(spec, lattice, M=block["m_cords"], origin_cell=block["origin_cell"])
-    v, t_scale, wrap_time = ring_clock(spec, lattice)
-    period_cells = PERIOD * t_scale / lattice.cell_physical
-    wrap_cells = wrap_time / lattice.cell_physical if wrap_time is not None else field.t_cells
-    metrics = standing_wave_metrics(field, slice_cells=max(1, int(round(wrap_cells))),
-                                    period_cells=period_cells)
+    v, t_scale, _wrap = ring_clock(spec, lattice)
+    metrics = standing_wave_metrics(field, slice_cells=wrap_rows(spec, lattice),
+                                    period_cells=PERIOD * t_scale / lattice.cell_physical)
     cells_per_period = drift_in_cells_per_period(metrics, field.x_cells)
 
     art.export(field, "ring_field")

@@ -38,12 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import PERIOD
-from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray
+from .lattice import PERIOD, LatticeSpec, SpecError
+from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, cable_steady_window, cords_per_shift
 
 _EXACT_LIMIT = 2 ** 53  # summed |weight| refused from here: float64 holds integers below it
 _BLOCK = 16384  # incidences expanded at once by ``accumulate``
 _UNIFORM_TOL = 1e-6  # largest spread of the time steps, relative to their mean, still called uniform
+_FIT_SAMPLES = 8  # fewest samples a sinusoid fit takes
 
 CHANNELS = ("adolescent", "senescent")
 
@@ -159,13 +160,27 @@ def steady_region(path: EntwinedPath, field: DensityField) -> Region:
     return Region(t_lo, t_hi, field.x0_cell, field.x0_cell + field.x_cells)
 
 
+def carrier_steady_cells(spec: LatticeSpec, M: int, repeats: int) -> int:
+    """Cells of ``steady_region`` for the cable ``build_cable((0.0, 0.0),
+    spec, M, repeats)`` on a field of cell eps that covers it, found from
+    the cable's parameters alone: neither the cable nor a field is built.
+
+    Raises ``SpecError`` when they are fewer than a sinusoid fit takes.
+    """
+    lo, hi = cable_steady_window(spec, cords_per_shift(spec.n, M), repeats)
+    cells = max(0, _cell_floor(hi, spec.eps) - _cell_ceil(lo, spec.eps))
+    if cells < _FIT_SAMPLES:
+        raise SpecError([f"repeats: steady region is only {cells} cells; a sinusoid fit needs "
+                         f"at least {_FIT_SAMPLES} (increase repeats or the lattice's n)"])
+    return cells
+
+
 def _segment_bounds(segs: SegmentArray, cell: float, pad: int = 1) -> tuple[int, int, int, int]:
     """Cell-index bounds (t_lo, t_hi, x_lo, x_hi) of ``field_for_segments``,
     with no field allocated."""
-    if len(segs) == 0:
+    if not segs.rows:
         raise ValueError("no segments")
-    live = segs.weight > 0
-    x1, t1, x2, t2 = (e[live] for e in segs.row_endpoints())
+    x1, t1, x2, t2 = segs.row_endpoints()
     return (_cell_floor(float(min(t1.min(), t2.min())), cell) - pad,
             _cell_ceil(float(max(t1.max(), t2.max())), cell) + pad,
             _cell_floor(float(min(x1.min(), x2.min())), cell) - pad,
@@ -174,11 +189,8 @@ def _segment_bounds(segs: SegmentArray, cell: float, pad: int = 1) -> tuple[int,
 
 def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int = 1,
                        wrap_x: bool = False) -> DensityField:
-    """Smallest cell-aligned field covering the segments, padded by ``pad`` cells.
-
-    Stored rows of weight 0 are not part of the logical path and never
-    widen the field.
-    """
+    """Smallest cell-aligned field covering every stored row, counted or
+    not, padded by ``pad`` cells."""
     if cell is None:
         cell = segs.lattice.eps
     t_lo, t_hi, x_lo, x_hi = _segment_bounds(segs, cell, pad)
@@ -292,11 +304,10 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     if not isinstance(envelope, SegmentArray):
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
                         "pass the path's right envelope, right_envelope(path)")
-    segs = envelope if envelope.weight.all() else envelope.subset(envelope.weight > 0)
-    if not segs.rows:
+    if not envelope.rows:
         return field
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
-    k_lo, counts, expand = _rows(segs, field.cell, window)
+    k_lo, counts, expand = _rows(envelope, field.cell, window)
     live = counts > 0
     if not live.any():
         return field
@@ -307,11 +318,11 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     acc = np.zeros(2 * rows * cols, dtype=np.int64)
     # the channel (0 for right movers, adolescent; 1 for left movers,
     # senescent) is folded into the linear index, so one pass covers both
-    channel_offset = np.where(segs.species != RIGHT_MOVER, rows, 0)
+    channel_offset = np.where(envelope.species != RIGHT_MOVER, rows, 0)
     # each incidence adds its row's traversal sign times multiplicity
-    signed = segs.time_dir.astype(np.int64) * segs.weight
+    signed = envelope.time_dir.astype(np.int64) * envelope.weight
     # exact sums only where the summed |w| could reach the limit at all
-    summing = int(segs.weight.max()) * int(counts.sum()) >= _EXACT_LIMIT
+    summing = int(envelope.weight.max()) * int(counts.sum()) >= _EXACT_LIMIT
     total = 0
     for a, b in _blocks(counts):
         k, j, idx = expand(a, b)
@@ -329,7 +340,7 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
                 )
             k, col, idx = k[ok], col[ok], idx[ok]
         if summing:
-            total += sum(segs.weight[idx].tolist())  # Python ints: exact
+            total += sum(envelope.weight[idx].tolist())  # Python ints: exact
         lin = k  # built in place
         lin += channel_offset[idx]
         lin *= cols
@@ -466,7 +477,7 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray,
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or values.shape != times.shape:
         raise ValueError("times and values must be 1-D arrays of one length")
-    if len(times) < 8:
+    if len(times) < _FIT_SAMPLES:
         raise ValueError("too few samples for a sinusoid fit")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")

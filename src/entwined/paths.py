@@ -18,7 +18,7 @@ single-loop densities: right movers +1 on [0,1] and -1 on (2,3], left movers
 the same pattern delayed by one quarter period.
 
 Concatenation joins constructs with connector segments that are excluded
-from density counting (``in_envelope`` false), so joining never perturbs any
+from density counting (envelope value 0), so joining never perturbs any
 accumulated density while the whole construct remains one continuous path.
 """
 
@@ -36,15 +36,6 @@ RIGHT_MOVER = 1
 LEFT_MOVER = -1
 
 _SPECIES_NAMES = {RIGHT_MOVER: "right", LEFT_MOVER: "left"}
-
-# envelope provenance flags
-_ENV_COUNTED = 1
-_ENV_EXCLUDED = 0
-_ENV_UNKNOWN = -1
-
-
-def species_name(species: int) -> str:
-    return _SPECIES_NAMES[int(species)]
 
 
 @dataclass(frozen=True)
@@ -68,23 +59,11 @@ class Frame:
         return x, t
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """One traversed straight segment of an entwined path.
-
-    ``start``/``end`` are frame-applied coordinates in traversal order;
-    ``time_dir`` is the sign of dt along traversal; ``species`` is the sign
-    of the drift-free geometric slope dx/dt (shear by |v| < 1 preserves it).
-    ``in_envelope`` records whether the segment is counted by density
-    accumulation (None means unknown provenance).
-    """
-
-    start: tuple[float, float]
-    end: tuple[float, float]
-    time_dir: int
-    species: int
-    in_envelope: bool | None = None
-    frame: Frame = Frame()
+def _refuse_rows(name: str, values: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """Raise naming the first stored row that ``bad`` marks."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"{name} must be {rule}; stored row {i} has {values[i]}")
 
 
 _INT32 = np.iinfo(np.int32)
@@ -93,12 +72,9 @@ _INT32 = np.iinfo(np.int32)
 def _coordinate_column(values) -> np.ndarray:
     """Half-cell coordinates as int32, refusing values that would wrap."""
     arr = np.asarray(values)
-    if arr.dtype != np.int32 and arr.size:
-        lo, hi = arr.min(), arr.max()
-        if lo < _INT32.min or hi > _INT32.max:
-            bad = lo if lo < _INT32.min else hi
-            raise ValueError(f"vertex coordinate {bad} half-cell units is outside the int32 "
-                             f"range [{_INT32.min}, {_INT32.max}]")
+    if arr.dtype != np.int32:
+        _refuse_rows("a vertex coordinate", arr, (arr < _INT32.min) | (arr > _INT32.max),
+                     f"in the int32 range [{_INT32.min}, {_INT32.max}] of half-cell units")
     return arr.astype(np.int32, copy=False)
 
 
@@ -110,20 +86,23 @@ class SegmentArray:
     """Ordered, array-backed segment collection with multiplicities.
 
     Endpoint coordinates are integers in half-cell units (``eps/2``); the
-    per-row ``frame_idx`` selects the mapping into a small frame table.
+    per-row ``frame_idx`` selects the mapping into a small frame table, and
+    the bool ``envelope`` says whether density counting reads the row.
 
-    Every stored row carries an int64 multiplicity ``weight``: a row of
-    weight w stands for w identical segments of the logical path.  ``runs``
-    records how repeated rows interleave: a run ``(start, body, link,
-    copies)`` covers the stored rows ``[start, start + body + link)`` and
-    stands for the body rows, then ``copies - 1`` more times the link rows
-    followed by the body rows again; body rows have weight ``copies`` and
-    link rows ``copies - 1``.  A row outside every run stands for ``weight``
-    consecutive copies of itself.
+    Every stored row carries an int64 multiplicity ``weight`` of at least 1:
+    a row of weight w stands for w identical segments of the logical path.
+    ``runs`` records how repeated rows interleave: a run ``(start, body,
+    link, copies)`` covers the stored rows ``[start, start + body + link)``
+    and stands for the body rows, then ``copies - 1`` more times the link
+    rows followed by the body rows again; body rows have weight ``copies``
+    and link rows ``copies - 1``.  A row outside every run stands for
+    ``weight`` consecutive copies of itself.
 
     ``len()`` counts logical segments (the sum of the weights) and ``rows``
-    counts stored rows.  Iteration, indexing and :meth:`physical_endpoints`
-    follow the logical path; :meth:`expand` materialises it row for row.
+    counts stored rows.  :meth:`physical_endpoints` follows the logical
+    path; :meth:`expand` materialises it row for row.  The constructor
+    refuses an envelope value other than 0 or 1, a weight below 1 and a
+    ``frame_idx`` outside the frame table.
     """
 
     __slots__ = ("lattice", "x1", "t1", "x2", "t2", "time_dir", "species", "envelope", "frame_idx",
@@ -138,14 +117,18 @@ class SegmentArray:
         self.t2 = _coordinate_column(t2)
         self.time_dir = np.asarray(time_dir, dtype=np.int8)
         self.species = np.asarray(species, dtype=np.int8)
-        self.envelope = np.asarray(envelope, dtype=np.int8)
-        self.frame_idx = np.asarray(frame_idx, dtype=np.int32)
         self.frames: tuple[Frame, ...] = tuple(frames)
+        env = np.asarray(envelope)
+        _refuse_rows("envelope", env, (env != 0) & (env != 1), "0 (excluded) or 1 (counted)")
+        self.envelope = env.astype(bool, copy=False)
+        fi = np.asarray(frame_idx)
+        _refuse_rows("frame_idx", fi, (fi < 0) | (fi >= len(self.frames)),
+                     f"in [0, {len(self.frames)}), an index into the frame table")
+        self.frame_idx = fi.astype(np.int32, copy=False)
         if weight is None:
             weight = np.ones(len(self.x1), dtype=np.int64)
         self.weight = np.asarray(weight, dtype=np.int64)
-        if (self.weight < 0).any():
-            raise ValueError("segment weights must be non-negative")
+        _refuse_rows("weight", self.weight, self.weight < 1, "at least 1")
         self.runs = _NO_RUNS if runs is None else np.asarray(runs, dtype=np.int64).reshape(-1, 4)
 
     @classmethod
@@ -166,7 +149,7 @@ class SegmentArray:
         species = np.where(dt != 0, np.sign(dx) * np.sign(dt), np.sign(dx))
         species = np.where(species == 0, RIGHT_MOVER, species)
         if np.isscalar(envelope):
-            envelope = np.full(len(cols), envelope, dtype=np.int8)
+            envelope = np.full(len(cols), envelope)
         if np.isscalar(frame_idx):
             frame_idx = np.full(len(cols), frame_idx, dtype=np.int32)
         return cls(lattice, x1, t1, x2, t2, time_dir, species, envelope, frame_idx, frames,
@@ -235,31 +218,6 @@ class SegmentArray:
                             self.time_dir[idx], self.species[idx], self.envelope[idx],
                             self.frame_idx[idx], self.frames)
 
-    def __iter__(self) -> Iterator[PathSegment]:
-        segs = self.expand()
-        for i in range(segs.rows):
-            yield segs._row_segment(i)
-
-    def __getitem__(self, i: int) -> PathSegment:
-        if self.is_expanded:
-            return self._row_segment(range(self.rows)[i])
-        return self._row_segment(int(self.expand_index()[i]))
-
-    def _row_segment(self, i: int) -> PathSegment:
-        half = self.lattice.half
-        frame = self.frames[self.frame_idx[i]]
-        xs, ts = frame.apply(self.x1[i] * half, self.t1[i] * half)
-        xe, te = frame.apply(self.x2[i] * half, self.t2[i] * half)
-        env = self.envelope[i]
-        return PathSegment(
-            start=(float(xs), float(ts)),
-            end=(float(xe), float(te)),
-            time_dir=int(self.time_dir[i]),
-            species=int(self.species[i]),
-            in_envelope=None if env == _ENV_UNKNOWN else bool(env),
-            frame=frame,
-        )
-
     def subset(self, mask: np.ndarray) -> "SegmentArray":
         """Stored rows selected by a boolean mask or an index array, weights kept.
 
@@ -288,15 +246,9 @@ class SegmentArray:
     def counted(self) -> "SegmentArray":
         """The rows density counting reads, weights and run layout kept.
 
-        Returns ``self``, not a copy, when every row is counted.  Raises if
-        any row lacks envelope provenance.
+        Returns ``self``, not a copy, when every row is counted.
         """
-        env = self.envelope
-        if (env == _ENV_UNKNOWN).any():
-            i = int(np.nonzero(env == _ENV_UNKNOWN)[0][0])
-            raise ValueError(f"segment {i} lacks envelope provenance")
-        counted = env == _ENV_COUNTED
-        return self if counted.all() else self.subset(counted)
+        return self if self.envelope.all() else self.subset(self.envelope)
 
     def physical_endpoints(self):
         """Frame-applied (x1, t1, x2, t2) float arrays, one entry per logical segment."""
@@ -342,19 +294,6 @@ class EntwinedPath:
     def __len__(self) -> int:
         return len(self.segs)
 
-    def __iter__(self) -> Iterator[PathSegment]:
-        return iter(self.segs)
-
-    def segment(self, i: int) -> PathSegment:
-        return self.segs[i]
-
-    def t_extent_internal(self) -> tuple[float, float]:
-        """(min, max) internal time over all vertices, in internal units."""
-        half = self.lattice.half
-        live = self.segs.weight > 0
-        t1, t2 = self.segs.t1[live], self.segs.t2[live]
-        return min(t1.min(), t2.min()) * half, max(t1.max(), t2.max()) * half
-
     def validate_continuity(self) -> None:
         """Check every segment starts where the previous one ended.
 
@@ -399,7 +338,7 @@ def _fiber_columns(n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-_FIBER_ENVELOPE = np.array([1, 1, 0, 0, 1, 1, 0, 0], dtype=np.int8)
+_FIBER_ENVELOPE = np.array([1, 1, 0, 0, 1, 1, 0, 0], dtype=bool)
 _FIBER_ENVELOPE.setflags(write=False)
 
 
@@ -470,7 +409,7 @@ def _cord_block(spec: LatticeSpec, repeats: int) -> tuple[np.ndarray, np.ndarray
             conn = _connector_columns(prev_end, (0, off))
             if len(conn):
                 col_parts.append(conn)
-                env_parts.append(np.zeros(len(conn), dtype=np.int8))
+                env_parts.append(np.zeros(len(conn), dtype=bool))
         block = fiber.copy()
         block[:, 1] += off
         block[:, 3] += off
@@ -508,6 +447,14 @@ def build_cord(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | Non
 def cords_per_shift(n: int, amplitude: int) -> list[int]:
     """Cord multiplicities floor(|amplitude * sin(pi*k/n)|) for shifts k = 0..n-1."""
     return [int(math.floor(abs(amplitude * math.sin(math.pi * k / n)))) for k in range(n)]
+
+
+def cable_steady_window(spec: LatticeSpec, counts: list[int], repeats: int) -> tuple[float, float]:
+    """Steady window of the cable with ``counts`` cords per shift and
+    ``repeats`` repeats, in internal time from its origin: the intersection
+    of its trains' steady windows."""
+    last_shift = max(k for k, c in enumerate(counts) if c) * spec.eps
+    return last_shift + PERIOD, 4.0 * repeats - 1.0 + spec.eps
 
 
 def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | None = None,
@@ -555,7 +502,7 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
         if prev_end is not None:
             conn = _connector_columns(prev_end, (0, shift))
             col_parts.append(conn)
-            env_parts.append(np.zeros(len(conn), dtype=np.int8))
+            env_parts.append(np.zeros(len(conn), dtype=bool))
             weight_parts.append(np.ones(len(conn), dtype=np.int64))
             rows += len(conn)
         link = back if count > 1 else back[:0]
@@ -563,7 +510,7 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
         tile_cols[:, 1] += shift
         tile_cols[:, 3] += shift
         col_parts.append(tile_cols)
-        env_parts.append(np.concatenate([block_env, np.zeros(len(link), dtype=np.int8)]))
+        env_parts.append(np.concatenate([block_env, np.zeros(len(link), dtype=bool)]))
         weight_parts.append(np.repeat(np.array([count, count - 1], dtype=np.int64),
                                       [len(block_cols), len(link)]))
         runs.append((rows, len(block_cols), len(link), count))
@@ -582,12 +529,9 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
     segs = SegmentArray.from_columns(spec, cols, env, 0, (Frame(),),
                                      weight=np.concatenate(weight_parts), runs=runs)
 
-    # steady region: intersection of the constituent trains' steady windows
-    t0 = origin[1]
-    last_shift = max(k for k, c in enumerate(counts) if c) * spec.eps
-    steady = (t0 + last_shift + PERIOD, t0 + 4.0 * repeats - 1.0 + spec.eps)
+    lo, hi = cable_steady_window(spec, counts, repeats)
     return EntwinedPath(segs, "cable", origin, n_fibers=4 * total_cords,
-                        steady_window=steady,
+                        steady_window=(origin[1] + lo, origin[1] + hi),
                         extras={"cords_per_shift": counts, "repeats": repeats,
                                 "total_cords": total_cords})
 
@@ -609,16 +553,10 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
         if p.lattice.n != lattice.n:
             raise ValueError("cannot concatenate paths built on different lattices")
 
-    frames: list[Frame] = []
-    frame_of: dict[Frame, int] = {}
+    frame_of: dict[Frame, int] = {}  # each distinct frame's index, in order of first use
 
     def intern(frame: Frame) -> int:
-        idx = frame_of.get(frame)
-        if idx is None:
-            idx = len(frames)
-            frames.append(frame)
-            frame_of[frame] = idx
-        return idx
+        return frame_of.setdefault(frame, len(frame_of))
 
     half = lattice.half
     parts: list[SegmentArray] = []
@@ -636,7 +574,7 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
         mapping = np.array([intern(f) for f in segs.frames], dtype=np.int32)
         return SegmentArray(lattice, segs.x1, segs.t1, segs.x2, segs.t2,
                             segs.time_dir, segs.species, segs.envelope,
-                            mapping[segs.frame_idx], tuple(frames),
+                            mapping[segs.frame_idx], tuple(frame_of),
                             weight=segs.weight, runs=segs.runs)
 
     for i, path in enumerate(paths):
@@ -647,7 +585,7 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
                 conn = _connector_columns(ai, bi)
                 if len(conn):
                     parts.append(SegmentArray.from_columns(
-                        lattice, conn, _ENV_EXCLUDED, intern(fa), tuple(frames)))
+                        lattice, conn, False, intern(fa), tuple(frame_of)))
             elif (ax, at) != (bx, bt):
                 # cross-frame bridge: one straight uncounted segment whose own
                 # frame maps the unit diagonal onto the physical gap
@@ -655,11 +593,11 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
                 cols = np.array([(0, 0, lattice.n, lattice.n)], dtype=np.int64)
                 tdir = np.array([int(np.sign(bt - at))], dtype=np.int8)
                 parts.append(SegmentArray.from_columns(
-                    lattice, cols, _ENV_EXCLUDED, intern(bridge), tuple(frames), time_dir=tdir))
+                    lattice, cols, False, intern(bridge), tuple(frame_of), time_dir=tdir))
         parts.append(reindexed(path.segs))
 
     # frame tables grew as parts were built; rebind every part to the final table
-    merged = SegmentArray.stack(parts, tuple(frames))
+    merged = SegmentArray.stack(parts, tuple(frame_of))
     windows = [p.steady_window for p in paths]
     steady = None
     if all(w is not None for w in windows):
@@ -697,8 +635,7 @@ def right_envelope(path: EntwinedPath) -> SegmentArray:
     Membership is recorded at construction; connectors are excluded.
     Multiplicities carry over, so a cable's envelope stores each distinct
     counted segment once.  A path whose rows are all counted is its own
-    envelope (``path.segs``, not a copy).  Raises if any segment lacks
-    envelope provenance.
+    envelope (``path.segs``, not a copy).
     """
     return path.segs.counted()
 
@@ -721,5 +658,5 @@ def dump_path(path: EntwinedPath, fh) -> None:
     for i in range(segs.rows):
         fh.write(
             f"{float(x1[i])!r}\t{float(t1[i])!r}\t{float(x2[i])!r}\t{float(t2[i])!r}\t"
-            f"{int(td[i])}\t{species_name(sp[i])}\n"
+            f"{int(td[i])}\t{_SPECIES_NAMES[int(sp[i])]}\n"
         )

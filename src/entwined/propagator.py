@@ -144,9 +144,7 @@ def write_ray(ray: RaySpec, cable: EntwinedPath) -> EntwinedPath:
     t_scale = _t_scale(ray, spec)
     t0 = ray.t_span[0] - t_scale * cable.steady_window[0]
     frame = Frame(t_scale=t_scale, x_scale=spec.mass_scale, drift=ray.v, x0=0.0, t0=t0)
-    path = with_frame(cable, frame)
-    path.extras["ray"] = ray
-    return path
+    return with_frame(cable, frame)
 
 
 @dataclass(frozen=True)

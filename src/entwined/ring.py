@@ -87,6 +87,30 @@ def ring_clock(spec: RingSpec, lattice: LatticeSpec) -> tuple[float, float, floa
     return v, lattice.mass_scale, None
 
 
+def ring_rows(spec: RingSpec, lattice: LatticeSpec) -> int:
+    """Time cells ``run_ring`` writes: ``cycles`` carrier periods, rounded."""
+    _v, t_scale, _wrap = ring_clock(spec, lattice)
+    return int(round(spec.cycles * (PERIOD * t_scale) / lattice.cell_physical))
+
+
+def wrap_rows(spec: RingSpec, lattice: LatticeSpec) -> int:
+    """Time cells of one wrap ``L / v``, rounded and at least 1: the slice in
+    which the ring's standing wave is read (every written row at ``v = 0``).
+
+    One wrap must fit in the rows ``run_ring`` writes; raises ``SpecError``
+    otherwise.
+    """
+    _v, _t_scale, wrap_time = ring_clock(spec, lattice)
+    rows = ring_rows(spec, lattice)
+    if wrap_time is None:
+        return rows
+    wrap = max(1, int(round(wrap_time / lattice.cell_physical)))
+    if wrap > rows:
+        raise SpecError([f"cycles: one wrap spans {wrap} cells, more than the {rows} cells "
+                         f"written (cycles = {spec.cycles})"])
+    return wrap
+
+
 def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0) -> DensityField:
     """Write the counter-propagating pair on the periodic domain.
 
@@ -99,7 +123,6 @@ def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0)
     cell = lattice.cell_physical
     v, t_scale, _wrap = ring_clock(spec, lattice)
     x_cells = ring_cells(spec.circumference, lattice)
-    carrier_period = PERIOD * t_scale
 
     repeats = spec.cycles + 2
     cable = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
@@ -110,8 +133,7 @@ def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0)
     path = concatenate(pair)
 
     t0_cell = _cell_ceil(path.steady_window[0], cell)
-    t_cells = int(round(spec.cycles * carrier_period / cell))
-    field = DensityField(cell, t0_cell, 0, t_cells, x_cells, wrap_x=True)
+    field = DensityField(cell, t0_cell, 0, ring_rows(spec, lattice), x_cells, wrap_x=True)
     accumulate(field, right_envelope(path), clip=True)
     if origin_cell % x_cells:
         shift = origin_cell % x_cells

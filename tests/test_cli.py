@@ -10,8 +10,9 @@ import pytest
 from entwined import cli
 from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem
 from entwined.cli import ConfigError, load_config, main, validate
+from entwined.density import carrier_steady_cells
 from entwined.lattice import LatticeSpec, SpecError
-from entwined.ring import RingSpec, eigen_speed, ring_cells
+from entwined.ring import RingSpec, eigen_speed, ring_cells, wrap_rows
 from helpers import savetxt_bytes
 
 
@@ -188,28 +189,44 @@ def test_memory_error_reported_not_raised(tmp_path, capsys, monkeypatch, exc, me
     assert not (out / "manifest.json").exists()
 
 
+_CARRIER_TOO_SHORT = ("error: carrier.repeats: steady region is only 0 cells; a sinusoid fit "
+                      "needs at least 8 (increase repeats or the lattice's n)\n")
+_RING_TOO_SHORT = ("error: ring.cycles: one wrap spans 43 cells, more than the 14 cells written "
+                   "(cycles = 1)\n")
+
+
 def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
-    # n=2 with one repeat: the cable's steady window holds no whole cell
+    # n=2 with one repeat: the cable's steady window holds no whole cell,
+    # found from the cable's parameters before anything is built
     out = tmp_path / "out"
     assert run_cli(["carrier", "--n", "2", "--cords", "1", "--repeats", "1",
-                    "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: steady region is only 0 cells; increase carrier.repeats or lattice.n "
-        "for a meaningful fit\n")
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == _CARRIER_TOO_SHORT
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["carrier", "--n", "2", "--cords", "1", "--repeats", "1"],
-     "error: steady region is only 0 cells; increase carrier.repeats or lattice.n "
-     "for a meaningful fit\n"),
-    (["ring", "--n", "4", "--cords", "1", "--cycles", "1", "--mode", "3"],
-     "error: slice_cells exceeds the field extent\n"),
+@pytest.mark.parametrize("experiment, ini, message", [
+    ("carrier", "[lattice]\nn = 2\n[carrier]\nm_cords = 1\nrepeats = 1\n", _CARRIER_TOO_SHORT),
+    ("ring", "[lattice]\nn = 4\n[ring]\nm_cords = 1\ncycles = 1\nmode = 3\n", _RING_TOO_SHORT),
 ], ids=["carrier", "ring"])
-def test_failed_run_leaves_a_missing_out_missing(tmp_path, capsys, argv, message):
-    # both fail after counting their field; nothing may be written before that
+def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, experiment, ini, message):
+    config = tmp_path / "run.ini"
+    config.write_text(ini)
+    assert run_cli(["validate", "--experiment", experiment, "--config", str(config)]) == 2
+    assert capsys.readouterr().out == message.removeprefix("error: ")
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    (["carrier", "--n", "2", "--cords", "1", "--repeats", "1"], 2, _CARRIER_TOO_SHORT),
+    (["ring", "--n", "4", "--cords", "1", "--cycles", "1", "--mode", "3"], 2, _RING_TOO_SHORT),
+    (["propagate", "--n", "2", "--cords", "1", "--n-periods", "0.1"], 1,
+     "error: too few samples for a sinusoid fit\n"),
+], ids=["carrier", "ring", "propagate"])
+def test_failed_run_leaves_a_missing_out_missing(tmp_path, capsys, argv, status, message):
+    # carrier and ring stop at their rules; propagate fails after counting,
+    # and nothing may be written before that
     out = tmp_path / "out"
-    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert run_cli(argv + ["--out", str(out)]) == status
     assert capsys.readouterr().err == message
     assert not out.exists()
 
@@ -261,6 +278,14 @@ _BAD_VALUES = {
         "ring", {("ring", "circumference"): _EIGEN_L, ("ring", "speed_factor"): 1.2}, "ring",
         lambda: RingSpec(circumference=_EIGEN_L,
                          speed=1.2 * eigen_speed(1, LatticeSpec(n=10).mass, _EIGEN_L))),
+    "carrier-steady-cells": (
+        "carrier", {("lattice", "n"): 4, ("carrier", "m_cords"): 3, ("carrier", "repeats"): 2},
+        "carrier", lambda: carrier_steady_cells(LatticeSpec(n=4), 3, 2)),
+    "ring-wrap": (
+        "ring", {("lattice", "n"): 4, ("ring", "m_cords"): 1, ("ring", "cycles"): 1,
+                 ("ring", "mode"): 3}, "ring",
+        lambda: wrap_rows(RingSpec(circumference=8.0 * math.pi, mode=3, cycles=1),
+                          LatticeSpec(n=4))),
 }
 
 

@@ -10,7 +10,7 @@ from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, 
                               _incidences, accumulate, best_lag, compare,
                               export_field, field_for_segments, fit_sinusoid, reference_eval,
                               steady_region, whole_region)
-from entwined.lattice import LatticeSpec
+from entwined.lattice import LatticeSpec, SpecError
 from entwined.paths import (RIGHT_MOVER, Frame, SegmentArray, build_cable, build_cord,
                             build_fiber, concatenate, right_envelope, with_frame)
 from entwined.propagator import RaySpec, region_for_fan, write_region
@@ -47,11 +47,12 @@ def test_empty_envelope_leaves_field_unchanged(spec):
 
 
 def test_accumulate_takes_only_segment_arrays(spec):
-    # counting has one input type; paths, segment lists and empty lists all
+    # counting has one input type; paths, lists of rows and empty lists all
     # raise with the hint to pass the path's right envelope
     fiber = build_fiber((0.0, 0.0), spec, drift=0.2)
     field = field_for_segments(fiber.segs, pad=2)
-    for envelope in (fiber, list(right_envelope(fiber)), []):
+    env = right_envelope(fiber)
+    for envelope in (fiber, list(zip(env.x1, env.t1, env.x2, env.t2)), []):
         with pytest.raises(TypeError, match="right_envelope\\(path\\)"):
             accumulate(field, envelope)
     assert not field.adolescent.any() and not field.senescent.any()
@@ -183,24 +184,20 @@ def test_carrier_field_extent_at_large_m():
     assert len(cable) == 7633438 and cable.segs.rows < 20000
 
 
-def _with_far_weight_zero_row(segs: SegmentArray) -> SegmentArray:
-    far = SegmentArray.from_columns(segs.lattice, np.array([[500, 500, 510, 510]]), 1, 0,
-                                    segs.frames, weight=np.zeros(1, dtype=np.int64))
-    return SegmentArray.stack([segs, far], segs.frames)
-
-
-def test_weight_zero_rows_never_widen_or_write(spec):
-    cable = build_cable((0.0, 0.0), spec, M=5, repeats=2)
-    padded = _with_far_weight_zero_row(cable.segs)
-    assert len(padded) == len(cable.segs)
-    a = field_for_segments(cable.segs, pad=2)
-    b = field_for_segments(padded, pad=2)
-    assert (a.t0_cell, a.x0_cell, a.t_cells, a.x_cells) == (b.t0_cell, b.x0_cell, b.t_cells, b.x_cells)
-    env = right_envelope(cable)
-    accumulate(a, env)
-    accumulate(b, _with_far_weight_zero_row(env))  # would fall outside the field if counted
-    assert np.array_equal(a.adolescent, b.adolescent)
-    assert np.array_equal(a.senescent, b.senescent)
+@pytest.mark.parametrize("n, M, repeats", [(n, M, r) for n in (2, 4, 10) for M in (1, 3, 20)
+                                            for r in (1, 2, 3, 4)])
+def test_carrier_steady_cells_count_the_steady_region(n, M, repeats):
+    # the closed form agrees with the built cable's steady region, and
+    # refuses exactly the cables whose region a sinusoid fit cannot take
+    lattice = LatticeSpec(n=n)
+    cable = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
+    region = steady_region(cable, field_for_segments(cable.segs, pad=2))
+    cells = max(0, region.t_hi - region.t_lo)
+    if cells >= 8:
+        assert density.carrier_steady_cells(lattice, M, repeats) == cells
+    else:
+        with pytest.raises(SpecError, match=f"^repeats: steady region is only {cells} cells; "):
+            density.carrier_steady_cells(lattice, M, repeats)
 
 
 def _weighted_fiber_envelope(spec, weight):

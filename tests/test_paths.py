@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -39,20 +40,19 @@ def test_fiber_geometry_and_closure(spec):
     fiber = build_fiber((0.0, 0.0), spec)
     fiber.validate_continuity()
     assert len(fiber) == 8
-    first = fiber.segment(0)
-    last = fiber.segment(7)
-    assert first.start == (0.0, 0.0)
-    assert last.end == (0.0, 0.0)  # the loop closes on its origin
+    x1, t1, x2, t2 = fiber.segs.physical_endpoints()
+    assert (x1[0], t1[0]) == (0.0, 0.0)
+    assert (x2[7], t2[7]) == (0.0, 0.0)  # the loop closes on its origin
     # forward strand then backward strand
-    dirs = [s.time_dir for s in fiber]
-    assert dirs == [1, 1, 1, 1, -1, -1, -1, -1]
+    time_dir = fiber.segs.expand().time_dir
+    assert time_dir.tolist() == [1, 1, 1, 1, -1, -1, -1, -1]
     # net signed time advance is zero
-    assert sum(s.time_dir * abs(s.end[1] - s.start[1]) for s in fiber) == 0.0
+    assert (time_dir * np.abs(t2 - t1)).sum() == 0.0
 
 
 def test_fiber_species_from_slope(spec):
     fiber = build_fiber((0.0, 0.0), spec)
-    species = [s.species for s in fiber]
+    species = fiber.segs.expand().species.tolist()
     assert species == [RIGHT_MOVER, LEFT_MOVER, LEFT_MOVER, RIGHT_MOVER,
                        LEFT_MOVER, RIGHT_MOVER, RIGHT_MOVER, LEFT_MOVER]
 
@@ -61,9 +61,9 @@ def test_fiber_envelope_is_right_half(spec):
     fiber = build_fiber((0.0, 0.0), spec)
     env = right_envelope(fiber)
     assert len(env) == 4
-    for seg in env:
-        assert min(seg.start[0], seg.end[0]) >= 0.0
-        assert max(seg.start[0], seg.end[0]) <= 1.0
+    x1, _, x2, _ = env.physical_endpoints()
+    assert (np.minimum(x1, x2) >= 0.0).all()
+    assert (np.maximum(x1, x2) <= 1.0).all()
 
 
 def test_sheared_fiber_envelope_same_count(spec):
@@ -71,15 +71,15 @@ def test_sheared_fiber_envelope_same_count(spec):
     env = right_envelope(fiber)
     assert len(env) == 4
     # envelope respects the sheared half x >= v*t
-    for seg in env:
-        for (x, t) in (seg.start, seg.end):
-            assert x >= 0.2 * t - 1e-12
+    x1, t1, x2, t2 = env.physical_endpoints()
+    for x, t in ((x1, t1), (x2, t2)):
+        assert (x >= 0.2 * t - 1e-12).all()
 
 
 def test_fiber_shear_moves_events(spec):
     fiber = build_fiber((0.0, 0.0), spec, drift=0.5)
-    apex = fiber.segment(0).end
-    assert apex == (1.5, 1.0)  # (1,1) sheared to (1 + v*t, t)
+    _, _, x2, t2 = fiber.segs.physical_endpoints()
+    assert (x2[0], t2[0]) == (1.5, 1.0)  # (1,1) sheared to (1 + v*t, t)
 
 
 def test_superluminal_drift_rejected(spec):
@@ -189,11 +189,59 @@ def test_cross_frame_concatenation_bridges_gap(spec):
     assert len(env) == 8
 
 
-def test_envelope_provenance_required(spec):
-    fiber = build_fiber((0.0, 0.0), spec)
-    fiber.segs.envelope[3] = -1
-    with pytest.raises(ValueError, match="provenance"):
-        right_envelope(fiber)
+def _fiber_rows(spec, **column):
+    """The fiber's stored rows through the constructor, with ``column`` replaced."""
+    segs = build_fiber((0.0, 0.0), spec).segs
+    args = {name: getattr(segs, name) for name in COLUMNS + ("frames", "weight")}
+    return SegmentArray(spec, **{**args, **column})
+
+
+def _fiber_from_columns(spec, envelope=None, frame_idx=0, frames=(Frame(),), weight=None):
+    """The fiber's vertex columns through ``from_columns``."""
+    segs = build_fiber((0.0, 0.0), spec).segs
+    cols = np.column_stack([segs.x1, segs.t1, segs.x2, segs.t2])
+    return SegmentArray.from_columns(spec, cols, segs.envelope if envelope is None else envelope,
+                                     frame_idx, frames, weight=weight)
+
+
+@pytest.mark.parametrize("value", [-1, 2])
+def test_envelope_values_other_than_0_or_1_are_refused(spec, value):
+    envelope = build_fiber((0.0, 0.0), spec).segs.envelope.astype(np.int64)
+    envelope[3] = value
+    message = re.escape(f"envelope must be 0 (excluded) or 1 (counted); "
+                        f"stored row 3 has {value}") + "$"
+    with pytest.raises(ValueError, match=message):
+        _fiber_rows(spec, envelope=envelope)
+    with pytest.raises(ValueError, match=message):
+        _fiber_from_columns(spec, envelope=envelope)
+    with pytest.raises(ValueError, match="stored row 0 has"):
+        _fiber_from_columns(spec, envelope=value)  # a scalar fills the column
+    assert _fiber_rows(spec, envelope=envelope.clip(0, 1)).envelope.dtype == bool
+
+
+def test_weight_zero_is_refused(spec):
+    weight = np.ones(8, dtype=np.int64)
+    weight[5] = 0
+    with pytest.raises(ValueError, match="weight must be at least 1; stored row 5 has 0$"):
+        _fiber_rows(spec, weight=weight)
+    with pytest.raises(ValueError, match="weight must be at least 1; stored row 5 has 0$"):
+        _fiber_from_columns(spec, weight=weight)
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_frame_index_outside_the_frame_table_is_refused(spec, index):
+    # -1 would silently pick the last frame; 2 would fail later in a gather
+    frames = (Frame(), Frame(t0=100.0))
+    frame_idx = np.zeros(8, dtype=np.int32)
+    frame_idx[4] = index
+    message = re.escape(f"frame_idx must be in [0, 2), an index into the frame table; "
+                        f"stored row 4 has {index}") + "$"
+    with pytest.raises(ValueError, match=message):
+        _fiber_rows(spec, frame_idx=frame_idx, frames=frames)
+    with pytest.raises(ValueError, match=message):
+        _fiber_from_columns(spec, frame_idx=frame_idx, frames=frames)
+    with pytest.raises(ValueError, match="stored row 0 has"):
+        _fiber_from_columns(spec, frame_idx=index, frames=frames)
 
 
 def test_with_frame_requires_positive_time_scale(spec):
@@ -286,17 +334,19 @@ def test_cable_stores_each_distinct_train_once(spec):
 def test_logical_views_follow_the_expanded_path(spec):
     cable = build_cable((0.0, 0.1), spec, M=5, repeats=2)
     ref = materialised_cable((0.0, 0.1), spec, 5, 2)
-    assert list(cable) == list(ref)
+    rows, ref_rows = cable.segs.expand(), ref.segs.expand()
+    for name in COLUMNS + ("weight",):
+        assert np.array_equal(getattr(rows, name), getattr(ref_rows, name)), name
+    assert rows.frames == ref_rows.frames
+    ends, ref_ends = cable.segs.physical_endpoints(), ref.segs.physical_endpoints()
+    assert all(np.array_equal(a, b) for a, b in zip(ends, ref_ends))
     for i in (0, 1, 57, len(ref) // 2, len(ref) - 1, -1):
-        assert cable.segment(i) == ref.segment(i)
-    assert all(np.array_equal(a, b) for a, b in
-               zip(cable.segs.physical_endpoints(), ref.segs.physical_endpoints()))
+        assert [e[i] for e in ends] == [e[i] for e in ref_ends]
     ours, theirs = io.StringIO(), io.StringIO()
     dump_path(cable, ours)
     dump_path(ref, theirs)
     assert ours.getvalue() == theirs.getvalue()
     assert len(ours.getvalue().splitlines()) == len(ref) + 1
-    assert cable.t_extent_internal() == ref.t_extent_internal()
 
 
 def test_validate_continuity_reports_logical_segment(spec):
@@ -338,6 +388,6 @@ def test_out_of_range_coordinates_fail_loudly():
 
 def test_negative_weights_rejected(spec):
     segs = build_fiber((0.0, 0.0), spec).segs
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="weight must be at least 1"):
         SegmentArray(spec, segs.x1, segs.t1, segs.x2, segs.t2, segs.time_dir, segs.species,
                      segs.envelope, segs.frame_idx, segs.frames, weight=-segs.weight)

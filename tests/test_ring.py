@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from entwined.density import DensityField
-from entwined.lattice import LatticeSpec
+from entwined.lattice import LatticeSpec, SpecError
 from entwined.lattice import PERIOD
 from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, ring_clock,
-                           run_ring, standing_wave_metrics)
+                           ring_rows, run_ring, standing_wave_metrics, wrap_rows)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,28 @@ def test_ring_clock_sets_the_written_extent(lattice, circumference, speed):
         assert (t_scale, wrap_time) == (lattice.mass_scale, None)
     field = run_ring(spec, lattice, M=4)
     assert field.t_cells == round(spec.cycles * PERIOD * t_scale / lattice.cell_physical)
+    assert field.t_cells == ring_rows(spec, lattice)
+    if v == 0:
+        assert wrap_rows(spec, lattice) == field.t_cells  # a still ring is read as one slice
+
+
+@pytest.mark.parametrize("mode, cycles, factor",
+                         [(1, 1, 1.0), (3, 1, 1.0), (1, 1, 1.5), (1, 2, 1.5)])
+def test_one_wrap_must_fit_in_the_written_rows(lattice, circumference, mode, cycles, factor):
+    # at an eigen speed one wrap lasts `mode` carrier periods, and a speed
+    # factor stretches it by that factor: (3, 1) and (1, 1, 1.5) do not fit
+    v = factor * eigen_speed(mode, lattice.mass, circumference)
+    spec = RingSpec(circumference=circumference, mode=mode, speed=v, cycles=cycles)
+    wrap = round(circumference / v / lattice.cell_physical)
+    rows = ring_rows(spec, lattice)
+    if wrap <= rows:
+        assert wrap_rows(spec, lattice) == wrap
+    else:
+        with pytest.raises(SpecError, match=f"^cycles: one wrap spans {wrap} cells, more than "
+                                            f"the {rows} cells written \\(cycles = {cycles}\\)$"):
+            wrap_rows(spec, lattice)
+    longer = RingSpec(circumference=circumference, mode=mode, speed=v, cycles=cycles + 2)
+    assert wrap_rows(longer, lattice) == wrap  # two more periods always hold it
 
 
 def test_metrics_reject_empty_field():

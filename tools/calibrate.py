@@ -27,7 +27,7 @@ from entwined.lattice import PERIOD, LatticeSpec
 from entwined.paths import build_cable, right_envelope
 from entwined.propagator import RaySpec, ray_repeats, region_for_fan, write_ray, write_region
 from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, ring_clock, run_ring,
-                          standing_wave_metrics)
+                          standing_wave_metrics, wrap_rows)
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "calibration.json"
 
@@ -81,10 +81,9 @@ def ring_drifts():
                                    speed=1.5 * eigen_speed(1, lattice.mass, L), cycles=8)),
     ):
         field = run_ring(spec, lattice, M=30)
-        _v, t_scale, wrap_time = ring_clock(spec, lattice)
-        metrics = standing_wave_metrics(
-            field, slice_cells=int(round(wrap_time / lattice.cell_physical)),
-            period_cells=PERIOD * t_scale / lattice.cell_physical)
+        _v, t_scale, _wrap = ring_clock(spec, lattice)
+        metrics = standing_wave_metrics(field, slice_cells=wrap_rows(spec, lattice),
+                                        period_cells=PERIOD * t_scale / lattice.cell_physical)
         out[label] = {
             "dominant_mode": metrics.dominant_mode,
             "drift_cells_per_period": drift_in_cells_per_period(metrics, field.x_cells),
