@@ -34,7 +34,7 @@ from .density import (ReferenceDensity, accumulate, best_lag, carrier_steady_cel
                       export_field, field_for_segments, steady_region)
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import build_cable, right_envelope
-from .propagator import region_for_fan, write_ray_report, write_region
+from .propagator import region_for_fan, region_time_cells, write_ray_report, write_region
 from .ring import (RingSpec, drift_in_cells_per_period, ring_cells, ring_clock, run_ring,
                    standing_wave_metrics, wrap_rows)
 
@@ -187,6 +187,7 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
                   {"t_max": "phase_t_max"})
     elif exp == "propagate":
+        checked = len(problems)
         if not block["v_min"] <= block["v_max"]:
             problems.append("propagate.v_min: must not exceed v_max")
         for key in ("v_min", "v_max"):
@@ -196,6 +197,15 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             problems.append("propagate.start_periods: must be positive (rays emanate from the origin)")
         if not block["n_periods"] > 0:
             problems.append("propagate.n_periods: must be positive")
+        if lattice is not None and len(problems) == checked and block["v_count"] >= 1:
+            if block["v_count"] == 1:
+                fan = (block["v_min"],)
+            else:
+                fan = tuple(float(v) for v in np.linspace(block["v_min"], block["v_max"],
+                                                          block["v_count"]))
+            region = specs["region"] = region_for_fan(lattice, fan, block["start_periods"],
+                                                      block["n_periods"])
+            build(exp, lambda: region_time_cells(region))
     elif exp == "carrier" and lattice is not None and min(block["m_cords"], block["repeats"]) >= 1:
         build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]))
     elif exp == "ring":
@@ -354,14 +364,8 @@ def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ray-fan region write and frequency law."""
-    block = config["propagate"]
-    if block["v_count"] == 1:
-        fan = (block["v_min"],)
-    else:
-        fan = tuple(float(v) for v in np.linspace(block["v_min"], block["v_max"], block["v_count"]))
-    region = region_for_fan(specs["lattice"], fan, start_periods=block["start_periods"],
-                            n_periods=block["n_periods"])
-    result = write_region(region, M=block["m_cords"], threads=specs["threads"])
+    result = write_region(specs["region"], M=config["propagate"]["m_cords"],
+                          threads=specs["threads"])
     art.export(result.field, "region_field")
     buf = io.StringIO()
     write_ray_report(result.reports, buf)

@@ -22,8 +22,11 @@ that shifts a path by whole cells counts exactly like building the path at
 the shifted origin.
 
 Fields hold two integer channels: adolescent (right movers) and senescent
-(left movers).  A stored segment of multiplicity w counts w times: each of
-its incidences scatter-adds the int64 signed weight into an int64
+(left movers).  A stored segment of multiplicity w counts w times.  Stored
+rows that lie on one segment of one frame and species, whichever way they
+run, are merged before the expansion: each distinct segment is expanded
+once, and each of its incidences scatter-adds its net signed weight (the
+sum of time_dir * w over its rows, which may cancel to 0) into an int64
 accumulator, so counts are exact.  A pass whose summed |w| reaches 2**53
 raises, so every count also holds exactly as a float64, the type profiles
 and fits read it as.
@@ -282,6 +285,38 @@ def _blocks(counts: np.ndarray):
         a = b
 
 
+def _distinct(envelope: SegmentArray):
+    """Group the stored rows that are one segment: the same frame, species
+    and end points, whichever way they run.
+
+    Returns, per group in the order of its first stored row: that row's
+    index, the net signed weight (the sum of time_dir * weight) and the
+    summed |weight|, a Python-int object array where int64 could wrap.
+    A row's end points are taken lower t first; a row with t1 == t2 keeps
+    its stored order, which its x binning reads.
+    """
+    swap = envelope.t1 > envelope.t2
+    ends = (np.where(swap, envelope.x2, envelope.x1), np.where(swap, envelope.t2, envelope.t1),
+            np.where(swap, envelope.x1, envelope.x2), np.where(swap, envelope.t1, envelope.t2))
+    keys = (*ends, envelope.species, envelope.frame_idx)
+    order = np.lexsort(keys)  # stable: each group's rows in stored order
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    weight = envelope.weight[order]
+    # int64: a net weight wraps only where the summed |weight| passes 2**63, refused where it lands
+    signed = envelope.time_dir[order] * weight
+    if int(weight.max()) * len(weight) >= 2 ** 63:
+        weight = weight.astype(object)
+    first = order[starts]
+    by_first = np.argsort(first)
+    return (first[by_first], np.add.reduceat(signed, starts)[by_first],
+            np.add.reduceat(weight, starts)[by_first])
+
+
 def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) -> DensityField:
     """Add the envelope's signed counts into ``field`` (in place) and return it.
 
@@ -292,14 +327,19 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     cut to the field's t window, so slabs outside it are never expanded;
     what still falls outside in x is dropped.
 
-    Rows are expanded in consecutive blocks of at most ``_BLOCK``
+    Each distinct segment in a frame counts once, with its net signed
+    weight: stored rows on the same segment, of the same species and frame,
+    are merged by ``_distinct`` before the expansion, whichever way they
+    run.  A segment whose rows cancel to weight 0 is still expanded and
+    bounds-checked, and an out-of-field error names its first stored row.
+    Segments are expanded in consecutive blocks of at most ``_BLOCK``
     incidences, so transient memory is one block, not the whole incidence
     list.  Each block's int64 signed weights are scatter-added into one
     int64 accumulator that spans the rows' slab range inside the field, by
     the field's width; it is added into the field once, at the end, so a
     call that raises leaves the field unchanged.  A pass whose summed |w|
-    reaches 2**53 raises OverflowError.  An x-summed profile is a row sum
-    of the field: ``field.channel(name).sum(axis=1)``.
+    (not its net weight) reaches 2**53 raises OverflowError.  An x-summed
+    profile is a row sum of the field: ``field.channel(name).sum(axis=1)``.
     """
     if not isinstance(envelope, SegmentArray):
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
@@ -307,7 +347,9 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     if not envelope.rows:
         return field
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
-    k_lo, counts, expand = _rows(envelope, field.cell, window)
+    first, signed, summed = _distinct(envelope)
+    segments = envelope.subset(first)
+    k_lo, counts, expand = _rows(segments, field.cell, window)
     live = counts > 0
     if not live.any():
         return field
@@ -318,11 +360,9 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     acc = np.zeros(2 * rows * cols, dtype=np.int64)
     # the channel (0 for right movers, adolescent; 1 for left movers,
     # senescent) is folded into the linear index, so one pass covers both
-    channel_offset = np.where(envelope.species != RIGHT_MOVER, rows, 0)
-    # each incidence adds its row's traversal sign times multiplicity
-    signed = envelope.time_dir.astype(np.int64) * envelope.weight
+    channel_offset = np.where(segments.species != RIGHT_MOVER, rows, 0)
     # exact sums only where the summed |w| could reach the limit at all
-    summing = int(envelope.weight.max()) * int(counts.sum()) >= _EXACT_LIMIT
+    summing = int(summed.max()) * int(counts.sum()) >= _EXACT_LIMIT
     total = 0
     for a, b in _blocks(counts):
         k, j, idx = expand(a, b)
@@ -334,13 +374,13 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
             if not clip:
                 bad = int(np.flatnonzero(~ok)[0])
                 raise ValueError(
-                    f"stored row {int(idx[bad])} writes outside the field at cell "
+                    f"stored row {int(first[idx[bad]])} writes outside the field at cell "
                     f"(t={int(k[bad]) + t_lo}, x={int(j[bad]) + field.x0_cell}); "
                     "pass clip=True to drop it"
                 )
             k, col, idx = k[ok], col[ok], idx[ok]
         if summing:
-            total += sum(envelope.weight[idx].tolist())  # Python ints: exact
+            total += sum(summed[idx].tolist())  # Python ints: exact
         lin = k  # built in place
         lin += channel_offset[idx]
         lin *= cols

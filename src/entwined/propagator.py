@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (DensityField, accumulate, best_lag, fit_sinusoid, _cell_ceil, _cell_floor,
-                      _segment_bounds)
-from .lattice import PERIOD, LatticeSpec
+from .density import (DensityField, accumulate, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil,
+                      _cell_floor, _segment_bounds)
+from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import EntwinedPath, Frame, build_cable, cords_per_shift, right_envelope, with_frame
 
 
@@ -96,6 +96,22 @@ def region_for_fan(lattice: LatticeSpec, ray_fan, start_periods: float = 2.0,
     v_hi = max(max(ray_fan), 0.0)
     x_range = (v_lo * t_range[1] - pad, v_hi * t_range[1] + pad)
     return RegionSpec(x_range=x_range, t_range=t_range, ray_fan=tuple(ray_fan), lattice=lattice)
+
+
+def region_time_cells(region: RegionSpec) -> tuple[int, int]:
+    """First time cell and number of time cells of the field ``write_region``
+    writes ``region`` into: its t range floored and ceiled to whole cells.
+
+    Raises ``SpecError`` when they are fewer than each ray's sinusoid fit
+    takes, before anything is built.
+    """
+    cell = region.lattice.cell_physical
+    t0_cell = _cell_floor(region.t_range[0], cell)
+    t_cells = _cell_ceil(region.t_range[1], cell) - t0_cell
+    if t_cells < _FIT_SAMPLES:
+        raise SpecError([f"n_periods: the window spans only {t_cells} time cells; a sinusoid fit "
+                         f"needs at least {_FIT_SAMPLES} (increase n_periods or the lattice's n)"])
+    return t0_cell, t_cells
 
 
 def _t_scale(ray: RaySpec, spec: LatticeSpec) -> float:
@@ -220,6 +236,8 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     inside the region's x window.  Bands are folded into the region field
     in fan order as they arrive, so at most the bands not yet folded are
     alive.
+    A t window of fewer time cells than a ray's fit takes raises
+    ``SpecError`` (``region_time_cells``) before any cable is built.
     Rays are independent work units; the summed field and the per-ray
     reports are identical for any ``threads``.  Cells outside the region
     are clipped silently (cables overhang the window by construction).
@@ -233,8 +251,7 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     lattice = region.lattice
     mass = lattice.mass
     cell = lattice.cell_physical
-    t0_cell = _cell_floor(region.t_range[0], cell)
-    t_cells = _cell_ceil(region.t_range[1], cell) - t0_cell
+    t0_cell, t_cells = region_time_cells(region)
     x0_cell = _cell_floor(region.x_range[0], cell)
     x_cells = _cell_ceil(region.x_range[1], cell) - x0_cell
 

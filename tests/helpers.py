@@ -9,7 +9,9 @@ masks it afterwards and adds it up with ``np.add.at``.  Identity-frame
 counting is checked against an integer slab expansion, which bins in
 half-cell integers and never rounds.  The sinusoid fit and
 the channel lag are checked against the forms they replaced: an SVD
-(``lstsq``) solve per trial frequency, and one ``np.dot`` per lag.
+(``lstsq``) solve per trial frequency, and one ``np.dot`` per lag.  A ray's
+cord repeats are checked by trying repeats counts against the shared
+steady-window formula.
 """
 
 import io
@@ -19,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from entwined.density import SinusoidFit, _incidences, _slabs
-from entwined.paths import RIGHT_MOVER
+from entwined.paths import RIGHT_MOVER, cable_steady_window
 
 
 def brute_corners(n_steps, displacement, initial="right", final="any", incoming=False):
@@ -180,6 +182,25 @@ def incidences_int(segs, window=None):
     ``segs`` on the lattice's own cells, by ``rows_int``."""
     _, counts, expand = rows_int(segs, window)
     return expand(0, len(counts))
+
+
+def framed_window_end(ray, spec, counts, repeats):
+    """Where the steady window of the cable with ``counts`` cords per shift
+    and ``repeats`` repeats ends once ``write_ray`` has framed it onto
+    ``ray``: retuned by m/omega and started at ``ray.t_span[0]``."""
+    t_scale = spec.mass_scale * spec.mass / ray.omega
+    lo, hi = cable_steady_window(spec, counts, repeats)
+    return t_scale * hi + (ray.t_span[0] - t_scale * lo)
+
+
+def repeats_covering(ray, spec, counts):
+    """The fewest repeats whose framed steady window (``framed_window_end``)
+    reaches ``ray.t_span[1]``: the rule ``ray_repeats`` states, found by
+    trying one repeats count after another."""
+    repeats = 1
+    while framed_window_end(ray, spec, counts, repeats) < ray.t_span[1]:
+        repeats += 1
+    return repeats
 
 
 def fit_sinusoid_oracle(times, values, omega_bracket=None):

@@ -12,6 +12,7 @@ from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem
 from entwined.cli import ConfigError, load_config, main, validate
 from entwined.density import carrier_steady_cells
 from entwined.lattice import LatticeSpec, SpecError
+from entwined.propagator import region_for_fan, region_time_cells
 from entwined.ring import RingSpec, eigen_speed, ring_cells, wrap_rows
 from helpers import savetxt_bytes
 
@@ -193,6 +194,8 @@ _CARRIER_TOO_SHORT = ("error: carrier.repeats: steady region is only 0 cells; a 
                       "needs at least 8 (increase repeats or the lattice's n)\n")
 _RING_TOO_SHORT = ("error: ring.cycles: one wrap spans 43 cells, more than the 14 cells written "
                    "(cycles = 1)\n")
+_WINDOW_TOO_SHORT = ("error: propagate.n_periods: the window spans only {} time cells; a sinusoid "
+                     "fit needs at least 8 (increase n_periods or the lattice's n)\n")
 
 
 def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
@@ -208,7 +211,9 @@ def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
 @pytest.mark.parametrize("experiment, ini, message", [
     ("carrier", "[lattice]\nn = 2\n[carrier]\nm_cords = 1\nrepeats = 1\n", _CARRIER_TOO_SHORT),
     ("ring", "[lattice]\nn = 4\n[ring]\nm_cords = 1\ncycles = 1\nmode = 3\n", _RING_TOO_SHORT),
-], ids=["carrier", "ring"])
+    ("propagate", "[lattice]\nn = 2\n[propagate]\nm_cords = 1\nn_periods = 0.1\n",
+     _WINDOW_TOO_SHORT.format(1)),
+], ids=["carrier", "ring", "propagate"])
 def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, experiment, ini, message):
     config = tmp_path / "run.ini"
     config.write_text(ini)
@@ -216,15 +221,28 @@ def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, experiment, ini
     assert capsys.readouterr().out == message.removeprefix("error: ")
 
 
+@pytest.mark.parametrize("n_periods, problems, status", [
+    (1.75, [_WINDOW_TOO_SHORT.format(7).removeprefix("error: ").rstrip()], 2),
+    (2.0, [], 0),
+], ids=["7-cells", "8-cells"])
+def test_validate_refuses_a_window_one_cell_short_of_a_fit(tmp_path, n_periods, problems, status):
+    # n=2 has 4 time cells a period: 1.75 periods hold 7, one short of a fit;
+    # 2 periods hold 8, and the run that validate passes fits every ray
+    overrides = {("lattice", "n"): 2, ("propagate", "m_cords"): 1,
+                 ("propagate", "n_periods"): n_periods}
+    assert validate(load_config("propagate", None, overrides)) == problems
+    argv = ["propagate", "--n", "2", "--cords", "1", "--n-periods", str(n_periods)]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == status
+
+
 @pytest.mark.parametrize("argv, status, message", [
     (["carrier", "--n", "2", "--cords", "1", "--repeats", "1"], 2, _CARRIER_TOO_SHORT),
     (["ring", "--n", "4", "--cords", "1", "--cycles", "1", "--mode", "3"], 2, _RING_TOO_SHORT),
-    (["propagate", "--n", "2", "--cords", "1", "--n-periods", "0.1"], 1,
-     "error: too few samples for a sinusoid fit\n"),
+    (["propagate", "--n", "2", "--cords", "1", "--n-periods", "0.1"], 2,
+     _WINDOW_TOO_SHORT.format(1)),
 ], ids=["carrier", "ring", "propagate"])
 def test_failed_run_leaves_a_missing_out_missing(tmp_path, capsys, argv, status, message):
-    # carrier and ring stop at their rules; propagate fails after counting,
-    # and nothing may be written before that
+    # each stops at its rules, before anything is built, and writes nothing
     out = tmp_path / "out"
     assert run_cli(argv + ["--out", str(out)]) == status
     assert capsys.readouterr().err == message
@@ -281,6 +299,10 @@ _BAD_VALUES = {
     "carrier-steady-cells": (
         "carrier", {("lattice", "n"): 4, ("carrier", "m_cords"): 3, ("carrier", "repeats"): 2},
         "carrier", lambda: carrier_steady_cells(LatticeSpec(n=4), 3, 2)),
+    "propagate-window": (
+        "propagate", {("lattice", "n"): 2, ("propagate", "m_cords"): 1,
+                      ("propagate", "n_periods"): 0.1}, "propagate",
+        lambda: region_time_cells(region_for_fan(LatticeSpec(n=2), (-0.25, 0.25), 2.0, 0.1))),
     "ring-wrap": (
         "ring", {("lattice", "n"): 4, ("ring", "m_cords"): 1, ("ring", "cycles"): 1,
                  ("ring", "mode"): 3}, "ring",

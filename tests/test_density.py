@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entwined import density, propagator, ring
 from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, _format_matrix,
@@ -466,6 +467,146 @@ def test_unclipped_error_from_a_later_block_leaves_the_field_unchanged(case, mon
     assert first_bad >= 2
     assert _raises_and_leaves_unchanged(_filled(late), env, ValueError) == message
 
+
+
+@pytest.mark.parametrize("n, M, repeats, rows, segments", [
+    (50, 60, 8, 6272, 1750),  # each ray of the ray-fan workload
+    (100, 1000, 3, 4752, 1500),  # the carrier-large workload
+], ids=["ray", "carrier-large"])
+def test_coincident_rows_merge_to_the_distinct_segments(n, M, repeats, rows, segments):
+    # the trains at neighbouring shifts share segments, and a fiber's fifth
+    # row runs back along the second row of the fiber half a period later
+    env = right_envelope(build_cable((0.0, 0.0), LatticeSpec(n=n), M=M, repeats=repeats))
+    first, _, _ = density._distinct(env)
+    assert (env.rows, len(first)) == (rows, segments)
+
+
+def test_ring_rows_merge_to_the_distinct_segments_of_each_frame(monkeypatch):
+    # the ring-modes eigen run counts one cable in two frames: 3,040 rows and
+    # 860 distinct segments in each, and nothing merges across frames
+    calls = []
+    monkeypatch.setattr(ring, "accumulate", lambda field, env, clip: calls.append(env))
+    run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
+    (env,) = calls
+    first, _, _ = density._distinct(env)
+    counted_frames = np.unique(env.frame_idx)  # the bridge's frame holds no counted row
+    assert len(counted_frames) == 2
+    for frame in counted_frames:
+        assert (env.frame_idx == frame).sum() == 3040
+        assert (env.frame_idx[first] == frame).sum() == 860
+
+
+def _coincident(env, rng, frames, weights=5):
+    """``env``'s rows in every frame of ``frames``, with random weights from 1
+    to ``weights``; then some rows again, some rows reversed (end points
+    swapped and time_dir negated: the same segment run the other way) and a
+    few relabelled to the other species, all in a shuffled order."""
+    rows = env.rows
+    fi = np.repeat(np.arange(len(frames)), rows)
+    pick = np.tile(np.arange(rows), len(frames))
+    extra = rng.integers(0, len(pick), size=int(rng.integers(0, len(pick) + 1)))
+    pick, fi = np.concatenate([pick, pick[extra]]), np.concatenate([fi, fi[extra]])
+    flip = rng.random(len(pick)) < 0.4
+    relabel = np.where(rng.random(len(pick)) < 0.1, -1, 1)
+    order = rng.permutation(len(pick))
+    pick, fi, flip = pick[order], fi[order], flip[order]
+    x1, t1, x2, t2 = env.x1[pick], env.t1[pick], env.x2[pick], env.t2[pick]
+    return SegmentArray(env.lattice, np.where(flip, x2, x1), np.where(flip, t2, t1),
+                        np.where(flip, x1, x2), np.where(flip, t1, t2),
+                        np.where(flip, -env.time_dir[pick], env.time_dir[pick]),
+                        relabel * env.species[pick],
+                        np.ones(len(pick), dtype=bool), fi, frames,
+                        weight=rng.integers(1, weights + 1, len(pick)))
+
+
+_frames = st.builds(Frame, t_scale=st.floats(0.3, 3.0), drift=st.floats(-0.9, 0.9),
+                    x0=st.floats(-5.0, 5.0), t0=st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["fiber", "cord", "cable"]), n=st.sampled_from([2, 4, 6, 10]),
+       M=st.integers(1, 12), repeats=st.integers(1, 3), frames=st.lists(_frames, min_size=1,
+                                                                         max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1), wrap_x=st.booleans(), clip=st.booleans())
+def test_merged_counting_equals_the_unmerged_expansion(kind, n, M, repeats, frames, seed, wrap_x,
+                                                       clip):
+    # accumulate counts each distinct segment once; the oracle expands every
+    # stored row as it is stored, duplicates and reversed copies included
+    lattice = LatticeSpec(n=n)
+    if kind == "fiber":
+        path = build_fiber((0.0, 0.0), lattice)
+    elif kind == "cord":
+        path = build_cord((0.0, 0.0), lattice, repeats=repeats)
+    else:
+        path = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
+    rng = np.random.default_rng(seed)
+    env = _coincident(right_envelope(path), rng, tuple(frames))
+    bounds = field_for_segments(env, pad=1)
+    x_cells = max(2, bounds.x_cells // 3) if wrap_x else bounds.x_cells
+    whole = DensityField(bounds.cell, bounds.t0_cell, bounds.x0_cell, bounds.t_cells, x_cells,
+                         wrap_x=wrap_x)
+    # a window inside the field: clipped, or naming the first escaping row
+    t_lo = int(rng.integers(0, whole.t_cells))
+    cut = DensityField(whole.cell, whole.t0_cell + t_lo, whole.x0_cell,
+                       int(rng.integers(1, whole.t_cells - t_lo + 1)), x_cells, wrap_x=wrap_x)
+    for field in (whole, cut):
+        filled = _filled(field, seed=seed % 1000)
+        k, j, _ = _incidences(env, field.cell)
+        col = np.mod(j - field.x0_cell, x_cells) if wrap_x else j - field.x0_cell
+        escapes = ((k < field.t0_cell) | (k >= field.t0_cell + field.t_cells) | (col < 0)
+                   | (col >= x_cells)).any()
+        if escapes and not clip:
+            message, _ = _first_escape_message(env, field)
+            assert _raises_and_leaves_unchanged(filled, env, ValueError) == message
+            continue
+        counted, oracle = accumulate(filled.copy(), env, clip=clip), expand_then_mask(filled, env)
+        assert np.array_equal(counted.adolescent, oracle.adolescent)
+        assert np.array_equal(counted.senescent, oracle.senescent)
+
+
+def test_zero_length_rows_merge_only_in_their_stored_direction():
+    # a row with t1 == t2 bins its x at its first end point, so the same
+    # row stored the other way round is another segment
+    lattice = LatticeSpec(n=10)
+    env = SegmentArray(lattice, [0, 4, 0], [4, 4, 4], [4, 0, 4], [4, 4, 4], [1, 1, 1], [1, 1, 1],
+                       [1, 1, 1], [0, 0, 0], (Frame(x0=0.05),))
+    first, net, _ = density._distinct(env)
+    assert (first.tolist(), net.tolist()) == ([0, 1], [2, 1])
+    field = DensityField(lattice.eps, 0, -1, 6, 6)
+    counted, oracle = accumulate(field.copy(), env), expand_then_mask(field, env)
+    assert np.array_equal(counted.adolescent, oracle.adolescent)
+    assert sorted(np.flatnonzero(counted.adolescent.sum(axis=0)).tolist()) == [1, 3]
+
+
+def test_cancelling_rows_still_count_their_summed_weight_toward_the_limit():
+    # one segment run forward and back, 2**52 each way: the net weight is 0,
+    # but the summed |weight| reaches 2**53 on the one slab they cover
+    lattice = LatticeSpec(n=10)
+    env = SegmentArray(lattice, [0, 1], [0, 1], [1, 0], [1, 0], [1, -1], [RIGHT_MOVER] * 2,
+                       [1, 1], [0, 0], (Frame(),), weight=[2 ** 52, 2 ** 52])
+    first, net, summed = density._distinct(env)
+    assert (first.tolist(), net.tolist(), summed.tolist()) == ([0], [0], [2 ** 53])
+    field = field_for_segments(env, pad=1)
+    message = _raises_and_leaves_unchanged(_filled(field), env, OverflowError)
+    assert message.startswith(f"summed segment weight {2 ** 53} reaches 2**53")
+    # one less each way stays exact, and the net 0 adds nothing
+    below = SegmentArray(lattice, env.x1, env.t1, env.x2, env.t2, env.time_dir, env.species,
+                         env.envelope, env.frame_idx, env.frames, weight=[2 ** 52 - 1] * 2)
+    filled = _filled(field)
+    counted = accumulate(filled.copy(), below)
+    assert np.array_equal(counted.adolescent, filled.adolescent)
+    assert np.array_equal(counted.senescent, filled.senescent)
+
+
+def test_summed_weights_past_int64_are_refused_not_wrapped():
+    # 2**62 four times sums past int64: the group's summed |weight| stays a
+    # Python int, so the refusal names the true sum
+    lattice = LatticeSpec(n=10)
+    env = SegmentArray(lattice, [0] * 4, [0] * 4, [1] * 4, [1] * 4, [1, -1, 1, -1],
+                       [RIGHT_MOVER] * 4, [1] * 4, [0] * 4, (Frame(),), weight=[2 ** 62] * 4)
+    assert density._distinct(env)[2].tolist() == [2 ** 64]
+    message = _raises_and_leaves_unchanged(field_for_segments(env, pad=1), env, OverflowError)
+    assert message.startswith(f"summed segment weight {2 ** 64} reaches 2**53")
 
 
 def test_zero_length_row_counts_in_the_one_slab_it_sits_in():

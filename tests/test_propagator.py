@@ -7,10 +7,11 @@ from entwined import propagator
 from entwined.density import (CHANNELS, DensityField, Region, accumulate, best_lag,
                               field_for_segments, fit_sinusoid, _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec
-from entwined.paths import build_cable, right_envelope
+from entwined.paths import build_cable, cords_per_shift, right_envelope
 from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, ray_repeats,
                                  reduced_frequency, region_for_fan, write_ray, write_region,
                                  _ray_report)
+from helpers import framed_window_end, repeats_covering
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,44 @@ def test_write_ray_refuses_a_cable_too_short_for_the_span(lattice):
     shorter = RaySpec(ray.v, ray.omega, (ray.t_span[0], ray.t_span[1] - 2 * math.pi / ray.omega))
     assert ray_repeats(shorter, lattice, M=8) == repeats - 1
     assert write_ray(shorter, short).steady_window[1] >= shorter.t_span[1]
+
+
+def _repeats_grid():
+    """(n, M, start_periods, n_periods, v) of every ray the test below tries:
+    a sweep of lattices, cords, windows and velocities, then the fans of the
+    ray-fan workload and acceptance 6 (n=50, M=60), acceptance 8 (n=10,
+    M=10, 5 rays, 3 periods), ``tools/same_bytes.py``'s MIXED_REPEATS line
+    (n=10, M=5, 7 rays over +-0.9, 3 periods) and its n=200 fan."""
+    default = [float(v) for v in np.linspace(-0.25, 0.25, 11)]
+    grid = [(n, M, start, periods, float(v)) for n in (2, 4, 10, 20, 50) for M in (1, 3, 10, 60)
+            for start in (0.5, 2.0, 3.7) for periods in (0.1, 1.0, 3.0, 6.0, 10.5)
+            for v in np.linspace(-0.95, 0.95, 39)]
+    grid += [(50, 60, 2.0, 6.0, v) for v in default]
+    grid += [(10, 10, 2.0, 3.0, float(v)) for v in np.linspace(-0.25, 0.25, 5)]
+    grid += [(10, 5, 2.0, 3.0, float(v)) for v in np.linspace(-0.9, 0.9, 7)]
+    grid += [(200, 240, 2.0, 6.0, v) for v in default]
+    return grid
+
+
+def test_ray_repeats_is_the_fewest_whose_steady_window_covers_the_span():
+    # ray_repeats solves the cable steady window for the repeats count in its
+    # own inverted form; tried against the shared formula, it agrees on every
+    # ray but two, whose framed window it leaves short of the span by rounding
+    short = set()
+    for n, M, start, periods, v in _repeats_grid():
+        lattice = LatticeSpec(n=n)
+        counts = cords_per_shift(n, M)
+        if not any(counts):
+            continue
+        t_span = region_for_fan(lattice, (v,), start, periods).t_range
+        ray = RaySpec.from_velocity(v, lattice.mass, t_span)
+        got, want = ray_repeats(ray, lattice, M), repeats_covering(ray, lattice, counts)
+        if got != want:
+            assert got == want - 1
+            miss = t_span[1] - framed_window_end(ray, lattice, counts, got)
+            assert 0 < miss <= 4 * math.ulp(t_span[1])
+            short.add((n, M, start, periods, round(v, 12)))
+    assert short == {(4, 1, 3.7, 3.0, -0.5), (4, 1, 3.7, 3.0, 0.5)}
 
 
 def test_write_ray_refuses_a_framed_path(lattice):
