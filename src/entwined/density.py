@@ -34,9 +34,11 @@ and fits read it as.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +48,7 @@ from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, cable_steady_window,
 
 _EXACT_LIMIT = 2 ** 53  # summed |weight| refused from here: float64 holds integers below it
 _BLOCK = 16384  # incidences expanded at once by ``accumulate``
+_FORMAT_BLOCK = 65536  # cells formatted at once by ``_format_matrix``
 _UNIFORM_TOL = 1e-6  # largest spread of the time steps, relative to their mean, still called uniform
 _FIT_SAMPLES = 8  # fewest samples a sinusoid fit takes
 
@@ -624,38 +627,70 @@ def compare(field: DensityField, ref: ReferenceDensity, channel: str, region: Re
 # export
 
 
-def _format_matrix(matrix: np.ndarray) -> bytes:
-    """Decimal text of a 2-D int64 matrix: the bytes that
-    ``np.savetxt(f, matrix, fmt="%d", delimiter="\\t")`` writes.
+def _tokens(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-width text tokens of a 1-D int64 vector, as rows of uint32 words.
 
-    Every cell gets a zeroed row of ``digits + 2`` bytes: the sign, the
-    digits right-aligned, then ``\\t``, or ``\\n`` at a row end.  The zero
-    bytes (no sign, leading zeros) are dropped at the end.  Magnitudes are
-    taken in uint64, so -2**63 renders exactly.
+    A token is the sign, the digits right-aligned and ``\\t``, in a row of
+    whole 4-byte words; a missing sign, leading zeros and the padding in
+    front are zero bytes.  Returns that table and a copy whose tokens end in
+    ``\\n``, for a row's last column.  Magnitudes are taken in uint64, so
+    -2**63 renders exactly.
     """
-    rows = matrix.shape[0]
-    flat = matrix.ravel()
-    neg = flat < 0
-    mag = flat.astype(np.uint64)
+    neg = values < 0
+    mag = values.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)  # modular: |v| for every int64, -2**63 included
     top = int(mag.max())
     mag = mag.astype(np.min_scalar_type(top))  # narrow ints divide faster
     digits = len(str(top))
-    width = digits + 2
-    out = np.zeros((flat.size, width), dtype=np.uint8)
-    out[:, 0] = neg * np.uint8(ord("-"))
-    out[:, -1] = ord("\t")
-    out.reshape(rows, -1)[:, -1] = ord("\n")
+    width = -(-(digits + 2) // 4) * 4
+    tab = np.zeros((values.size, width), dtype=np.uint8)
+    tab[:, width - digits - 2] = neg * np.uint8(ord("-"))
+    tab[:, -1] = ord("\t")
     rem = mag
     for d in range(digits):
         quot = rem // 10
         digit = (rem - quot * 10).astype(np.uint8) + np.uint8(ord("0"))
         if d:
             digit *= mag >= 10 ** d  # zero past the leading digit
-        out[:, width - 2 - d] = digit
+        tab[:, width - 2 - d] = digit
         rem = quot
-    text = out.ravel()
-    return text[text != 0].tobytes()
+    newline = tab.copy()
+    newline[:, -1] = ord("\n")
+    return tab.view(np.uint32), newline.view(np.uint32)
+
+
+def _format_matrix(matrix: np.ndarray) -> bytes:
+    """Decimal text of a 2-D int64 matrix: the bytes that
+    ``np.savetxt(f, matrix, fmt="%d", delimiter="\\t")`` writes.
+
+    Each distinct value is formatted once.  When the matrix spans fewer
+    values than it has cells, the table is every value from its minimum to
+    its maximum, and a cell indexes it by ``value - min``; otherwise each
+    block formats its own cells.  The matrix goes in blocks of whole rows,
+    about ``_FORMAT_BLOCK`` cells each (a row wider than that is a block of
+    its own): a block gathers its cells' tokens as uint32 words, takes its
+    last column from the ``\\n`` table, and drops the zero bytes with
+    ``bytes.translate``.  The blocks are written into one buffer, so memory
+    beyond the output and the table stays one block's.
+    """
+    rows, cols = matrix.shape
+    lo, hi = int(matrix.min()), int(matrix.max())  # Python ints: hi - lo cannot wrap
+    shared = hi - lo < matrix.size
+    if shared:
+        tab, newline = _tokens(np.arange(hi - lo + 1, dtype=np.int64) + lo)
+    step = max(1, _FORMAT_BLOCK // cols)
+    out = io.BytesIO()  # getvalue() hands its buffer over: a join would hold the text twice
+    for r in range(0, rows, step):
+        block = matrix[r:r + step]
+        if shared:
+            index = block - lo
+        else:
+            tab, newline = _tokens(block.ravel())
+            index = np.arange(block.size).reshape(block.shape)
+        words = np.take(tab, index, axis=0)
+        words[:, -1] = np.take(newline, index[:, -1], axis=0)
+        out.write(words.tobytes().translate(None, b"\0"))
+    return out.getvalue()
 
 
 def export_field(field: DensityField, directory, basename: str) -> list:
@@ -666,8 +701,6 @@ def export_field(field: DensityField, directory, basename: str) -> list:
     ``-`` for negatives and no header; integers render exactly, so files are
     bit-reproducible.
     """
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

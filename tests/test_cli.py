@@ -449,6 +449,8 @@ def test_outputs_byte_identical_across_thread_counts(tmp_path, experiment, flags
     ("carrier", ["--n", "6", "--cords", "8"]),
     ("propagate", ["--n", "8", "--cords", "6", "--v-count", "3", "--n-periods", "2"]),
     ("ring", ["--n", "8", "--cords", "6", "--cycles", "3"]),
+    # 1280 x 160 = 204,800 cells a channel: four formatter blocks of whole rows
+    pytest.param("ring", ["--n", "20", "--cords", "10", "--cycles", "2"], id="ring-4-blocks"),
 ])
 def test_field_files_match_savetxt_of_their_values(tmp_path, experiment, flags):
     # two routes to the same bytes: the written field, and np.savetxt of the

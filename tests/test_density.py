@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1113,6 +1114,64 @@ def _random_matrix(shape, magnitude, seed):
     *(pytest.param(_random_matrix((17, 23), 10 ** e, seed=e), id=f"random-1e{e}")
       for e in (1, 3, 6, 12, 18)),
     pytest.param(_random_matrix((31, 7), 0, seed=0), id="random-int64"),
+    # the table of every value from min to max, and each block's own values
+    pytest.param(np.arange(-5, 7, dtype=np.int64).reshape(3, 4), id="range-size-minus-1"),
+    pytest.param(np.append(np.arange(-5, 6), 7).reshape(3, 4), id="range-equals-size"),
+    pytest.param(_I64.max - np.arange(12).reshape(3, 4) % 4, id="table-near-int64-max"),
+    pytest.param(_I64.min + np.arange(12).reshape(3, 4) % 4, id="table-near-int64-min"),
+    # row blocks: a row wider than a block, a row count no multiple of the
+    # block, one column over several blocks, a large all-zero field
+    pytest.param(_random_matrix((3, density._FORMAT_BLOCK + 5), 14, seed=1), id="row-over-a-block"),
+    pytest.param(_random_matrix((1000, 160), 14, seed=2), id="rows-past-whole-blocks"),
+    pytest.param(_random_matrix((2 * density._FORMAT_BLOCK + 3, 1), 99, seed=3), id="long-column"),
+    pytest.param(np.zeros((1000, 500), dtype=np.int64), id="zeros-1000x500"),
 ])
 def test_format_matrix_matches_savetxt(matrix):
     assert _format_matrix(matrix) == savetxt_bytes(matrix)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 30), cols=st.integers(1, 30), block=st.integers(1, 40),
+       lo=st.integers(_I64.min, _I64.max),
+       span=st.one_of(st.integers(0, 40), st.integers(0, 2 ** 64 - 1)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_format_matrix_matches_savetxt_across_small_blocks(rows, cols, block, lo, span, seed):
+    # spans below and above the cell count take both table sources; a small
+    # block puts many block boundaries inside and between rows
+    hi = min(lo + span, _I64.max)
+    matrix = np.random.default_rng(seed).integers(lo, hi, size=(rows, cols), dtype=np.int64,
+                                                  endpoint=True)
+    with mock.patch.object(density, "_FORMAT_BLOCK", block):
+        assert _format_matrix(matrix) == savetxt_bytes(matrix)
+
+
+@pytest.mark.parametrize("matrix,formatted", [
+    (np.arange(-5, 7, dtype=np.int64).reshape(3, 4), [12]),  # the table -5..6, once
+    (np.append(np.arange(-5, 6), 7).reshape(3, 4), [12]),  # its own 12 cells: range 12
+    (_random_matrix((2, density._FORMAT_BLOCK), 0, seed=5),  # each block its own cells
+     [density._FORMAT_BLOCK] * 2),
+    (np.zeros((1000, 500), dtype=np.int64), [1]),
+    (_random_matrix((1000, 160), 14, seed=2), [29]),
+])
+def test_format_matrix_formats_each_distinct_value_once(matrix, formatted):
+    sizes = []
+    tokens = density._tokens
+    with mock.patch.object(density, "_tokens", lambda v: sizes.append(v.size) or tokens(v)):
+        _format_matrix(matrix)
+    assert sizes == formatted
+
+
+def test_format_memory_is_the_output_and_one_block():
+    # a whole-matrix index alone would take 8 bytes a cell
+    matrix = _random_matrix((4000, 500), 14, seed=4)
+    tracemalloc.start()
+    try:
+        text = _format_matrix(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.startswith(savetxt_bytes(matrix[:3])) and text.endswith(savetxt_bytes(matrix[-3:]))
+    # the buffer may run an eighth over the output; a block's index, words
+    # and text take under 32 bytes a cell
+    assert peak < 1.125 * len(text) + 32 * density._FORMAT_BLOCK
+    assert peak < 4 * matrix.size
