@@ -242,36 +242,35 @@ def _fmt(value) -> str:
 class _Artifacts:
     """Output files of one run.  ``--out`` is created by the first write, and
     runners compute all that can raise before they write, so a run that fails
-    leaves ``--out`` as it was."""
+    leaves ``--out`` as it was.  Each file's sha256 and byte count are taken
+    from the bytes as they are written, so the manifest reads nothing back."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.paths: list[Path] = []
+        self.entries: dict[str, dict] = {}
 
     def _dir(self) -> Path:
-        if not self.paths:
+        if not self.entries:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir
 
+    def _write(self, path: Path, data: bytes) -> None:
+        path.write_bytes(data)
+        self.entries[path.name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
     def write_text(self, name: str, text: str) -> None:
-        path = self._dir() / name
-        path.write_text(text)
-        self.paths.append(path)
+        self._write(self._dir() / name, text.encode())
 
     def export(self, field, name: str) -> None:
-        self.paths.extend(export_field(field, self._dir(), name))
+        export_field(field, self._dir(), name, write=self._write)
 
     def manifest(self, config: dict) -> None:
-        entries = {}
-        for path in sorted(self.paths):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            entries[path.name] = {"sha256": digest, "bytes": path.stat().st_size}
         # thread count and output placement are execution policy, not
         # experiment identity; outputs are byte-identical across thread
         # counts and the manifest must be too
         recorded = {k: v for k, v in config.items()}
         recorded["run"] = {k: v for k, v in config["run"].items() if k not in ("threads", "out")}
-        body = {"version": __version__, "config": recorded, "artifacts": entries}
+        body = {"version": __version__, "config": recorded, "artifacts": self.entries}
         self.write_text("manifest.json", json.dumps(body, sort_keys=True, indent=2, default=str) + "\n")
 
 
@@ -427,7 +426,7 @@ def run(config: dict) -> int:
     art.write_text("summary.txt", summary)
     art.manifest(config)
     print(summary, end="")
-    print(f"wrote {len(art.paths)} files to {out_dir}")
+    print(f"wrote {len(art.entries)} files to {out_dir}")
     return 0
 
 

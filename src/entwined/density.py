@@ -26,10 +26,10 @@ Fields hold two integer channels: adolescent (right movers) and senescent
 rows that lie on one segment of one frame and species, whichever way they
 run, are merged before the expansion: each distinct segment is expanded
 once, and each of its incidences scatter-adds its net signed weight (the
-sum of time_dir * w over its rows, which may cancel to 0) into an int64
-accumulator, so counts are exact.  A pass whose summed |w| reaches 2**53
-raises, so every count also holds exactly as a float64, the type profiles
-and fits read it as.
+sum of time_dir * w over its rows, which may cancel to 0) straight into
+the field's one int64 store, so counts are exact.  A pass whose summed |w|
+reaches 2**53 raises, so every count also holds exactly as a float64, the
+type profiles and fits read it as.
 """
 
 from __future__ import annotations
@@ -58,9 +58,12 @@ CHANNELS = ("adolescent", "senescent")
 class DensityField:
     """Two-channel signed-integer accumulation grid over (x, t) cells.
 
-    Cell (i, j) of each channel covers t in [ (t0_cell+i)*cell, +cell ) and
-    x in [ (x0_cell+j)*cell, +cell ).  ``wrap_x`` folds spatial indices
-    modulo the grid width (periodic/ring domains).
+    Both channels live in one int64 store, ``counts``, of shape (2, t_cells,
+    x_cells); ``adolescent`` and ``senescent`` are its views ``counts[0]``
+    and ``counts[1]``.  Cell (i, j) of each channel covers t in
+    [ (t0_cell+i)*cell, +cell ) and x in [ (x0_cell+j)*cell, +cell ).
+    ``wrap_x`` folds spatial indices modulo the grid width (periodic/ring
+    domains).
     """
 
     def __init__(self, cell: float, t0_cell: int, x0_cell: int, t_cells: int, x_cells: int,
@@ -71,16 +74,23 @@ class DensityField:
         self.t0_cell = int(t0_cell)
         self.x0_cell = int(x0_cell)
         self.wrap_x = bool(wrap_x)
-        self.adolescent = np.zeros((t_cells, x_cells), dtype=np.int64)
-        self.senescent = np.zeros((t_cells, x_cells), dtype=np.int64)
+        self.counts = np.zeros((2, t_cells, x_cells), dtype=np.int64)
+
+    @property
+    def adolescent(self) -> np.ndarray:
+        return self.counts[0]
+
+    @property
+    def senescent(self) -> np.ndarray:
+        return self.counts[1]
 
     @property
     def t_cells(self) -> int:
-        return self.adolescent.shape[0]
+        return self.counts.shape[1]
 
     @property
     def x_cells(self) -> int:
-        return self.adolescent.shape[1]
+        return self.counts.shape[2]
 
     @property
     def origin_offset(self) -> tuple[float, float]:
@@ -90,7 +100,7 @@ class DensityField:
     def channel(self, name: str) -> np.ndarray:
         if name not in CHANNELS:
             raise ValueError(f"unknown channel {name!r}")
-        return getattr(self, name)
+        return self.counts[CHANNELS.index(name)]
 
     def t_centers(self) -> np.ndarray:
         return (self.t0_cell + np.arange(self.t_cells) + 0.5) * self.cell
@@ -101,8 +111,7 @@ class DensityField:
     def copy(self) -> "DensityField":
         out = DensityField(self.cell, self.t0_cell, self.x0_cell, self.t_cells, self.x_cells,
                            wrap_x=self.wrap_x)
-        out.adolescent[:] = self.adolescent
-        out.senescent[:] = self.senescent
+        out.counts[:] = self.counts
         return out
 
 
@@ -213,9 +222,9 @@ def _slabs(k_lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _rows(segs: SegmentArray, cell: float, window=None):
     """Row phase of the slab expansion through per-segment frames.
 
-    Returns each stored row's first slab and slab count, and ``expand(a,
-    b)``, which gives the absolute (t_cell, x_cell) and the stored row of
-    every (row, covered time-cell) incidence of rows a..b-1.  Slab edges
+    Returns each stored row's slab count, and ``expand(a, b)``, which
+    gives the absolute (t_cell, x_cell) and the stored row of every (row,
+    covered time-cell) incidence of rows a..b-1.  Slab edges
     and x midpoints are binned by ``_snapped``.  Row quantities are gathered
     from the frame table once per stored row and spread to that row's
     incidences with ``np.repeat``; with a single frame its values stay
@@ -266,13 +275,13 @@ def _rows(segs: SegmentArray, cell: float, window=None):
         x_phys = spread(xs) * x_int_m + spread(drift) * t_m + spread(x0)
         return k, _snapped(np.floor, x_phys / cell), np.repeat(np.arange(a, b), c)
 
-    return k_lo, counts, expand
+    return counts, expand
 
 
 def _incidences(segs: SegmentArray, cell: float, window=None):
     """(t_cell, x_cell, stored row) of every incidence, the whole expansion
     at once.  ``window`` (t_lo, t_hi) keeps only slabs t_lo <= t_cell < t_hi."""
-    _, counts, expand = _rows(segs, cell, window)
+    counts, expand = _rows(segs, cell, window)
     return expand(0, len(counts))
 
 
@@ -337,12 +346,13 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     bounds-checked, and an out-of-field error names its first stored row.
     Segments are expanded in consecutive blocks of at most ``_BLOCK``
     incidences, so transient memory is one block, not the whole incidence
-    list.  Each block's int64 signed weights are scatter-added into one
-    int64 accumulator that spans the rows' slab range inside the field, by
-    the field's width; it is added into the field once, at the end, so a
-    call that raises leaves the field unchanged.  A pass whose summed |w|
-    (not its net weight) reaches 2**53 raises OverflowError.  An x-summed
-    profile is a row sum of the field: ``field.channel(name).sum(axis=1)``.
+    list nor a copy of the field.  Each block's int64 signed weights are
+    scatter-added straight into ``field.counts``.  A call that raises leaves
+    the field unchanged: the blocks already added are expanded again and
+    subtracted, which integer arithmetic undoes exactly.  A pass whose
+    summed |w| (not its net weight) reaches 2**53 raises OverflowError.
+    An x-summed profile is a row sum of the field:
+    ``field.channel(name).sum(axis=1)``.
     """
     if not isinstance(envelope, SegmentArray):
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
@@ -352,24 +362,18 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
     first, signed, summed = _distinct(envelope)
     segments = envelope.subset(first)
-    k_lo, counts, expand = _rows(segments, field.cell, window)
-    live = counts > 0
-    if not live.any():
-        return field
-    t_lo = max(int(k_lo[live].min()), field.t0_cell)
-    t_hi = min(int((k_lo + counts)[live].max()), field.t0_cell + field.t_cells)
-    rows = max(t_hi - t_lo, 0)  # 0: unclipped rows wholly outside the field; the first block raises
-    cols = field.x_cells
-    acc = np.zeros(2 * rows * cols, dtype=np.int64)
+    counts, expand = _rows(segments, field.cell, window)
+    rows, cols = field.t_cells, field.x_cells
+    flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
     # the channel (0 for right movers, adolescent; 1 for left movers,
     # senescent) is folded into the linear index, so one pass covers both
     channel_offset = np.where(segments.species != RIGHT_MOVER, rows, 0)
-    # exact sums only where the summed |w| could reach the limit at all
-    summing = int(summed.max()) * int(counts.sum()) >= _EXACT_LIMIT
-    total = 0
-    for a, b in _blocks(counts):
+
+    def landing(a: int, b: int):
+        """Linear cell index and segment of every incidence of segments
+        a..b-1 that lands in the field."""
         k, j, idx = expand(a, b)
-        k -= t_lo
+        k -= field.t0_cell
         j -= field.x0_cell
         col = np.mod(j, cols) if field.wrap_x else j
         ok = (k >= 0) & (k < rows) & (col >= 0) & (col < cols)
@@ -378,24 +382,37 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
                 bad = int(np.flatnonzero(~ok)[0])
                 raise ValueError(
                     f"stored row {int(first[idx[bad]])} writes outside the field at cell "
-                    f"(t={int(k[bad]) + t_lo}, x={int(j[bad]) + field.x0_cell}); "
+                    f"(t={int(k[bad]) + field.t0_cell}, x={int(j[bad]) + field.x0_cell}); "
                     "pass clip=True to drop it"
                 )
             k, col, idx = k[ok], col[ok], idx[ok]
-        if summing:
-            total += sum(summed[idx].tolist())  # Python ints: exact
         lin = k  # built in place
         lin += channel_offset[idx]
         lin *= cols
         lin += col
-        np.add.at(acc, lin, signed[idx])
-    if total >= _EXACT_LIMIT:
-        raise OverflowError(f"summed segment weight {total} reaches 2**53; "
-                            "counts past it would not be exact as float64")
-    acc = acc.reshape(2, rows, cols)
-    ts = slice(t_lo - field.t0_cell, t_lo - field.t0_cell + rows)
-    field.adolescent[ts] += acc[0]
-    field.senescent[ts] += acc[1]
+        return lin, idx
+
+    # exact sums only where the summed |w| could reach the limit at all
+    summing = int(summed.max()) * int(counts.sum()) >= _EXACT_LIMIT
+    total = 0
+    landed = 0  # segments 0..landed-1 are added into the field
+    try:
+        for a, b in _blocks(counts):
+            lin, idx = landing(a, b)
+            if summing:
+                total += sum(summed[idx].tolist())  # Python ints: exact
+            np.add.at(flat, lin, signed[idx])
+            landed = b
+        if total >= _EXACT_LIMIT:
+            raise OverflowError(f"summed segment weight {total} reaches 2**53; "
+                                "counts past it would not be exact as float64")
+    except BaseException:
+        # int64 adds are exact (modulo 2**64), so taking the landed blocks
+        # back out restores every cell
+        for a, b in _blocks(counts[:landed]):
+            lin, idx = landing(a, b)
+            np.subtract.at(flat, lin, signed[idx])
+        raise
     return field
 
 
@@ -670,43 +687,50 @@ def _format_matrix(matrix: np.ndarray) -> bytes:
     about ``_FORMAT_BLOCK`` cells each (a row wider than that is a block of
     its own): a block gathers its cells' tokens as uint32 words, takes its
     last column from the ``\\n`` table, and drops the zero bytes with
-    ``bytes.translate``.  The blocks are written into one buffer, so memory
-    beyond the output and the table stays one block's.
+    ``bytes.translate``.  With the shared table, every block fills the same
+    index and word buffers.  The blocks are written into one buffer, so
+    memory beyond the output and the table stays one block's.
     """
     rows, cols = matrix.shape
     lo, hi = int(matrix.min()), int(matrix.max())  # Python ints: hi - lo cannot wrap
     shared = hi - lo < matrix.size
+    step = max(1, _FORMAT_BLOCK // cols)
     if shared:
         tab, newline = _tokens(np.arange(hi - lo + 1, dtype=np.int64) + lo)
-    step = max(1, _FORMAT_BLOCK // cols)
+        index_buf = np.empty((min(step, rows), cols), dtype=np.int64)
+        words_buf = np.empty(index_buf.shape + tab.shape[1:], dtype=tab.dtype)
     out = io.BytesIO()  # getvalue() hands its buffer over: a join would hold the text twice
     for r in range(0, rows, step):
         block = matrix[r:r + step]
         if shared:
-            index = block - lo
+            # filled in place; mode="clip" keeps np.take from buffering (indices are in range)
+            index = np.subtract(block, lo, out=index_buf[:len(block)])
+            words = np.take(tab, index, axis=0, out=words_buf[:len(block)], mode="clip")
         else:
             tab, newline = _tokens(block.ravel())
             index = np.arange(block.size).reshape(block.shape)
-        words = np.take(tab, index, axis=0)
+            words = np.take(tab, index, axis=0)
         words[:, -1] = np.take(newline, index[:, -1], axis=0)
         out.write(words.tobytes().translate(None, b"\0"))
     return out.getvalue()
 
 
-def export_field(field: DensityField, directory, basename: str) -> list:
+def export_field(field: DensityField, directory, basename: str,
+                 write=Path.write_bytes) -> list:
     """Write one integer matrix per channel plus a JSON metadata record.
 
     Returns the written paths.  Matrices are tab-delimited rows (one row per
     time cell, each ending in ``\\n``) of decimal integers with a leading
     ``-`` for negatives and no header; integers render exactly, so files are
-    bit-reproducible.
+    bit-reproducible.  Each file's bytes are written by ``write(path,
+    data)``; a caller that records what it writes passes its own.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for name in CHANNELS:
         path = directory / f"{basename}.{name}.tsv"
-        path.write_bytes(_format_matrix(field.channel(name)))
+        write(path, _format_matrix(field.channel(name)))
         written.append(path)
     meta = {
         "cell_size": field.cell,
@@ -718,6 +742,6 @@ def export_field(field: DensityField, directory, basename: str) -> list:
         "channels": list(CHANNELS),
     }
     meta_path = directory / f"{basename}.meta.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write(meta_path, (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
     written.append(meta_path)
     return written

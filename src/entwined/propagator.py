@@ -23,7 +23,8 @@ import numpy as np
 from .density import (DensityField, accumulate, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil,
                       _cell_floor, _segment_bounds)
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import EntwinedPath, Frame, build_cable, cords_per_shift, right_envelope, with_frame
+from .paths import (EntwinedPath, Frame, build_cable, cable_steady_window, cords_per_shift,
+                    right_envelope, with_frame)
 
 
 def analytic_kernel(x, t, mass: float):
@@ -122,11 +123,10 @@ def _t_scale(ray: RaySpec, spec: LatticeSpec) -> float:
 def _repeats_needed(ray: RaySpec, spec: LatticeSpec, counts: list[int]) -> int:
     if not any(counts):
         raise ValueError("M too small: cable would be empty")
-    last_shift = max(k for k, c in enumerate(counts) if c) * spec.eps
-    span = ray.t_span[1] - ray.t_span[0]
-    # steady window of a cable with R repeats: [last_shift + 4, 4R - 1 + eps]
-    need = last_shift + 5.0 - spec.eps + span / _t_scale(ray, spec)
-    return max(1, math.ceil(need / PERIOD))
+    lo, hi = cable_steady_window(spec, counts, 1)
+    # each further repeat lengthens the cable, and its steady window, by one period
+    short = lo + (ray.t_span[1] - ray.t_span[0]) / _t_scale(ray, spec) - hi
+    return 1 + max(0, math.ceil(short / PERIOD))
 
 
 def ray_repeats(ray: RaySpec, spec: LatticeSpec, M: int) -> int:
@@ -284,8 +284,7 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
         reports = []
         for band, report in results:
             cols = slice(band.x0_cell - x0_cell, band.x0_cell - x0_cell + band.x_cells)
-            field.adolescent[:, cols] += band.adolescent
-            field.senescent[:, cols] += band.senescent
+            field.counts[:, :, cols] += band.counts
             reports.append(report)
         return tuple(reports)
 

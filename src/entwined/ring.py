@@ -136,9 +136,7 @@ def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0)
     field = DensityField(cell, t0_cell, 0, ring_rows(spec, lattice), x_cells, wrap_x=True)
     accumulate(field, right_envelope(path), clip=True)
     if origin_cell % x_cells:
-        shift = origin_cell % x_cells
-        field.adolescent[:] = np.roll(field.adolescent, shift, axis=1)
-        field.senescent[:] = np.roll(field.senescent, shift, axis=1)
+        field.counts = np.roll(field.counts, origin_cell % x_cells, axis=2)
     return field
 
 

@@ -478,6 +478,27 @@ def test_manifest_lists_every_artifact_with_checksum(tmp_path):
         assert len(body) == entry["bytes"]
 
 
+@pytest.mark.parametrize("experiment,flags", [
+    ("chessboard", ["--n-steps", "10", "--step-size", "0.1"]),
+    ("ring", ["--n", "8", "--cords", "6", "--cycles", "3"]),
+])
+def test_manifest_hashes_the_bytes_as_they_are_written(tmp_path, monkeypatch, experiment, flags):
+    out = tmp_path / experiment
+
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"read back {path.name}")
+
+    with monkeypatch.context() as patch:
+        for name in ("read_bytes", "read_text"):
+            patch.setattr(Path, name, refuse)
+        assert run_cli([experiment, *flags, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name, body in read_tree(out).items():
+        if name != "manifest.json":
+            assert manifest["artifacts"][name] == {"sha256": hashlib.sha256(body).hexdigest(),
+                                                   "bytes": len(body)}
+
+
 def test_rerun_from_manifest_config_reproduces_checksums(tmp_path):
     first = tmp_path / "first"
     assert run_cli(["carrier", "--n", "6", "--cords", "8", "--out", str(first)]) == 0

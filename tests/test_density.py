@@ -115,6 +115,35 @@ def test_accumulation_is_order_independent(spec):
     assert np.array_equal(a.senescent, b.senescent)
 
 
+def test_channels_are_views_of_the_one_store():
+    field = DensityField(0.5, -3, 2, 4, 5)
+    assert field.counts.shape == (2, 4, 5) and field.counts.dtype == np.int64
+    field.adolescent[1, 2] = 7
+    field.senescent[:, 0] += 3
+    field.channel("senescent")[3, 4] = -2
+    expected = np.zeros((2, 4, 5), dtype=np.int64)
+    expected[0, 1, 2] = 7
+    expected[1, :, 0] = 3
+    expected[1, 3, 4] = -2
+    assert np.array_equal(field.counts, expected)
+    for i, name in enumerate(CHANNELS):
+        assert np.shares_memory(field.channel(name), field.counts[i])
+
+
+def test_copy_shares_no_memory_with_its_source(spec):
+    fiber = build_fiber((0.0, 0.0), spec)
+    field = accumulate(field_for_segments(fiber.segs, pad=2, wrap_x=True), right_envelope(fiber))
+    kept = field.counts.copy()
+    twin = field.copy()
+    assert not np.shares_memory(twin.counts, field.counts)
+    assert np.array_equal(twin.counts, field.counts)
+    assert ((twin.cell, twin.t0_cell, twin.x0_cell, twin.wrap_x)
+            == (field.cell, field.t0_cell, field.x0_cell, field.wrap_x))
+    twin.counts += 1
+    accumulate(twin, right_envelope(fiber))
+    assert np.array_equal(field.counts, kept)
+
+
 def _identity_case():
     spec = LatticeSpec(n=10)
     cable = build_cable((0.2, 0.4), spec, M=20, repeats=3)
@@ -233,7 +262,7 @@ def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkey
     # |weight| reaches 2**53 only in the last block
     set_block(monkeypatch, 3)
     env = right_envelope(build_fiber((0.0, 0.0), spec))
-    _, counts, _ = density._rows(env, spec.eps)
+    counts, _ = density._rows(env, spec.eps)
     assert counts.tolist() == [5] * 4 and len(list(density._blocks(counts))) == 4
     least = -(-2 ** 53 // 20)  # the least weight whose 20 incidences sum to 2**53
     unit = accumulate(field_for_segments(env, pad=2), env)
@@ -275,6 +304,23 @@ def test_counting_memory_is_one_block_not_the_incidence_list(monkeypatch):
     assert counted.adolescent.any()
     assert peaks[0] < 25 * 2 ** 20
     assert peaks[1] < 1.1 * peaks[0]  # twice the incidences, the same blocks and accumulator
+
+
+def test_counting_allocates_no_field_sized_temporary(monkeypatch):
+    # the ring-modes eigen run's one accumulate, straight into its 13.1 MB store
+    calls = []
+    monkeypatch.setattr(ring, "accumulate",
+                        lambda field, env, clip: calls.append((field, env, clip)))
+    run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
+    (field, env, clip), = calls
+    tracemalloc.start()
+    try:
+        accumulate(field, env, clip=clip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.adolescent.any() and field.senescent.any()
+    assert peak < 0.5 * field.counts.nbytes
 
 
 def test_accumulate_linearity_over_concatenated_envelopes(spec):
@@ -332,7 +378,7 @@ def _blocks_wholly_outside(env, field):
     """Blocks of ``accumulate(field, env, clip=True)`` that expand incidences
     of which none lands in the field."""
     window = (field.t0_cell, field.t0_cell + field.t_cells)
-    _, counts, expand = density._rows(env, field.cell, window)
+    counts, expand = density._rows(env, field.cell, window)
     outside = 0
     for a, b in density._blocks(counts):
         _, j, _ = expand(a, b)
@@ -346,7 +392,7 @@ def test_clipped_counting_matches_expand_then_mask(case, block, monkeypatch):
     block = set_block(monkeypatch, block)
     env, field = case()
     if block == 1:  # rows longer than a block are a block of their own
-        assert (density._rows(env, field.cell)[1] > block).any()
+        assert (density._rows(env, field.cell)[0] > block).any()
     # unclipped over a field that holds every incidence
     filled = _filled(field)
     counted, oracle = accumulate(filled.copy(), env), expand_then_mask(filled, env)
@@ -455,14 +501,39 @@ def test_unclipped_out_of_field_error_names_the_first_escaping_incidence(case, b
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_any_error_after_blocks_landed_leaves_the_field_unchanged(case, monkeypatch):
+    # the third block's expansion fails; the two landed blocks are expanded
+    # again and subtracted
+    set_block(monkeypatch, 7)
+    env, field = case()
+    rows = density._rows
+    expanded = []
+
+    def failing_rows(*args):
+        counts, expand = rows(*args)
+
+        def expand_or_fail(a, b):
+            expanded.append((a, b))
+            if len(expanded) == 3:
+                raise MemoryError("third block")
+            return expand(a, b)
+
+        return counts, expand_or_fail
+
+    monkeypatch.setattr(density, "_rows", failing_rows)
+    assert _raises_and_leaves_unchanged(_filled(field), env, MemoryError) == "third block"
+    assert expanded[3:] == expanded[:2]
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_unclipped_error_from_a_later_block_leaves_the_field_unchanged(case, monkeypatch):
-    # earlier blocks land in the field; the accumulator must not reach it
+    # earlier blocks land in the field and must be taken back out
     set_block(monkeypatch, 7)
     env, field = case()
     late = DensityField(field.cell, field.t0_cell, field.x0_cell, field.t_cells * 3 // 4,
                         field.x_cells, wrap_x=field.wrap_x)
     message, row = _first_escape_message(env, late)
-    _, counts, _ = density._rows(env, late.cell)
+    counts, _ = density._rows(env, late.cell)
     blocks = list(density._blocks(counts))
     first_bad = next(i for i, (a, b) in enumerate(blocks) if a <= row < b)
     assert first_bad >= 2

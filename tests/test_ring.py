@@ -119,6 +119,20 @@ def test_rotation_of_write_origin_only_rolls_the_field(lattice, circumference):
     assert rolled.adolescent.sum() == base.adolescent.sum()
 
 
+@pytest.mark.parametrize("origin_cell", [1, -3, 165])
+def test_write_origin_rolls_both_channels_of_the_store(lattice, circumference, origin_cell):
+    spec = RingSpec(circumference=circumference, mode=1, cycles=4)
+    base = run_ring(spec, lattice, M=10)
+    rolled = run_ring(spec, lattice, M=10, origin_cell=origin_cell)
+    shift = origin_cell % base.x_cells
+    assert shift
+    for i in range(2):  # a channel no roll leaves as it is
+        assert not np.array_equal(np.roll(base.counts[i], shift, axis=1), base.counts[i])
+    assert np.array_equal(rolled.counts, np.roll(base.counts, shift, axis=2))
+    assert np.shares_memory(rolled.adolescent, rolled.counts)
+    assert np.shares_memory(rolled.senescent, rolled.counts)
+
+
 def test_zero_speed_writes_uniform_columns(lattice, circumference):
     spec = RingSpec(circumference=circumference, mode=1, speed=0.0, cycles=4)
     field = run_ring(spec, lattice, M=10)
