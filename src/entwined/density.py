@@ -51,6 +51,8 @@ _BLOCK = 16384  # incidences expanded at once by ``accumulate``
 _FORMAT_BLOCK = 65536  # cells formatted at once by ``_format_matrix``
 _UNIFORM_TOL = 1e-6  # largest spread of the time steps, relative to their mean, still called uniform
 _FIT_SAMPLES = 8  # fewest samples a sinusoid fit takes
+_FIT_RTOL = 1e-10  # relative width at which the frequency search stops
+_FIT_TRIALS = 60  # most frequencies the search solves for one fit
 
 CHANNELS = ("adolescent", "senescent")
 
@@ -518,19 +520,87 @@ def _fit_at(omega: float, times: np.ndarray, rows: np.ndarray) -> tuple[float, n
     return math.sqrt(resid @ resid / len(resid)), coef
 
 
+def _fft_bracket(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """The frequencies one FFT bin either side of the dominant bin of the
+    detrended data, ``[max(peak - 1, peak / 2), peak + 1]`` bins, with the
+    top capped at the Nyquist frequency ``pi / dt``: beyond it the samples
+    alias, and on it their sin and cos are collinear."""
+    dt = times[1] - times[0]
+    spec = np.abs(np.fft.rfft(values - values.mean()))
+    spec[0] = 0.0
+    peak = int(np.argmax(spec))
+    if peak == 0:
+        raise ValueError("no oscillatory content to fit")
+    bin_omega = 2.0 * np.pi / (dt * len(times))
+    return bin_omega * max(peak - 1, peak / 2), min(bin_omega * (peak + 1), np.pi / dt)
+
+
+def _brent(residual, lo: float, hi: float):
+    """Brent's minimisation of ``residual(omega)[0]`` over ``(lo, hi)``:
+    parabolic steps through the three best trials, a golden-section step
+    whenever the parabola is not trusted.  It starts at the midpoint, stops
+    once the bracket is within ``_FIT_RTOL`` of the best trial or after
+    ``_FIT_TRIALS`` trials, and returns the best trial's omega and
+    ``residual`` result.  No trial lands on ``lo`` or ``hi``."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    x = w = v = 0.5 * (a + b)
+    best = residual(x)
+    fx = fw = fv = best[0]
+    d = e = 0.0
+    for _ in range(_FIT_TRIALS - 1):
+        xm = 0.5 * (a + b)
+        tol1 = _FIT_RTOL * x
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        step = None
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                if x + step - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if xm >= x else -tol1
+                e = d
+        if step is None:
+            e = (a - x) if x >= xm else (b - x)
+            step = golden * e
+        d = step
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        trial = residual(u)
+        fu = trial[0]
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, best = u, fu, trial
+        else:
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, best
+
+
 def fit_sinusoid(times: np.ndarray, values: np.ndarray,
                  omega_bracket: tuple[float, float] | None = None) -> SinusoidFit:
     """Least-squares fit of a*sin(w t) + b*cos(w t) + c with free frequency.
 
-    The frequency starts from the dominant FFT bin of the detrended data
-    and is refined by a fixed-iteration golden section search, so results
-    are deterministic.  Each trial frequency is solved once, from the 3x3
-    normal equations of ``_fit_at``; a trial the search asks for again
-    (the bracket collapses to one ulp before the last iterations) is read
-    back.
+    The frequency is searched within one FFT bin of the dominant bin of the
+    detrended data, capped at the Nyquist frequency (``_fft_bracket``), or
+    within ``omega_bracket`` if given, by Brent's method (``_brent``) with a
+    fixed relative tolerance and a fixed cap on trials, so results are
+    deterministic.  Each trial frequency is solved once, from the 3x3 normal
+    equations of ``_fit_at``, and the fit is the best trial's.
 
-    ``times`` must be finite, increasing and uniformly spaced (the FFT start
-    assumes so), ``values`` finite, and ``omega_bracket`` finite with
+    ``times`` must be finite, increasing and uniformly spaced (the FFT
+    bracket assumes so), ``values`` finite, and ``omega_bracket`` finite with
     0 < lo < hi; anything else raises ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
@@ -552,43 +622,12 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray,
         lo, hi = omega_bracket
         if not (math.isfinite(hi) and 0.0 < lo < hi):
             raise ValueError(f"omega_bracket must be finite with 0 < lo < hi, got {omega_bracket!r}")
+    else:
+        lo, hi = _fft_bracket(times, values)
 
     rows = np.ones((4, len(times)))  # sin, cos, 1, values
     rows[3] = values
-    solved = {}
-
-    def residual(omega: float):
-        if omega not in solved:
-            solved[omega] = _fit_at(omega, times, rows)
-        return solved[omega]
-
-    if omega_bracket is None:
-        dt = times[1] - times[0]
-        spec = np.abs(np.fft.rfft(values - values.mean()))
-        spec[0] = 0.0
-        peak = int(np.argmax(spec))
-        if peak == 0:
-            raise ValueError("no oscillatory content to fit")
-        omega0 = 2.0 * np.pi * peak / (dt * len(times))
-        lo, hi = 0.6 * omega0, 1.6 * omega0
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, _ = residual(c)
-    fd, _ = residual(d)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc, _ = residual(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd, _ = residual(d)
-    omega = 0.5 * (a + b)
-    rms, coef = residual(omega)
+    omega, (rms, coef) = _brent(lambda omega: _fit_at(omega, times, rows), lo, hi)
     amp = float(np.hypot(coef[0], coef[1]))
     phase = float(np.arctan2(coef[1], coef[0]))
     return SinusoidFit(amplitude=amp, period=float(2.0 * np.pi / omega), phase=phase,

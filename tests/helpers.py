@@ -7,9 +7,10 @@ text is checked against numpy's own ``savetxt``.  The one exception checks
 clipped counting: it takes the library's slab expansion with no window,
 masks it afterwards and adds it up with ``np.add.at``.  Identity-frame
 counting is checked against an integer slab expansion, which bins in
-half-cell integers and never rounds.  The sinusoid fit and
-the channel lag are checked against the forms they replaced: an SVD
-(``lstsq``) solve per trial frequency, and one ``np.dot`` per lag.  A ray's
+half-cell integers and never rounds.  The sinusoid fit is checked
+against the same search with an SVD (``lstsq``) solve per trial frequency,
+and against the golden-section search it replaced; the channel lag against
+one ``np.dot`` per lag.  A ray's
 cord repeats are checked by trying repeats counts against the shared
 steady-window formula.
 """
@@ -20,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from entwined.density import SinusoidFit, _incidences, _slabs
+from entwined.density import SinusoidFit, _brent, _fft_bracket, _incidences, _slabs
 from entwined.paths import RIGHT_MOVER, cable_steady_window
 
 
@@ -203,35 +204,45 @@ def repeats_covering(ray, spec, counts):
     return repeats
 
 
-def fit_sinusoid_oracle(times, values, omega_bracket=None):
-    """The sinusoid fit with an SVD per trial: ``fit_sinusoid``'s golden
-    section search with every trial frequency (repeats included) solved by
-    ``np.linalg.lstsq``."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(times) < 8:
-        raise ValueError("too few samples for a sinusoid fit")
-
+def _lstsq_residual(times, values):
+    """rms residual and coefficients of the fit at one frequency, by SVD."""
     def residual(omega: float):
         basis = np.column_stack([np.sin(omega * times), np.cos(omega * times), np.ones_like(times)])
         coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
         resid = values - basis @ coef
         return float(np.sqrt(np.mean(resid**2))), coef
+    return residual
 
-    if omega_bracket is None:
-        dt = times[1] - times[0]
-        spec = np.abs(np.fft.rfft(values - values.mean()))
-        spec[0] = 0.0
-        peak = int(np.argmax(spec))
-        if peak == 0:
-            raise ValueError("no oscillatory content to fit")
-        omega0 = 2.0 * np.pi * peak / (dt * len(times))
-        lo, hi = 0.6 * omega0, 1.6 * omega0
-    else:
-        lo, hi = omega_bracket
+
+def _sinusoid_fit(omega, rms, coef):
+    return SinusoidFit(amplitude=float(np.hypot(coef[0], coef[1])), period=float(2.0 * np.pi / omega),
+                       phase=float(np.arctan2(coef[1], coef[0])), offset=float(coef[2]),
+                       rms_residual=rms)
+
+
+def fit_sinusoid_oracle(times, values, omega_bracket=None):
+    """The sinusoid fit with an SVD per trial: ``fit_sinusoid``'s bracket and
+    Brent search with every trial frequency solved by ``np.linalg.lstsq``."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    lo, hi = omega_bracket or _fft_bracket(times, values)
+    omega, (rms, coef) = _brent(_lstsq_residual(times, values), lo, hi)
+    return _sinusoid_fit(omega, rms, coef)
+
+
+def fit_sinusoid_golden(times, values):
+    """The sinusoid fit ``fit_sinusoid`` replaced, solved by SVD: a 90-step
+    golden-section search over 0.6-1.6 times the dominant FFT bin."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    residual = _lstsq_residual(times, values)
+    dt = times[1] - times[0]
+    spec = np.abs(np.fft.rfft(values - values.mean()))
+    spec[0] = 0.0
+    omega0 = 2.0 * np.pi * int(np.argmax(spec)) / (dt * len(times))
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.6 * omega0, 1.6 * omega0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, _ = residual(c)
@@ -246,11 +257,7 @@ def fit_sinusoid_oracle(times, values, omega_bracket=None):
             d = a + invphi * (b - a)
             fd, _ = residual(d)
     omega = 0.5 * (a + b)
-    rms, coef = residual(omega)
-    amp = float(np.hypot(coef[0], coef[1]))
-    phase = float(np.arctan2(coef[1], coef[0]))
-    return SinusoidFit(amplitude=amp, period=float(2.0 * np.pi / omega), phase=phase,
-                       offset=float(coef[2]), rms_residual=rms)
+    return _sinusoid_fit(omega, *residual(omega))
 
 
 def best_lag_loop(reference, delayed, max_lag):
