@@ -7,19 +7,23 @@ species, in the spatial cell containing the segment midpoint of that slab.
 Boundary events at exact cell edges bind to the later cell (half-open
 cells).
 
-There is one slab expansion, through each segment's frame, in float64.
-Slab edges and x midpoints in cells are floored or ceiled, except that a
-value within max(1e-9, 1e-12*|s|) of an integer is snapped to it
+There is one slab expansion, in float64, of the frame-applied end points
+``SegmentArray.row_endpoints`` gives; each row is the straight line between
+them.  Slab edges and x midpoints in cells are floored or ceiled, except
+that a value within max(1e-9, 1e-12*|s|) of an integer is snapped to it
 (``_snapped``).  For identity frames on the lattice's own cells this is
 exact over the whole int32 half-cell range.  Slab edges of lattice rows
 there are exact half cells and x midpoints exact quarter cells; float64
-computes them to a few ulps, far below 1e-12*|s|.  Up to 2**31 half cells
-the tolerance stays under 1.1e-3 cells, far short of the quarter cell
-between a true non-integer value and an integer.  So identity-frame counts
-equal the integer half-cell expansion (a zero-length row, which no
-construct's envelope holds, covers the one slab it sits in), and a frame
-that shifts a path by whole cells counts exactly like building the path at
-the shifted origin.
+computes them to a few ulps, far below 1e-12*|s|.  The x midpoints take
+their slope from float end points, and its rounding error times a row's
+length is again a few ulps of the end points.  Up to 2**31 half cells the
+tolerance stays under 1.1e-3 cells, far short of the quarter cell between a
+true non-integer value and an integer.  So identity-frame counts equal the
+integer half-cell expansion (a zero-length row, which no construct's
+envelope holds, covers the one slab it sits in), as
+``test_identity_frame_expansion_matches_the_integer_oracle`` checks at
+origins up to 5e8 cells, and a frame that shifts a path by whole cells
+counts exactly like building the path at the shifted origin.
 
 Fields hold two integer channels: adolescent (right movers) and senescent
 (left movers).  A stored segment of multiplicity w counts w times.  Stored
@@ -222,34 +226,23 @@ def _slabs(k_lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _rows(segs: SegmentArray, cell: float, window=None):
-    """Row phase of the slab expansion through per-segment frames.
+    """Row phase of the slab expansion of the frame-applied end points.
 
     Returns each stored row's slab count, and ``expand(a, b)``, which
     gives the absolute (t_cell, x_cell) and the stored row of every (row,
-    covered time-cell) incidence of rows a..b-1.  Slab edges
-    and x midpoints are binned by ``_snapped``.  Row quantities are gathered
-    from the frame table once per stored row and spread to that row's
-    incidences with ``np.repeat``; with a single frame its values stay
-    scalars and nothing is spread.  ``window`` (t_lo, t_hi), if given,
-    clamps each row's slab range to [t_lo, t_hi) after the one-slab rule
-    for zero-length rows, so slabs outside it are never expanded.
+    covered time-cell) incidence of rows a..b-1.  Each row is the straight
+    line between its ``row_endpoints()``: a slab's x midpoint lies at
+    ``x1 + slope * (t_m - t1)``, ``slope = (x2 - x1) / (t2 - t1)`` (0 where
+    t2 == t1, so a zero-length row bins at x1).  Slab edges and x midpoints
+    are binned by ``_snapped``.  The slope's rounding error times a row's
+    length stays far below the ``1e-12*|s|`` tolerance, so identity frames
+    still bin exactly.  ``window`` (t_lo, t_hi), if given, clamps each row's
+    slab range to [t_lo, t_hi) after the one-slab rule for zero-length
+    rows, so slabs outside it are never expanded.
     """
-    half = segs.lattice.half
-    fi = segs.frame_idx
-    one_frame = len(segs.frames) == 1
-
-    def per_row(attr: str):
-        values = np.array([getattr(f, attr) for f in segs.frames])
-        return values[0] if one_frame else values[fi]
-
-    ts, t0 = per_row("t_scale"), per_row("t0")
-    xs, drift, x0 = per_row("x_scale"), per_row("drift"), per_row("x0")
-    t1i = segs.t1 * half
-    x1i = segs.x1 * half
-    ta = ts * t1i + t0
-    tb = ts * (segs.t2 * half) + t0
-    lo = np.minimum(ta, tb)
-    hi = np.maximum(ta, tb)
+    x1, t1, x2, t2 = segs.row_endpoints()
+    lo = np.minimum(t1, t2)
+    hi = np.maximum(t1, t2)
     k_lo = _snapped(np.floor, lo / cell)
     # exclusive; a zero-length row still covers the one slab it sits in
     k_hi = np.maximum(_snapped(np.ceil, hi / cell), k_lo + 1)
@@ -257,25 +250,21 @@ def _rows(segs: SegmentArray, cell: float, window=None):
         np.clip(k_lo, window[0], None, out=k_lo)
         np.clip(k_hi, None, window[1], out=k_hi)
     counts = (k_hi - k_lo).clip(min=0)
-    # int64: int32 differences of far-apart endpoints would wrap
-    dt = segs.t2.astype(np.int64) - segs.t1
-    dx = segs.x2.astype(np.int64) - segs.x1
-    slope = np.where(dt != 0, dx / np.where(dt == 0, 1, dt), 0.0)
+    dt = t2 - t1
+    slope = np.where(dt != 0, (x2 - x1) / np.where(dt == 0, 1.0, dt), 0.0)
 
     def expand(a: int, b: int):
         c = counts[a:b]
 
         def spread(row_values):
-            return np.repeat(row_values[a:b], c) if np.ndim(row_values) else row_values
+            return np.repeat(row_values[a:b], c)
 
         k = _slabs(k_lo[a:b], c)
         s_lo = np.maximum(spread(lo), k * cell)
         s_hi = np.minimum(spread(hi), (k + 1) * cell)
         t_m = 0.5 * (s_lo + s_hi)
-        t_int_m = (t_m - spread(t0)) / spread(ts)
-        x_int_m = spread(x1i) + spread(slope) * (t_int_m - spread(t1i))
-        x_phys = spread(xs) * x_int_m + spread(drift) * t_m + spread(x0)
-        return k, _snapped(np.floor, x_phys / cell), np.repeat(np.arange(a, b), c)
+        x_m = spread(x1) + spread(slope) * (t_m - spread(t1))
+        return k, _snapped(np.floor, x_m / cell), np.repeat(np.arange(a, b), c)
 
     return counts, expand
 

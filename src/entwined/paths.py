@@ -25,7 +25,7 @@ accumulated density while the whole construct remains one continuous path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,7 +53,8 @@ class Frame:
     t0: float = 0.0
 
     def apply(self, x_internal, t_internal):
-        """Map internal-unit coordinates (arrays or scalars) to output coords."""
+        """Map internal-unit coordinates to output coords; coordinates and
+        fields may be arrays (one value per coordinate) or scalars."""
         t = self.t_scale * np.asarray(t_internal, dtype=float) + self.t0
         x = self.x_scale * np.asarray(x_internal, dtype=float) + self.drift * t + self.x0
         return x, t
@@ -77,6 +78,10 @@ def _coordinate_column(values) -> np.ndarray:
                      f"in the int32 range [{_INT32.min}, {_INT32.max}] of half-cell units")
     return arr.astype(np.int32, copy=False)
 
+
+# a cross-frame bridge from a to b ends at (b - a) * (n * half) + a in float: its four
+# roundings leave it under 7 ulps of S = max(|a|, |b|) from b, as |b - a| <= 2 S
+_JOIN_ULPS = 8
 
 _NO_RUNS = np.zeros((0, 4), dtype=np.int64)
 _NO_RUNS.setflags(write=False)
@@ -259,18 +264,15 @@ class SegmentArray:
         return tuple(e[idx] for e in ends)
 
     def row_endpoints(self):
-        """Frame-applied (x1, t1, x2, t2) float arrays, one entry per stored row."""
+        """Frame-applied (x1, t1, x2, t2) float arrays, one entry per stored row;
+        several frames apply as one ``Frame`` of per-row fields gathered by ``frame_idx``."""
         half = self.lattice.half
-        ts_tab = np.array([f.t_scale for f in self.frames])
-        xs_tab = np.array([f.x_scale for f in self.frames])
-        v_tab = np.array([f.drift for f in self.frames])
-        x0_tab = np.array([f.x0 for f in self.frames])
-        t0_tab = np.array([f.t0 for f in self.frames])
-        fi = self.frame_idx
-        t1 = ts_tab[fi] * (self.t1 * half) + t0_tab[fi]
-        t2 = ts_tab[fi] * (self.t2 * half) + t0_tab[fi]
-        x1 = xs_tab[fi] * (self.x1 * half) + v_tab[fi] * t1 + x0_tab[fi]
-        x2 = xs_tab[fi] * (self.x2 * half) + v_tab[fi] * t2 + x0_tab[fi]
+        frame = self.frames[0]
+        if len(self.frames) > 1:
+            frame = Frame(**{field.name: np.array([getattr(f, field.name) for f in self.frames])
+                             [self.frame_idx] for field in fields(Frame)})
+        x1, t1 = frame.apply(self.x1 * half, self.t1 * half)
+        x2, t2 = frame.apply(self.x2 * half, self.t2 * half)
         return x1, t1, x2, t2
 
 
@@ -298,8 +300,9 @@ class EntwinedPath:
         """Check every segment starts where the previous one ended.
 
         Same-frame joins are compared exactly on the integer grid;
-        cross-frame joins compare frame-applied coordinates.  Segment
-        numbers refer to the expanded (logical) path.
+        cross-frame joins compare frame-applied coordinates to within
+        ``_JOIN_ULPS`` ulps of the largest |coordinate| of the two segments
+        that meet.  Segment numbers refer to the expanded (logical) path.
         """
         s = self.segs.expand()
         if len(s) < 2:
@@ -313,7 +316,11 @@ class EntwinedPath:
         if (~same).any():
             x1, t1, x2, t2 = s.physical_endpoints()
             cross = np.nonzero(~same)[0] + 1
-            mis = (x1[cross] != x2[cross - 1]) | (t1[cross] != t2[cross - 1])
+            before = cross - 1
+            scale = np.abs([x1[before], t1[before], x2[before], t2[before],
+                            x1[cross], t1[cross], x2[cross], t2[cross]]).max(axis=0)
+            tol = _JOIN_ULPS * np.spacing(scale)
+            mis = (np.abs(x1[cross] - x2[before]) > tol) | (np.abs(t1[cross] - t2[before]) > tol)
             if mis.any():
                 i = int(cross[np.nonzero(mis)[0][0]])
                 raise AssertionError(f"discontinuity at frame change before segment {i}")
@@ -623,8 +630,8 @@ def with_frame(path: EntwinedPath, frame: Frame) -> EntwinedPath:
                         s.envelope, s.frame_idx, (frame,), weight=s.weight, runs=s.runs)
     window = None
     if path.steady_window is not None:
-        lo, hi = path.steady_window
-        window = (frame.t_scale * lo + frame.t0, frame.t_scale * hi + frame.t0)
+        _, window = frame.apply(0.0, path.steady_window)
+        window = tuple(window.tolist())
     return EntwinedPath(segs, path.kind, path.origin, n_fibers=path.n_fibers,
                         steady_window=window, extras=dict(path.extras))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .density import DensityField, accumulate, _cell_ceil
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import Frame, build_cable, concatenate, right_envelope, with_frame
+from .paths import EntwinedPath, Frame, build_cable, concatenate, right_envelope, with_frame
 
 
 def eigen_speed(k: int, mass: float, circumference: float) -> float:
@@ -111,27 +111,27 @@ def wrap_rows(spec: RingSpec, lattice: LatticeSpec) -> int:
     return wrap
 
 
+def _pair_path(spec: RingSpec, lattice: LatticeSpec, M: int) -> EntwinedPath:
+    """The cables drifting at +v and -v, concatenated into one continuous
+    path; the joining bridge is excluded from counting."""
+    v, t_scale, _wrap = ring_clock(spec, lattice)
+    cable = build_cable((0.0, 0.0), lattice, M=M, repeats=spec.cycles + 2)
+    return concatenate([with_frame(cable, Frame(t_scale=t_scale, x_scale=lattice.mass_scale,
+                                                drift=drift, x0=0.0, t0=0.0))
+                        for drift in (v, -v)])
+
+
 def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0) -> DensityField:
     """Write the counter-propagating pair on the periodic domain.
 
-    The two drifted cables are concatenated into one continuous path (the
-    joining bridge is excluded from counting) and accumulated with x wrapped
+    The pair's one path (``_pair_path``) is accumulated with x wrapped
     modulo the circumference.  ``origin_cell`` rotates the write origin by
     whole cells; by ring symmetry this only rolls the field.  The degenerate
     ``speed=0`` run writes plain carrier columns with no spatial mode.
     """
     cell = lattice.cell_physical
-    v, t_scale, _wrap = ring_clock(spec, lattice)
     x_cells = ring_cells(spec.circumference, lattice)
-
-    repeats = spec.cycles + 2
-    cable = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
-    pair = []
-    for drift in (v, -v):
-        frame = Frame(t_scale=t_scale, x_scale=lattice.mass_scale, drift=drift, x0=0.0, t0=0.0)
-        pair.append(with_frame(cable, frame))
-    path = concatenate(pair)
-
+    path = _pair_path(spec, lattice, M)
     t0_cell = _cell_ceil(path.steady_window[0], cell)
     field = DensityField(cell, t0_cell, 0, ring_rows(spec, lattice), x_cells, wrap_x=True)
     accumulate(field, right_envelope(path), clip=True)

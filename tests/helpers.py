@@ -7,7 +7,8 @@ text is checked against numpy's own ``savetxt``.  The one exception checks
 clipped counting: it takes the library's slab expansion with no window,
 masks it afterwards and adds it up with ``np.add.at``.  Identity-frame
 counting is checked against an integer slab expansion, which bins in
-half-cell integers and never rounds.  The sinusoid fit is checked
+half-cell integers and never rounds, and framed counting against one that
+applies each frame in Fractions and rounds only in the final binning.  The sinusoid fit is checked
 against the same search with an SVD (``lstsq``) solve per trial frequency,
 and against the golden-section search it replaced; the channel lag against
 one ``np.dot`` per lag.  A ray's
@@ -16,6 +17,7 @@ steady-window formula.
 """
 
 import io
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -183,6 +185,44 @@ def incidences_int(segs, window=None):
     ``segs`` on the lattice's own cells, by ``rows_int``."""
     _, counts, expand = rows_int(segs, window)
     return expand(0, len(counts))
+
+
+def incidences_exact(segs, cell, window=None):
+    """(t_cell, x_cell, stored row) of every incidence of ``segs``, each
+    row's frame applied in Fractions of the frame's float fields.
+
+    Slab edges and x midpoints are exact; only their binning follows the
+    library's rule: a value within max(1e-9, 1e-12*|s|) of an integer ``s``
+    is that integer, others are floored or ceiled.  ``window`` (t_lo, t_hi),
+    if given, clamps each row's slab range to [t_lo, t_hi).
+    """
+    half = Fraction(segs.lattice.half)
+    cell = Fraction(cell)
+
+    def snapped(rounding, s):
+        r = round(s)
+        return r if abs(s - r) <= max(Fraction(1e-9), Fraction(1e-12) * abs(s)) else rounding(s)
+
+    out = []
+    for row in range(segs.rows):
+        f = segs.frames[segs.frame_idx[row]]
+        ts, xs, drift, x0, t0 = (Fraction(value) for value in
+                                 (f.t_scale, f.x_scale, f.drift, f.x0, f.t0))
+        ta = ts * int(segs.t1[row]) * half + t0
+        tb = ts * int(segs.t2[row]) * half + t0
+        xa = xs * int(segs.x1[row]) * half + drift * ta + x0
+        xb = xs * int(segs.x2[row]) * half + drift * tb + x0
+        lo, hi = min(ta, tb), max(ta, tb)
+        k_lo = snapped(math.floor, lo / cell)
+        k_hi = max(snapped(math.ceil, hi / cell), k_lo + 1)
+        if window is not None:
+            k_lo, k_hi = max(k_lo, window[0]), min(k_hi, window[1])
+        for k in range(k_lo, k_hi):
+            t_m = (max(lo, k * cell) + min(hi, (k + 1) * cell)) / 2
+            x_m = xa + (xb - xa) / (tb - ta) * (t_m - ta) if tb != ta else xa
+            out.append((k, snapped(math.floor, x_m / cell), row))
+    k, j, idx = np.array(out, dtype=np.int64).reshape(-1, 3).T
+    return k, j, idx
 
 
 def framed_window_end(ray, spec, counts, repeats):

@@ -20,7 +20,8 @@ from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
 from test_propagator import fresh_ray
 from helpers import (best_lag_loop, cord_fiber_offsets, expand_then_mask, fit_sinusoid_golden,
-                     fit_sinusoid_oracle, incidences_int, profile_oracle, savetxt_bytes)
+                     fit_sinusoid_oracle, incidences_exact, incidences_int, profile_oracle,
+                     savetxt_bytes)
 
 
 @pytest.fixture
@@ -691,8 +692,9 @@ def test_zero_length_row_counts_in_the_one_slab_it_sits_in():
 
 
 def test_float_binning_slope_survives_int32_differences():
-    # t2 - t1 = 4e9 half-cell units does not fit int32; a wrapped difference
-    # flips the slope and sends a right-moving segment left
+    # the slope comes from float end points; t2 - t1 = 4e9 half-cell units
+    # would not fit int32, and an int32 difference, were one taken again,
+    # would wrap, flip the slope and send a right-moving segment left
     lat = LatticeSpec(n=10)
     segs = SegmentArray(lat, [0], [-2e9], [2e9], [2e9], [1], [0], [1], [0], (Frame(x0=0.5),))
     k, j, idx = _incidences(segs, cell=lat.eps * 1e8)
@@ -782,6 +784,32 @@ def test_identity_frame_expansion_matches_the_integer_oracle():
         assert np.array_equal(counted.senescent, field.senescent), label
         far += max(abs(int(k[0])), abs(int(j[0]))) >= 10 ** 8
     assert far == 3 * len(_FAR_ORIGINS)
+
+
+def _framed_cases():
+    """(envelope, cell, window) of retuned and sheared rows: a v=0.25 ray,
+    and the ring's two-frame pair counted whole and in ``run_ring``'s
+    window."""
+    lattice = LatticeSpec(n=10)
+    ray = RaySpec.from_velocity(0.25, lattice.mass, (2 * math.pi, 4 * math.pi))
+    yield pytest.param(right_envelope(fresh_ray(ray, lattice, M=6)), lattice.cell_physical, None,
+                       id="ray")
+    lattice = LatticeSpec(n=8)
+    spec = RingSpec(circumference=4.0 * math.pi, mode=1, cycles=1)
+    path = ring._pair_path(spec, lattice, M=8)
+    cell = lattice.cell_physical
+    yield pytest.param(right_envelope(path), cell, None, id="ring")
+    t0_cell = density._cell_ceil(path.steady_window[0], cell)
+    window = (t0_cell, t0_cell + ring.ring_rows(spec, lattice))
+    yield pytest.param(right_envelope(path), cell, window, id="ring-windowed")
+
+
+@pytest.mark.parametrize("env, cell, window", _framed_cases())
+def test_framed_expansion_matches_the_exact_oracle(env, cell, window):
+    want = incidences_exact(env, cell, window)
+    assert len(want[0]) > 1000
+    for got, expected in zip(_incidences(env, cell, window), want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 # --- reference densities ---------------------------------------------------

@@ -9,6 +9,7 @@ from entwined.lattice import LatticeSpec
 from entwined.paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, SegmentArray,
                             _connector_columns, build_cable, build_cord, build_fiber,
                             concatenate, cords_per_shift, dump_path, right_envelope, with_frame)
+from entwined.ring import RingSpec, _pair_path
 
 COLUMNS = ("x1", "t1", "x2", "t2", "time_dir", "species", "envelope", "frame_idx")
 
@@ -187,6 +188,50 @@ def test_cross_frame_concatenation_bridges_gap(spec):
     assert len(joined) == len(a.segs) + len(b.segs) + 1  # one uncounted bridge
     env = right_envelope(joined)
     assert len(env) == 8
+
+
+@pytest.mark.parametrize("n", [8, 20, 50])
+def test_ring_pair_passes_its_continuity_check(n):
+    # the bridge lands on the second cable's start only up to rounding
+    path = _pair_path(RingSpec(circumference=8.0 * np.pi), LatticeSpec(n=n), M=30)
+    assert len(path.segs.frames) == 3
+    path.validate_continuity()
+
+
+def test_seeded_cross_frame_joins_pass_their_continuity_check(spec):
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        frames = [Frame(t_scale=rng.uniform(0.1, 3.0), x_scale=rng.uniform(0.1, 3.0),
+                        drift=rng.uniform(-0.9, 0.9), x0=rng.uniform(-50.0, 50.0),
+                        t0=rng.uniform(-50.0, 50.0)) for _ in range(2)]
+        concatenate([with_frame(build_fiber((0.0, 0.0), spec), f) for f in frames]
+                    ).validate_continuity()
+
+
+def test_half_cell_gap_across_frames_still_raises(spec):
+    a = build_fiber((0.0, 0.0), spec).segs
+    b = build_fiber((spec.half, 0.0), spec).segs  # starts half a cell right of a's end
+    frames = (Frame(drift=0.25), Frame(drift=-0.25))  # both map t = 0 to itself
+    b = SegmentArray(spec, b.x1, b.t1, b.x2, b.t2, b.time_dir, b.species, b.envelope,
+                     b.frame_idx + 1, frames)
+    path = EntwinedPath(SegmentArray.stack([a, b], frames), "composite", (0.0, 0.0))
+    with pytest.raises(AssertionError, match="at frame change before segment 8$"):
+        path.validate_continuity()
+
+
+def test_row_endpoints_apply_each_rows_own_frame():
+    # the ring pair's two cable frames and, between them, its bridge's frame
+    segs = _pair_path(RingSpec(circumference=8.0 * np.pi), LatticeSpec(n=8), M=8).segs
+    bridge = segs.frame_idx == 1
+    assert len(segs.frames) == 3 and bridge.sum() == 1 and not segs.envelope[bridge].any()
+    ends = segs.row_endpoints()
+    half = segs.lattice.half
+    for i, frame in enumerate(segs.frames):
+        rows = segs.frame_idx == i
+        x1, t1 = frame.apply(segs.x1[rows] * half, segs.t1[rows] * half)
+        x2, t2 = frame.apply(segs.x2[rows] * half, segs.t2[rows] * half)
+        for got, want in zip(ends, (x1, t1, x2, t2)):
+            assert np.array_equal(got[rows], want)
 
 
 def _fiber_rows(spec, **column):

@@ -63,7 +63,7 @@ def test_a_renamed_file_counts_on_both_sides(same_bytes, tmp_path):
 
 
 def test_command_lines_cover_workloads_acceptance_and_extras(same_bytes):
-    lines = same_bytes.command_lines(23, [["propagate", "--n", "200", "--cords", "240"]])
+    lines = same_bytes.command_lines(23, [["propagate", "--n", "100", "--cords", "120"]])
     assert lines["ray-fan/cmd00"] == ["propagate", "--n", "50", "--cords", "60"]
     assert lines["carrier-large/cmd00"][0] == "carrier"
     assert [lines[f"ring-modes/cmd{i:02d}"][0] for i in range(2)] == ["ring", "ring"]
@@ -73,6 +73,7 @@ def test_command_lines_cover_workloads_acceptance_and_extras(same_bytes):
     assert lines["mixed-repeats/cmd00"] == [
         "propagate", "--n", "10", "--cords", "5", "--v-min", "-0.9", "--v-max", "0.9",
         "--v-count", "7", "--n-periods", "3"]
-    assert lines["extra/cmd00"] == ["propagate", "--n", "200", "--cords", "240"]
-    assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1
+    assert lines["large-fan/cmd00"] == ["propagate", "--n", "200", "--cords", "240"]
+    assert lines["extra/cmd00"] == ["propagate", "--n", "100", "--cords", "120"]
+    assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1 + 1
     assert not any("--threads" in argv or "--out" in argv for argv in lines.values())

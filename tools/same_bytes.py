@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the working tree writes the same output bytes as a git revision.
 
-    python3 tools/same_bytes.py REF [--seed N] [--command "propagate --n 200 --cords 240"]
+    python3 tools/same_bytes.py REF [--seed N] [--command "propagate --n 100 --cords 120"]
 
 Exports ``src/`` of REF with ``git archive`` into a temporary directory (the
 repository's checkout and worktree list are never touched), then runs the
@@ -11,6 +11,7 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
   ``perfbench/workloads.py`` (the kernel sweep is drawn from ``--seed``);
 - the four acceptance-8 configurations;
 - a ray fan whose rays need two different cable repeats counts;
+- the n = 200, M = 240 ray fan, the most framed rows and cells of any line;
 - every ``--command`` given.
 
 Both sides write under the same relative ``--out``.  Every output file whose
@@ -47,6 +48,9 @@ ACCEPTANCE_8 = (
 MIXED_REPEATS = ["propagate", "--n", "10", "--cords", "5", "--v-min", "-0.9", "--v-max", "0.9",
                  "--v-count", "7", "--n-periods", "3"]
 
+# the scaled fan a frame refactor must leave byte for byte
+LARGE_FAN = ["propagate", "--n", "200", "--cords", "240"]
+
 # runs argument lists through entwined.cli.main in one process and prints
 # their exit codes as JSON; argparse rejects a bad flag with SystemExit
 _RUNNER = """
@@ -77,6 +81,7 @@ def command_lines(seed: int, extra=()) -> dict[str, list[str]]:
     for i, argv in enumerate(ACCEPTANCE_8):
         lines[f"acceptance-8/cmd{i:02d}"] = list(argv)
     lines["mixed-repeats/cmd00"] = list(MIXED_REPEATS)
+    lines["large-fan/cmd00"] = list(LARGE_FAN)
     for i, argv in enumerate(extra):
         lines[f"extra/cmd{i:02d}"] = list(argv)
     return lines
