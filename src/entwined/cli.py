@@ -173,6 +173,8 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
         return build(section, lambda: cls(**{f.name: block[f.name] for f in dataclasses.fields(cls)}))
 
     lattice = from_section(LatticeSpec, "lattice")
+    # ``threads`` is still checked, though no experiment reads it: no layer
+    # runs in parallel, and old command lines that pass it keep working
     specs = {"lattice": lattice,
              "threads": build("run", lambda: _resolve_threads(config["run"]["threads"]))}
     exp = config["experiment"]
@@ -363,8 +365,7 @@ def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ray-fan region write and frequency law."""
-    result = write_region(specs["region"], M=config["propagate"]["m_cords"],
-                          threads=specs["threads"])
+    result = write_region(specs["region"], M=config["propagate"]["m_cords"])
     art.export(result.field, "region_field")
     buf = io.StringIO()
     write_ray_report(result.reports, buf)

@@ -196,25 +196,19 @@ def carrier_steady_cells(spec: LatticeSpec, M: int, repeats: int) -> int:
     return cells
 
 
-def _segment_bounds(segs: SegmentArray, cell: float, pad: int = 1) -> tuple[int, int, int, int]:
-    """Cell-index bounds (t_lo, t_hi, x_lo, x_hi) of ``field_for_segments``,
-    with no field allocated."""
-    if not segs.rows:
-        raise ValueError("no segments")
-    x1, t1, x2, t2 = segs.row_endpoints()
-    return (_cell_floor(float(min(t1.min(), t2.min())), cell) - pad,
-            _cell_ceil(float(max(t1.max(), t2.max())), cell) + pad,
-            _cell_floor(float(min(x1.min(), x2.min())), cell) - pad,
-            _cell_ceil(float(max(x1.max(), x2.max())), cell) + pad)
-
-
 def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int = 1,
                        wrap_x: bool = False) -> DensityField:
     """Smallest cell-aligned field covering every stored row, counted or
     not, padded by ``pad`` cells."""
     if cell is None:
         cell = segs.lattice.eps
-    t_lo, t_hi, x_lo, x_hi = _segment_bounds(segs, cell, pad)
+    if not segs.rows:
+        raise ValueError("no segments")
+    x1, t1, x2, t2 = segs.row_endpoints()
+    t_lo = _cell_floor(float(min(t1.min(), t2.min())), cell) - pad
+    t_hi = _cell_ceil(float(max(t1.max(), t2.max())), cell) + pad
+    x_lo = _cell_floor(float(min(x1.min(), x2.min())), cell) - pad
+    x_hi = _cell_ceil(float(max(x1.max(), x2.max())), cell) + pad
     return DensityField(cell, t_lo, x_lo, t_hi - t_lo, x_hi - x_lo, wrap_x=wrap_x)
 
 
@@ -348,21 +342,41 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     if not isinstance(envelope, SegmentArray):
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
                         "pass the path's right envelope, right_envelope(path)")
-    if not envelope.rows:
-        return field
+    if envelope.rows:
+        grouped = _distinct(envelope)
+        _count(field, envelope.subset(grouped[0]), grouped, clip)
+    return field
+
+
+def _count(field: DensityField, segments: SegmentArray, grouped, clip: bool,
+           profile: np.ndarray | None = None) -> None:
+    """The counting pass of ``accumulate`` over segments already grouped.
+
+    ``segments`` are distinct segments and ``grouped`` their ``(first,
+    signed, summed)`` as ``_distinct`` returns them: the stored row an
+    out-of-field error names, the net signed weight and the summed |w| of
+    each.  ``profile``, if given, is an int64 array of shape
+    (len(segments.frames), 2, field.t_cells): every incidence that lands in
+    the field is added to it too, at (frame_idx, channel, t), so it holds
+    the x-summed profile of each frame's segments.  The exact-sum limit, the block loop and the
+    undo on a raise cover the profile as they cover the field.
+    """
+    first, signed, summed = grouped
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
-    first, signed, summed = _distinct(envelope)
-    segments = envelope.subset(first)
     counts, expand = _rows(segments, field.cell, window)
     rows, cols = field.t_cells, field.x_cells
     flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
     # the channel (0 for right movers, adolescent; 1 for left movers,
     # senescent) is folded into the linear index, so one pass covers both
     channel_offset = np.where(segments.species != RIGHT_MOVER, rows, 0)
+    if profile is not None:
+        profile_flat = profile.reshape(-1)  # a view, as for the field
+        frame_offset = segments.frame_idx.astype(np.int64) * (2 * rows)
 
     def landing(a: int, b: int):
-        """Linear cell index and segment of every incidence of segments
-        a..b-1 that lands in the field."""
+        """Linear field index, linear profile index (None without a
+        profile) and segment of every incidence of segments a..b-1 that
+        lands in the field."""
         k, j, idx = expand(a, b)
         k -= field.t0_cell
         j -= field.x0_cell
@@ -379,9 +393,16 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
             k, col, idx = k[ok], col[ok], idx[ok]
         lin = k  # built in place
         lin += channel_offset[idx]
+        at = lin + frame_offset[idx] if profile is not None else None
         lin *= cols
         lin += col
-        return lin, idx
+        return lin, at, idx
+
+    def scatter(ufunc, lin, at, idx):
+        weights = signed[idx]
+        ufunc.at(flat, lin, weights)
+        if at is not None:
+            ufunc.at(profile_flat, at, weights)
 
     # exact sums only where the summed |w| could reach the limit at all
     summing = int(summed.max()) * int(counts.sum()) >= _EXACT_LIMIT
@@ -389,10 +410,10 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     landed = 0  # segments 0..landed-1 are added into the field
     try:
         for a, b in _blocks(counts):
-            lin, idx = landing(a, b)
+            lin, at, idx = landing(a, b)
             if summing:
                 total += sum(summed[idx].tolist())  # Python ints: exact
-            np.add.at(flat, lin, signed[idx])
+            scatter(np.add, lin, at, idx)
             landed = b
         if total >= _EXACT_LIMIT:
             raise OverflowError(f"summed segment weight {total} reaches 2**53; "
@@ -401,10 +422,8 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
         # int64 adds are exact (modulo 2**64), so taking the landed blocks
         # back out restores every cell
         for a, b in _blocks(counts[:landed]):
-            lin, idx = landing(a, b)
-            np.subtract.at(flat, lin, signed[idx])
+            scatter(np.subtract, *landing(a, b))
         raise
-    return field
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ rate:
 
 A ray is written by retuning a cable so its loop period matches
 2*pi/omega(v), shearing it onto the ray, and accumulating its counted
-segments; a region is written by sweeping a fan of such rays and comparing
-each ray's density profile against the analytic frequency law.
+segments.  A region is written by counting a whole fan of such rays in one
+pass, as one array with a frame per ray, and comparing each ray's density
+profile, gathered in the same pass, against the analytic frequency law.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (DensityField, accumulate, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil,
-                      _cell_floor, _segment_bounds)
+from .density import (DensityField, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil, _cell_floor,
+                      _count, _distinct)
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import (EntwinedPath, Frame, build_cable, cable_steady_window, cords_per_shift,
-                    right_envelope, with_frame)
+from .paths import (EntwinedPath, Frame, SegmentArray, build_cable, cable_steady_window,
+                    cords_per_shift, with_frame)
 
 
 def analytic_kernel(x, t, mass: float):
@@ -205,10 +206,13 @@ class RegionResult:
         return max(r.rel_rms for r in self.reports)
 
 
-def _ray_report(ray: RaySpec, field: DensityField) -> RayReport:
-    """Fit the ray's own field, summed over x, against the frequency law."""
-    ado = field.adolescent.sum(axis=1)
-    sen = field.senescent.sum(axis=1)
+def _ray_report(ray: RaySpec, profile: np.ndarray, field: DensityField) -> RayReport:
+    """Fit the ray's x-summed profile against the frequency law.
+
+    ``profile`` holds the ray's adolescent and senescent row sums over the
+    time cells of ``field``, shape (2, field.t_cells).
+    """
+    ado, sen = profile
     fit = fit_sinusoid(field.t_centers(), ado.astype(float))
     period_cells = 2.0 * np.pi / ray.omega / field.cell
     max_lag = int(period_cells) + 2
@@ -224,27 +228,26 @@ def _ray_report(ray: RaySpec, field: DensityField) -> RayReport:
     )
 
 
-def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
+def write_region(region: RegionSpec, M: int) -> RegionResult:
     """Sweep every ray in the fan, sum their densities, compare per ray.
 
     Rays differ only in their ``Frame``, so one cable is built for each
     distinct ``ray_repeats`` count (one for most fans), before any ray is
-    written, and cut to its counted rows: every ray with that count frames
-    those shared rows through ``write_ray``.  Each ray counts into its own
-    band: a field over the region's t window that spans, in x, only the
-    ray's own extent (the x bounds ``field_for_segments`` would give it)
-    inside the region's x window.  Bands are folded into the region field
-    in fan order as they arrive, so at most the bands not yet folded are
-    alive.
+    written, and its counted rows are grouped once into distinct segments
+    (``density._distinct``).  Each ray's frame comes from ``write_ray``, and
+    the distinct segments of its cable are tiled across the rays' frames,
+    in fan order, as one multi-frame array whose ``frame_idx`` is the ray's
+    index.  That array is counted in one pass straight into the region
+    field, and each landed incidence is also added to its ray's row of an
+    x-summed profile, from which that ray's report is fitted.
     A t window of fewer time cells than a ray's fit takes raises
     ``SpecError`` (``region_time_cells``) before any cable is built.
-    Rays are independent work units; the summed field and the per-ray
-    reports are identical for any ``threads``.  Cells outside the region
-    are clipped silently (cables overhang the window by construction).
-    Each ray's report fits the row sums of its own band, so it sees only
-    what lands inside the x window: ``region_for_fan`` pads that window so
-    no ray is clipped in x, but a hand-built ``RegionSpec`` narrower than
-    its rays gets profiles of the part inside.
+    Cells outside the region are clipped silently (cables overhang the
+    window by construction).  A report sees only what of its ray lands
+    inside the x window: ``region_for_fan`` pads that window so no ray is
+    clipped in x, but a hand-built ``RegionSpec`` narrower than its rays
+    gets profiles of the part inside.  The exact-sum limit of the counting
+    pass covers the whole fan.
     """
     if not region.ray_fan:
         raise ValueError("ray fan is empty")
@@ -260,41 +263,29 @@ def write_region(region: RegionSpec, M: int, threads: int = 1) -> RegionResult:
     field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
     rays = [RaySpec.from_velocity(v, mass, region.t_range) for v in region.ray_fan]
     repeats = [ray_repeats(ray, lattice, M) for ray in rays]
-    cables = {}
+    cables, grouped = {}, {}
     for r in dict.fromkeys(repeats):
         cable = build_cable((0.0, 0.0), lattice, M=M, repeats=r)
-        # keep only the rows counting reads, so the connectors do not stay
-        # alive for the whole fan; trimmed in place because perfbench's
-        # tracer knows a path by the object build_cable returned
-        cable.segs = cable.segs.counted()
+        # keep only one row per distinct counted segment, so the connectors
+        # and the repeated rows do not stay alive for the whole fan; trimmed
+        # in place because perfbench's tracer knows a path by the object
+        # build_cable returned
+        counted = cable.segs.counted()
+        grouped[r] = _distinct(counted)
+        cable.segs = counted.subset(grouped[r][0])
         cables[r] = cable
 
-    def one_ray(ray: RaySpec, r: int):
-        envelope = right_envelope(write_ray(ray, cables[r]))
-        _, _, ray_x_lo, ray_x_hi = _segment_bounds(envelope, cell)
-        x_lo = max(ray_x_lo, x0_cell)
-        x_hi = min(ray_x_hi, x0_cell + x_cells)
-        if x_hi <= x_lo:  # the ray misses the window: nothing of it lands in any column
-            x_lo, x_hi = x0_cell, x0_cell + 1
-        band = DensityField(cell, t0_cell, x_lo, t_cells, x_hi - x_lo)
-        accumulate(band, envelope, clip=True)
-        return band, _ray_report(ray, band)
-
-    def fold(results) -> tuple[RayReport, ...]:
-        reports = []
-        for band, report in results:
-            cols = slice(band.x0_cell - x0_cell, band.x0_cell - x0_cell + band.x_cells)
-            field.counts[:, :, cols] += band.counts
-            reports.append(report)
-        return tuple(reports)
-
-    if threads > 1 and len(region.ray_fan) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = fold(pool.map(one_ray, rays, repeats))
-    else:
-        reports = fold(map(one_ray, rays, repeats))
+    framed = [write_ray(ray, cables[r]).segs for ray, r in zip(rays, repeats)]
+    frames = tuple(s.frames[0] for s in framed)
+    segments = SegmentArray.stack(
+        [SegmentArray(s.lattice, s.x1, s.t1, s.x2, s.t2, s.time_dir, s.species, s.envelope,
+                      np.full(s.rows, i), frames, weight=s.weight)
+         for i, s in enumerate(framed)], frames)
+    # (first, signed, summed) of every ray's segments, in the same order
+    tiled = tuple(np.concatenate([grouped[r][k] for r in repeats]) for k in range(3))
+    profiles = np.zeros((len(rays), 2, t_cells), dtype=np.int64)
+    _count(field, segments, tiled, clip=True, profile=profiles)
+    reports = tuple(_ray_report(ray, p, field) for ray, p in zip(rays, profiles))
     return RegionResult(field=field, reports=reports)
 
 

@@ -1,9 +1,10 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from entwined import propagator
+from entwined import density, propagator
 from entwined.density import (CHANNELS, DensityField, Region, accumulate, best_lag,
                               field_for_segments, fit_sinusoid, _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec
@@ -267,7 +268,7 @@ def full_field_region(region, M):
             sub.channel(name)[:] = whole.channel(name)[ts, xs]
             total.channel(name)[:] += sub.channel(name)
             clipped_x += int(np.abs(whole.channel(name)[ts]).sum() - np.abs(sub.channel(name)).sum())
-        reports.append(_ray_report(ray, sub))
+        reports.append(_ray_report(ray, sub.counts.sum(axis=2), sub))
     return total, tuple(reports), clipped_x
 
 
@@ -276,6 +277,12 @@ def _outcome(fn):
         return fn()
     except ValueError as exc:
         return repr(exc)
+
+
+def _write_concurrently(region, M, threads):
+    """``write_region`` called by ``threads`` callers at once, one outcome each."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda _: _outcome(lambda: write_region(region, M)), range(threads)))
 
 
 @pytest.mark.parametrize("n, M, region_of, clips_x, repeats", [
@@ -298,12 +305,14 @@ def test_band_fields_match_full_region_fields(n, M, region_of, clips_x, repeats,
             for v in region.ray_fan} == repeats
     field, reports, clipped_x = full_field_region(region, M)
     assert (clipped_x > 0) == clips_x
-    result = write_region(region, M, threads=threads)
-    assert (result.field.t0_cell, result.field.x0_cell) == (field.t0_cell, field.x0_cell)
-    for name in CHANNELS:
-        assert result.field.channel(name).any()
-        assert np.array_equal(result.field.channel(name), field.channel(name))
-    assert result.reports == reports
+    # write_region keeps no state between calls, so callers on several
+    # threads each get the single-pass result
+    for result in _write_concurrently(region, M, threads):
+        assert (result.field.t0_cell, result.field.x0_cell) == (field.t0_cell, field.x0_cell)
+        for name in CHANNELS:
+            assert result.field.channel(name).any()
+            assert np.array_equal(result.field.channel(name), field.channel(name))
+        assert result.reports == reports
 
 
 @pytest.mark.parametrize("n, M, fan, n_periods, built", [
@@ -312,16 +321,47 @@ def test_band_fields_match_full_region_fields(n, M, region_of, clips_x, repeats,
 ])
 def test_write_region_builds_one_cable_per_distinct_repeats(n, M, fan, n_periods, built,
                                                             monkeypatch):
-    calls = []
+    calls, grouped = [], []
+    distinct = density._distinct
 
     def counting(*args, **kwargs):
         calls.append(kwargs["repeats"])
         return build_cable(*args, **kwargs)
 
+    def grouping(envelope):
+        grouped.append(envelope.rows)
+        return distinct(envelope)
+
     monkeypatch.setattr(propagator, "build_cable", counting)
+    # both names: the grouping may run in either module
+    monkeypatch.setattr(propagator, "_distinct", grouping, raising=False)
+    monkeypatch.setattr(density, "_distinct", grouping)
     region = region_for_fan(LatticeSpec.for_mass(n, mass=1.0), fan, n_periods=n_periods)
-    write_region(region, M, threads=2)
+    write_region(region, M)
     assert calls == built
+    # each cable's rows are grouped once, not once per ray
+    assert len(grouped) == len(built)
+
+
+def test_fan_count_keeps_the_exact_sum_limit_over_the_summed_field(lattice, monkeypatch):
+    # every ray lands under the limit on its own; the fan, summed into one
+    # field, reaches it, so its counts would not all be exact as float64
+    region = region_for_fan(lattice, (-0.1, 0.1), start_periods=2.0, n_periods=3.0)
+    cell = lattice.cell_physical
+    t0 = _cell_floor(region.t_range[0], cell)
+    window = (t0, _cell_ceil(region.t_range[1], cell))
+    x_lo = _cell_floor(region.x_range[0], cell)
+    x_hi = _cell_ceil(region.x_range[1], cell)
+    landed = []
+    for v in region.ray_fan:
+        env = right_envelope(fresh_ray(RaySpec.from_velocity(v, lattice.mass, region.t_range),
+                                       lattice, 10))
+        _, j, idx = density._incidences(env, cell, window)
+        landed.append(int(env.weight[idx[(j >= x_lo) & (j < x_hi)]].sum()))
+    assert max(landed) < sum(landed)
+    monkeypatch.setattr(density, "_EXACT_LIMIT", max(landed) + 1)
+    with pytest.raises(OverflowError, match="2\\*\\*53"):
+        write_region(region, M=10)
 
 
 @pytest.mark.parametrize("fan", [(0.0,), (-0.2, 0.0)])
@@ -331,7 +371,7 @@ def test_ray_outside_the_x_window_fails_as_with_full_fields(fan, threads):
     region = RegionSpec(x_range=(6.0, 7.5), t_range=(14.0, 21.0), ray_fan=fan, lattice=lattice)
     expected = _outcome(lambda: full_field_region(region, M=12))
     assert expected == repr(ValueError("no oscillatory content to fit"))
-    assert _outcome(lambda: write_region(region, M=12, threads=threads)) == expected
+    assert _write_concurrently(region, 12, threads) == [expected] * threads
 
 
 def test_fan_frequency_law(lattice, calibration):
@@ -350,16 +390,6 @@ def test_region_field_not_empty_and_reports_ordered(lattice):
     result = write_region(region, M=10)
     assert [r.v for r in result.reports] == list(fan)
     assert result.field.adolescent.any()
-
-
-def test_region_threads_do_not_change_results(lattice):
-    fan = (-0.1, 0.1)
-    region = region_for_fan(lattice, fan, start_periods=2.0, n_periods=3.0)
-    serial = write_region(region, M=10, threads=1)
-    threaded = write_region(region, M=10, threads=4)
-    assert np.array_equal(serial.field.adolescent, threaded.field.adolescent)
-    assert np.array_equal(serial.field.senescent, threaded.field.senescent)
-    assert serial.reports == threaded.reports
 
 
 def test_refinement_is_monotone(lattice):
