@@ -8,10 +8,11 @@ corner count mod 4:
     phi_plus  = sum over R = 0, 4, ... minus sum over R = 2, 6, ...
     phi_minus = sum over R = 1, 5, ... minus sum over R = 3, 7, ...
 
-with each term ``N(R) * (eps * mass)**R``.  Three independent routes are
-provided: exhaustive enumeration of step sequences, the corner-weighted sum
-over an enumerated histogram, and a position-resolved transfer-matrix
-evolution that scales far beyond the enumeration cap.
+with each term ``N(R) * (eps * mass)**R``.  Two independent routes are
+provided: the corner-weighted sum over a histogram from exhaustive
+enumeration of step sequences, and a position-resolved transfer-matrix
+evolution, in float or exact arithmetic, that scales far beyond the
+enumeration cap.
 
 Direction conventions: the first step equals ``initial_direction`` by
 default.  With ``incoming_corner=True`` the first step is free and
@@ -34,6 +35,7 @@ LEFT = "left"
 ANY = "any"
 
 ENUMERATION_CAP = 24
+_COLUMN = {RIGHT: 0, LEFT: 1}
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,10 @@ class KernelValue:
         return complex(self.phi_plus) + 1j * complex(self.phi_minus)
 
 
-def _check_cap(n_steps: int, cap: int) -> None:
-    if n_steps > cap:
-        raise SpecError([f"n_steps: exceeds enumeration cap {cap} "
-                         f"(enumeration too large: n_steps={n_steps} > {cap})"])
+def _check_cap(n_steps: int) -> None:
+    if n_steps > ENUMERATION_CAP:
+        raise SpecError([f"n_steps: exceeds enumeration cap {ENUMERATION_CAP} "
+                         f"(enumeration too large: n_steps={n_steps} > {ENUMERATION_CAP})"])
 
 
 def _half_table(width: int) -> np.ndarray:
@@ -134,7 +136,7 @@ def _last_step(table: np.ndarray, final_bit: int | None) -> np.ndarray:
     return table.sum(axis=-3) if final_bit is None else table[..., final_bit, :, :]
 
 
-def enumerate_corner_histogram(problem: ChessboardProblem, cap: int = ENUMERATION_CAP) -> CornerHistogram:
+def enumerate_corner_histogram(problem: ChessboardProblem) -> CornerHistogram:
     """Count corners over every step sequence consistent with the problem.
 
     Sequences are bit masks (bit = left step) split into a low half of
@@ -143,10 +145,11 @@ def enumerate_corner_histogram(problem: ChessboardProblem, cap: int = ENUMERATIO
     lefts, corners); the halves are joined by convolving their corner counts
     over left counts that add up to the displacement, with one more corner
     where the boundary bits differ.  Per-R counts are integers, so the result
-    equals a walk over all sequences.  Raises when ``n_steps`` exceeds ``cap``.
+    equals a walk over all sequences.  Raises when ``n_steps`` exceeds
+    ``ENUMERATION_CAP``.
     """
     n = problem.n_steps
-    _check_cap(n, cap)
+    _check_cap(n)
     if not problem.has_paths:
         return CornerHistogram({})
     init_bit = 0 if problem.initial_direction == RIGHT else 1
@@ -196,77 +199,56 @@ def kernel_corner_sum(hist: CornerHistogram, eps, mass, exact: bool = False) -> 
     return KernelValue(phi_plus=plus, phi_minus=minus)
 
 
-def _float_steps(n: int, w: complex, initial_direction: str, incoming_corner: bool):
-    """Yield the (position, direction) amplitudes after each of ``n`` steps.
+def _transfer_steps(n: int, eps, mass, initial_direction: str, incoming_corner: bool,
+                    exact: bool = False):
+    """Yield ``(psi, denominator)`` after each of ``n`` steps.
 
-    Row ``n`` of the ``(2n+1, 2)`` array is displacement 0; column 0 holds
-    right movers, column 1 left movers.  A reversal weighs ``w``.
+    Row ``n`` of ``psi`` is displacement 0; column 0 holds right movers,
+    column 1 left movers.  In float arithmetic ``psi`` is one complex128
+    ``(2n+1, 2)`` array, a reversal weighs ``i*eps*mass`` and ``denominator``
+    is None.  In exact arithmetic, with ``eps*mass = p/r`` in lowest terms,
+    scaling every step by ``r`` makes a straight move weigh ``r`` and a
+    reversal ``i*p``: ``psi`` is a ``(2n+1, 2, 2)`` object array of Python
+    ints whose last axis is (re, im), numerators over ``denominator = r**step``.
+    Float amplitudes are never multiplied by a straight weight: ``1.0 * x``
+    turns a ``-0.0`` component into ``0.0``.
     """
-    psi = np.zeros((2 * n + 1, 2), dtype=np.complex128)
-    psi[n, 0 if initial_direction == RIGHT else 1] = 1.0
-    for step in range(n):
-        allow_flip = incoming_corner or step > 0
-        new = np.zeros_like(psi)
-        new[1:, 0] = psi[:-1, 0] + (w * psi[:-1, 1] if allow_flip else 0.0)
-        new[:-1, 1] = psi[1:, 1] + (w * psi[1:, 0] if allow_flip else 0.0)
-        psi = new
-        yield psi
+    if exact:
+        q = Fraction(eps) * Fraction(mass)
+        r, rotate = q.denominator, np.array([-q.numerator, q.numerator], dtype=object)
+        psi = np.zeros((2 * n + 1, 2, 2), dtype=object)
+        psi[n, _COLUMN[initial_direction], 0] = 1
 
+        def straight(a):
+            return r * a
 
-def _read_float(psi: np.ndarray, idx: int, final_direction: str) -> KernelValue:
-    if final_direction == ANY:
-        k = psi[idx, 0] + psi[idx, 1]
+        def reverse(a):  # i*p*(re + i*im) = -p*im + i*p*re
+            return rotate * a[..., ::-1]
     else:
-        k = psi[idx, 0 if final_direction == RIGHT else 1]
-    return KernelValue(float(k.real), float(k.imag))
+        r, w = None, 1j * eps * mass
+        psi = np.zeros((2 * n + 1, 2), dtype=np.complex128)
+        psi[n, _COLUMN[initial_direction]] = 1.0
 
+        def straight(a):
+            return a
 
-def _transfer_float(problem: ChessboardProblem) -> KernelValue:
-    n = problem.n_steps
-    idx = n + problem.displacement
-    if not (0 <= idx < 2 * n + 1):
-        return KernelValue(0.0, 0.0)
-    w = 1j * problem.step_size * problem.mass
-    for psi in _float_steps(n, w, problem.initial_direction, problem.incoming_corner):
-        pass
-    return _read_float(psi, idx, problem.final_direction)
-
-
-def _transfer_exact(problem: ChessboardProblem) -> KernelValue:
-    """Exact stepper on Gaussian-integer numerators over ``r**n``.
-
-    With ``eps*mass = p/r`` in lowest terms, scaling every step by ``r``
-    makes a straight move weigh ``r`` and a reversal ``i*p``, so the
-    amplitudes stay integers (held as Python ints in ``re``/``im`` object
-    arrays, laid out as in :func:`_float_steps`) and only the final
-    components are rationals.
-    """
-    n = problem.n_steps
-    idx = n + problem.displacement
-    if not (0 <= idx < 2 * n + 1):
-        return KernelValue(Fraction(0), Fraction(0))
-    q = Fraction(problem.step_size) * Fraction(problem.mass)
-    p, r = q.numerator, q.denominator
-    re = np.zeros((2 * n + 1, 2), dtype=object)
-    im = np.zeros((2 * n + 1, 2), dtype=object)
-    re[n, 0 if problem.initial_direction == RIGHT else 1] = 1
+        def reverse(a):
+            return w * a
     for step in range(n):
-        new_re = np.zeros_like(re)
-        new_im = np.zeros_like(im)
-        new_re[1:, 0] = r * re[:-1, 0]
-        new_im[1:, 0] = r * im[:-1, 0]
-        new_re[:-1, 1] = r * re[1:, 1]
-        new_im[:-1, 1] = r * im[1:, 1]
-        if problem.incoming_corner or step > 0:  # reversal: multiply by i*p
-            new_re[1:, 0] -= p * im[:-1, 1]
-            new_im[1:, 0] += p * re[:-1, 1]
-            new_re[:-1, 1] -= p * im[1:, 0]
-            new_im[:-1, 1] += p * re[1:, 0]
-        re, im = new_re, new_im
-    dirs = [0, 1] if problem.final_direction == ANY else [0 if problem.final_direction == RIGHT else 1]
-    denominator = r**n
-    return KernelValue(phi_plus=Fraction(re[idx, dirs].sum(), denominator),
-                       phi_minus=Fraction(im[idx, dirs].sum(), denominator))
+        moved = straight(psi)
+        turned = reverse(psi) if incoming_corner or step > 0 else np.zeros_like(psi)
+        psi = np.zeros_like(psi)
+        psi[1:, 0] = moved[:-1, 0] + turned[:-1, 1]  # right movers, one row up
+        psi[:-1, 1] = moved[1:, 1] + turned[1:, 0]
+        yield psi, None if r is None else r ** (step + 1)
+
+
+def _read(psi: np.ndarray, denominator, idx: int, final_direction: str) -> KernelValue:
+    """The kernel at row ``idx`` of one state of :func:`_transfer_steps`."""
+    k = psi[idx, 0] + psi[idx, 1] if final_direction == ANY else psi[idx, _COLUMN[final_direction]]
+    if denominator is None:
+        return KernelValue(float(k.real), float(k.imag))
+    return KernelValue(Fraction(k[0], denominator), Fraction(k[1], denominator))
 
 
 def kernel_transfer_matrix(problem: ChessboardProblem, exact: bool = False) -> KernelValue:
@@ -275,11 +257,18 @@ def kernel_transfer_matrix(problem: ChessboardProblem, exact: bool = False) -> K
     The state is one complex amplitude per (position, direction) pair: a
     step moves a cell along its direction with weight 1, or reverses with
     weight ``i*eps*mass``.  Agrees with enumeration + corner sum exactly
-    and scales to step counts far past the enumeration cap.
+    and scales to step counts far past the enumeration cap.  With
+    ``exact=True`` the components come back as :class:`fractions.Fraction`.
     """
-    if exact:
-        return _transfer_exact(problem)
-    return _transfer_float(problem)
+    n = problem.n_steps
+    idx = n + problem.displacement
+    if not (0 <= idx < 2 * n + 1):
+        zero = Fraction(0) if exact else 0.0
+        return KernelValue(zero, zero)
+    for state in _transfer_steps(n, problem.step_size, problem.mass, problem.initial_direction,
+                                 problem.incoming_corner, exact):
+        pass
+    return _read(*state, idx, problem.final_direction)
 
 
 def _phase_steps(t_max: float, eps: float, mass: float) -> int:
@@ -306,6 +295,5 @@ def kernel_phase_series(t_max: float, eps: float, mass: float,
     Used to watch the carrier phase build up; requires ``eps*mass < 1``.
     """
     n = _phase_steps(t_max, eps, mass)
-    w = 1j * eps * mass
-    return [((step + 1) * eps, _read_float(psi, n, final_direction))
-            for step, psi in enumerate(_float_steps(n, w, initial_direction, incoming_corner))]
+    return [((step + 1) * eps, _read(*state, n, final_direction))
+            for step, state in enumerate(_transfer_steps(n, eps, mass, initial_direction, incoming_corner))]

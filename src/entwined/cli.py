@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chessboard import (ANY, ENUMERATION_CAP, RIGHT, ChessboardProblem, _check_cap,
+from .chessboard import (ANY, RIGHT, ChessboardProblem, _check_cap,
                          _phase_steps, enumerate_corner_histogram, kernel_corner_sum,
                          kernel_phase_series, kernel_transfer_matrix)
 from .density import (ReferenceDensity, accumulate, best_lag, carrier_steady_cells, compare,
@@ -184,8 +184,8 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             problems.append(f"{exp}.{key}: must be >= 1")
     if exp == "chessboard":
         problem = specs["problem"] = from_section(ChessboardProblem, exp)
-        build(exp, lambda: _check_cap(block["n_steps"], ENUMERATION_CAP))
-        if problem is not None and block["phase_t_max"] > 0:
+        build(exp, lambda: _check_cap(block["n_steps"]))
+        if problem is not None and block["phase_t_max"] != 0:
             build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
                   {"t_max": "phase_t_max"})
     elif exp == "propagate":

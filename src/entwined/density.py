@@ -596,20 +596,19 @@ def _brent(residual, lo: float, hi: float):
     return x, best
 
 
-def fit_sinusoid(times: np.ndarray, values: np.ndarray,
-                 omega_bracket: tuple[float, float] | None = None) -> SinusoidFit:
+def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
     """Least-squares fit of a*sin(w t) + b*cos(w t) + c with free frequency.
 
     The frequency is searched within one FFT bin of the dominant bin of the
-    detrended data, capped at the Nyquist frequency (``_fft_bracket``), or
-    within ``omega_bracket`` if given, by Brent's method (``_brent``) with a
-    fixed relative tolerance and a fixed cap on trials, so results are
-    deterministic.  Each trial frequency is solved once, from the 3x3 normal
-    equations of ``_fit_at``, and the fit is the best trial's.
+    detrended data, capped at the Nyquist frequency (``_fft_bracket``), by
+    Brent's method (``_brent``) with a fixed relative tolerance and a fixed
+    cap on trials, so results are deterministic.  Each trial frequency is
+    solved once, from the 3x3 normal equations of ``_fit_at``, and the fit
+    is the best trial's.
 
     ``times`` must be finite, increasing and uniformly spaced (the FFT
-    bracket assumes so), ``values`` finite, and ``omega_bracket`` finite with
-    0 < lo < hi; anything else raises ``ValueError``.
+    bracket assumes so) and ``values`` finite; anything else raises
+    ``ValueError``.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -626,12 +625,7 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray,
         raise ValueError("times must be uniformly spaced")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    if omega_bracket is not None:
-        lo, hi = omega_bracket
-        if not (math.isfinite(hi) and 0.0 < lo < hi):
-            raise ValueError(f"omega_bracket must be finite with 0 < lo < hi, got {omega_bracket!r}")
-    else:
-        lo, hi = _fft_bracket(times, values)
+    lo, hi = _fft_bracket(times, values)
 
     rows = np.ones((4, len(times)))  # sin, cos, 1, values
     rows[3] = values

@@ -260,12 +260,12 @@ def _sinusoid_fit(omega, rms, coef):
                        rms_residual=rms)
 
 
-def fit_sinusoid_oracle(times, values, omega_bracket=None):
+def fit_sinusoid_oracle(times, values):
     """The sinusoid fit with an SVD per trial: ``fit_sinusoid``'s bracket and
     Brent search with every trial frequency solved by ``np.linalg.lstsq``."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    lo, hi = omega_bracket or _fft_bracket(times, values)
+    lo, hi = _fft_bracket(times, values)
     omega, (rms, coef) = _brent(_lstsq_residual(times, values), lo, hi)
     return _sinusoid_fit(omega, rms, coef)
 

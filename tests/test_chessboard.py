@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -179,6 +180,26 @@ def test_exact_transfer_equals_brute_kernel(eps):
                 assert type(k.phi_plus) is Fraction and type(k.phi_minus) is Fraction
                 assert (k.phi_plus, k.phi_minus) == brute_kernel_exact(
                     n_steps, displacement, eps, initial=initial, final=final, incoming=incoming)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+def test_phase_series_points_are_the_kernels_of_their_return_problems(eps):
+    # the series, the float kernel and the exact kernel step one recurrence:
+    # the k-th point is the float kernel of the k-step return problem, signed
+    # zeros included, and the exact kernel rounds to it
+    rng = random.Random(19)
+    for initial, final, incoming in product(("right", "left"), ("any", "right", "left"), (False, True)):
+        n_steps, mass = rng.randint(1, 60), rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)])
+        series = kernel_phase_series(n_steps * eps, eps, mass, initial, final, incoming)
+        assert len(series) == n_steps
+        for k, (_, point) in enumerate(series, start=1):
+            problem = ChessboardProblem(n_steps=k, displacement=0, step_size=eps, mass=mass,
+                                        initial_direction=initial, final_direction=final,
+                                        incoming_corner=incoming)
+            assert repr(point) == repr(kernel_transfer_matrix(problem))
+            exact = kernel_transfer_matrix(problem, exact=True)
+            assert abs(float(exact.phi_plus) - point.phi_plus) <= 1e-12
+            assert abs(float(exact.phi_minus) - point.phi_minus) <= 1e-12
 
 
 def test_invalid_problem_rejected():

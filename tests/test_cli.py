@@ -251,8 +251,9 @@ def test_failed_run_leaves_a_missing_out_missing(tmp_path, capsys, argv, status,
 
 @pytest.mark.parametrize("flags, message", [
     (["--phase-t-max", "0.05"], "error: chessboard.phase_t_max: smaller than one step of 0.1\n"),
+    (["--phase-t-max", "-3"], "error: chessboard.phase_t_max: smaller than one step of 0.1\n"),
     (["--initial-direction", "up"], "error: chessboard.initial_direction: must be right or left\n"),
-], ids=["phase-t-max", "direction"])
+], ids=["phase-t-max", "phase-t-max-negative", "direction"])
 def test_chessboard_rules_stop_the_run_before_it_writes(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
     assert run_cli(["chessboard", *flags, "--out", str(out)]) == 2

@@ -1115,23 +1115,6 @@ def test_fit_sinusoid_refuses_input_it_would_misfit(case, message):
         fit_sinusoid(times, values)
 
 
-@pytest.mark.parametrize("bracket", [
-    (0.0, 2.0), (-1.0, 2.0), (2.0, 1.0), (1.3, 1.3),
-    (np.nan, 2.0), (1.0, np.nan), (1.0, np.inf), (-np.inf, 2.0),
-])
-def test_fit_sinusoid_refuses_a_bracket_outside_0_lo_hi(bracket):
-    times = np.arange(0.0, 40.0, 0.1)
-    with pytest.raises(ValueError, match="omega_bracket"):
-        fit_sinusoid(times, np.sin(1.3 * times), omega_bracket=bracket)
-
-
-def test_fit_sinusoid_searches_a_given_bracket():
-    times = np.arange(0.0, 40.0, 0.1)
-    fit = fit_sinusoid(times, 2.0 * np.sin(1.3 * times) + 0.5, omega_bracket=(1.0, 2.0))
-    assert fit.omega == pytest.approx(1.3, rel=1e-9)
-    assert fit.amplitude == pytest.approx(2.0, rel=1e-9)
-
-
 def test_singular_normal_equations_raise():
     """At omega = 2 pi / dt every sample sits at one phase: cos is exactly
     one, the column of the constant."""
