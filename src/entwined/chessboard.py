@@ -9,10 +9,9 @@ corner count mod 4:
     phi_minus = sum over R = 1, 5, ... minus sum over R = 3, 7, ...
 
 with each term ``N(R) * (eps * mass)**R``.  Two independent routes are
-provided: the corner-weighted sum over a histogram from exhaustive
-enumeration of step sequences, and a position-resolved transfer-matrix
-evolution, in float or exact arithmetic, that scales far beyond the
-enumeration cap.
+provided: the corner-weighted sum over a histogram counted in closed form,
+and a position-resolved transfer-matrix evolution, in float or exact
+arithmetic.  ``ENUMERATION_CAP`` bounds the steps of the first route.
 
 Direction conventions: the first step equals ``initial_direction`` by
 default.  With ``incoming_corner=True`` the first step is free and
@@ -23,6 +22,7 @@ last step ("any" sums both).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -105,70 +105,37 @@ def _check_cap(n_steps: int) -> None:
                          f"(enumeration too large: n_steps={n_steps} > {ENUMERATION_CAP})"])
 
 
-def _half_table(width: int) -> np.ndarray:
-    """Counts of all ``2**width`` bit patterns (bit = left step), indexed
-    ``[first bit, last bit, lefts, internal corners]``.
-
-    The corner axis has ``width + 1`` entries so one extra corner fits.
-    """
-    b = np.arange(1 << width, dtype=np.uint64)
-    first = (b & np.uint64(1)).astype(np.int64)
-    last = (b >> np.uint64(width - 1)).astype(np.int64)
-    lefts = np.bitwise_count(b).astype(np.int64)
-    pair_mask = np.uint64((1 << (width - 1)) - 1)
-    corners = np.bitwise_count((b ^ (b >> np.uint64(1))) & pair_mask).astype(np.int64)
-    size = width + 1
-    flat = ((first * 2 + last) * size + lefts) * size + corners
-    return np.bincount(flat, minlength=4 * size * size).reshape(2, 2, size, size)
-
-
-def _first_step(table: np.ndarray, init_bit: int, incoming: bool) -> np.ndarray:
-    """Drop the leading first-bit axis under the first-step constraint."""
-    if not incoming:
-        return table[init_bit]
-    out = table[init_bit].copy()
-    out[..., 1:] += table[1 - init_bit][..., :-1]  # immediate reversal: one corner
-    return out
-
-
-def _last_step(table: np.ndarray, final_bit: int | None) -> np.ndarray:
-    """Drop the last-bit axis (third from the end) under ``final_direction``."""
-    return table.sum(axis=-3) if final_bit is None else table[..., final_bit, :, :]
+def _runs(steps: int, runs: int) -> int:
+    """Ways to split ``steps`` steps into ``runs`` non-empty runs (1 for none in none)."""
+    return math.comb(steps - 1, runs - 1) if steps >= runs >= 1 else int(steps == runs == 0)
 
 
 def enumerate_corner_histogram(problem: ChessboardProblem) -> CornerHistogram:
     """Count corners over every step sequence consistent with the problem.
 
-    Sequences are bit masks (bit = left step) split into a low half of
-    ``n_steps // 2`` bits and a high half of the rest.  Each half's
-    ``2**width`` patterns are counted exhaustively by (first bit, last bit,
-    lefts, corners); the halves are joined by convolving their corner counts
-    over left counts that add up to the displacement, with one more corner
-    where the boundary bits differ.  Per-R counts are integers, so the result
-    equals a walk over all sequences.  Raises when ``n_steps`` exceeds
-    ``ENUMERATION_CAP``.
+    Counted in closed form (Gersch 1981): a sequence whose first step runs in
+    direction f, with k runs, holds ``ceil(k/2)`` runs of f, ``floor(k/2)`` of
+    the other direction o and R = k - 1 corners, and n_f and n_o steps split
+    into such runs ``C(n_f - 1, ceil(k/2) - 1) * C(n_o - 1, floor(k/2) - 1)``
+    ways.  The parity of k fixes the last step.  With ``incoming_corner`` both
+    first steps count, one that reverses ``initial_direction`` with one more
+    corner.  Raises when ``n_steps`` exceeds ``ENUMERATION_CAP``.
     """
     n = problem.n_steps
     _check_cap(n)
     if not problem.has_paths:
         return CornerHistogram({})
-    init_bit = 0 if problem.initial_direction == RIGHT else 1
-    final_bit = {RIGHT: 0, LEFT: 1}.get(problem.final_direction)
-    lefts = (n - problem.displacement) // 2
-    low_bits = n // 2
-    high = _last_step(_half_table(n - low_bits), final_bit)  # [first, lefts, corners]
-    if low_bits == 0:  # n == 1: the high half holds the first step too
-        hist = _first_step(high, init_bit, problem.incoming_corner)[lefts]
-    else:
-        low = _first_step(_half_table(low_bits), init_bit, problem.incoming_corner)  # [last, lefts, corners]
-        hist = np.zeros(n + 2, dtype=np.int64)
-        for low_lefts in range(max(0, lefts - (n - low_bits)), min(low_bits, lefts) + 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    joined = np.convolve(low[a, low_lefts], high[b, lefts - low_lefts])
-                    shift = int(a != b)
-                    hist[shift:shift + joined.size] += joined
-    return CornerHistogram({int(r): int(c) for r, c in enumerate(hist) if c})
+    steps = {RIGHT: (n + problem.displacement) // 2, LEFT: (n - problem.displacement) // 2}
+    initial = problem.initial_direction
+    hist: dict[int, int] = {}
+    for first in (RIGHT, LEFT) if problem.incoming_corner else (initial,):
+        other = LEFT if first == RIGHT else RIGHT
+        for k in range(1, n + 1):
+            if problem.final_direction in (ANY, first if k % 2 else other):
+                r = k - 1 + (first != initial)
+                count = _runs(steps[first], (k + 1) // 2) * _runs(steps[other], k // 2)
+                hist[r] = hist.get(r, 0) + count
+    return CornerHistogram({r: count for r, count in sorted(hist.items()) if count})
 
 
 def kernel_corner_sum(hist: CornerHistogram, eps, mass, exact: bool = False) -> KernelValue:
@@ -278,11 +245,13 @@ def _phase_steps(t_max: float, eps: float, mass: float) -> int:
     problems = []
     if eps * mass >= 1.0:
         problems.append(f"t_max: a phase series needs eps*mass < 1 (got {eps * mass})")
-    n = int(np.floor(t_max / eps + 1e-9))
+    n = np.floor(t_max / eps + 1e-9)
     if n < 1:
         problems.append(f"t_max: smaller than one step of {eps}")
+    elif not np.isfinite(n):
+        problems.append(f"t_max: {t_max} is not a finite number of steps of {eps}")
     SpecError.check(problems)
-    return n
+    return int(n)
 
 
 def kernel_phase_series(t_max: float, eps: float, mass: float,

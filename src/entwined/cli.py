@@ -24,8 +24,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .chessboard import (ANY, RIGHT, ChessboardProblem, _check_cap,
                          _phase_steps, enumerate_corner_histogram, kernel_corner_sum,
@@ -33,8 +31,9 @@ from .chessboard import (ANY, RIGHT, ChessboardProblem, _check_cap,
 from .density import (ReferenceDensity, accumulate, best_lag, carrier_steady_cells, compare,
                       export_field, field_for_segments, steady_region)
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import build_cable, right_envelope
-from .propagator import region_for_fan, region_time_cells, write_ray_report, write_region
+from .paths import build_cable, cable_counts, right_envelope
+from .propagator import (region_for_fan, region_time_cells, velocity_fan, write_ray_report,
+                         write_region)
 from .ring import (RingSpec, drift_in_cells_per_period, ring_cells, ring_clock, run_ring,
                    standing_wave_metrics, wrap_rows)
 
@@ -151,9 +150,8 @@ def _resolve_threads(value: str) -> int:
 
 
 def _specs(config: dict) -> tuple[dict, list[str]]:
-    """Build every library object the configured run uses.
-
-    Each object checks its own rules.  Returns the objects and every broken
+    """Build every library object the configured run uses; each rule is raised
+    by the library call that owns it.  Returns the objects and every broken
     rule as ``section.key: reason``; a run may start only when there is none.
     """
     problems: list[str] = []
@@ -173,45 +171,37 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
         return build(section, lambda: cls(**{f.name: block[f.name] for f in dataclasses.fields(cls)}))
 
     lattice = from_section(LatticeSpec, "lattice")
-    # ``threads`` is still checked, though no experiment reads it: no layer
-    # runs in parallel, and old command lines that pass it keep working
-    specs = {"lattice": lattice,
-             "threads": build("run", lambda: _resolve_threads(config["run"]["threads"]))}
+    # checked, though no experiment reads it: no layer runs in parallel, and
+    # old command lines that pass it keep working
+    build("run", lambda: _resolve_threads(config["run"]["threads"]))
+    specs = {"lattice": lattice}
     exp = config["experiment"]
     block = config[exp]
-    for key in ("m_cords", "repeats", "v_count"):
-        if key in block and block[key] < 1:
-            problems.append(f"{exp}.{key}: must be >= 1")
+    n = config["lattice"]["n"]
+    cords = {"M": "m_cords"}
     if exp == "chessboard":
         problem = specs["problem"] = from_section(ChessboardProblem, exp)
         build(exp, lambda: _check_cap(block["n_steps"]))
         if problem is not None and block["phase_t_max"] != 0:
             build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
                   {"t_max": "phase_t_max"})
+    elif exp == "carrier":
+        counts = build(exp, lambda: cable_counts(n, block["m_cords"], block["repeats"]), cords)
+        if lattice is not None and counts:
+            build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]))
     elif exp == "propagate":
-        checked = len(problems)
-        if not block["v_min"] <= block["v_max"]:
-            problems.append("propagate.v_min: must not exceed v_max")
-        for key in ("v_min", "v_max"):
-            if abs(block[key]) >= 1:
-                problems.append(f"propagate.{key}: superluminal drift")
-        if not block["start_periods"] > 0:
-            problems.append("propagate.start_periods: must be positive (rays emanate from the origin)")
-        if not block["n_periods"] > 0:
-            problems.append("propagate.n_periods: must be positive")
-        if lattice is not None and len(problems) == checked and block["v_count"] >= 1:
-            if block["v_count"] == 1:
-                fan = (block["v_min"],)
-            else:
-                fan = tuple(float(v) for v in np.linspace(block["v_min"], block["v_max"],
-                                                          block["v_count"]))
-            region = specs["region"] = region_for_fan(lattice, fan, block["start_periods"],
-                                                      block["n_periods"])
-            build(exp, lambda: region_time_cells(region))
-    elif exp == "carrier" and lattice is not None and min(block["m_cords"], block["repeats"]) >= 1:
-        build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]))
+        build(exp, lambda: cable_counts(n, block["m_cords"]), cords)
+        fan = build(exp, lambda: velocity_fan(block["v_min"], block["v_max"], block["v_count"]))
+        if lattice is not None and fan is not None:
+            region = specs["region"] = build(exp, lambda: region_for_fan(
+                lattice, fan, block["start_periods"], block["n_periods"]))
+            if region is not None:
+                build(exp, lambda: region_time_cells(region))
     elif exp == "ring":
         spec = from_section(RingSpec, exp)
+        # a ring's cables take cycles + 2 repeats; with cycles refused, only M is checked
+        build(exp, lambda: cable_counts(n, block["m_cords"], spec.cycles + 2 if spec else 1),
+              {**cords, "repeats": "cycles"})
         # the factor scales the eigen speed; an explicit speed replaces it
         factor = block["speed_factor"]
         if not factor > 0:

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, cable_steady_window, cords_per_shift
+from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, cable_counts, cable_steady_window
 
 _EXACT_LIMIT = 2 ** 53  # summed |weight| refused from here: float64 holds integers below it
 _BLOCK = 16384  # incidences expanded at once by ``accumulate``
@@ -186,9 +186,10 @@ def carrier_steady_cells(spec: LatticeSpec, M: int, repeats: int) -> int:
     spec, M, repeats)`` on a field of cell eps that covers it, found from
     the cable's parameters alone: neither the cable nor a field is built.
 
-    Raises ``SpecError`` when they are fewer than a sinusoid fit takes.
+    Raises ``SpecError`` when the parameters break a rule of ``cable_counts``
+    or the cells are fewer than a sinusoid fit takes.
     """
-    lo, hi = cable_steady_window(spec, cords_per_shift(spec.n, M), repeats)
+    lo, hi = cable_steady_window(spec, cable_counts(spec.n, M, repeats), repeats)
     cells = max(0, _cell_floor(hi, spec.eps) - _cell_ceil(lo, spec.eps))
     if cells < _FIT_SAMPLES:
         raise SpecError([f"repeats: steady region is only {cells} cells; a sinusoid fit needs "

@@ -49,6 +49,8 @@ class LatticeSpec:
             problems.append("n: n must be even so quarter periods align to cells")
         if not (self.mass_scale > 0.0):
             problems.append("mass_scale: must be positive")
+        elif not 0.0 < self.mass < math.inf:
+            problems.append(f"mass_scale: implies mass {self.mass}, not a positive finite number")
         SpecError.check(problems)
 
     @classmethod

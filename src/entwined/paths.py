@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import PERIOD, LatticeSpec
+from .lattice import PERIOD, LatticeSpec, SpecError
 
 RIGHT_MOVER = 1
 LEFT_MOVER = -1
@@ -435,8 +435,7 @@ def build_cord(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | Non
     """
     if spec is None:
         raise ValueError("a LatticeSpec is required")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    cable_counts(spec.n, 1, repeats)  # a cord's repeats follow the cable rule
     ox, ot = _origin_to_half_units(origin, spec)
     cols, env = _cord_block(spec, repeats)
     cols = cols.copy()
@@ -464,6 +463,23 @@ def cable_steady_window(spec: LatticeSpec, counts: list[int], repeats: int) -> t
     return last_shift + PERIOD, 4.0 * repeats - 1.0 + spec.eps
 
 
+def cable_counts(n: int, M: int, repeats: int = 1) -> list[int]:
+    """``cords_per_shift(n, M)`` of the cable ``build_cable`` builds on a lattice
+    of ``n``, or ``SpecError`` listing every rule its parameters break.  Its t
+    reaches ``4n`` half-cells a repeat, ``3n + 2`` for the last fiber and
+    ``2(n - 1)`` for the last shift, which int32 vertex columns must hold."""
+    problems = []
+    if M < 1:
+        problems.append("M: must be >= 1")
+    if repeats < 1:
+        problems.append("repeats: must be >= 1")
+    elif n * (4 * repeats + 5) > _INT32.max:
+        problems.append(f"repeats: a cable of {repeats} repeats reaches t = "
+                        f"{n * (4 * repeats + 5)} half-cells, past the int32 limit {_INT32.max}")
+    SpecError.check(problems)
+    return cords_per_shift(n, M)
+
+
 def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | None = None,
                 M: int = 1, repeats: int = 1) -> EntwinedPath:
     """Concatenate cords into a cable whose density draws a sampled sinusoid.
@@ -477,17 +493,14 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
     connector back from a train's end to its start.  Each shift's train is
     stored once with weight ``count`` and the back connector once with
     weight ``count - 1``, as one run of the segment array, so storage and
-    counting grow with the distinct trains, not with M.
+    counting grow with the distinct trains, not with M.  Parameters that
+    break a rule of :func:`cable_counts` are refused before anything is built.
     """
     if spec is None:
         raise ValueError("a LatticeSpec is required")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    counts = cable_counts(spec.n, M, repeats)
     n = spec.n
     ox, ot = _origin_to_half_units(origin, spec)
-    counts = cords_per_shift(n, M)
 
     block_cols, block_env = _cord_block(spec, repeats)
     block_end = (0, 4 * n * (repeats - 1) + _quartet_offsets(n)[-1])
@@ -524,8 +537,6 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
         rows += len(tile_cols)
         prev_end = (0, block_end[1] + shift)
         total_cords += count * repeats
-    if not col_parts:
-        raise ValueError("cable is empty: every shift has zero cords (increase M)")
 
     cols = np.concatenate(col_parts)
     env = np.concatenate(env_parts)

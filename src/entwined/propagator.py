@@ -25,7 +25,7 @@ from .density import (DensityField, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_
                       _count, _distinct)
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import (EntwinedPath, Frame, SegmentArray, build_cable, cable_steady_window,
-                    cords_per_shift, with_frame)
+                    cable_counts, with_frame)
 
 
 def analytic_kernel(x, t, mass: float):
@@ -57,11 +57,11 @@ class RaySpec:
 
     def __post_init__(self):
         if not abs(self.v) < 1.0:
-            raise ValueError(f"superluminal ray velocity {self.v}")
+            raise SpecError([f"v: superluminal ray velocity {self.v}"])
         if not (self.omega > 0):
-            raise ValueError("omega must be positive")
+            raise SpecError(["omega: must be positive"])
         if not (0 < self.t_span[0] < self.t_span[1]):
-            raise ValueError("t_span must satisfy 0 < start < end")
+            raise SpecError(["t_span: must satisfy 0 < start < end"])
 
     @classmethod
     def from_velocity(cls, v: float, mass: float, t_span: tuple[float, float]) -> "RaySpec":
@@ -79,20 +79,42 @@ class RegionSpec:
 
     def __post_init__(self):
         if not (0 < self.t_range[0] < self.t_range[1]):
-            raise ValueError("t_range must satisfy 0 < start < end (rays emanate from the origin)")
+            raise SpecError(["t_range: must satisfy 0 < start < end (rays emanate from the origin)"])
         if not self.x_range[0] < self.x_range[1]:
-            raise ValueError("x_range must be increasing")
+            raise SpecError(["x_range: must be increasing"])
         for v in self.ray_fan:
             if not abs(v) < 1.0:
-                raise ValueError(f"superluminal ray velocity {v} in fan")
+                raise SpecError([f"ray_fan: superluminal ray velocity {v} in fan"])
+
+
+def velocity_fan(v_min: float, v_max: float, v_count: int) -> tuple[float, ...]:
+    """``v_count`` ray velocities spaced evenly from ``v_min`` to ``v_max``."""
+    problems = []
+    if v_count < 1:
+        problems.append("v_count: must be >= 1")
+    if not v_min <= v_max:
+        problems.append("v_min: must not exceed v_max")
+    problems += [f"{name}: superluminal drift"
+                 for name, v in (("v_min", v_min), ("v_max", v_max)) if not abs(v) < 1.0]
+    SpecError.check(problems)
+    return tuple(float(v) for v in np.linspace(v_min, v_max, v_count))
 
 
 def region_for_fan(lattice: LatticeSpec, ray_fan, start_periods: float = 2.0,
                    n_periods: float = 6.0) -> RegionSpec:
-    """Region sized so every ray in the fan stays inside for the whole window."""
-    mass = lattice.mass
-    t_c = 2.0 * math.pi / mass
+    """Region sized so every ray in the fan stays inside for the whole window,
+    whose start and length in periods must be positive and whose end finite."""
+    t_c = 2.0 * math.pi / lattice.mass
     t_range = (start_periods * t_c, (start_periods + n_periods) * t_c)
+    problems = []
+    if not start_periods > 0:
+        problems.append("start_periods: must be positive (rays emanate from the origin)")
+    if not n_periods > 0:
+        problems.append("n_periods: must be positive")
+    if not problems and not math.isfinite(t_range[1]):
+        key = "n_periods" if math.isfinite(t_range[0]) else "start_periods"
+        problems.append(f"{key}: too large: the window ends at t = {t_range[1]}, not a finite time")
+    SpecError.check(problems)
     pad = 2.5 * lattice.mass_scale
     v_lo = min(min(ray_fan), 0.0)
     v_hi = max(max(ray_fan), 0.0)
@@ -122,8 +144,6 @@ def _t_scale(ray: RaySpec, spec: LatticeSpec) -> float:
 
 
 def _repeats_needed(ray: RaySpec, spec: LatticeSpec, counts: list[int]) -> int:
-    if not any(counts):
-        raise ValueError("M too small: cable would be empty")
     lo, hi = cable_steady_window(spec, counts, 1)
     # each further repeat lengthens the cable, and its steady window, by one period
     short = lo + (ray.t_span[1] - ray.t_span[0]) / _t_scale(ray, spec) - hi
@@ -133,7 +153,7 @@ def _repeats_needed(ray: RaySpec, spec: LatticeSpec, counts: list[int]) -> int:
 def ray_repeats(ray: RaySpec, spec: LatticeSpec, M: int) -> int:
     """Cord repeats of the cable that writes ``ray``: the fewest whose steady
     window, retuned to the ray's frequency, covers ``ray.t_span``."""
-    return _repeats_needed(ray, spec, cords_per_shift(spec.n, M))
+    return _repeats_needed(ray, spec, cable_counts(spec.n, M))
 
 
 def write_ray(ray: RaySpec, cable: EntwinedPath) -> EntwinedPath:

@@ -80,11 +80,17 @@ def ring_cells(circumference: float, lattice: LatticeSpec) -> int:
 
 def ring_clock(spec: RingSpec, lattice: LatticeSpec) -> tuple[float, float, float | None]:
     """Drift speed ``v``, the cables' time scale (carrier at the de Broglie rate
-    m*v**2) and the physical time ``L / v`` of one wrap (``None`` at ``v = 0``)."""
+    m*v**2) and the physical time ``L / v`` of one wrap (``None`` at ``v = 0``);
+    ``SpecError`` when the rows written or one wrap would span infinite cells."""
     v = spec.resolved_speed(lattice.mass)
-    if v > 0.0:
-        return v, lattice.mass_scale / (v * v), spec.circumference / v
-    return v, lattice.mass_scale, None
+    if v == 0.0:
+        return v, lattice.mass_scale, None
+    t_scale = lattice.mass_scale / (v * v) if v * v else math.inf  # v * v underflows below 1e-162
+    wrap_time = spec.circumference / v
+    if not math.isfinite(max(spec.cycles * PERIOD * t_scale, wrap_time) / lattice.cell_physical):
+        key = "circumference" if spec.speed is None else "speed"
+        raise SpecError([f"{key}: drift speed {v!r} is too slow for a finite count of cells"])
+    return v, t_scale, wrap_time
 
 
 def ring_rows(spec: RingSpec, lattice: LatticeSpec) -> int:

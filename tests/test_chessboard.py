@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from entwined.chessboard import (ChessboardProblem, CornerHistogram, enumerate_corner_histogram,
-                                 kernel_corner_sum, kernel_phase_series, kernel_transfer_matrix)
+from entwined.chessboard import (ENUMERATION_CAP, ChessboardProblem, CornerHistogram, KernelValue,
+                                 enumerate_corner_histogram, kernel_corner_sum, kernel_phase_series,
+                                 kernel_transfer_matrix)
 from helpers import brute_histogram, brute_kernel, brute_kernel_exact
 
 
@@ -31,8 +32,8 @@ def test_four_steps_return_total():
 @pytest.mark.parametrize("n_steps", range(1, 13))
 @pytest.mark.parametrize("incoming", [False, True])
 def test_enumeration_matches_brute_force(n_steps, incoming):
-    # odd and even n cover both split shapes; the displacement range includes
-    # out-of-range and wrong-parity endpoints, which have no paths
+    # the displacement range includes out-of-range and wrong-parity
+    # endpoints, which have no paths
     for displacement in range(-n_steps - 1, n_steps + 2):
         for initial, final in product(("right", "left"), ("any", "right", "left")):
             problem = ChessboardProblem(n_steps=n_steps, displacement=displacement,
@@ -164,6 +165,28 @@ def test_exact_mode_agrees_between_backends():
             transferred = kernel_transfer_matrix(problem, exact=True)
             assert summed.phi_plus == transferred.phi_plus
             assert summed.phi_minus == transferred.phi_minus
+
+
+@pytest.mark.parametrize("eps_mass", [Fraction(1, 3), Fraction(7, 5)])
+def test_closed_form_corner_sum_equals_exact_transfer_up_to_the_cap(eps_mass):
+    # brute force checks the histogram up to 12 steps and acceptance 1 up to
+    # 14; past them, its exact corner sum meets the exact transfer, an
+    # independent route, on every problem that has paths ("any" against the
+    # sum of the two final directions, which is how the transfer reads it)
+    for n_steps in range(13, ENUMERATION_CAP + 1):
+        for displacement, initial, incoming in product(range(-n_steps, n_steps + 1, 2),
+                                                       ("right", "left"), (False, True)):
+            summed = {}
+            for final in ("right", "left", "any"):
+                problem = ChessboardProblem(n_steps=n_steps, displacement=displacement,
+                                            step_size=eps_mass, mass=1, initial_direction=initial,
+                                            final_direction=final, incoming_corner=incoming)
+                hist = enumerate_corner_histogram(problem)
+                summed[final] = kernel_corner_sum(hist, eps_mass, 1, exact=True)
+                if final != "any":
+                    assert summed[final] == kernel_transfer_matrix(problem, exact=True)
+            assert summed["any"] == KernelValue(summed["right"].phi_plus + summed["left"].phi_plus,
+                                                summed["right"].phi_minus + summed["left"].phi_minus)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, Fraction(3, 10)])

@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import math
+import re
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem
 from entwined.cli import ConfigError, load_config, main, validate
 from entwined.density import carrier_steady_cells
 from entwined.lattice import LatticeSpec, SpecError
-from entwined.propagator import region_for_fan, region_time_cells
+from entwined.paths import cable_counts
+from entwined.propagator import region_for_fan, region_time_cells, velocity_fan
 from entwined.ring import RingSpec, eigen_speed, ring_cells, wrap_rows
 from helpers import savetxt_bytes
 
@@ -309,17 +313,94 @@ _BAD_VALUES = {
                  ("ring", "mode"): 3}, "ring",
         lambda: wrap_rows(RingSpec(circumference=8.0 * math.pi, mode=3, cycles=1),
                           LatticeSpec(n=4))),
+    # rules whose field names differ from their config keys take _specs' renames
+    "carrier-m-cords": ("carrier", {("carrier", "m_cords"): 0}, "carrier",
+                        lambda: cable_counts(10, 0, 3), {"M": "m_cords"}),
+    "carrier-repeats": ("carrier", {("carrier", "repeats"): 0}, "carrier",
+                        lambda: cable_counts(10, 20, 0)),
+    "ring-m-cords": ("ring", {("ring", "m_cords"): 0}, "ring",
+                     lambda: cable_counts(10, 0, 8 + 2), {"M": "m_cords"}),
+    "propagate-v-count": ("propagate", {("propagate", "v_count"): 0}, "propagate",
+                          lambda: velocity_fan(-0.25, 0.25, 0)),
+    "propagate-v-order": ("propagate", {("propagate", "v_min"): 0.2, ("propagate", "v_max"): 0.1},
+                          "propagate", lambda: velocity_fan(0.2, 0.1, 11)),
+    "propagate-superluminal": (
+        "propagate", {("propagate", "v_min"): -1.5, ("propagate", "v_max"): 1.0}, "propagate",
+        lambda: velocity_fan(-1.5, 1.0, 11)),
+    "propagate-start-periods": (
+        "propagate", {("propagate", "start_periods"): 0.0}, "propagate",
+        lambda: region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11), 0.0, 6.0)),
+    "propagate-n-periods": (
+        "propagate", {("propagate", "n_periods"): -1.0}, "propagate",
+        lambda: region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11), 2.0, -1.0)),
 }
 
 
 @pytest.mark.parametrize("case", list(_BAD_VALUES))
 def test_validate_reports_the_problems_the_library_raises(case):
-    experiment, overrides, section, library_call = _BAD_VALUES[case]
+    experiment, overrides, section, library_call, *names = _BAD_VALUES[case]
+    renames = names[0] if names else {}
     with pytest.raises(SpecError) as exc:
         library_call()
     assert exc.value.problems
+    fields = [problem.split(": ", 1) for problem in exc.value.problems]
     assert validate(load_config(experiment, None, overrides)) == [
-        f"{section}.{problem}" for problem in exc.value.problems]
+        f"{section}.{renames.get(field, field)}: {reason}" for field, reason in fields]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["carrier", "--cords", "0", "--repeats", "0"],
+     ["carrier.m_cords: must be >= 1", "carrier.repeats: must be >= 1"]),
+    (["propagate", "--cords", "0", "--v-min", "2", "--v-max", "1.5"],
+     ["propagate.m_cords: must be >= 1", "propagate.v_min: must not exceed v_max",
+      "propagate.v_min: superluminal drift", "propagate.v_max: superluminal drift"]),
+], ids=["carrier", "propagate"])
+def test_owners_that_do_not_depend_on_each_other_report_together(tmp_path, capsys, argv, lines):
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in lines)
+
+
+# values whose times or cell counts overflow to inf (or whose squares underflow
+# to 0), and repeat counts past a cable's int32 reach: each owner refuses them
+# before a cast raises or a cable is built
+_REFUSED_BY_THEIR_OWNER = {
+    "start-periods": ["propagate", "--start-periods", "1e308"],
+    "n-periods": ["propagate", "--n-periods", "1e308"],
+    "mass-scale": ["propagate", "--mass-scale", "1e-310"],
+    "ring-speed": ["ring", "--speed", "1e-200"],
+    "ring-circumference": ["ring", "--circumference", "1e300"],
+    "ring-rows": ["ring", "--n", "100", "--speed", "1e-150", "--cycles", "1000000"],
+    "ring-wrap": ["ring", "--n", "1000000", "--circumference", "1e300", "--speed", "1e-5"],
+    "phase-steps": ["chessboard", "--step-size", "1e-320", "--phase-t-max", "1"],
+    "carrier-repeats": ["carrier", "--repeats", "2000000000"],
+    "ring-cycles": ["ring", "--cycles", "2000000000"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSED_BY_THEIR_OWNER.values()),
+                         ids=list(_REFUSED_BY_THEIR_OWNER))
+def test_out_of_range_values_exit_2_with_rule_lines_only(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would be a value gone astray
+        started = time.perf_counter()
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert time.perf_counter() - started < 5.0  # refused before anything is built
+    err = capsys.readouterr().err
+    assert err and all(re.fullmatch(r"error: [a-z_]+\.[a-z_]+: .+", line)
+                       for line in err.splitlines())
+    assert not out.exists()
+    # validate reads the same values from a config file and prints the same rules
+    experiment, flags = argv[0], argv[1:]
+    sections = {}
+    for flag, value in zip(flags[::2], flags[1::2]):
+        key = flag[2:].replace("-", "_")
+        section = "lattice" if key in cli._SCHEMA["lattice"] else experiment
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    ini = tmp_path / "run.ini"
+    ini.write_text("".join(f"[{section}]\n" + "".join(keys) for section, keys in sections.items()))
+    assert run_cli(["validate", "--experiment", experiment, "--config", str(ini)]) == 2
+    assert capsys.readouterr().out == err.replace("error: ", "")
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:

@@ -1,5 +1,6 @@
-"""Tests of tools/same_bytes.py that run no command: the tree diff and the
-command-line list.  Imported by path, like tests/test_calibrate.py."""
+"""Tests of tools/same_bytes.py: the tree diff, the command-line list, and
+the exit codes its runner records from a stand-in ``entwined`` package.
+Imported by path, like tests/test_calibrate.py."""
 
 import importlib.util
 from pathlib import Path
@@ -77,3 +78,23 @@ def test_command_lines_cover_workloads_acceptance_and_extras(same_bytes):
     assert lines["extra/cmd00"] == ["propagate", "--n", "100", "--cords", "120"]
     assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1 + 1
     assert not any("--threads" in argv or "--out" in argv for argv in lines.values())
+
+
+# a stand-in entwined package whose main exits, returns or raises by its argv
+_FAKE_CLI = """
+def main(argv):
+    if argv[0] == "raise":
+        raise ValueError("a rule its owner did not catch")
+    if argv[0] == "usage":
+        raise SystemExit(2)
+    return int(argv[0])
+"""
+
+
+def test_runner_records_a_raising_command_as_its_own_code(same_bytes, tmp_path):
+    _write(tmp_path / "src", {"entwined/__init__.py": b"", "entwined/cli.py": _FAKE_CLI.encode()})
+    lines = {"ok": ["0"], "refused": ["2"], "usage": ["usage"], "crash": ["raise"]}
+    codes = same_bytes.run_side(tmp_path / "src", tmp_path / "run", lines)
+    assert codes == {"ok-t1": 0, "ok-t2": 0, "refused-t1": 2, "refused-t2": 2,
+                     "usage-t1": 2, "usage-t2": 2,
+                     "crash-t1": "raised ValueError", "crash-t2": "raised ValueError"}

@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from entwined.density import (DensityField, ReferenceDensity, accumulate, compare,
@@ -25,7 +23,8 @@ from entwined.density import (DensityField, ReferenceDensity, accumulate, compar
                               _cell_ceil, _cell_floor)
 from entwined.lattice import PERIOD, LatticeSpec
 from entwined.paths import build_cable, right_envelope
-from entwined.propagator import RaySpec, ray_repeats, region_for_fan, write_ray, write_region
+from entwined.propagator import (RaySpec, ray_repeats, region_for_fan, velocity_fan, write_ray,
+                                 write_region)
 from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, ring_clock, run_ring,
                           standing_wave_metrics, wrap_rows)
 
@@ -44,8 +43,8 @@ def carrier_rel_rms(n, M, repeats):
 
 def fan_error(n, M, n_periods):
     lattice = LatticeSpec.for_mass(n, mass=1.0)
-    fan = tuple(float(v) for v in np.linspace(-0.25, 0.25, 11))
-    region = region_for_fan(lattice, fan, start_periods=2.0, n_periods=n_periods)
+    region = region_for_fan(lattice, velocity_fan(-0.25, 0.25, 11), start_periods=2.0,
+                            n_periods=n_periods)
     result = write_region(region, M=M)
     return result.max_rel_freq_error, result.max_rel_rms
 

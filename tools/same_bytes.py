@@ -16,7 +16,8 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
 
 Both sides write under the same relative ``--out``.  Every output file whose
 sha256 differs, or that only one side wrote, is printed, and so is every
-command whose exit code differs.  Exit status: 0 if all bytes match, 1 if
+command whose exit code differs; a command that raises counts as the exit
+code ``raised <exception type>``.  Exit status: 0 if all bytes match, 1 if
 any differ.
 """
 
@@ -52,7 +53,9 @@ MIXED_REPEATS = ["propagate", "--n", "10", "--cords", "5", "--v-min", "-0.9", "-
 LARGE_FAN = ["propagate", "--n", "200", "--cords", "240"]
 
 # runs argument lists through entwined.cli.main in one process and prints
-# their exit codes as JSON; argparse rejects a bad flag with SystemExit
+# their exit codes as JSON; argparse rejects a bad flag with SystemExit, and
+# a command that raises is recorded as "raised <exception type>", so that one
+# side's crash shows up as a differing exit code
 _RUNNER = """
 import contextlib, io, json, sys
 from entwined.cli import main
@@ -63,6 +66,8 @@ for argv in json.loads(sys.argv[1]):
             codes.append(main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
+        except Exception as exc:
+            codes.append(f"raised {type(exc).__name__}")
 print(json.dumps(codes))
 """
 
