@@ -95,9 +95,6 @@ class KernelValue:
     phi_plus: float
     phi_minus: float
 
-    def as_complex(self) -> complex:
-        return complex(self.phi_plus) + 1j * complex(self.phi_minus)
-
 
 def _check_cap(n_steps: int) -> None:
     if n_steps > ENUMERATION_CAP:

@@ -19,19 +19,18 @@ their slope from float end points, and its rounding error times a row's
 length is again a few ulps of the end points.  Up to 2**31 half cells the
 tolerance stays under 1.1e-3 cells, far short of the quarter cell between a
 true non-integer value and an integer.  So identity-frame counts equal the
-integer half-cell expansion (a zero-length row, which no construct's
-envelope holds, covers the one slab it sits in), as
+integer half-cell expansion, as
 ``test_identity_frame_expansion_matches_the_integer_oracle`` checks at
 origins up to 5e8 cells, and a frame that shifts a path by whole cells
 counts exactly like building the path at the shifted origin.
 
 Fields hold two integer channels: adolescent (right movers) and senescent
 (left movers).  A stored segment of multiplicity w counts w times.  Stored
-rows that lie on one segment of one frame and species, whichever way they
-run, are merged before the expansion: each distinct segment is expanded
-once, and each of its incidences scatter-adds its net signed weight (the
-sum of time_dir * w over its rows, which may cancel to 0) straight into
-the field's one int64 store, so counts are exact.  A pass whose summed |w|
+rows that lie on one segment of one frame, whichever way they run, are
+merged before the expansion: each distinct segment is expanded once, and
+each of its incidences scatter-adds its net signed weight (the sum of
+time_dir * w over its rows, which may cancel to 0) straight into the
+field's one int64 store, so counts are exact.  A pass whose summed |w|
 reaches 2**53 raises, so every count also holds exactly as a float64, the
 type profiles and fits read it as.
 """
@@ -111,9 +110,6 @@ class DensityField:
     def t_centers(self) -> np.ndarray:
         return (self.t0_cell + np.arange(self.t_cells) + 0.5) * self.cell
 
-    def x_centers(self) -> np.ndarray:
-        return (self.x0_cell + np.arange(self.x_cells) + 0.5) * self.cell
-
     def copy(self) -> "DensityField":
         out = DensityField(self.cell, self.t0_cell, self.x0_cell, self.t_cells, self.x_cells,
                            wrap_x=self.wrap_x)
@@ -159,12 +155,21 @@ def _snapped(rounding, s):
     return np.where(near, r, rounding(s)).astype(np.int64)
 
 
+def _cell_index(rounding, value: float, cell: float) -> int:
+    """``_snapped`` of the one cell coordinate ``value / cell``; OverflowError
+    where it is not finite or lies past the int64 range of a cell index."""
+    s = value / cell
+    if not abs(s) < 2.0 ** 63:
+        raise OverflowError(f"{s!r} cells from 0, past the int64 range of a cell index")
+    return int(_snapped(rounding, s))
+
+
 def _cell_floor(value: float, cell: float) -> int:
-    return int(_snapped(np.floor, value / cell))
+    return _cell_index(np.floor, value, cell)
 
 
 def _cell_ceil(value: float, cell: float) -> int:
-    return int(_snapped(np.ceil, value / cell))
+    return _cell_index(np.ceil, value, cell)
 
 
 def steady_region(path: EntwinedPath, field: DensityField) -> Region:
@@ -228,18 +233,19 @@ def _rows(segs: SegmentArray, cell: float, window=None):
     covered time-cell) incidence of rows a..b-1.  Each row is the straight
     line between its ``row_endpoints()``: a slab's x midpoint lies at
     ``x1 + slope * (t_m - t1)``, ``slope = (x2 - x1) / (t2 - t1)`` (0 where
-    t2 == t1, so a zero-length row bins at x1).  Slab edges and x midpoints
+    t2 == t1, so a row that a frame of ``t_scale`` 0 maps to one time bins
+    at x1 and covers the one slab it sits in).  Slab edges and x midpoints
     are binned by ``_snapped``.  The slope's rounding error times a row's
     length stays far below the ``1e-12*|s|`` tolerance, so identity frames
     still bin exactly.  ``window`` (t_lo, t_hi), if given, clamps each row's
-    slab range to [t_lo, t_hi) after the one-slab rule for zero-length
-    rows, so slabs outside it are never expanded.
+    slab range to [t_lo, t_hi) after that one-slab rule, so slabs outside
+    it are never expanded.
     """
     x1, t1, x2, t2 = segs.row_endpoints()
     lo = np.minimum(t1, t2)
     hi = np.maximum(t1, t2)
     k_lo = _snapped(np.floor, lo / cell)
-    # exclusive; a zero-length row still covers the one slab it sits in
+    # exclusive; a row mapped to one time still covers the one slab it sits in
     k_hi = np.maximum(_snapped(np.ceil, hi / cell), k_lo + 1)
     if window is not None:
         np.clip(k_lo, window[0], None, out=k_lo)
@@ -284,19 +290,18 @@ def _blocks(counts: np.ndarray):
 
 
 def _distinct(envelope: SegmentArray):
-    """Group the stored rows that are one segment: the same frame, species
-    and end points, whichever way they run.
+    """Group the stored rows that are one segment: the same frame and end
+    points, whichever way they run.
 
     Returns, per group in the order of its first stored row: that row's
     index, the net signed weight (the sum of time_dir * weight) and the
     summed |weight|, a Python-int object array where int64 could wrap.
-    A row's end points are taken lower t first; a row with t1 == t2 keeps
-    its stored order, which its x binning reads.
+    A row's end points are taken lower t first, which fixes its species.
     """
     swap = envelope.t1 > envelope.t2
     ends = (np.where(swap, envelope.x2, envelope.x1), np.where(swap, envelope.t2, envelope.t1),
             np.where(swap, envelope.x1, envelope.x2), np.where(swap, envelope.t1, envelope.t2))
-    keys = (*ends, envelope.species, envelope.frame_idx)
+    keys = (*ends, envelope.frame_idx)
     order = np.lexsort(keys)  # stable: each group's rows in stored order
     new = np.zeros(len(order), dtype=bool)
     new[0] = True
@@ -326,9 +331,9 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     what still falls outside in x is dropped.
 
     Each distinct segment in a frame counts once, with its net signed
-    weight: stored rows on the same segment, of the same species and frame,
-    are merged by ``_distinct`` before the expansion, whichever way they
-    run.  A segment whose rows cancel to weight 0 is still expanded and
+    weight: stored rows on the same segment and in the same frame are
+    merged by ``_distinct`` before the expansion, whichever way they run.
+    A segment whose rows cancel to weight 0 is still expanded and
     bounds-checked, and an out-of-field error names its first stored row.
     Segments are expanded in consecutive blocks of at most ``_BLOCK``
     incidences, so transient memory is one block, not the whole incidence

@@ -68,6 +68,7 @@ def _refuse_rows(name: str, values: np.ndarray, bad: np.ndarray, rule: str) -> N
 
 
 _INT32 = np.iinfo(np.int32)
+_INT64 = np.iinfo(np.int64)
 
 
 def _coordinate_column(values) -> np.ndarray:
@@ -90,9 +91,12 @@ _NO_RUNS.setflags(write=False)
 class SegmentArray:
     """Ordered, array-backed segment collection with multiplicities.
 
-    Endpoint coordinates are integers in half-cell units (``eps/2``); the
-    per-row ``frame_idx`` selects the mapping into a small frame table, and
-    the bool ``envelope`` says whether density counting reads the row.
+    Endpoint coordinates are integers in half-cell units (``eps/2``), and
+    every stored row is one lightlike step, ``|x2 - x1| == |t2 - t1| != 0``,
+    so :attr:`time_dir` and :attr:`species` are derived from its end points,
+    not stored.  The per-row ``frame_idx`` selects the mapping into a small
+    frame table, and the bool ``envelope`` says whether density counting
+    reads the row.
 
     Every stored row carries an int64 multiplicity ``weight`` of at least 1:
     a row of weight w stands for w identical segments of the logical path.
@@ -106,27 +110,34 @@ class SegmentArray:
     ``len()`` counts logical segments (the sum of the weights) and ``rows``
     counts stored rows.  :meth:`physical_endpoints` follows the logical
     path; :meth:`expand` materialises it row for row.  The constructor
-    refuses an envelope value other than 0 or 1, a weight below 1 and a
-    ``frame_idx`` outside the frame table.
+    refuses a row that is not one such step, an envelope value other than 0
+    or 1, a weight below 1 and a ``frame_idx`` outside the frame table; a
+    scalar ``envelope`` or ``frame_idx`` fills its column.
     """
 
-    __slots__ = ("lattice", "x1", "t1", "x2", "t2", "time_dir", "species", "envelope", "frame_idx",
-                 "frames", "weight", "runs")
+    __slots__ = ("lattice", "x1", "t1", "x2", "t2", "envelope", "frame_idx", "frames", "weight",
+                 "runs")
 
-    def __init__(self, lattice, x1, t1, x2, t2, time_dir, species, envelope, frame_idx, frames,
-                 weight=None, runs=None):
+    def __init__(self, lattice, x1, t1, x2, t2, envelope, frame_idx, frames, weight=None,
+                 runs=None):
         self.lattice = lattice
         self.x1 = _coordinate_column(x1)
         self.t1 = _coordinate_column(t1)
         self.x2 = _coordinate_column(x2)
         self.t2 = _coordinate_column(t2)
-        self.time_dir = np.asarray(time_dir, dtype=np.int8)
-        self.species = np.asarray(species, dtype=np.int8)
+        # int64: int32 columns can differ by up to 2**32
+        dx = np.abs(self.x2.astype(np.int64) - self.x1)
+        dt = np.abs(self.t2.astype(np.int64) - self.t1)
+        bad = (dx != dt) | (dt == 0)
+        if bad.any():  # stacked only to name the first bad row: stacking costs more than the check
+            ends = np.column_stack([self.x1, self.t1, self.x2, self.t2])
+            _refuse_rows("a row (x1, t1, x2, t2)", ends, bad,
+                         "one lightlike step, |x2 - x1| == |t2 - t1| != 0 half cells")
         self.frames: tuple[Frame, ...] = tuple(frames)
-        env = np.asarray(envelope)
+        env = np.broadcast_to(envelope, self.x1.shape)
         _refuse_rows("envelope", env, (env != 0) & (env != 1), "0 (excluded) or 1 (counted)")
         self.envelope = env.astype(bool, copy=False)
-        fi = np.asarray(frame_idx)
+        fi = np.broadcast_to(frame_idx, self.x1.shape)
         _refuse_rows("frame_idx", fi, (fi < 0) | (fi >= len(self.frames)),
                      f"in [0, {len(self.frames)}), an index into the frame table")
         self.frame_idx = fi.astype(np.int32, copy=False)
@@ -139,26 +150,14 @@ class SegmentArray:
     @classmethod
     def empty(cls, lattice: LatticeSpec) -> "SegmentArray":
         z = np.zeros(0, dtype=np.int32)
-        return cls(lattice, z, z, z, z, z, z, z, z, (Frame(),))
+        return cls(lattice, z, z, z, z, z, z, (Frame(),))
 
     @classmethod
     def from_columns(cls, lattice: LatticeSpec, cols: np.ndarray, envelope, frame_idx, frames,
-                     time_dir=None, weight=None, runs=None) -> "SegmentArray":
+                     weight=None, runs=None) -> "SegmentArray":
         """Build from an (N, 4) int column block [x1, t1, x2, t2]."""
-        cols = np.asarray(cols)
-        x1, t1, x2, t2 = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
-        dt = t2 - t1
-        dx = x2 - x1
-        if time_dir is None:
-            time_dir = np.sign(dt)
-        species = np.where(dt != 0, np.sign(dx) * np.sign(dt), np.sign(dx))
-        species = np.where(species == 0, RIGHT_MOVER, species)
-        if np.isscalar(envelope):
-            envelope = np.full(len(cols), envelope)
-        if np.isscalar(frame_idx):
-            frame_idx = np.full(len(cols), frame_idx, dtype=np.int32)
-        return cls(lattice, x1, t1, x2, t2, time_dir, species, envelope, frame_idx, frames,
-                   weight=weight, runs=runs)
+        return cls(lattice, *np.asarray(cols).T, envelope, frame_idx, frames, weight=weight,
+                   runs=runs)
 
     @classmethod
     def stack(cls, parts: Sequence["SegmentArray"], frames) -> "SegmentArray":
@@ -167,10 +166,20 @@ class SegmentArray:
         runs = np.concatenate([p.runs + (off, 0, 0, 0) for p, off in zip(parts, offsets)])
         return cls(parts[0].lattice,
                    *(np.concatenate([getattr(p, name) for p in parts])
-                     for name in ("x1", "t1", "x2", "t2", "time_dir", "species", "envelope",
-                                  "frame_idx")),
+                     for name in ("x1", "t1", "x2", "t2", "envelope", "frame_idx")),
                    frames,
                    weight=np.concatenate([p.weight for p in parts]), runs=runs)
+
+    @property
+    def time_dir(self) -> np.ndarray:
+        """Each stored row's direction in time, sign(t2 - t1): +1 forward, -1 backward."""
+        return np.where(self.t2 > self.t1, np.int8(1), np.int8(-1))
+
+    @property
+    def species(self) -> np.ndarray:
+        """Each stored row's species, sign(x2 - x1) * sign(t2 - t1): +1 right, -1 left mover."""
+        return np.where((self.x2 > self.x1) == (self.t2 > self.t1), np.int8(RIGHT_MOVER),
+                        np.int8(LEFT_MOVER))
 
     @property
     def rows(self) -> int:
@@ -220,8 +229,7 @@ class SegmentArray:
             return self
         idx = self.expand_index()
         return SegmentArray(self.lattice, self.x1[idx], self.t1[idx], self.x2[idx], self.t2[idx],
-                            self.time_dir[idx], self.species[idx], self.envelope[idx],
-                            self.frame_idx[idx], self.frames)
+                            self.envelope[idx], self.frame_idx[idx], self.frames)
 
     def subset(self, mask: np.ndarray) -> "SegmentArray":
         """Stored rows selected by a boolean mask or an index array, weights kept.
@@ -243,10 +251,14 @@ class SegmentArray:
             runs = runs[new_body + new_link > 0]
         return SegmentArray(
             self.lattice,
-            self.x1[mask], self.t1[mask], self.x2[mask], self.t2[mask],
-            self.time_dir[mask], self.species[mask], self.envelope[mask],
+            self.x1[mask], self.t1[mask], self.x2[mask], self.t2[mask], self.envelope[mask],
             self.frame_idx[mask], self.frames, weight=self.weight[mask], runs=runs,
         )
+
+    def reframed(self, frame_idx, frames) -> "SegmentArray":
+        """The same rows, weights and run layout over another frame table."""
+        return SegmentArray(self.lattice, self.x1, self.t1, self.x2, self.t2, self.envelope,
+                            frame_idx, frames, weight=self.weight, runs=self.runs)
 
     def counted(self) -> "SegmentArray":
         """The rows density counting reads, weights and run layout kept.
@@ -326,15 +338,16 @@ class EntwinedPath:
                 raise AssertionError(f"discontinuity at frame change before segment {i}")
 
 
-def _origin_to_half_units(origin: tuple[float, float], spec: LatticeSpec) -> tuple[int, int]:
-    out = []
+def _moved(cols: np.ndarray, origin: tuple[float, float], spec: LatticeSpec) -> np.ndarray:
+    """Vertex columns built at origin 0, moved to ``origin`` on the half-cell grid."""
+    shift = []
     for value, axis in zip(origin, "xt"):
         scaled = value * spec.n
         snapped = round(scaled)
         if abs(scaled - snapped) > 1e-9:
             raise ValueError(f"origin {axis}={value} is not on the eps/2 grid (n={spec.n})")
-        out.append(int(snapped))
-    return out[0], out[1]
+        shift.append(int(snapped))
+    return cols + (*shift, *shift)
 
 
 def _fiber_columns(n: int) -> np.ndarray:
@@ -379,14 +392,8 @@ def build_fiber(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
         raise ValueError("a LatticeSpec is required")
     if not abs(drift) < 1.0:
         raise ValueError(f"superluminal drift: |{drift}| >= 1")
-    ox, ot = _origin_to_half_units(origin, spec)
-    cols = _fiber_columns(spec.n)
-    cols[:, 0] += ox
-    cols[:, 2] += ox
-    cols[:, 1] += ot
-    cols[:, 3] += ot
-    frame = Frame(drift=drift)
-    segs = SegmentArray.from_columns(spec, cols, _FIBER_ENVELOPE.copy(), 0, (frame,))
+    cols = _moved(_fiber_columns(spec.n), origin, spec)
+    segs = SegmentArray.from_columns(spec, cols, _FIBER_ENVELOPE.copy(), 0, (Frame(drift=drift),))
     t0 = origin[1]
     return EntwinedPath(segs, "fiber", origin, n_fibers=1,
                         steady_window=(t0, t0 + PERIOD))
@@ -436,14 +443,8 @@ def build_cord(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | Non
     if spec is None:
         raise ValueError("a LatticeSpec is required")
     cable_counts(spec.n, 1, repeats)  # a cord's repeats follow the cable rule
-    ox, ot = _origin_to_half_units(origin, spec)
     cols, env = _cord_block(spec, repeats)
-    cols = cols.copy()
-    cols[:, 0] += ox
-    cols[:, 2] += ox
-    cols[:, 1] += ot
-    cols[:, 3] += ot
-    segs = SegmentArray.from_columns(spec, cols, env, 0, (Frame(),))
+    segs = SegmentArray.from_columns(spec, _moved(cols, origin, spec), env, 0, (Frame(),))
     t0 = origin[1]
     return EntwinedPath(segs, "cord", origin, n_fibers=4 * repeats,
                         steady_window=(t0 + PERIOD, t0 + 4.0 * repeats - 1.0 + spec.eps),
@@ -471,6 +472,8 @@ def cable_counts(n: int, M: int, repeats: int = 1) -> list[int]:
     problems = []
     if M < 1:
         problems.append("M: must be >= 1")
+    elif M > _INT64.max or max(cords_per_shift(n, M), default=0) > _INT64.max:
+        problems.append(f"M: each shift's cord count must fit an int64 weight, <= {_INT64.max}")
     if repeats < 1:
         problems.append("repeats: must be >= 1")
     elif n * (4 * repeats + 5) > _INT32.max:
@@ -500,7 +503,6 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
         raise ValueError("a LatticeSpec is required")
     counts = cable_counts(spec.n, M, repeats)
     n = spec.n
-    ox, ot = _origin_to_half_units(origin, spec)
 
     block_cols, block_env = _cord_block(spec, repeats)
     block_end = (0, 4 * n * (repeats - 1) + _quartet_offsets(n)[-1])
@@ -538,13 +540,8 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
         prev_end = (0, block_end[1] + shift)
         total_cords += count * repeats
 
-    cols = np.concatenate(col_parts)
-    env = np.concatenate(env_parts)
-    cols[:, 0] += ox
-    cols[:, 2] += ox
-    cols[:, 1] += ot
-    cols[:, 3] += ot
-    segs = SegmentArray.from_columns(spec, cols, env, 0, (Frame(),),
+    cols = _moved(np.concatenate(col_parts), origin, spec)
+    segs = SegmentArray.from_columns(spec, cols, np.concatenate(env_parts), 0, (Frame(),),
                                      weight=np.concatenate(weight_parts), runs=runs)
 
     lo, hi = cable_steady_window(spec, counts, repeats)
@@ -590,10 +587,7 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
 
     def reindexed(segs: SegmentArray) -> SegmentArray:
         mapping = np.array([intern(f) for f in segs.frames], dtype=np.int32)
-        return SegmentArray(lattice, segs.x1, segs.t1, segs.x2, segs.t2,
-                            segs.time_dir, segs.species, segs.envelope,
-                            mapping[segs.frame_idx], tuple(frame_of),
-                            weight=segs.weight, runs=segs.runs)
+        return segs.reframed(mapping[segs.frame_idx], tuple(frame_of))
 
     for i, path in enumerate(paths):
         if i > 0:
@@ -605,13 +599,13 @@ def concatenate(paths: Sequence[EntwinedPath]) -> EntwinedPath:
                     parts.append(SegmentArray.from_columns(
                         lattice, conn, False, intern(fa), tuple(frame_of)))
             elif (ax, at) != (bx, bt):
-                # cross-frame bridge: one straight uncounted segment whose own
-                # frame maps the unit diagonal onto the physical gap
-                bridge = Frame(t_scale=bt - at, x_scale=bx - ax, drift=0.0, x0=ax, t0=at)
-                cols = np.array([(0, 0, lattice.n, lattice.n)], dtype=np.int64)
-                tdir = np.array([int(np.sign(bt - at))], dtype=np.int8)
+                # cross-frame bridge: one straight uncounted lightlike step, run
+                # the way the gap runs, whose own frame scales it onto the gap
+                bridge = Frame(t_scale=abs(bt - at), x_scale=abs(bx - ax), drift=0.0, x0=ax, t0=at)
+                sx, st = (1 if b >= a else -1 for a, b in ((ax, bx), (at, bt)))
+                cols = np.array([(0, 0, sx * lattice.n, st * lattice.n)], dtype=np.int64)
                 parts.append(SegmentArray.from_columns(
-                    lattice, cols, False, intern(bridge), tuple(frame_of), time_dir=tdir))
+                    lattice, cols, False, intern(bridge), tuple(frame_of)))
         parts.append(reindexed(path.segs))
 
     # frame tables grew as parts were built; rebind every part to the final table
@@ -636,9 +630,7 @@ def with_frame(path: EntwinedPath, frame: Frame) -> EntwinedPath:
         raise ValueError("can only re-frame a single-frame path")
     if not (frame.t_scale > 0):
         raise ValueError("frame t_scale must be positive")
-    s = path.segs
-    segs = SegmentArray(s.lattice, s.x1, s.t1, s.x2, s.t2, s.time_dir, s.species,
-                        s.envelope, s.frame_idx, (frame,), weight=s.weight, runs=s.runs)
+    segs = path.segs.reframed(path.segs.frame_idx, (frame,))
     window = None
     if path.steady_window is not None:
         _, window = frame.apply(0.0, path.steady_window)

@@ -127,11 +127,14 @@ def region_time_cells(region: RegionSpec) -> tuple[int, int]:
     writes ``region`` into: its t range floored and ceiled to whole cells.
 
     Raises ``SpecError`` when they are fewer than each ray's sinusoid fit
-    takes, before anything is built.
+    takes, or past the int64 range of a cell index, before anything is built.
     """
     cell = region.lattice.cell_physical
-    t0_cell = _cell_floor(region.t_range[0], cell)
-    t_cells = _cell_ceil(region.t_range[1], cell) - t0_cell
+    try:  # the end lies past the start, so it overflows whenever the start does
+        t0_cell = _cell_floor(region.t_range[0], cell)
+        t_cells = _cell_ceil(region.t_range[1], cell) - t0_cell
+    except OverflowError as exc:
+        raise SpecError([f"n_periods: too large: the window reaches {exc}"]) from None
     if t_cells < _FIT_SAMPLES:
         raise SpecError([f"n_periods: the window spans only {t_cells} time cells; a sinusoid fit "
                          f"needs at least {_FIT_SAMPLES} (increase n_periods or the lattice's n)"])
@@ -297,10 +300,8 @@ def write_region(region: RegionSpec, M: int) -> RegionResult:
 
     framed = [write_ray(ray, cables[r]).segs for ray, r in zip(rays, repeats)]
     frames = tuple(s.frames[0] for s in framed)
-    segments = SegmentArray.stack(
-        [SegmentArray(s.lattice, s.x1, s.t1, s.x2, s.t2, s.time_dir, s.species, s.envelope,
-                      np.full(s.rows, i), frames, weight=s.weight)
-         for i, s in enumerate(framed)], frames)
+    segments = SegmentArray.stack([s.reframed(np.full(s.rows, i), frames)
+                                   for i, s in enumerate(framed)], frames)
     # (first, signed, summed) of every ray's segments, in the same order
     tiled = tuple(np.concatenate([grouped[r][k] for r in repeats]) for k in range(3))
     profiles = np.zeros((len(rays), 2, t_cells), dtype=np.int64)

@@ -16,6 +16,7 @@ mode; at other speeds the dominant mode's phase drifts from wrap to wrap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ class RingSpec:
             problems.append(f"speed: superluminal drift; must lie in [0, 1) (got {self.speed})")
         if self.cycles < 1:
             problems.append("cycles: must be >= 1")
+        elif self.cycles > sys.float_info.max:  # ``ring_clock`` takes it as a float
+            problems.append(f"cycles: must be at most the largest float, {sys.float_info.max!r}")
         SpecError.check(problems)
 
     def resolved_speed(self, mass: float) -> float:

@@ -361,11 +361,14 @@ def test_owners_that_do_not_depend_on_each_other_report_together(tmp_path, capsy
 
 
 # values whose times or cell counts overflow to inf (or whose squares underflow
-# to 0), and repeat counts past a cable's int32 reach: each owner refuses them
-# before a cast raises or a cable is built
+# to 0) or past int64, repeat counts past a cable's int32 reach, cord counts
+# past an int64 weight and cycles past the largest float: each owner refuses
+# them before a cast raises or a cable is built
 _REFUSED_BY_THEIR_OWNER = {
     "start-periods": ["propagate", "--start-periods", "1e308"],
     "n-periods": ["propagate", "--n-periods", "1e308"],
+    "n-periods-int64": ["propagate", "--n-periods", "1e20"],
+    "carrier-cords": ["carrier", "--cords", "100000000000000000000"],
     "mass-scale": ["propagate", "--mass-scale", "1e-310"],
     "ring-speed": ["ring", "--speed", "1e-200"],
     "ring-circumference": ["ring", "--circumference", "1e300"],
@@ -374,6 +377,7 @@ _REFUSED_BY_THEIR_OWNER = {
     "phase-steps": ["chessboard", "--step-size", "1e-320", "--phase-t-max", "1"],
     "carrier-repeats": ["carrier", "--repeats", "2000000000"],
     "ring-cycles": ["ring", "--cycles", "2000000000"],
+    "ring-cycles-float": ["ring", "--cycles", "1" + "0" * 309],
 }
 
 
@@ -394,7 +398,7 @@ def test_out_of_range_values_exit_2_with_rule_lines_only(tmp_path, capsys, argv)
     experiment, flags = argv[0], argv[1:]
     sections = {}
     for flag, value in zip(flags[::2], flags[1::2]):
-        key = flag[2:].replace("-", "_")
+        key = "m_cords" if flag == "--cords" else flag[2:].replace("-", "_")
         section = "lattice" if key in cli._SCHEMA["lattice"] else experiment
         sections.setdefault(section, []).append(f"{key} = {value}\n")
     ini = tmp_path / "run.ini"

@@ -234,9 +234,8 @@ def test_carrier_steady_cells_count_the_steady_region(n, M, repeats):
 
 def _weighted_fiber_envelope(spec, weight):
     env = right_envelope(build_fiber((0.0, 0.0), spec))
-    return SegmentArray(spec, env.x1, env.t1, env.x2, env.t2, env.time_dir, env.species,
-                        env.envelope, env.frame_idx, env.frames,
-                        weight=np.full(env.rows, weight, dtype=np.int64))
+    return SegmentArray(spec, env.x1, env.t1, env.x2, env.t2, env.envelope, env.frame_idx,
+                        env.frames, weight=np.full(env.rows, weight, dtype=np.int64))
 
 
 def test_weighted_counts_stay_integer_exact(spec):
@@ -440,9 +439,7 @@ def test_single_frame_scalars_match_the_per_row_gather():
     env, field = _ray_case()
     assert len(env.frames) == 1
     # the same rows over a two-entry table of that frame take the per-row route
-    twice = SegmentArray(env.lattice, env.x1, env.t1, env.x2, env.t2, env.time_dir, env.species,
-                         env.envelope, np.arange(env.rows) % 2, env.frames * 2, env.weight,
-                         env.runs)
+    twice = env.reframed(np.arange(env.rows) % 2, env.frames * 2)
     for got, want in zip(_incidences(env, field.cell), _incidences(twice, field.cell)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -571,23 +568,19 @@ def test_ring_rows_merge_to_the_distinct_segments_of_each_frame(monkeypatch):
 
 def _coincident(env, rng, frames, weights=5):
     """``env``'s rows in every frame of ``frames``, with random weights from 1
-    to ``weights``; then some rows again, some rows reversed (end points
-    swapped and time_dir negated: the same segment run the other way) and a
-    few relabelled to the other species, all in a shuffled order."""
+    to ``weights``; then some rows again and some rows reversed (end points
+    swapped: the same segment run the other way), all in a shuffled order."""
     rows = env.rows
     fi = np.repeat(np.arange(len(frames)), rows)
     pick = np.tile(np.arange(rows), len(frames))
     extra = rng.integers(0, len(pick), size=int(rng.integers(0, len(pick) + 1)))
     pick, fi = np.concatenate([pick, pick[extra]]), np.concatenate([fi, fi[extra]])
     flip = rng.random(len(pick)) < 0.4
-    relabel = np.where(rng.random(len(pick)) < 0.1, -1, 1)
     order = rng.permutation(len(pick))
     pick, fi, flip = pick[order], fi[order], flip[order]
     x1, t1, x2, t2 = env.x1[pick], env.t1[pick], env.x2[pick], env.t2[pick]
     return SegmentArray(env.lattice, np.where(flip, x2, x1), np.where(flip, t2, t1),
                         np.where(flip, x1, x2), np.where(flip, t1, t2),
-                        np.where(flip, -env.time_dir[pick], env.time_dir[pick]),
-                        relabel * env.species[pick],
                         np.ones(len(pick), dtype=bool), fi, frames,
                         weight=rng.integers(1, weights + 1, len(pick)))
 
@@ -637,34 +630,20 @@ def test_merged_counting_equals_the_unmerged_expansion(kind, n, M, repeats, fram
         assert np.array_equal(counted.senescent, oracle.senescent)
 
 
-def test_zero_length_rows_merge_only_in_their_stored_direction():
-    # a row with t1 == t2 bins its x at its first end point, so the same
-    # row stored the other way round is another segment
-    lattice = LatticeSpec(n=10)
-    env = SegmentArray(lattice, [0, 4, 0], [4, 4, 4], [4, 0, 4], [4, 4, 4], [1, 1, 1], [1, 1, 1],
-                       [1, 1, 1], [0, 0, 0], (Frame(x0=0.05),))
-    first, net, _ = density._distinct(env)
-    assert (first.tolist(), net.tolist()) == ([0, 1], [2, 1])
-    field = DensityField(lattice.eps, 0, -1, 6, 6)
-    counted, oracle = accumulate(field.copy(), env), expand_then_mask(field, env)
-    assert np.array_equal(counted.adolescent, oracle.adolescent)
-    assert sorted(np.flatnonzero(counted.adolescent.sum(axis=0)).tolist()) == [1, 3]
-
-
 def test_cancelling_rows_still_count_their_summed_weight_toward_the_limit():
     # one segment run forward and back, 2**52 each way: the net weight is 0,
     # but the summed |weight| reaches 2**53 on the one slab they cover
     lattice = LatticeSpec(n=10)
-    env = SegmentArray(lattice, [0, 1], [0, 1], [1, 0], [1, 0], [1, -1], [RIGHT_MOVER] * 2,
-                       [1, 1], [0, 0], (Frame(),), weight=[2 ** 52, 2 ** 52])
+    env = SegmentArray(lattice, [0, 1], [0, 1], [1, 0], [1, 0], [1, 1], [0, 0], (Frame(),),
+                       weight=[2 ** 52, 2 ** 52])
     first, net, summed = density._distinct(env)
     assert (first.tolist(), net.tolist(), summed.tolist()) == ([0], [0], [2 ** 53])
     field = field_for_segments(env, pad=1)
     message = _raises_and_leaves_unchanged(_filled(field), env, OverflowError)
     assert message.startswith(f"summed segment weight {2 ** 53} reaches 2**53")
     # one less each way stays exact, and the net 0 adds nothing
-    below = SegmentArray(lattice, env.x1, env.t1, env.x2, env.t2, env.time_dir, env.species,
-                         env.envelope, env.frame_idx, env.frames, weight=[2 ** 52 - 1] * 2)
+    below = SegmentArray(lattice, env.x1, env.t1, env.x2, env.t2, env.envelope, env.frame_idx,
+                         env.frames, weight=[2 ** 52 - 1] * 2)
     filled = _filled(field)
     counted = accumulate(filled.copy(), below)
     assert np.array_equal(counted.adolescent, filled.adolescent)
@@ -673,33 +652,35 @@ def test_cancelling_rows_still_count_their_summed_weight_toward_the_limit():
 
 def test_summed_weights_past_int64_are_refused_not_wrapped():
     # 2**62 four times sums past int64: the group's summed |weight| stays a
-    # Python int, so the refusal names the true sum
+    # Python int, so the refusal names the true sum; the one row is stored
+    # forward and backward in turn, so the net weight cancels to 0
     lattice = LatticeSpec(n=10)
-    env = SegmentArray(lattice, [0] * 4, [0] * 4, [1] * 4, [1] * 4, [1, -1, 1, -1],
-                       [RIGHT_MOVER] * 4, [1] * 4, [0] * 4, (Frame(),), weight=[2 ** 62] * 4)
+    env = SegmentArray(lattice, [0, 1] * 2, [0, 1] * 2, [1, 0] * 2, [1, 0] * 2, [1] * 4, [0] * 4,
+                       (Frame(),), weight=[2 ** 62] * 4)
     assert density._distinct(env)[2].tolist() == [2 ** 64]
     message = _raises_and_leaves_unchanged(field_for_segments(env, pad=1), env, OverflowError)
     assert message.startswith(f"summed segment weight {2 ** 64} reaches 2**53")
 
 
-def test_zero_length_row_counts_in_the_one_slab_it_sits_in():
-    # t1 == t2 on a cell edge: the row still covers one slab, also under a window
+def test_row_mapped_to_one_time_counts_in_the_one_slab_it_sits_in():
+    # a frame of t_scale 0 maps the row to t = 0.4, a cell edge: the row
+    # still covers one slab, also under a window
     lat = LatticeSpec(n=10)
-    segs = SegmentArray(lat, [0], [4], [2], [4], [1], [0], [1], [0], (Frame(x0=0.5),))
+    segs = SegmentArray(lat, [0], [0], [2], [2], [1], [0], (Frame(t_scale=0.0, x0=0.5, t0=0.4),))
     for window, cells in ((None, [2]), ((2, 3), [2]), ((0, 2), []), ((3, 9), [])):
         k, j, idx = _incidences(segs, lat.eps, window)
         assert k.tolist() == cells and idx.tolist() == [0] * len(cells)
 
 
 def test_float_binning_slope_survives_int32_differences():
-    # the slope comes from float end points; t2 - t1 = 4e9 half-cell units
-    # would not fit int32, and an int32 difference, were one taken again,
-    # would wrap, flip the slope and send a right-moving segment left
+    # the slope comes from float end points; x2 - x1 = t2 - t1 = 4e9
+    # half-cell units would not fit int32, and an int32 difference, were one
+    # taken again, would wrap, flip the slope and send a right-moving segment left
     lat = LatticeSpec(n=10)
-    segs = SegmentArray(lat, [0], [-2e9], [2e9], [2e9], [1], [0], [1], [0], (Frame(x0=0.5),))
+    segs = SegmentArray(lat, [-2e9], [-2e9], [2e9], [2e9], [1], [0], (Frame(x0=0.5),))
     k, j, idx = _incidences(segs, cell=lat.eps * 1e8)
     assert np.array_equal(k, np.arange(-10, 10))
-    assert np.array_equal(j, np.arange(20) // 2)  # x cells rise with t
+    assert np.array_equal(j, k)  # x cells rise with t
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 13, 101])
@@ -725,8 +706,8 @@ def _shifted(segs, ox, ot):
     """``segs`` moved by (ox, ot) half-cell units, in its integer columns."""
     return SegmentArray(segs.lattice, segs.x1.astype(np.int64) + ox,
                         segs.t1.astype(np.int64) + ot, segs.x2.astype(np.int64) + ox,
-                        segs.t2.astype(np.int64) + ot, segs.time_dir, segs.species,
-                        segs.envelope, segs.frame_idx, segs.frames, segs.weight, segs.runs)
+                        segs.t2.astype(np.int64) + ot, segs.envelope, segs.frame_idx,
+                        segs.frames, segs.weight, segs.runs)
 
 
 # origins in cells; from 1e8 cells on, a fixed 1e-9 snap misbins slab edges

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from entwined import propagator
 from entwined.density import accumulate, field_for_segments
 from entwined.lattice import LatticeSpec
 from entwined.paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, SegmentArray,
@@ -11,7 +12,7 @@ from entwined.paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, Segmen
                             concatenate, cords_per_shift, dump_path, right_envelope, with_frame)
 from entwined.ring import RingSpec, _pair_path
 
-COLUMNS = ("x1", "t1", "x2", "t2", "time_dir", "species", "envelope", "frame_idx")
+COLUMNS = ("x1", "t1", "x2", "t2", "envelope", "frame_idx")
 
 
 @pytest.fixture
@@ -212,8 +213,7 @@ def test_half_cell_gap_across_frames_still_raises(spec):
     a = build_fiber((0.0, 0.0), spec).segs
     b = build_fiber((spec.half, 0.0), spec).segs  # starts half a cell right of a's end
     frames = (Frame(drift=0.25), Frame(drift=-0.25))  # both map t = 0 to itself
-    b = SegmentArray(spec, b.x1, b.t1, b.x2, b.t2, b.time_dir, b.species, b.envelope,
-                     b.frame_idx + 1, frames)
+    b = b.reframed(b.frame_idx + 1, frames)
     path = EntwinedPath(SegmentArray.stack([a, b], frames), "composite", (0.0, 0.0))
     with pytest.raises(AssertionError, match="at frame change before segment 8$"):
         path.validate_continuity()
@@ -247,6 +247,68 @@ def _fiber_from_columns(spec, envelope=None, frame_idx=0, frames=(Frame(),), wei
     cols = np.column_stack([segs.x1, segs.t1, segs.x2, segs.t2])
     return SegmentArray.from_columns(spec, cols, segs.envelope if envelope is None else envelope,
                                      frame_idx, frames, weight=weight)
+
+
+@pytest.mark.parametrize("end", [(0, 42), (-10, 30)], ids=["not-lightlike", "zero-length"])
+def test_rows_that_are_not_one_lightlike_step_are_refused(spec, end):
+    # the fiber's row 3 runs from (-10, 30) to (0, 40); it is made to end at ``end``
+    segs = build_fiber((0.0, 0.0), spec).segs
+    x2, t2 = segs.x2.copy(), segs.t2.copy()
+    x2[3], t2[3] = end
+    message = (re.escape("a row (x1, t1, x2, t2) must be one lightlike step, |x2 - x1| == "
+                         "|t2 - t1| != 0 half cells; stored row 3 has ")
+               + r"\[ *" + " +".join(str(v) for v in (-10, 30, *end)) + r"\]$")
+    with pytest.raises(ValueError, match=message):
+        _fiber_rows(spec, x2=x2, t2=t2)
+    with pytest.raises(ValueError, match=message):
+        SegmentArray.from_columns(spec, np.column_stack([segs.x1, segs.t1, x2, t2]), 1, 0,
+                                  (Frame(),))
+
+
+def test_a_step_across_the_int32_range_keeps_its_direction(spec):
+    # x2 - x1 and t2 - t1 of +-4e9 half cells would wrap in int32
+    lo, hi = -2 * 10 ** 9, 2 * 10 ** 9
+    segs = SegmentArray.from_columns(spec, [(lo, lo, hi, hi), (hi, hi, lo, lo), (lo, hi, hi, lo)],
+                                     1, 0, (Frame(),))
+    assert segs.time_dir.tolist() == [1, -1, -1]
+    assert segs.species.tolist() == [RIGHT_MOVER, RIGHT_MOVER, LEFT_MOVER]
+
+
+def _assert_signs_of_the_steps(segs):
+    dx = segs.x2.astype(np.int64) - segs.x1
+    dt = segs.t2.astype(np.int64) - segs.t1
+    assert np.array_equal(segs.time_dir, np.sign(dt))
+    assert np.array_equal(segs.species, np.sign(dx) * np.sign(dt))
+    # no frame reverses time, so a row's direction is also its physical one
+    assert all(frame.t_scale >= 0 for frame in segs.frames)
+    _, t1, _, t2 = segs.row_endpoints()
+    forward = segs.time_dir > 0
+    assert (t2[forward] >= t1[forward]).all() and (t2[~forward] <= t1[~forward]).all()
+
+
+@pytest.mark.parametrize("n", [2, 10, 20, 50])
+def test_direction_and_species_are_the_signs_of_each_step(n):
+    spec = LatticeSpec(n=n)
+    for path in (build_fiber((0.5, 1.0), spec), build_cord((0.0, 0.0), spec, repeats=2),
+                 build_cable((0.0, 0.0), spec, M=7, repeats=2),
+                 _pair_path(RingSpec(circumference=8.0 * np.pi), spec, M=30)):
+        _assert_signs_of_the_steps(path.segs)
+
+
+def test_the_fans_framed_rows_take_their_signs_from_their_steps(monkeypatch):
+    counted = []
+    count = propagator._count
+
+    def spy(field, segments, *args, **kwargs):
+        counted.append(segments)
+        return count(field, segments, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "_count", spy)
+    lattice = LatticeSpec.for_mass(10, mass=1.0)
+    propagator.write_region(propagator.region_for_fan(lattice, (-0.2, 0.0, 0.3), n_periods=3.0), 5)
+    (segments,) = counted
+    assert len(segments.frames) == 3
+    _assert_signs_of_the_steps(segments)
 
 
 @pytest.mark.parametrize("value", [-1, 2])
@@ -396,11 +458,14 @@ def test_logical_views_follow_the_expanded_path(spec):
 
 def test_validate_continuity_reports_logical_segment(spec):
     cable = build_cable((0.0, 0.0), spec, M=5, repeats=1)
-    # break the second copy's back connector at shift 2 (count 2)
+    # break the second copy's back connector at shift 2 (count 2): its first
+    # leg runs one cell further, still one lightlike step
     segs = cable.segs
     start, body, link, copies = segs.runs[1]
     assert (link, copies) == (2, 2)
-    segs.x2[start + body] += 2
+    leg = start + body
+    segs.x2[leg] += 2 * np.sign(segs.x2[leg] - segs.x1[leg])
+    segs.t2[leg] += 2 * np.sign(segs.t2[leg] - segs.t1[leg])
     # every earlier stored row has weight 1, so the broken leg is logical
     # segment start + body, followed by the second copy's first segment
     i = start + body + 1
@@ -434,5 +499,5 @@ def test_out_of_range_coordinates_fail_loudly():
 def test_negative_weights_rejected(spec):
     segs = build_fiber((0.0, 0.0), spec).segs
     with pytest.raises(ValueError, match="weight must be at least 1"):
-        SegmentArray(spec, segs.x1, segs.t1, segs.x2, segs.t2, segs.time_dir, segs.species,
-                     segs.envelope, segs.frame_idx, segs.frames, weight=-segs.weight)
+        SegmentArray(spec, segs.x1, segs.t1, segs.x2, segs.t2, segs.envelope, segs.frame_idx,
+                     segs.frames, weight=-segs.weight)
