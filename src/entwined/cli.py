@@ -188,7 +188,8 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
     elif exp == "carrier":
         counts = build(exp, lambda: cable_counts(n, block["m_cords"], block["repeats"]), cords)
         if lattice is not None and counts:
-            build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]))
+            build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]),
+                  cords)
     elif exp == "propagate":
         build(exp, lambda: cable_counts(n, block["m_cords"]), cords)
         fan = build(exp, lambda: velocity_fan(block["v_min"], block["v_max"], block["v_count"]))

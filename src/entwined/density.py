@@ -191,14 +191,23 @@ def carrier_steady_cells(spec: LatticeSpec, M: int, repeats: int) -> int:
     spec, M, repeats)`` on a field of cell eps that covers it, found from
     the cable's parameters alone: neither the cable nor a field is built.
 
-    Raises ``SpecError`` when the parameters break a rule of ``cable_counts``
-    or the cells are fewer than a sinusoid fit takes.
+    Raises ``SpecError`` when the parameters break a rule of ``cable_counts``,
+    the cells are fewer than a sinusoid fit takes, or counting the cable
+    reaches the exact-sum limit: its field holds every one of its counted
+    rows, 16 a cord repeat, each adding its |weight| on n/2 time cells.
     """
-    lo, hi = cable_steady_window(spec, cable_counts(spec.n, M, repeats), repeats)
+    counts = cable_counts(spec.n, M, repeats)
+    lo, hi = cable_steady_window(spec, counts, repeats)
     cells = max(0, _cell_floor(hi, spec.eps) - _cell_ceil(lo, spec.eps))
+    problems = []
     if cells < _FIT_SAMPLES:
-        raise SpecError([f"repeats: steady region is only {cells} cells; a sinusoid fit needs "
-                         f"at least {_FIT_SAMPLES} (increase repeats or the lattice's n)"])
+        problems.append(f"repeats: steady region is only {cells} cells; a sinusoid fit needs "
+                        f"at least {_FIT_SAMPLES} (increase repeats or the lattice's n)")
+    summed = 8 * spec.n * repeats * sum(counts)
+    if summed >= _EXACT_LIMIT:
+        problems.append(f"M: counting the cable sums |weight| {summed} over its cells, which "
+                        "reaches 2**53; counts past it would not be exact as float64")
+    SpecError.check(problems)
     return cells
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,9 +83,6 @@ def _coordinate_column(values) -> np.ndarray:
 # a cross-frame bridge from a to b ends at (b - a) * (n * half) + a in float: its four
 # roundings leave it under 7 ulps of S = max(|a|, |b|) from b, as |b - a| <= 2 S
 _JOIN_ULPS = 8
-
-_NO_RUNS = np.zeros((0, 4), dtype=np.int64)
-_NO_RUNS.setflags(write=False)
 
 
 class SegmentArray:
@@ -145,7 +142,7 @@ class SegmentArray:
             weight = np.ones(len(self.x1), dtype=np.int64)
         self.weight = np.asarray(weight, dtype=np.int64)
         _refuse_rows("weight", self.weight, self.weight < 1, "at least 1")
-        self.runs = _NO_RUNS if runs is None else np.asarray(runs, dtype=np.int64).reshape(-1, 4)
+        self.runs = np.asarray(() if runs is None else runs, dtype=np.int64).reshape(-1, 4)
 
     @classmethod
     def empty(cls, lattice: LatticeSpec) -> "SegmentArray":
@@ -189,70 +186,42 @@ class SegmentArray:
     def __len__(self) -> int:
         return int(self.weight.sum())
 
-    @property
-    def is_expanded(self) -> bool:
-        """True when stored rows and logical segments coincide one to one."""
-        return not len(self.runs) and bool((self.weight == 1).all())
-
-    def _blocks(self) -> Iterator[tuple]:
-        """Stored rows in path order: runs, and the plain stretches between them
-        (``copies`` None: each row repeats by its own weight)."""
-        pos = 0
-        for start, body, link, copies in self.runs.tolist():
-            yield pos, start - pos, 0, None
-            yield start, body, link, copies
-            pos = start + body + link
-        yield pos, self.rows - pos, 0, None
-
-    def _block_index(self, start: int, body: int, link: int, copies: int | None) -> np.ndarray:
-        if copies is None:
-            return np.repeat(np.arange(start, start + body), self.weight[start:start + body])
-        cycle = np.arange(start, start + body + link)
-        return np.tile(cycle, copies)[:copies * (body + link) - link]
-
     def expand_index(self) -> np.ndarray:
         """Stored-row index of every logical segment, in path order."""
-        if self.is_expanded:
-            return np.arange(self.rows)
-        return np.concatenate([self._block_index(*b) for b in self._blocks()])
+        parts, pos = [], 0
+        for start, body, link, copies in self.runs.tolist():
+            parts.append(np.repeat(np.arange(pos, start), self.weight[pos:start]))
+            cycle = np.arange(start, start + body + link)
+            parts.append(np.tile(cycle, copies)[:copies * (body + link) - link])
+            pos = start + body + link
+        parts.append(np.repeat(np.arange(pos, self.rows), self.weight[pos:]))
+        return np.concatenate(parts)
 
     def _end_rows(self) -> tuple[int, int]:
-        """Stored rows of the first and the last logical segment."""
-        blocks = list(self._blocks())
-        first = next(ix[0] for ix in (self._block_index(*b) for b in blocks) if len(ix))
-        last = next(ix[-1] for ix in (self._block_index(*b) for b in reversed(blocks)) if len(ix))
-        return int(first), int(last)
+        """Stored rows of the first and the last logical segment, read from
+        the run layout: a path that ends in a run with a link ends on that
+        run's last body row."""
+        last = self.rows - 1
+        if len(self.runs):
+            start, body, link, _ = self.runs[-1].tolist()
+            if link and start + body + link == self.rows:
+                last = start + body - 1
+        return 0, last
 
     def expand(self) -> "SegmentArray":
         """The logical path with one stored row per segment and unit weights."""
-        if self.is_expanded:
-            return self
         idx = self.expand_index()
         return SegmentArray(self.lattice, self.x1[idx], self.t1[idx], self.x2[idx], self.t2[idx],
                             self.envelope[idx], self.frame_idx[idx], self.frames)
 
     def subset(self, mask: np.ndarray) -> "SegmentArray":
-        """Stored rows selected by a boolean mask or an index array, weights kept.
-
-        A boolean mask keeps the run layout, so the subset's logical path is
-        the logical path filtered by the mask.  An index array reorders
-        rows and drops the layout: each row then stands for ``weight``
-        consecutive copies of itself.
-        """
-        mask = np.asarray(mask)
-        runs = None
-        if mask.dtype == bool and len(self.runs):
-            kept = np.concatenate(([0], np.cumsum(mask)))
-            start, body, link, copies = self.runs.T
-            new_start = kept[start]
-            new_body = kept[start + body] - new_start
-            new_link = kept[start + body + link] - kept[start + body]
-            runs = np.column_stack([new_start, new_body, new_link, copies])
-            runs = runs[new_body + new_link > 0]
+        """Stored rows selected by a boolean mask or an index array, weights
+        kept and the run layout dropped: each row then stands for ``weight``
+        copies of itself, so a subset is a set of rows, not a path."""
         return SegmentArray(
             self.lattice,
             self.x1[mask], self.t1[mask], self.x2[mask], self.t2[mask], self.envelope[mask],
-            self.frame_idx[mask], self.frames, weight=self.weight[mask], runs=runs,
+            self.frame_idx[mask], self.frames, weight=self.weight[mask],
         )
 
     def reframed(self, frame_idx, frames) -> "SegmentArray":
@@ -261,19 +230,15 @@ class SegmentArray:
                             frame_idx, frames, weight=self.weight, runs=self.runs)
 
     def counted(self) -> "SegmentArray":
-        """The rows density counting reads, weights and run layout kept.
-
-        Returns ``self``, not a copy, when every row is counted.
-        """
+        """The rows density counting reads, weights kept, as a ``subset``:
+        counting reads no order.  Returns ``self``, not a copy, when every
+        row is counted."""
         return self if self.envelope.all() else self.subset(self.envelope)
 
     def physical_endpoints(self):
         """Frame-applied (x1, t1, x2, t2) float arrays, one entry per logical segment."""
-        ends = self.row_endpoints()
-        if self.is_expanded:
-            return ends
         idx = self.expand_index()
-        return tuple(e[idx] for e in ends)
+        return tuple(e[idx] for e in self.row_endpoints())
 
     def row_endpoints(self):
         """Frame-applied (x1, t1, x2, t2) float arrays, one entry per stored row;
@@ -309,33 +274,43 @@ class EntwinedPath:
         return len(self.segs)
 
     def validate_continuity(self) -> None:
-        """Check every segment starts where the previous one ended.
+        """Check every join of the logical path once, on the stored rows.
 
-        Same-frame joins are compared exactly on the integer grid;
-        cross-frame joins compare frame-applied coordinates to within
-        ``_JOIN_ULPS`` ulps of the largest |coordinate| of the two segments
-        that meet.  Segment numbers refer to the expanded (logical) path.
+        A row leads on to the next, except in a run ``(start, body, link,
+        copies)``: its last row leads back to ``start`` when copies > 1, and
+        the body's last row leads past the link.  A row outside every run
+        with weight above 1 joins itself.  Same-frame joins are compared
+        exactly on the integer grid, cross-frame joins to within
+        ``_JOIN_ULPS`` ulps of the largest |coordinate| of the two rows.
+        The message names the stored rows of the lowest broken join.
         """
-        s = self.segs.expand()
-        if len(s) < 2:
-            return
-        same = s.frame_idx[1:] == s.frame_idx[:-1]
-        ok_int = (s.x1[1:] == s.x2[:-1]) & (s.t1[1:] == s.t2[:-1])
-        bad = same & ~ok_int
+        s = self.segs
+        before = np.arange(max(s.rows - 1, 0))  # join j runs from row before[j] to after[j]
+        after = before + 1
+        start, body, link, copies = s.runs.T
+        end = start + body + link
+        linked = (link > 0) & (end < s.rows)  # such a run is left from its body's last row
+        before[end[linked] - 1] = (start + body - 1)[linked]
+        inside = np.zeros(s.rows + 1, dtype=np.int64)  # +1 at each run's start, -1 at its end
+        np.add.at(inside, start, 1)
+        np.add.at(inside, end, -1)
+        alone = np.flatnonzero((np.cumsum(inside[:-1]) == 0) & (s.weight > 1))
+        back = copies > 1
+        before = np.concatenate([before, end[back] - 1, alone])
+        after = np.concatenate([after, start[back], alone])
+        cross = s.frame_idx[before] != s.frame_idx[after]
+        bad = (s.x1[after] != s.x2[before]) | (s.t1[after] != s.t2[before])
+        if cross.any():
+            ends = np.array(s.row_endpoints())
+            a, b = ends[:, before[cross]], ends[:, after[cross]]
+            tol = _JOIN_ULPS * np.spacing(np.abs(np.concatenate([a, b])).max(axis=0))
+            bad[cross] = (np.abs(b[0] - a[2]) > tol) | (np.abs(b[1] - a[3]) > tol)
         if bad.any():
-            i = int(np.nonzero(bad)[0][0]) + 1
-            raise AssertionError(f"discontinuity between segments {i - 1} and {i}")
-        if (~same).any():
-            x1, t1, x2, t2 = s.physical_endpoints()
-            cross = np.nonzero(~same)[0] + 1
-            before = cross - 1
-            scale = np.abs([x1[before], t1[before], x2[before], t2[before],
-                            x1[cross], t1[cross], x2[cross], t2[cross]]).max(axis=0)
-            tol = _JOIN_ULPS * np.spacing(scale)
-            mis = (np.abs(x1[cross] - x2[before]) > tol) | (np.abs(t1[cross] - t2[before]) > tol)
-            if mis.any():
-                i = int(cross[np.nonzero(mis)[0][0]])
-                raise AssertionError(f"discontinuity at frame change before segment {i}")
+            j = np.flatnonzero(bad)
+            j = j[np.argmin(before[j])]
+            where = " at a frame change" if cross[j] else ""
+            raise AssertionError(f"discontinuity{where} between stored rows {before[j]} and "
+                                 f"{after[j]}")
 
 
 def _moved(cols: np.ndarray, origin: tuple[float, float], spec: LatticeSpec) -> np.ndarray:
@@ -644,8 +619,9 @@ def right_envelope(path: EntwinedPath) -> SegmentArray:
 
     Membership is recorded at construction; connectors are excluded.
     Multiplicities carry over, so a cable's envelope stores each distinct
-    counted segment once.  A path whose rows are all counted is its own
-    envelope (``path.segs``, not a copy).
+    counted segment once; the run layout does not, as counting reads no
+    order.  A path whose rows are all counted is its own envelope
+    (``path.segs``, not a copy).
     """
     return path.segs.counted()
 

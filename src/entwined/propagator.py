@@ -114,6 +114,9 @@ def region_for_fan(lattice: LatticeSpec, ray_fan, start_periods: float = 2.0,
     if not problems and not math.isfinite(t_range[1]):
         key = "n_periods" if math.isfinite(t_range[0]) else "start_periods"
         problems.append(f"{key}: too large: the window ends at t = {t_range[1]}, not a finite time")
+    elif not problems and not t_range[1] > t_range[0]:
+        problems.append(f"start_periods: too large for n_periods: the window's end rounds to its "
+                        f"start, t = {t_range[0]}")
     SpecError.check(problems)
     pad = 2.5 * lattice.mass_scale
     v_lo = min(min(ray_fan), 0.0)
@@ -122,22 +125,36 @@ def region_for_fan(lattice: LatticeSpec, ray_fan, start_periods: float = 2.0,
     return RegionSpec(x_range=x_range, t_range=t_range, ray_fan=tuple(ray_fan), lattice=lattice)
 
 
+def _x_cells(region: RegionSpec) -> tuple[int, int]:
+    """First x cell and number of x cells of ``region``'s field."""
+    cell = region.lattice.cell_physical
+    x0_cell = _cell_floor(region.x_range[0], cell)
+    return x0_cell, _cell_ceil(region.x_range[1], cell) - x0_cell
+
+
 def region_time_cells(region: RegionSpec) -> tuple[int, int]:
     """First time cell and number of time cells of the field ``write_region``
     writes ``region`` into: its t range floored and ceiled to whole cells.
 
     Raises ``SpecError`` when they are fewer than each ray's sinusoid fit
-    takes, or past the int64 range of a cell index, before anything is built.
+    takes, past the int64 range of a cell index, or when the field's two
+    int64 channels would pass the largest array numpy can allocate, before
+    anything is built.
     """
     cell = region.lattice.cell_physical
     try:  # the end lies past the start, so it overflows whenever the start does
         t0_cell = _cell_floor(region.t_range[0], cell)
         t_cells = _cell_ceil(region.t_range[1], cell) - t0_cell
+        x_cells = _x_cells(region)[1]
     except OverflowError as exc:
         raise SpecError([f"n_periods: too large: the window reaches {exc}"]) from None
     if t_cells < _FIT_SAMPLES:
         raise SpecError([f"n_periods: the window spans only {t_cells} time cells; a sinusoid fit "
                          f"needs at least {_FIT_SAMPLES} (increase n_periods or the lattice's n)"])
+    size = 2 * t_cells * x_cells * np.dtype(np.int64).itemsize
+    if size > np.iinfo(np.intp).max:
+        raise SpecError([f"n_periods: too large: the field of {t_cells} x {x_cells} cells takes "
+                         f"{size} bytes, past the largest array, {np.iinfo(np.intp).max} bytes"])
     return t0_cell, t_cells
 
 
@@ -278,30 +295,25 @@ def write_region(region: RegionSpec, M: int) -> RegionResult:
     mass = lattice.mass
     cell = lattice.cell_physical
     t0_cell, t_cells = region_time_cells(region)
-    x0_cell = _cell_floor(region.x_range[0], cell)
-    x_cells = _cell_ceil(region.x_range[1], cell) - x0_cell
+    x0_cell, x_cells = _x_cells(region)
 
     # allocated before the cables are built: in the opposite order the n=50
     # fan's peak RSS reads about 0.3 MB higher (heap layout, not live data)
     field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
     rays = [RaySpec.from_velocity(v, mass, region.t_range) for v in region.ray_fan]
     repeats = [ray_repeats(ray, lattice, M) for ray in rays]
-    cables, grouped = {}, {}
+    cables, grouped, distinct = {}, {}, {}
     for r in dict.fromkeys(repeats):
-        cable = build_cable((0.0, 0.0), lattice, M=M, repeats=r)
-        # keep only one row per distinct counted segment, so the connectors
-        # and the repeated rows do not stay alive for the whole fan; trimmed
-        # in place because perfbench's tracer knows a path by the object
-        # build_cable returned
-        counted = cable.segs.counted()
+        cables[r] = build_cable((0.0, 0.0), lattice, M=M, repeats=r)
+        counted = cables[r].segs.counted()
         grouped[r] = _distinct(counted)
-        cable.segs = counted.subset(grouped[r][0])
-        cables[r] = cable
-
-    framed = [write_ray(ray, cables[r]).segs for ray, r in zip(rays, repeats)]
-    frames = tuple(s.frames[0] for s in framed)
-    segments = SegmentArray.stack([s.reframed(np.full(s.rows, i), frames)
-                                   for i, s in enumerate(framed)], frames)
+        distinct[r] = counted.subset(grouped[r][0])
+    frames = tuple(write_ray(ray, cables[r]).segs.frames[0] for ray, r in zip(rays, repeats))
+    # only the distinct counted rows are counted: the connectors and the
+    # repeated rows do not stay alive for the whole fan
+    del cables
+    segments = SegmentArray.stack([distinct[r].reframed(np.full(distinct[r].rows, i), frames)
+                                   for i, r in enumerate(repeats)], frames)
     # (first, signed, summed) of every ray's segments, in the same order
     tiled = tuple(np.concatenate([grouped[r][k] for r in repeats]) for k in range(3))
     profiles = np.zeros((len(rays), 2, t_cells), dtype=np.int64)

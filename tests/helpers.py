@@ -13,7 +13,9 @@ against the same search with an SVD (``lstsq``) solve per trial frequency,
 and against the golden-section search it replaced; the channel lag against
 one ``np.dot`` per lag.  A ray's
 cord repeats are checked by trying repeats counts against the shared
-steady-window formula.
+steady-window formula.  A path's continuity is checked by expanding it
+into its logical segments, one row each, and comparing every consecutive
+pair.
 """
 
 import io
@@ -24,7 +26,35 @@ from itertools import product
 import numpy as np
 
 from entwined.density import SinusoidFit, _brent, _fft_bracket, _incidences, _slabs
-from entwined.paths import RIGHT_MOVER, cable_steady_window
+from entwined.paths import _JOIN_ULPS, RIGHT_MOVER, cable_steady_window
+
+
+def continuity_by_expansion(path):
+    """The expanding continuity check: every consecutive pair of the
+    path's logical segments, same-frame pairs compared exactly in half-cell
+    integers, cross-frame pairs in frame-applied floats to within
+    ``_JOIN_ULPS`` ulps of the largest |coordinate| of the two segments.
+    Raises AssertionError naming the first broken pair's logical segments."""
+    s = path.segs.expand()
+    if s.rows < 2:
+        return
+    same = s.frame_idx[1:] == s.frame_idx[:-1]
+    ok_int = (s.x1[1:] == s.x2[:-1]) & (s.t1[1:] == s.t2[:-1])
+    bad = same & ~ok_int
+    if bad.any():
+        i = int(np.nonzero(bad)[0][0]) + 1
+        raise AssertionError(f"discontinuity between segments {i - 1} and {i}")
+    if (~same).any():
+        x1, t1, x2, t2 = s.row_endpoints()
+        cross = np.nonzero(~same)[0] + 1
+        before = cross - 1
+        scale = np.abs([x1[before], t1[before], x2[before], t2[before],
+                        x1[cross], t1[cross], x2[cross], t2[cross]]).max(axis=0)
+        tol = _JOIN_ULPS * np.spacing(scale)
+        mis = (np.abs(x1[cross] - x2[before]) > tol) | (np.abs(t1[cross] - t2[before]) > tol)
+        if mis.any():
+            i = int(cross[np.nonzero(mis)[0][0]])
+            raise AssertionError(f"discontinuity at frame change before segment {i}")
 
 
 def brute_corners(n_steps, displacement, initial="right", final="any", incoming=False):

@@ -333,6 +333,16 @@ _BAD_VALUES = {
     "propagate-n-periods": (
         "propagate", {("propagate", "n_periods"): -1.0}, "propagate",
         lambda: region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11), 2.0, -1.0)),
+    "propagate-window-rounds": (
+        "propagate", {("propagate", "start_periods"): 1e20}, "propagate",
+        lambda: region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11), 1e20, 6.0)),
+    "propagate-field-size": (
+        "propagate", {("propagate", "n_periods"): 1e16}, "propagate",
+        lambda: region_time_cells(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),
+                                                 2.0, 1e16))),
+    "carrier-exact-sum": (
+        "carrier", {("carrier", "m_cords"): 10 ** 16}, "carrier",
+        lambda: carrier_steady_cells(LatticeSpec(n=10), 10 ** 16, 3), {"M": "m_cords"}),
 }
 
 
@@ -362,8 +372,10 @@ def test_owners_that_do_not_depend_on_each_other_report_together(tmp_path, capsy
 
 # values whose times or cell counts overflow to inf (or whose squares underflow
 # to 0) or past int64, repeat counts past a cable's int32 reach, cord counts
-# past an int64 weight and cycles past the largest float: each owner refuses
-# them before a cast raises or a cable is built
+# past an int64 weight and cycles past the largest float, a field past the
+# largest array, a carrier past the exact-sum limit and a window whose end
+# rounds to its start: each owner refuses them before a cast raises or a
+# cable is built
 _REFUSED_BY_THEIR_OWNER = {
     "start-periods": ["propagate", "--start-periods", "1e308"],
     "n-periods": ["propagate", "--n-periods", "1e308"],
@@ -378,6 +390,9 @@ _REFUSED_BY_THEIR_OWNER = {
     "carrier-repeats": ["carrier", "--repeats", "2000000000"],
     "ring-cycles": ["ring", "--cycles", "2000000000"],
     "ring-cycles-float": ["ring", "--cycles", "1" + "0" * 309],
+    "n-periods-field": ["propagate", "--n-periods", "1e16"],
+    "carrier-cords-exact": ["carrier", "--cords", "10000000000000000"],
+    "start-periods-float": ["propagate", "--start-periods", "1e20"],
 }
 
 

@@ -14,7 +14,7 @@ from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, 
                               steady_region, whole_region)
 from entwined.lattice import LatticeSpec, SpecError
 from entwined.paths import (RIGHT_MOVER, Frame, SegmentArray, build_cable, build_cord,
-                            build_fiber, concatenate, right_envelope, with_frame)
+                            build_fiber, concatenate, cords_per_shift, right_envelope, with_frame)
 from entwined.propagator import RaySpec, region_for_fan, write_region
 from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
@@ -230,6 +230,30 @@ def test_carrier_steady_cells_count_the_steady_region(n, M, repeats):
     else:
         with pytest.raises(SpecError, match=f"^repeats: steady region is only {cells} cells; "):
             density.carrier_steady_cells(lattice, M, repeats)
+
+
+@pytest.mark.parametrize("n, M, repeats", [(10, 20, 3), (4, 7, 3), (2, 1, 5)])
+def test_carrier_exact_sum_rule_is_the_counting_passs_limit(n, M, repeats, monkeypatch):
+    # at each limit either side of the carrier's summed |weight|, validation
+    # refuses M exactly when counting the built cable raises
+    lattice = LatticeSpec(n=n)
+    cable = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
+    summed = 8 * n * repeats * sum(cords_per_shift(n, M))
+    for limit in (summed, summed + 1):
+        monkeypatch.setattr(density, "_EXACT_LIMIT", limit)
+        try:
+            density.carrier_steady_cells(lattice, M, repeats)
+            problems = []
+        except SpecError as exc:
+            problems = exc.problems
+        refused = any(p.startswith("M: ") for p in problems)
+        field = field_for_segments(cable.segs, pad=2)
+        if refused:
+            with pytest.raises(OverflowError, match=f"^summed segment weight {summed} "):
+                accumulate(field, right_envelope(cable))
+        else:
+            accumulate(field, right_envelope(cable))
+        assert refused == (limit == summed)
 
 
 def _weighted_fiber_envelope(spec, weight):

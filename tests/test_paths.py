@@ -1,5 +1,6 @@
 import io
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from entwined.paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, Segmen
                             _connector_columns, build_cable, build_cord, build_fiber,
                             concatenate, cords_per_shift, dump_path, right_envelope, with_frame)
 from entwined.ring import RingSpec, _pair_path
+from helpers import continuity_by_expansion
 
 COLUMNS = ("x1", "t1", "x2", "t2", "envelope", "frame_idx")
 
@@ -199,12 +201,17 @@ def test_ring_pair_passes_its_continuity_check(n):
     path.validate_continuity()
 
 
-def test_seeded_cross_frame_joins_pass_their_continuity_check(spec):
+def _seeded_frame_pairs(count):
+    """``count`` seeded pairs of random frames."""
     rng = np.random.default_rng(17)
-    for _ in range(500):
-        frames = [Frame(t_scale=rng.uniform(0.1, 3.0), x_scale=rng.uniform(0.1, 3.0),
-                        drift=rng.uniform(-0.9, 0.9), x0=rng.uniform(-50.0, 50.0),
-                        t0=rng.uniform(-50.0, 50.0)) for _ in range(2)]
+    for _ in range(count):
+        yield [Frame(t_scale=rng.uniform(0.1, 3.0), x_scale=rng.uniform(0.1, 3.0),
+                     drift=rng.uniform(-0.9, 0.9), x0=rng.uniform(-50.0, 50.0),
+                     t0=rng.uniform(-50.0, 50.0)) for _ in range(2)]
+
+
+def test_seeded_cross_frame_joins_pass_their_continuity_check(spec):
+    for frames in _seeded_frame_pairs(500):
         concatenate([with_frame(build_fiber((0.0, 0.0), spec), f) for f in frames]
                     ).validate_continuity()
 
@@ -215,7 +222,8 @@ def test_half_cell_gap_across_frames_still_raises(spec):
     frames = (Frame(drift=0.25), Frame(drift=-0.25))  # both map t = 0 to itself
     b = b.reframed(b.frame_idx + 1, frames)
     path = EntwinedPath(SegmentArray.stack([a, b], frames), "composite", (0.0, 0.0))
-    with pytest.raises(AssertionError, match="at frame change before segment 8$"):
+    with pytest.raises(AssertionError,
+                       match="at a frame change between stored rows 7 and 8$"):
         path.validate_continuity()
 
 
@@ -400,6 +408,20 @@ def materialised_cable(origin, spec, M, repeats):
     return EntwinedPath(segs, "cable", origin, n_fibers=4 * total_cords)
 
 
+def assert_same_row_counts(weighted: SegmentArray, unit: SegmentArray):
+    """The same rows with the same summed weights, in any order: an
+    envelope is a set of weighted rows, not a path."""
+    def counts(segs):
+        total = Counter()
+        for row, w in zip(zip(*(getattr(segs, name).tolist() for name in COLUMNS)),
+                          segs.weight.tolist()):
+            total[row] += w
+        return total
+
+    assert counts(weighted) == counts(unit)
+    assert weighted.frames == unit.frames
+
+
 def assert_same_rows(weighted: SegmentArray, unit: SegmentArray):
     expanded = weighted.expand()
     assert len(weighted) == len(unit) == expanded.rows == unit.rows
@@ -423,8 +445,7 @@ def test_expanded_cable_matches_materialised_cable(n, M, repeats, origin):
     assert cable.n_fibers == ref.n_fibers
     ref.validate_continuity()
     cable.validate_continuity()
-    # the envelope keeps the run layout, so it expands to the filtered path
-    assert_same_rows(right_envelope(cable), right_envelope(ref))
+    assert_same_row_counts(right_envelope(cable), right_envelope(ref))
 
 
 def test_cable_stores_each_distinct_train_once(spec):
@@ -456,7 +477,7 @@ def test_logical_views_follow_the_expanded_path(spec):
     assert len(ours.getvalue().splitlines()) == len(ref) + 1
 
 
-def test_validate_continuity_reports_logical_segment(spec):
+def test_validate_continuity_reports_stored_rows(spec):
     cable = build_cable((0.0, 0.0), spec, M=5, repeats=1)
     # break the second copy's back connector at shift 2 (count 2): its first
     # leg runs one cell further, still one lightlike step
@@ -466,10 +487,8 @@ def test_validate_continuity_reports_logical_segment(spec):
     leg = start + body
     segs.x2[leg] += 2 * np.sign(segs.x2[leg] - segs.x1[leg])
     segs.t2[leg] += 2 * np.sign(segs.t2[leg] - segs.t1[leg])
-    # every earlier stored row has weight 1, so the broken leg is logical
-    # segment start + body, followed by the second copy's first segment
-    i = start + body + 1
-    with pytest.raises(AssertionError, match=f"between segments {i - 1} and {i}$"):
+    # the leg no longer meets the link's second leg, stored on the next row
+    with pytest.raises(AssertionError, match=f"between stored rows {leg} and {leg + 1}$"):
         cable.validate_continuity()
 
 
@@ -486,7 +505,7 @@ def test_concatenated_cables_expand_to_materialised_concatenation(frames):
                        for o, f in zip(origins, frames)])
     assert_same_rows(ours.segs, ref.segs)
     ours.validate_continuity()
-    assert_same_rows(right_envelope(ours), right_envelope(ref))
+    assert_same_row_counts(right_envelope(ours), right_envelope(ref))
 
 
 def test_out_of_range_coordinates_fail_loudly():
@@ -501,3 +520,128 @@ def test_negative_weights_rejected(spec):
     with pytest.raises(ValueError, match="weight must be at least 1"):
         SegmentArray(spec, segs.x1, segs.t1, segs.x2, segs.t2, segs.envelope, segs.frame_idx,
                      segs.frames, weight=-segs.weight)
+
+
+# --- continuity on the run layout --------------------------------------------
+
+
+def _ring_pair(n):
+    return [_pair_path(RingSpec(circumference=8.0 * np.pi), LatticeSpec(n=n), M=30)]
+
+
+_SHEARED_PAIR = (Frame(t_scale=7.3, x_scale=0.5, drift=0.25, t0=0.31),
+                 Frame(t_scale=7.3, x_scale=0.5, drift=-0.25, t0=0.31))
+
+
+def _joined_cables(frames):
+    origins = ((0.0, 0.0), (0.5, 3.0))
+    return concatenate([with_frame(build_cable(o, LatticeSpec(n=8), M=8, repeats=2), f)
+                        for o, f in zip(origins, frames)])
+
+
+# every kind of path the suite builds, by a function of the n=10 lattice
+_BUILT_PATHS = {
+    "fibers": lambda spec: [build_fiber((0.0, 0.0), spec),
+                            build_fiber((0.5, 1.0), spec, drift=0.2)],
+    "cords": lambda spec: [build_cord((0.0, 0.0), spec, repeats=r) for r in (1, 2, 3)],
+    "cables": lambda spec: [build_cable(o, LatticeSpec(n=n), M=M, repeats=r)
+                            for n, M, r, o in CABLES],
+    "materialised": lambda spec: [materialised_cable((0.0, 0.1), spec, 5, 2)],
+    "ring-8": lambda spec: _ring_pair(8),
+    "ring-20": lambda spec: _ring_pair(20),
+    "ring-50": lambda spec: _ring_pair(50),
+    "concatenated": lambda spec: [_joined_cables((Frame(), Frame())),
+                                  _joined_cables(_SHEARED_PAIR)],
+    "seeded-joins": lambda spec: [concatenate([with_frame(build_fiber((0.0, 0.0), spec), f)
+                                               for f in frames])
+                                  for frames in _seeded_frame_pairs(500)],
+}
+
+
+def _with(path, **columns):
+    """``path`` with some of its stored columns replaced."""
+    s = path.segs
+    kept = {name: getattr(s, name) for name in COLUMNS + ("weight", "runs")}
+    return EntwinedPath(SegmentArray(s.lattice, frames=s.frames, **{**kept, **columns}),
+                        path.kind, path.origin)
+
+
+def _stepped(segs, i, end):
+    """The columns of end ``end`` (1 or 2) with row i's moved half a cell
+    along its step, so the row stays one lightlike step."""
+    x, t = getattr(segs, f"x{end}").copy(), getattr(segs, f"t{end}").copy()
+    x[i] += np.sign(segs.x2[i] - segs.x1[i])
+    t[i] += np.sign(segs.t2[i] - segs.t1[i])
+    return {f"x{end}": x, f"t{end}": t}
+
+
+def _mutants(path):
+    """Copies of ``path`` with one row changed: an end moved half a cell along
+    its step, a body weight changed, a row outside every run given weight 2,
+    and a start after a frame change moved half a cell along its step."""
+    s = path.segs
+    edges = s.runs[[0, -1]].tolist() if len(s.runs) else []
+    ends = {0, s.rows // 2, s.rows - 1}
+    for start, body, link, _ in edges:
+        ends |= {start, start + body - 1, start + body + link - 1}
+    for i in sorted(ends):
+        yield _with(path, **_stepped(s, i, 2))
+    for start, body, _, _ in edges:
+        weight = s.weight.copy()
+        weight[start + body - 1] += 1
+        yield _with(path, weight=weight)
+    outside = np.ones(s.rows, dtype=bool)
+    for start, body, link, _ in s.runs.tolist():
+        outside[start:start + body + link] = False
+    if outside.any():
+        weight = s.weight.copy()
+        weight[np.flatnonzero(outside)[outside.sum() // 2]] = 2
+        yield _with(path, weight=weight)
+    for i in np.flatnonzero(s.frame_idx[1:] != s.frame_idx[:-1]) + 1:
+        yield _with(path, **_stepped(s, i, 1))
+
+
+def _refusals(path) -> tuple[bool, bool]:
+    """Whether the run-layout check and the expanding oracle refuse ``path``."""
+    refused = []
+    for check in (path.validate_continuity, lambda: continuity_by_expansion(path)):
+        try:
+            check()
+        except AssertionError:
+            refused.append(True)
+        else:
+            refused.append(False)
+    return tuple(refused)
+
+
+@pytest.mark.parametrize("kind", list(_BUILT_PATHS))
+def test_run_layout_check_agrees_with_the_expanding_oracle(spec, kind):
+    refused = 0
+    for path in _BUILT_PATHS[kind](spec):
+        assert _refusals(path) == (False, False)
+        for mutant in _mutants(path):
+            ours, oracle = _refusals(mutant)
+            assert ours == oracle
+            refused += ours
+    assert refused  # the mutants reach both checks
+
+
+@pytest.mark.parametrize("kind", list(_BUILT_PATHS))
+def test_end_rows_are_the_expanded_paths_first_and_last(spec, kind):
+    for path in _BUILT_PATHS[kind](spec):
+        index = path.segs.expand_index()
+        assert path.segs._end_rows() == (index[0], index[-1])
+
+
+def test_huge_cables_are_checked_and_joined_without_expanding(monkeypatch):
+    def refuse(self):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(SegmentArray, "expand_index", refuse)
+    spec = LatticeSpec(n=8)
+    cables = [build_cable(o, spec, M=10 ** 16, repeats=2) for o in ((0.0, 0.0), (0.5, 3.0))]
+    for frames in ((Frame(), Frame()), (Frame(t_scale=7.3, drift=0.25), Frame(drift=-0.25))):
+        joined = concatenate([with_frame(c, f) for c, f in zip(cables, frames)])
+        joined.validate_continuity()
+        assert right_envelope(joined).rows == 2 * right_envelope(cables[0]).rows
+    cables[0].validate_continuity()
