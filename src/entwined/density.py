@@ -30,9 +30,11 @@ rows that lie on one segment of one frame, whichever way they run, are
 merged before the expansion: each distinct segment is expanded once, and
 each of its incidences scatter-adds its net signed weight (the sum of
 time_dir * w over its rows, which may cancel to 0) straight into the
-field's one int64 store, so counts are exact.  A pass whose summed |w|
-reaches 2**53 raises, so every count also holds exactly as a float64, the
-type profiles and fits read it as.
+field's one store.  The store is the narrowest signed integer type, int8 to
+int64, that holds every count a pass can reach: before it scatters, each
+pass bounds that count and widens the store once if it must, so counts are
+exact.  A pass whose summed |w| reaches 2**53 raises, so every count also
+holds exactly as a float64, the type profiles and fits read it as.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, cable_counts, cable_steady_window
 
+_WIDTHS = (np.int8, np.int16, np.int32, np.int64)  # store types, narrowest first
 _EXACT_LIMIT = 2 ** 53  # summed |weight| refused from here: float64 holds integers below it
 _BLOCK = 16384  # incidences expanded at once by ``accumulate``
-_FORMAT_BLOCK = 65536  # cells formatted at once by ``_format_matrix``
+_FORMAT_BLOCK = 16384  # cells formatted at once by ``_format_matrix``
 _UNIFORM_TOL = 1e-6  # largest spread of the time steps, relative to their mean, still called uniform
 _FIT_SAMPLES = 8  # fewest samples a sinusoid fit takes
 _FIT_RTOL = 1e-10  # relative width at which the frequency search stops
@@ -63,9 +66,12 @@ CHANNELS = ("adolescent", "senescent")
 class DensityField:
     """Two-channel signed-integer accumulation grid over (x, t) cells.
 
-    Both channels live in one int64 store, ``counts``, of shape (2, t_cells,
-    x_cells); ``adolescent`` and ``senescent`` are its views ``counts[0]``
-    and ``counts[1]``.  Cell (i, j) of each channel covers t in
+    Both channels live in one signed integer store, ``counts``, of shape (2,
+    t_cells, x_cells); ``adolescent`` and ``senescent`` are its views
+    ``counts[0]`` and ``counts[1]``.  A new store is int8 zeros, which a
+    counting pass replaces with a wider one before a count could pass it.
+    NumPy computes in the store's type: widen a channel before arithmetic
+    on it (sums already take int64).  Cell (i, j) of each channel covers t in
     [ (t0_cell+i)*cell, +cell ) and x in [ (x0_cell+j)*cell, +cell ).
     ``wrap_x`` folds spatial indices modulo the grid width (periodic/ring
     domains).
@@ -79,7 +85,7 @@ class DensityField:
         self.t0_cell = int(t0_cell)
         self.x0_cell = int(x0_cell)
         self.wrap_x = bool(wrap_x)
-        self.counts = np.zeros((2, t_cells, x_cells), dtype=np.int64)
+        self.counts = np.zeros((2, t_cells, x_cells), dtype=np.int8)
 
     @property
     def adolescent(self) -> np.ndarray:
@@ -113,7 +119,7 @@ class DensityField:
     def copy(self) -> "DensityField":
         out = DensityField(self.cell, self.t0_cell, self.x0_cell, self.t_cells, self.x_cells,
                            wrap_x=self.wrap_x)
-        out.counts[:] = self.counts
+        out.counts = self.counts.copy()  # in the source's type: a copy into int8 would wrap
         return out
 
 
@@ -237,7 +243,7 @@ def _slabs(k_lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _rows(segs: SegmentArray, cell: float, window=None):
     """Row phase of the slab expansion of the frame-applied end points.
 
-    Returns each stored row's slab count, and ``expand(a, b)``, which
+    Returns each stored row's first slab and slab count, and ``expand(a, b)``, which
     gives the absolute (t_cell, x_cell) and the stored row of every (row,
     covered time-cell) incidence of rows a..b-1.  Each row is the straight
     line between its ``row_endpoints()``: a slab's x midpoint lies at
@@ -270,19 +276,22 @@ def _rows(segs: SegmentArray, cell: float, window=None):
             return np.repeat(row_values[a:b], c)
 
         k = _slabs(k_lo[a:b], c)
-        s_lo = np.maximum(spread(lo), k * cell)
-        s_hi = np.minimum(spread(hi), (k + 1) * cell)
-        t_m = 0.5 * (s_lo + s_hi)
-        x_m = spread(x1) + spread(slope) * (t_m - spread(t1))
-        return k, _snapped(np.floor, x_m / cell), np.repeat(np.arange(a, b), c)
+        s = np.maximum(spread(lo), k * cell)  # in place: few block-length arrays at once
+        s += np.minimum(spread(hi), (k + 1) * cell)
+        s *= 0.5  # the slab's t midpoint t_m, then x1 + slope * (t_m - t1), in cells
+        s -= spread(t1)
+        s *= spread(slope)
+        s += spread(x1)
+        s /= cell
+        return k, _snapped(np.floor, s), np.repeat(np.arange(a, b), c)
 
-    return counts, expand
+    return k_lo, counts, expand
 
 
 def _incidences(segs: SegmentArray, cell: float, window=None):
     """(t_cell, x_cell, stored row) of every incidence, the whole expansion
     at once.  ``window`` (t_lo, t_hi) keeps only slabs t_lo <= t_cell < t_hi."""
-    counts, expand = _rows(segs, cell, window)
+    _, counts, expand = _rows(segs, cell, window)
     return expand(0, len(counts))
 
 
@@ -346,11 +355,13 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     bounds-checked, and an out-of-field error names its first stored row.
     Segments are expanded in consecutive blocks of at most ``_BLOCK``
     incidences, so transient memory is one block, not the whole incidence
-    list nor a copy of the field.  Each block's int64 signed weights are
-    scatter-added straight into ``field.counts``.  A call that raises leaves
-    the field unchanged: the blocks already added are expanded again and
-    subtracted, which integer arithmetic undoes exactly.  A pass whose
-    summed |w| (not its net weight) reaches 2**53 raises OverflowError.
+    list nor a copy of the field.  Each block's signed weights are
+    scatter-added straight into ``field.counts``, in the store's type, which
+    the pass first widens if a count could pass it (``_widen``).  A call
+    that raises leaves every count unchanged, though the store may stay
+    widened: the blocks already added are expanded again and subtracted,
+    which integer arithmetic undoes exactly.  A pass whose summed |w| (not
+    its net weight) reaches 2**53 raises OverflowError.
     An x-summed profile is a row sum of the field:
     ``field.channel(name).sum(axis=1)``.
     """
@@ -378,9 +389,12 @@ def _count(field: DensityField, segments: SegmentArray, grouped, clip: bool,
     """
     first, signed, summed = grouped
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
-    counts, expand = _rows(segments, field.cell, window)
+    k_lo, counts, expand = _rows(segments, field.cell, window)
+    _widen(field, k_lo, counts, signed, summed)
     rows, cols = field.t_cells, field.x_cells
     flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
+    # exact in the store's type: no landed |weight| passes the bound it was sized for
+    weights = signed.astype(flat.dtype)
     # the channel (0 for right movers, adolescent; 1 for left movers,
     # senescent) is folded into the linear index, so one pass covers both
     channel_offset = np.where(segments.species != RIGHT_MOVER, rows, 0)
@@ -414,10 +428,9 @@ def _count(field: DensityField, segments: SegmentArray, grouped, clip: bool,
         return lin, at, idx
 
     def scatter(ufunc, lin, at, idx):
-        weights = signed[idx]
-        ufunc.at(flat, lin, weights)
+        ufunc.at(flat, lin, weights[idx])
         if at is not None:
-            ufunc.at(profile_flat, at, weights)
+            ufunc.at(profile_flat, at, signed[idx])
 
     # exact sums only where the summed |w| could reach the limit at all
     summing = int(summed.max()) * int(counts.sum()) >= _EXACT_LIMIT
@@ -434,11 +447,37 @@ def _count(field: DensityField, segments: SegmentArray, grouped, clip: bool,
             raise OverflowError(f"summed segment weight {total} reaches 2**53; "
                                 "counts past it would not be exact as float64")
     except BaseException:
-        # int64 adds are exact (modulo 2**64), so taking the landed blocks
-        # back out restores every cell
+        # integer adds are exact (modulo the type's range), so taking the
+        # landed blocks back out restores every cell
         for a, b in _blocks(counts[:landed]):
             scatter(np.subtract, *landing(a, b))
         raise
+
+
+def _widen(field: DensityField, k_lo: np.ndarray, counts: np.ndarray, signed: np.ndarray,
+           summed: np.ndarray) -> None:
+    """Widen ``field.counts`` to the narrowest of ``_WIDTHS`` that holds
+    every |count| a pass over segments of first slab ``k_lo``, slab count
+    ``counts``, net weight ``signed`` and summed |w| ``summed`` can reach:
+    the largest |count| held plus the largest sum, over the time cells, of
+    the |net weight| of the segments that cover the cell (a segment adds at
+    most one incidence per time cell).  Where that sum could wrap int64, the
+    store becomes int64.  A store of zeros is allocated anew, not cast.
+    """
+    store = field.counts
+    if store.dtype == np.int64:
+        return
+    held = max(-int(store.min()), int(store.max()))
+    bound = 2 ** 63 - 1
+    if int(summed.max()) * len(summed) < 2 ** 63:  # no running sum of |signed| wraps
+        diff = np.zeros(field.t_cells + 1, dtype=np.int64)  # differences over the t cells
+        size = np.abs(signed)
+        for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
+            ufunc.at(diff, np.clip(ends - field.t0_cell, 0, field.t_cells), size)
+        bound = held + int(np.cumsum(diff).max())
+    dtype = next(d for d in _WIDTHS if np.iinfo(d).max >= bound)
+    if dtype != store.dtype:
+        field.counts = store.astype(dtype) if held else np.zeros(store.shape, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -701,17 +740,17 @@ def compare(field: DensityField, ref: ReferenceDensity, channel: str, region: Re
 
 
 def _tokens(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-width text tokens of a 1-D int64 vector, as rows of uint32 words.
+    """Fixed-width text tokens of a 1-D signed integer vector, as rows of uint32 words.
 
     A token is the sign, the digits right-aligned and ``\\t``, in a row of
     whole 4-byte words; a missing sign, leading zeros and the padding in
     front are zero bytes.  Returns that table and a copy whose tokens end in
     ``\\n``, for a row's last column.  Magnitudes are taken in uint64, so
-    -2**63 renders exactly.
+    each type's least value, -2**63 included, renders exactly.
     """
     neg = values < 0
     mag = values.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # modular: |v| for every int64, -2**63 included
+    np.negative(mag, out=mag, where=neg)  # modular: |v| for every value, -2**63 included
     top = int(mag.max())
     mag = mag.astype(np.min_scalar_type(top))  # narrow ints divide faster
     digits = len(str(top))
@@ -733,13 +772,13 @@ def _tokens(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _format_matrix(matrix: np.ndarray) -> bytes:
-    """Decimal text of a 2-D int64 matrix: the bytes that
+    """Decimal text of a 2-D signed integer matrix: the bytes that
     ``np.savetxt(f, matrix, fmt="%d", delimiter="\\t")`` writes.
 
     Each distinct value is formatted once.  When the matrix spans fewer
     values than it has cells, the table is every value from its minimum to
-    its maximum, and a cell indexes it by ``value - min``; otherwise each
-    block formats its own cells.  The matrix goes in blocks of whole rows,
+    its maximum, and a cell indexes it by ``value - min``, taken in int64;
+    otherwise each block formats its own cells.  The matrix goes in blocks of whole rows,
     about ``_FORMAT_BLOCK`` cells each (a row wider than that is a block of
     its own): a block gathers its cells' tokens as uint32 words, takes its
     last column from the ``\\n`` table, and drops the zero bytes with
@@ -759,8 +798,9 @@ def _format_matrix(matrix: np.ndarray) -> bytes:
     for r in range(0, rows, step):
         block = matrix[r:r + step]
         if shared:
-            # filled in place; mode="clip" keeps np.take from buffering (indices are in range)
-            index = np.subtract(block, lo, out=index_buf[:len(block)])
+            # filled in place, in int64 (in a narrow store's type value - lo
+            # could wrap); mode="clip" keeps np.take from buffering (indices are in range)
+            index = np.subtract(block, lo, out=index_buf[:len(block)], dtype=np.int64)
             words = np.take(tab, index, axis=0, out=words_buf[:len(block)], mode="clip")
         else:
             tab, newline = _tokens(block.ravel())

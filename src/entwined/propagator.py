@@ -138,8 +138,8 @@ def region_time_cells(region: RegionSpec) -> tuple[int, int]:
 
     Raises ``SpecError`` when they are fewer than each ray's sinusoid fit
     takes, past the int64 range of a cell index, or when the field's two
-    int64 channels would pass the largest array numpy can allocate, before
-    anything is built.
+    channels in int64, the widest store counting may need, would pass the
+    largest array numpy can allocate, before anything is built.
     """
     cell = region.lattice.cell_physical
     try:  # the end lies past the start, so it overflows whenever the start does

@@ -154,11 +154,20 @@ def savetxt_bytes(matrix):
     return buf.getvalue()
 
 
+def int64_copy(field):
+    """A copy of ``field`` in an int64 store, the widest: counting into it
+    never widens it, and no sum in it wraps."""
+    out = field.copy()
+    out.counts = out.counts.astype(np.int64)
+    return out
+
+
 def expand_then_mask(field, envelope):
     """What ``accumulate(field, envelope, clip=True)`` should leave in a copy of
     ``field``: every slab of every row expanded with no window, the
-    incidences outside the field dropped, the rest added one at a time."""
-    out = field.copy()
+    incidences outside the field dropped, the rest added one at a time, into
+    an int64 copy (``int64_copy``)."""
+    out = int64_copy(field)
     k, j, idx = _incidences(envelope, field.cell)
     k = k - field.t0_cell
     j = j - field.x0_cell

@@ -20,8 +20,8 @@ from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
 from test_propagator import fresh_ray
 from helpers import (best_lag_loop, cord_fiber_offsets, expand_then_mask, fit_sinusoid_golden,
-                     fit_sinusoid_oracle, incidences_exact, incidences_int, profile_oracle,
-                     savetxt_bytes)
+                     fit_sinusoid_oracle, incidences_exact, incidences_int, int64_copy,
+                     profile_oracle, savetxt_bytes)
 
 
 @pytest.fixture
@@ -118,7 +118,7 @@ def test_accumulation_is_order_independent(spec):
 
 def test_channels_are_views_of_the_one_store():
     field = DensityField(0.5, -3, 2, 4, 5)
-    assert field.counts.shape == (2, 4, 5) and field.counts.dtype == np.int64
+    assert field.counts.shape == (2, 4, 5) and field.counts.dtype == np.int8
     field.adolescent[1, 2] = 7
     field.senescent[:, 0] += 3
     field.channel("senescent")[3, 4] = -2
@@ -269,8 +269,9 @@ def test_weighted_counts_stay_integer_exact(spec):
     unit = accumulate(empty.copy(), right_envelope(fiber))
     weight = 2 ** 48 + 1
     big = accumulate(empty.copy(), _weighted_fiber_envelope(spec, weight))
-    assert np.array_equal(big.adolescent, unit.adolescent * weight)
-    assert np.array_equal(big.senescent, unit.senescent * weight)
+    assert big.counts.dtype == np.int64
+    assert np.array_equal(big.adolescent, unit.adolescent.astype(np.int64) * weight)
+    assert np.array_equal(big.senescent, unit.senescent.astype(np.int64) * weight)
 
 
 def test_weighted_counts_refuse_inexact_sums(spec):
@@ -286,7 +287,7 @@ def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkey
     # |weight| reaches 2**53 only in the last block
     set_block(monkeypatch, 3)
     env = right_envelope(build_fiber((0.0, 0.0), spec))
-    counts, _ = density._rows(env, spec.eps)
+    _, counts, _ = density._rows(env, spec.eps)
     assert counts.tolist() == [5] * 4 and len(list(density._blocks(counts))) == 4
     least = -(-2 ** 53 // 20)  # the least weight whose 20 incidences sum to 2**53
     unit = accumulate(field_for_segments(env, pad=2), env)
@@ -295,8 +296,8 @@ def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkey
                                            OverflowError)
     assert message.startswith(f"summed segment weight {20 * least} reaches 2**53")
     below = accumulate(filled.copy(), _weighted_fiber_envelope(spec, least - 1))
-    assert np.array_equal(below.adolescent, filled.adolescent + unit.adolescent * (least - 1))
-    assert np.array_equal(below.senescent, filled.senescent + unit.senescent * (least - 1))
+    wide = filled.counts.astype(np.int64) + unit.counts.astype(np.int64) * (least - 1)
+    assert np.array_equal(below.counts, wide)
     # the limit is on what lands, and includes 2**53 itself: 16 of the 20
     # slabs lie in this window
     short = DensityField(unit.cell, 4, unit.x0_cell, unit.t0_cell + unit.t_cells - 4, unit.x_cells)
@@ -305,7 +306,8 @@ def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkey
                                  OverflowError, clip=True)
     clipped = accumulate(short.copy(), _weighted_fiber_envelope(spec, 2 ** 49 - 1), clip=True)
     unit_short = accumulate(short.copy(), env, clip=True)
-    assert np.array_equal(clipped.adolescent, unit_short.adolescent * (2 ** 49 - 1))
+    wide = unit_short.adolescent.astype(np.int64) * (2 ** 49 - 1)
+    assert np.array_equal(clipped.adolescent, wide)
 
 
 def test_counting_memory_is_one_block_not_the_incidence_list(monkeypatch):
@@ -331,20 +333,150 @@ def test_counting_memory_is_one_block_not_the_incidence_list(monkeypatch):
 
 
 def test_counting_allocates_no_field_sized_temporary(monkeypatch):
-    # the ring-modes eigen run's one accumulate, straight into its 13.1 MB store
+    # the ring-modes eigen run's one accumulate, straight into its 3.3 MB
+    # int16 store: the first pass widens the fresh int8 store, and a second
+    # pass counts into the widened store as it is
     calls = []
     monkeypatch.setattr(ring, "accumulate",
                         lambda field, env, clip: calls.append((field, env, clip)))
     run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
     (field, env, clip), = calls
-    tracemalloc.start()
-    try:
-        accumulate(field, env, clip=clip)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            accumulate(field, env, clip=clip)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert field.counts.dtype == np.int16
     assert field.adolescent.any() and field.senescent.any()
-    assert peak < 0.5 * field.counts.nbytes
+    assert peaks[0] < field.counts.nbytes + 0.5 * field.counts.nbytes
+    assert peaks[1] < 0.5 * field.counts.nbytes
+
+
+# --- the store's width ----------------------------------------------------
+
+
+def _one_row(spec, signed):
+    """One counted fiber row of multiplicity |signed|, run backward in t
+    where ``signed`` is negative, so each of its n/2 cells counts ``signed``."""
+    env = right_envelope(build_fiber((0.0, 0.0), spec)).subset(np.array([0]))
+    ends = (env.x1, env.t1, env.x2, env.t2)
+    if signed * int(env.time_dir[0]) < 0:
+        ends = ends[2:] + ends[:2]
+    return SegmentArray(spec, *ends, env.envelope, env.frame_idx, env.frames,
+                        weight=np.full(1, abs(signed), dtype=np.int64))
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("size, dtype", [
+    (127, np.int8), (128, np.int16), (2 ** 15 - 1, np.int16), (2 ** 15, np.int32),
+    (2 ** 31 - 1, np.int32), (2 ** 31, np.int64),
+])
+def test_a_pass_widens_the_store_to_the_narrowest_type_that_holds_its_counts(spec, sign, size,
+                                                                                dtype):
+    # the bound is on |count|: -128 would fit int8, yet it takes int16 as 128 does
+    env = _one_row(spec, sign * size)
+    field = field_for_segments(env, pad=1)
+    assert field.counts.dtype == np.int8
+    oracle = expand_then_mask(field, env)
+    assert sorted({int(v) for v in oracle.counts.flat}) == sorted({0, sign * size})
+    accumulate(field, env)
+    assert field.counts.dtype == dtype
+    assert np.array_equal(field.counts, oracle.counts)
+
+
+def test_a_later_pass_widens_the_store_only_when_its_counts_could_pass_it(spec):
+    field = field_for_segments(_one_row(spec, 1), pad=1)
+    oracle = field.copy()
+    for signed, dtype in ((100, np.int8), (27, np.int8), (1, np.int16), (-32768, np.int32)):
+        env = _one_row(spec, signed)
+        store = field.counts
+        accumulate(field, env)
+        oracle = expand_then_mask(oracle, env)
+        assert field.counts.dtype == dtype
+        assert np.array_equal(field.counts, oracle.counts)
+        # a pass that fits counts in place, into the store as it was
+        assert (field.counts is store) == (store.dtype == dtype)
+    # 100 + 27 + 1 - 32768: every cell the row covers holds it exactly
+    assert set(field.counts.flat) == {0, -32640}
+
+
+def test_copy_keeps_a_widened_store(spec):
+    env = _one_row(spec, -(2 ** 31 - 1))
+    field = accumulate(field_for_segments(env, pad=1), env)
+    dup = field.copy()
+    assert field.counts.dtype == dup.counts.dtype == np.int32
+    assert np.array_equal(dup.counts, field.counts) and dup.counts.min() == -(2 ** 31 - 1)
+    assert not np.shares_memory(dup.counts, field.counts)
+
+
+@pytest.mark.parametrize("error", [OverflowError, ValueError])
+def test_a_pass_that_raises_leaves_every_count_though_it_widened(spec, error, monkeypatch):
+    # four rows of five incidences, each a block of its own, so blocks land
+    # in the widened store before the pass raises
+    set_block(monkeypatch, 3)
+    env = right_envelope(build_fiber((0.0, 0.0), spec))
+    field = field_for_segments(env, pad=2)
+    if error is OverflowError:  # 20 * 2**49 reaches 2**53 after the last block
+        weight, dtype = 2 ** 49, np.int64
+    else:  # the third row starts last: a field cut there holds the first two
+        weight, dtype = 1000, np.int16
+        k_lo = density._rows(env, field.cell)[0]
+        assert k_lo.argmax() == 2
+        field = DensityField(field.cell, field.t0_cell, field.x0_cell,
+                             int(k_lo.max()) - field.t0_cell, field.x_cells)
+    filled = _filled(field)
+    assert filled.counts.dtype == np.int8
+    _raises_and_leaves_unchanged(filled, _weighted_fiber_envelope(spec, weight), error)
+    assert filled.counts.dtype == dtype
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.5], ids=["eigen", "off-eigen"])
+def test_ring_modes_stores_are_int16_and_count_as_int64(factor, monkeypatch):
+    # the two runs of the ring-modes workload, ring --n 20 --cords 30 [--speed-factor 1.5]
+    lattice, circumference = LatticeSpec(n=20), 8.0 * math.pi
+    spec = RingSpec(circumference, speed=factor * ring.eigen_speed(1, lattice.mass, circumference))
+    calls = []
+    monkeypatch.setattr(ring, "accumulate",
+                        lambda field, env, clip: calls.append((field, env, clip)))
+    run_ring(spec, lattice, M=30)
+    (field, env, clip), = calls
+    wide = accumulate(int64_copy(field), env, clip=clip)
+    accumulate(field, env, clip=clip)
+    assert field.counts.dtype == np.int16
+    assert np.array_equal(field.counts, wide.counts)
+
+
+def test_ray_fan_store_is_int16_and_counts_as_int64(monkeypatch):
+    # the ray-fan workload, propagate --n 50 --cords 60: its one counting pass
+    count = propagator._count
+    twins = []
+
+    def twice(field, segments, grouped, clip, profile):
+        twins.append((int64_copy(field), profile.copy(), profile))
+        count(twins[-1][0], segments, grouped, clip, profile=twins[-1][1])
+        count(field, segments, grouped, clip, profile=profile)
+
+    monkeypatch.setattr(propagator, "_count", twice)
+    lattice = LatticeSpec(n=50)
+    result = write_region(region_for_fan(lattice, propagator.velocity_fan(-0.25, 0.25, 11)), M=60)
+    (wide, wide_profile, profile), = twins
+    assert result.field.counts.dtype == np.int16 and profile.dtype == np.int64
+    assert np.array_equal(result.field.counts, wide.counts)
+    assert np.array_equal(profile, wide_profile)
+
+
+def test_carrier_large_store_is_int32_and_counts_as_int64():
+    # the carrier-large workload, carrier --n 100 --cords 1000 --repeats 3
+    cable = build_cable((0.0, 0.0), LatticeSpec(n=100), M=1000, repeats=3)
+    env = right_envelope(cable)
+    field = field_for_segments(cable.segs, pad=2)
+    wide = accumulate(int64_copy(field), env)
+    accumulate(field, env)
+    assert field.counts.dtype == np.int32
+    assert np.array_equal(field.counts, wide.counts)
 
 
 def test_accumulate_linearity_over_concatenated_envelopes(spec):
@@ -402,7 +534,7 @@ def _blocks_wholly_outside(env, field):
     """Blocks of ``accumulate(field, env, clip=True)`` that expand incidences
     of which none lands in the field."""
     window = (field.t0_cell, field.t0_cell + field.t_cells)
-    counts, expand = density._rows(env, field.cell, window)
+    _, counts, expand = density._rows(env, field.cell, window)
     outside = 0
     for a, b in density._blocks(counts):
         _, j, _ = expand(a, b)
@@ -416,7 +548,7 @@ def test_clipped_counting_matches_expand_then_mask(case, block, monkeypatch):
     block = set_block(monkeypatch, block)
     env, field = case()
     if block == 1:  # rows longer than a block are a block of their own
-        assert (density._rows(env, field.cell)[0] > block).any()
+        assert (density._rows(env, field.cell)[1] > block).any()
     # unclipped over a field that holds every incidence
     filled = _filled(field)
     counted, oracle = accumulate(filled.copy(), env), expand_then_mask(filled, env)
@@ -532,7 +664,7 @@ def test_any_error_after_blocks_landed_leaves_the_field_unchanged(case, monkeypa
     expanded = []
 
     def failing_rows(*args):
-        counts, expand = rows(*args)
+        k_lo, counts, expand = rows(*args)
 
         def expand_or_fail(a, b):
             expanded.append((a, b))
@@ -540,7 +672,7 @@ def test_any_error_after_blocks_landed_leaves_the_field_unchanged(case, monkeypa
                 raise MemoryError("third block")
             return expand(a, b)
 
-        return counts, expand_or_fail
+        return k_lo, counts, expand_or_fail
 
     monkeypatch.setattr(density, "_rows", failing_rows)
     assert _raises_and_leaves_unchanged(_filled(field), env, MemoryError) == "third block"
@@ -555,7 +687,7 @@ def test_unclipped_error_from_a_later_block_leaves_the_field_unchanged(case, mon
     late = DensityField(field.cell, field.t0_cell, field.x0_cell, field.t_cells * 3 // 4,
                         field.x_cells, wrap_x=field.wrap_x)
     message, row = _first_escape_message(env, late)
-    counts, _ = density._rows(env, late.cell)
+    _, counts, _ = density._rows(env, late.cell)
     blocks = list(density._blocks(counts))
     first_bad = next(i for i, (a, b) in enumerate(blocks) if a <= row < b)
     assert first_bad >= 2
@@ -1268,6 +1400,17 @@ def test_format_matrix_matches_savetxt_across_small_blocks(rows, cols, block, lo
                                                   endpoint=True)
     with mock.patch.object(density, "_FORMAT_BLOCK", block):
         assert _format_matrix(matrix) == savetxt_bytes(matrix)
+
+
+@pytest.mark.parametrize("dtype, lo, hi", [(np.int8, -128, 127), (np.int16, -30000, 30000)])
+def test_format_matrix_indexes_a_narrow_store_in_int64(dtype, lo, hi):
+    # more cells than values, so every cell indexes the shared table by
+    # value - min, which wraps in the store's own type
+    matrix = np.random.default_rng(6).integers(lo, hi, size=(400, 200), dtype=dtype,
+                                               endpoint=True)
+    matrix[0, 0], matrix[-1, -1] = lo, hi
+    assert hi - lo < matrix.size
+    assert _format_matrix(matrix) == savetxt_bytes(matrix.astype(np.int64))
 
 
 @pytest.mark.parametrize("matrix,formatted", [
