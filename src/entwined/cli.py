@@ -234,9 +234,9 @@ def _fmt(value) -> str:
 
 class _Artifacts:
     """Output files of one run.  ``--out`` is created by the first write, and
-    runners compute all that can raise before they write, so a run that fails
-    leaves ``--out`` as it was.  Each file's sha256 and byte count are taken
-    from the bytes as they are written, so the manifest reads nothing back."""
+    runners compute all that can raise before they write (formatting a field
+    as it is written cannot), so a run that fails leaves ``--out`` as it was.
+    Each chunk goes to the file, sha256 and byte count at once: none is read back."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -247,12 +247,16 @@ class _Artifacts:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir
 
-    def _write(self, path: Path, data: bytes) -> None:
-        path.write_bytes(data)
-        self.entries[path.name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    def _write(self, path: Path, chunks) -> None:
+        digest, size = hashlib.sha256(), 0
+        with open(path, "wb") as f:
+            for chunk in chunks:
+                digest.update(chunk)
+                size += f.write(chunk)
+        self.entries[path.name] = {"sha256": digest.hexdigest(), "bytes": size}
 
     def write_text(self, name: str, text: str) -> None:
-        self._write(self._dir() / name, text.encode())
+        self._write(self._dir() / name, (text.encode(),))
 
     def export(self, field, name: str) -> None:
         export_field(field, self._dir(), name, write=self._write)

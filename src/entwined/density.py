@@ -32,14 +32,14 @@ each of its incidences scatter-adds its net signed weight (the sum of
 time_dir * w over its rows, which may cancel to 0) straight into the
 field's one store.  The store is the narrowest signed integer type, int8 to
 int64, that holds every count a pass can reach: before it scatters, each
-pass bounds that count and widens the store once if it must, so counts are
-exact.  A pass whose summed |w| reaches 2**53 raises, so every count also
-holds exactly as a float64, the type profiles and fits read it as.
+pass bounds it per channel, sign and time cell and widens the store once
+if it must, so counts are exact.  A pass whose summed |w| reaches 2**53
+raises, so every count also holds exactly as a float64, the type profiles
+and fits read it as.  Export writes a channel's text one row block at a time.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -390,14 +390,14 @@ def _count(field: DensityField, segments: SegmentArray, grouped, clip: bool,
     first, signed, summed = grouped
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
     k_lo, counts, expand = _rows(segments, field.cell, window)
-    _widen(field, k_lo, counts, signed, summed)
+    left = segments.species != RIGHT_MOVER  # channel 1, senescent; right movers are 0, adolescent
+    _widen(field, k_lo, counts, signed, summed, left)
     rows, cols = field.t_cells, field.x_cells
     flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
     # exact in the store's type: no landed |weight| passes the bound it was sized for
     weights = signed.astype(flat.dtype)
-    # the channel (0 for right movers, adolescent; 1 for left movers,
-    # senescent) is folded into the linear index, so one pass covers both
-    channel_offset = np.where(segments.species != RIGHT_MOVER, rows, 0)
+    # the channel is folded into the linear index, so one pass covers both
+    channel_offset = np.where(left, rows, 0)
     if profile is not None:
         profile_flat = profile.reshape(-1)  # a view, as for the field
         frame_offset = segments.frame_idx.astype(np.int64) * (2 * rows)
@@ -455,14 +455,18 @@ def _count(field: DensityField, segments: SegmentArray, grouped, clip: bool,
 
 
 def _widen(field: DensityField, k_lo: np.ndarray, counts: np.ndarray, signed: np.ndarray,
-           summed: np.ndarray) -> None:
+           summed: np.ndarray, left: np.ndarray) -> None:
     """Widen ``field.counts`` to the narrowest of ``_WIDTHS`` that holds
     every |count| a pass over segments of first slab ``k_lo``, slab count
-    ``counts``, net weight ``signed`` and summed |w| ``summed`` can reach:
-    the largest |count| held plus the largest sum, over the time cells, of
-    the |net weight| of the segments that cover the cell (a segment adds at
-    most one incidence per time cell).  Where that sum could wrap int64, the
-    store becomes int64.  A store of zeros is allocated anew, not cast.
+    ``counts``, net weight ``signed``, summed |w| ``summed`` and channel
+    ``left`` (True for senescent) can reach: the largest |count| held plus
+    the largest sum, over (channel, sign, time cell), of the |net weight| of
+    the segments of that channel and sign whose slab range covers the cell.
+    It holds as a segment adds at most one incidence per time cell, wrapped
+    in x or not: a pass adds P - N to a cell, P and N sums of positive and
+    negative weights within it, and |P - N| <= max(P, N).  Where those sums
+    could wrap int64, the store becomes int64; a store of zeros is
+    allocated anew, never cast.
     """
     store = field.counts
     if store.dtype == np.int64:
@@ -470,13 +474,17 @@ def _widen(field: DensityField, k_lo: np.ndarray, counts: np.ndarray, signed: np
     held = max(-int(store.min()), int(store.max()))
     bound = 2 ** 63 - 1
     if int(summed.max()) * len(summed) < 2 ** 63:  # no running sum of |signed| wraps
-        diff = np.zeros(field.t_cells + 1, dtype=np.int64)  # differences over the t cells
+        span = field.t_cells + 1  # differences over the t cells, one run per (channel, sign)
+        diff = np.zeros(4 * span, dtype=np.int64)
         size = np.abs(signed)
         for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
-            ufunc.at(diff, np.clip(ends - field.t0_cell, 0, field.t_cells), size)
-        bound = held + int(np.cumsum(diff).max())
-    dtype = next(d for d in _WIDTHS if np.iinfo(d).max >= bound)
-    if dtype != store.dtype:
+            at = np.clip(ends - field.t0_cell, 0, field.t_cells)
+            np.add(at, span, out=at, where=signed < 0)  # in place: no per-segment key
+            np.add(at, 2 * span, out=at, where=left)
+            ufunc.at(diff, at, size)
+        bound = held + int(np.cumsum(diff.reshape(4, span), axis=1).max())
+    dtype = np.dtype(next(d for d in _WIDTHS if np.iinfo(d).max >= bound))
+    if dtype.itemsize > store.itemsize:  # never narrowed: the caller's store stays
         field.counts = store.astype(dtype) if held else np.zeros(store.shape, dtype)
 
 
@@ -771,20 +779,19 @@ def _tokens(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tab.view(np.uint32), newline.view(np.uint32)
 
 
-def _format_matrix(matrix: np.ndarray) -> bytes:
-    """Decimal text of a 2-D signed integer matrix: the bytes that
-    ``np.savetxt(f, matrix, fmt="%d", delimiter="\\t")`` writes.
+def _format_matrix(matrix: np.ndarray):
+    """Decimal text of a 2-D signed integer matrix in blocks of rows whose
+    join is what ``np.savetxt(f, matrix, fmt="%d", delimiter="\\t")`` writes.
 
     Each distinct value is formatted once.  When the matrix spans fewer
     values than it has cells, the table is every value from its minimum to
     its maximum, and a cell indexes it by ``value - min``, taken in int64;
-    otherwise each block formats its own cells.  The matrix goes in blocks of whole rows,
-    about ``_FORMAT_BLOCK`` cells each (a row wider than that is a block of
-    its own): a block gathers its cells' tokens as uint32 words, takes its
-    last column from the ``\\n`` table, and drops the zero bytes with
+    otherwise each block formats its own cells.  A block holds whole rows,
+    about ``_FORMAT_BLOCK`` cells (a row wider than that is a block of its
+    own): it gathers its cells' tokens as uint32 words, takes its last
+    column from the ``\\n`` table, and drops the zero bytes with
     ``bytes.translate``.  With the shared table, every block fills the same
-    index and word buffers.  The blocks are written into one buffer, so
-    memory beyond the output and the table stays one block's.
+    buffers, so a consumer that writes each block holds no more than one.
     """
     rows, cols = matrix.shape
     lo, hi = int(matrix.min()), int(matrix.max())  # Python ints: hi - lo cannot wrap
@@ -794,7 +801,6 @@ def _format_matrix(matrix: np.ndarray) -> bytes:
         tab, newline = _tokens(np.arange(hi - lo + 1, dtype=np.int64) + lo)
         index_buf = np.empty((min(step, rows), cols), dtype=np.int64)
         words_buf = np.empty(index_buf.shape + tab.shape[1:], dtype=tab.dtype)
-    out = io.BytesIO()  # getvalue() hands its buffer over: a join would hold the text twice
     for r in range(0, rows, step):
         block = matrix[r:r + step]
         if shared:
@@ -807,19 +813,24 @@ def _format_matrix(matrix: np.ndarray) -> bytes:
             index = np.arange(block.size).reshape(block.shape)
             words = np.take(tab, index, axis=0)
         words[:, -1] = np.take(newline, index[:, -1], axis=0)
-        out.write(words.tobytes().translate(None, b"\0"))
-    return out.getvalue()
+        yield words.tobytes().translate(None, b"\0")
 
 
-def export_field(field: DensityField, directory, basename: str,
-                 write=Path.write_bytes) -> list:
+def _write_chunks(path: Path, chunks) -> None:
+    with open(path, "wb") as f:
+        f.writelines(chunks)
+
+
+def export_field(field: DensityField, directory, basename: str, write=_write_chunks) -> list:
     """Write one integer matrix per channel plus a JSON metadata record.
 
     Returns the written paths.  Matrices are tab-delimited rows (one row per
     time cell, each ending in ``\\n``) of decimal integers with a leading
     ``-`` for negatives and no header; integers render exactly, so files are
-    bit-reproducible.  Each file's bytes are written by ``write(path,
-    data)``; a caller that records what it writes passes its own.
+    bit-reproducible.  Each file is written by ``write(path, chunks)``, an
+    iterable of bytes whose join is the file (a matrix's row blocks are
+    formatted as they are asked for, which cannot raise); a caller that
+    records what it writes passes its own.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -838,6 +849,6 @@ def export_field(field: DensityField, directory, basename: str,
         "channels": list(CHANNELS),
     }
     meta_path = directory / f"{basename}.meta.json"
-    write(meta_path, (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode())
+    write(meta_path, ((json.dumps(meta, sort_keys=True, indent=2) + "\n").encode(),))
     written.append(meta_path)
     return written

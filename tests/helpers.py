@@ -5,7 +5,8 @@ chessboard oracle walks explicit step tuples, the profile oracle stamps
 the closed-form single-loop density directly onto cell arrays, and field
 text is checked against numpy's own ``savetxt``.  The one exception checks
 clipped counting: it takes the library's slab expansion with no window,
-masks it afterwards and adds it up with ``np.add.at``.  Identity-frame
+masks it afterwards and adds it up with ``np.add.at``; the store bound of
+a counting pass is summed over the same incidences.  Identity-frame
 counting is checked against an integer slab expansion, which bins in
 half-cell integers and never rounds, and framed counting against one that
 applies each frame in Fractions and rounds only in the final binning.  The sinusoid fit is checked
@@ -179,6 +180,33 @@ def expand_then_mask(field, envelope):
     for channel, keep in ((out.adolescent, inside & right), (out.senescent, inside & ~right)):
         np.add.at(channel, (k[keep], j[keep]), signed[keep])
     return out
+
+
+def channel_sign_bound(field, envelope):
+    """The bound a counting pass of ``envelope`` into ``field`` sizes its
+    store by, summed over incidences: the largest |count| ``field`` holds
+    plus the largest sum, over (channel, sign, time cell of the field), of
+    the |net weight| of the segments of that channel and sign with an
+    incidence in that time cell.  A segment is a frame and a pair of end
+    points, lower t first; its net weight sums time_dir * weight over its
+    stored rows, whichever way they run."""
+    net, first = {}, {}
+    rows = zip(envelope.frame_idx.tolist(), envelope.x1.tolist(), envelope.t1.tolist(),
+               envelope.x2.tolist(), envelope.t2.tolist(), envelope.weight.tolist())
+    for row, (frame, x1, t1, x2, t2, weight) in enumerate(rows):
+        key = (frame, x1, t1, x2, t2) if t1 < t2 else (frame, x2, t2, x1, t1)
+        net[key] = net.get(key, 0) + (weight if t1 < t2 else -weight)
+        first.setdefault(key, row)
+    row_net = np.zeros(envelope.rows, dtype=np.int64)  # 0 on all but a segment's first row
+    row_net[list(first.values())] = [net[key] for key in first]
+    k, _, idx = _incidences(envelope, field.cell)
+    k = k - field.t0_cell
+    keep = (k >= 0) & (k < field.t_cells) & (row_net[idx] != 0)
+    k, idx = k[keep], idx[keep]
+    group = 2 * (envelope.species != RIGHT_MOVER)[idx] + (row_net[idx] < 0)
+    sums = np.zeros((4, field.t_cells), dtype=np.int64)
+    np.add.at(sums, (group, k), np.abs(row_net[idx]))
+    return int(np.abs(field.counts.astype(np.int64)).max()) + int(sums.max())
 
 
 def rows_int(segs, window=None):

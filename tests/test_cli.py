@@ -595,6 +595,8 @@ def test_manifest_lists_every_artifact_with_checksum(tmp_path):
 @pytest.mark.parametrize("experiment,flags", [
     ("chessboard", ["--n-steps", "10", "--step-size", "0.1"]),
     ("ring", ["--n", "8", "--cords", "6", "--cycles", "3"]),
+    # 1280 x 160 cells a channel, 13 formatter blocks: hashed and counted block by block
+    pytest.param("ring", ["--n", "20", "--cords", "10", "--cycles", "2"], id="ring-13-blocks"),
 ])
 def test_manifest_hashes_the_bytes_as_they_are_written(tmp_path, monkeypatch, experiment, flags):
     out = tmp_path / experiment

@@ -12,6 +12,7 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
 - the four acceptance-8 configurations;
 - a ray fan whose rays need two different cable repeats counts;
 - the n = 200, M = 240 ray fan, the most framed rows and cells of any line;
+- the 64-cycle ring, the tallest field, exported one row block at a time;
 - every ``--command`` given.
 
 Both sides write under the same relative ``--out``.  Every output file whose
@@ -52,6 +53,9 @@ MIXED_REPEATS = ["propagate", "--n", "10", "--cords", "5", "--v-min", "-0.9", "-
 # the scaled fan a frame refactor must leave byte for byte
 LARGE_FAN = ["propagate", "--n", "200", "--cords", "240"]
 
+# the tallest field of any line: 40,960 x 160 cells a channel, a 13 MB int8 store
+LONG_RING = ["ring", "--n", "20", "--cords", "30", "--cycles", "64"]
+
 # runs argument lists through entwined.cli.main in one process and prints
 # their exit codes as JSON; argparse rejects a bad flag with SystemExit, and
 # a command that raises is recorded as "raised <exception type>", so that one
@@ -87,6 +91,7 @@ def command_lines(seed: int, extra=()) -> dict[str, list[str]]:
         lines[f"acceptance-8/cmd{i:02d}"] = list(argv)
     lines["mixed-repeats/cmd00"] = list(MIXED_REPEATS)
     lines["large-fan/cmd00"] = list(LARGE_FAN)
+    lines["long-ring/cmd00"] = list(LONG_RING)
     for i, argv in enumerate(extra):
         lines[f"extra/cmd{i:02d}"] = list(argv)
     return lines
