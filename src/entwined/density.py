@@ -560,34 +560,44 @@ class SinusoidFit:
         return 2.0 * np.pi / self.period
 
 
-def _fit_at(omega: float, times: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """rms residual and coefficients (a, b, c) of the least-squares
-    a*sin(omega t) + b*cos(omega t) + c at one frequency.
+def _fit_at(times: np.ndarray, values: np.ndarray):
+    """The least-squares a*sin(omega t) + b*cos(omega t) + c as a function of
+    omega, returning its rms residual and (a, b, c).  A trial writes sin, cos
+    and the five products of the 3x3 normal equations into a 9 x N scratch
+    whose last two rows hold the values, sums its first eight rows in numpy's
+    fixed pairwise order (never a BLAS kernel's CPU-chosen one) and solves by
+    cofactors.  The rms comes from the explicit residual, not from
+    y.y - coef.rhs, which would lose the objective to cancellation."""
+    n = len(times)
+    rows = np.empty((9, n))  # sin, cos, sin^2, cos^2, sin cos, sin y, cos y, y, y
+    rows[7:] = values
+    s, c, resid, part, sc, _, _, y, _ = rows
+    pair, squares, cross, ys, summed = rows[0:2], rows[2:4], rows[5:7], rows[7:9], rows[:8]
+    mul, sub, total = np.multiply, np.subtract, np.add.reduce
 
-    ``rows`` is 4 x N scratch: the first two rows are overwritten with
-    sin(omega t) and cos(omega t), the last two hold ones and the values, so
-    one product gives the 3x3 normal matrix and its right-hand side.  They
-    are solved by cofactors.  The rms comes from the explicit residual, not
-    from y.y - coef.rhs, which would lose the objective to cancellation.
-    """
-    phase = omega * times
-    np.sin(phase, out=rows[0])
-    np.cos(phase, out=rows[1])
-    (g00, g01, g02, r0), (_, g11, g12, r1), (_, _, g22, r2), _ = (rows @ rows.T).tolist()
-    c00 = g11 * g22 - g12 * g12
-    c01 = g02 * g12 - g01 * g22
-    c02 = g01 * g12 - g02 * g11
-    det = g00 * c00 + g01 * c01 + g02 * c02
-    if not det > 0.0:
-        raise ValueError(f"singular normal equations at omega={omega!r}")
-    c11 = g00 * g22 - g02 * g02
-    c12 = g01 * g02 - g00 * g12
-    c22 = g00 * g11 - g01 * g01
-    coef = np.array([c00 * r0 + c01 * r1 + c02 * r2,
-                     c01 * r0 + c11 * r1 + c12 * r2,
-                     c02 * r0 + c12 * r1 + c22 * r2]) / det
-    resid = rows[3] - coef @ rows[:3]
-    return math.sqrt(resid @ resid / len(resid)), coef
+    def at(omega: float) -> tuple[float, tuple[float, float, float]]:
+        np.sin(mul(omega, times, out=resid), out=s)
+        np.cos(resid, out=c)
+        mul(pair, pair, out=squares)
+        mul(s, c, out=sc)
+        mul(pair, ys, out=cross)
+        g02, g12, g00, g11, g01, r0, r1, r2 = total(summed, axis=1).tolist()
+        c00 = g11 * n - g12 * g12
+        c01 = g02 * g12 - g01 * n
+        c02 = g01 * g12 - g02 * g11
+        det = g00 * c00 + g01 * c01 + g02 * c02
+        if not det > 0.0:
+            raise ValueError(f"singular normal equations at omega={omega!r}")
+        c11 = g00 * n - g02 * g02
+        c12 = g01 * g02 - g00 * g12
+        c22 = g00 * g11 - g01 * g01
+        coef = a, b, k = ((c00 * r0 + c01 * r1 + c02 * r2) / det, (c01 * r0 + c11 * r1 + c12 * r2) / det,
+                          (c02 * r0 + c12 * r1 + c22 * r2) / det)
+        sub(y, k, out=resid)
+        sub(resid, mul(s, a, out=part), out=resid)
+        sub(resid, mul(c, b, out=part), out=resid)
+        return math.sqrt(total(mul(resid, resid, out=part)) / n), coef
+    return at
 
 
 def _fft_bracket(times: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -689,9 +699,7 @@ def fit_sinusoid(times: np.ndarray, values: np.ndarray) -> SinusoidFit:
         raise ValueError("values must be finite")
     lo, hi = _fft_bracket(times, values)
 
-    rows = np.ones((4, len(times)))  # sin, cos, 1, values
-    rows[3] = values
-    omega, (rms, coef) = _brent(lambda omega: _fit_at(omega, times, rows), lo, hi)
+    omega, (rms, coef) = _brent(_fit_at(times, values), lo, hi)
     amp = float(np.hypot(coef[0], coef[1]))
     phase = float(np.arctan2(coef[1], coef[0]))
     return SinusoidFit(amplitude=amp, period=float(2.0 * np.pi / omega), phase=phase,
@@ -711,7 +719,7 @@ def best_lag(reference: np.ndarray, delayed: np.ndarray, max_lag: int) -> int:
         raise ValueError("max_lag leaves no overlap window")
     if len(delayed) < len(reference):
         raise ValueError("delayed is shorter than reference")
-    # row lag of the view is delayed[lag:lag + window]; int64 arithmetic, as one np.dot per lag was
+    # row lag of the view is delayed[lag:lag + window]; an int64 product runs numpy's own loop, not BLAS
     scores = sliding_window_view(delayed[:len(reference)], window) @ reference[:window]
     return int(np.argmax(scores))
 

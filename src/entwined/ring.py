@@ -171,8 +171,8 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
 
     Rows are aggregated into slices of ``slice_cells`` rows (default: 32
     slices) so each slice integrates enough world-line passes to expose the
-    spatial mode; the dominant mode maximizes time-averaged power, and its
-    phase across slices is fit linearly for the drift rate.
+    spatial mode; the dominant mode maximizes time-averaged power, and the
+    closed-form least-squares slope of its phase across slices is the drift.
     """
     data = field.adolescent
     if not data.any():
@@ -201,7 +201,8 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
         return RingMetrics(dominant_mode=dominant, phase_drift=0.0, mode_purity=purity,
                            n_slices=n_slices)
     phases = np.unwrap(np.angle(coef[live]))
-    slope, _ = np.polyfit(idx.astype(float), phases, 1)  # rad per slice
+    centred = idx - idx.mean()  # numpy sums in their fixed order, not a LAPACK kernel's
+    slope = (centred * (phases - phases.mean())).sum() / (centred * centred).sum()  # rad per slice
     if period_cells is not None:
         drift = float(slope * (period_cells / slice_cells))
     else:

@@ -10,9 +10,10 @@ a counting pass is summed over the same incidences.  Identity-frame
 counting is checked against an integer slab expansion, which bins in
 half-cell integers and never rounds, and framed counting against one that
 applies each frame in Fractions and rounds only in the final binning.  The sinusoid fit is checked
-against the same search with an SVD (``lstsq``) solve per trial frequency,
-and against the golden-section search it replaced; the channel lag against
-one ``np.dot`` per lag.  A ray's
+against the same search with each trial frequency's normal equations summed
+by ``math.fsum`` and solved exactly in Fractions, and against the
+golden-section search it replaced; the channel lag against one ``np.dot``
+per lag.  A ray's
 cord repeats are checked by trying repeats counts against the shared
 steady-window formula.  A path's continuity is checked by expanding it
 into its logical segments, one row each, and comparing every consecutive
@@ -311,13 +312,46 @@ def repeats_covering(ray, spec, counts):
     return repeats
 
 
-def _lstsq_residual(times, values):
-    """rms residual and coefficients of the fit at one frequency, by SVD."""
+def _solve3(gram, rhs):
+    """The exact solution, as Fractions, of the 3x3 system ``gram @ x = rhs``
+    of floats, by Cramer's rule in integers: every float is an integer over
+    a power of two, so one common power scales them all to integers."""
+    exact = [Fraction(v) for v in (*gram[0], *gram[1], *gram[2], *rhs)]
+    scale = max(f.denominator for f in exact)
+    m = [int(f * scale) for f in exact]
+    rows, b = [m[0:3], m[3:6], m[6:9]], m[9:12]
+
+    def det(g):
+        return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+                - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+                + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
+    whole = det(rows)
+    if whole == 0:
+        raise ValueError("singular normal equations")
+    return [Fraction(det([r[:i] + [v] + r[i + 1:] for r, v in zip(rows, b)]), whole) for i in range(3)]
+
+
+def exact_residual(times, values):
+    """rms residual and coefficients of the fit at one frequency, as a function
+    of omega: the normal equations of the sampled sin, cos and 1 summed by
+    ``math.fsum`` (each sum correctly rounded) and solved exactly
+    (``_solve3``), and the rms of the explicit residual summed by
+    ``math.fsum``.  No BLAS or LAPACK call is made, so no CPU changes a bit
+    of it."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+
+    def fsum(x):
+        return math.fsum(x.tolist())
+    n, y = len(times), fsum(values)
+
     def residual(omega: float):
-        basis = np.column_stack([np.sin(omega * times), np.cos(omega * times), np.ones_like(times)])
-        coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
-        resid = values - basis @ coef
-        return float(np.sqrt(np.mean(resid**2))), coef
+        s, c = np.sin(omega * times), np.cos(omega * times)
+        ss, sc, cc, sy, cy, s1, c1 = (fsum(s * s), fsum(s * c), fsum(c * c), fsum(s * values),
+                                      fsum(c * values), fsum(s), fsum(c))
+        coef = [float(x) for x in _solve3([[ss, sc, s1], [sc, cc, c1], [s1, c1, n]], [sy, cy, y])]
+        resid = values - coef[0] * s - coef[1] * c - coef[2]
+        return math.sqrt(fsum(resid * resid) / n), coef
     return residual
 
 
@@ -328,21 +362,23 @@ def _sinusoid_fit(omega, rms, coef):
 
 
 def fit_sinusoid_oracle(times, values):
-    """The sinusoid fit with an SVD per trial: ``fit_sinusoid``'s bracket and
-    Brent search with every trial frequency solved by ``np.linalg.lstsq``."""
+    """The sinusoid fit with an exact solve per trial: ``fit_sinusoid``'s
+    bracket and Brent search with every trial frequency solved by
+    ``exact_residual``."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     lo, hi = _fft_bracket(times, values)
-    omega, (rms, coef) = _brent(_lstsq_residual(times, values), lo, hi)
+    omega, (rms, coef) = _brent(exact_residual(times, values), lo, hi)
     return _sinusoid_fit(omega, rms, coef)
 
 
 def fit_sinusoid_golden(times, values):
-    """The sinusoid fit ``fit_sinusoid`` replaced, solved by SVD: a 90-step
-    golden-section search over 0.6-1.6 times the dominant FFT bin."""
+    """The sinusoid fit ``fit_sinusoid`` replaced, solved exactly
+    (``exact_residual``): a 90-step golden-section search over 0.6-1.6
+    times the dominant FFT bin."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    residual = _lstsq_residual(times, values)
+    residual = exact_residual(times, values)
     dt = times[1] - times[0]
     spec = np.abs(np.fft.rfft(values - values.mean()))
     spec[0] = 0.0

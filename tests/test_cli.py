@@ -2,7 +2,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -559,12 +563,72 @@ def test_outputs_byte_identical_across_thread_counts(tmp_path, experiment, flags
     assert trees[0] == trees[1]
 
 
+# the benchmark's carrier, fan and both rings, then acceptance 8's carrier, fan and ring
+CPU_LINES = (
+    ["carrier", "--n", "100", "--cords", "1000", "--repeats", "3"],
+    ["propagate", "--n", "50", "--cords", "60"],
+    ["ring", "--n", "20", "--cords", "30"],
+    ["ring", "--n", "20", "--cords", "30", "--speed-factor", "1.5"],
+    ["carrier", "--n", "10", "--cords", "20"],
+    ["propagate", "--n", "10", "--cords", "10", "--v-count", "5", "--n-periods", "3"],
+    ["ring", "--n", "8", "--cords", "8", "--cycles", "4"],
+)
+
+# each child runs the command lines above through cli.main, one --out each
+_CPU_RUNNER = """
+import contextlib, io, json, sys
+from entwined.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv + ["--out", f"out{i}"]) for i, argv in enumerate(json.loads(sys.argv[1]))]
+print(json.dumps(codes))
+"""
+
+
+def _kernel_choice_missing():
+    """Why forcing an OpenBLAS kernel selects nothing here, or None."""
+    if platform.machine() != "x86_64":
+        return f"OpenBLAS kernels are forced only on x86_64, not {platform.machine()}"
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return "numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build: its kernel is fixed"
+    return None
+
+
+_NO_KERNEL_CHOICE = _kernel_choice_missing()
+
+
+@pytest.mark.skipif(_NO_KERNEL_CHOICE is not None, reason=str(_NO_KERNEL_CHOICE))
+def test_outputs_byte_identical_across_cpu_kernels(tmp_path):
+    """The same command lines in child processes under the default kernels,
+    the OpenBLAS kernel of an AVX2 machine, and numpy without its AVX-512
+    loops write the same manifests, and so the same bytes: no number a run
+    writes passes through BLAS or LAPACK, whose kernels sum in a
+    CPU-dependent order."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    manifests = {}
+    for name, extra in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"}),
+                        ("no-avx512", {"NPY_DISABLE_CPU_FEATURES": "X86_V4"})):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run([sys.executable, "-c", _CPU_RUNNER, json.dumps(CPU_LINES)],
+                              cwd=tmp_path / name, env=dict(base, PYTHONPATH=src, **extra),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(CPU_LINES)
+        manifests[name] = [(tmp_path / name / f"out{i}" / "manifest.json").read_bytes()
+                           for i in range(len(CPU_LINES))]
+    for name in ("haswell", "no-avx512"):
+        for argv, want, got in zip(CPU_LINES, manifests["default"], manifests[name]):
+            assert got == want, f"{name}: {' '.join(argv)}"
+
+
 @pytest.mark.parametrize("experiment,flags", [
     ("carrier", ["--n", "6", "--cords", "8"]),
     ("propagate", ["--n", "8", "--cords", "6", "--v-count", "3", "--n-periods", "2"]),
     ("ring", ["--n", "8", "--cords", "6", "--cycles", "3"]),
-    # 1280 x 160 = 204,800 cells a channel: four formatter blocks of whole rows
-    pytest.param("ring", ["--n", "20", "--cords", "10", "--cycles", "2"], id="ring-4-blocks"),
+    # 1280 x 160 = 204,800 cells a channel: 13 formatter blocks of 102 whole rows (the last 56)
+    pytest.param("ring", ["--n", "20", "--cords", "10", "--cycles", "2"], id="ring-13-blocks"),
 ])
 def test_field_files_match_savetxt_of_their_values(tmp_path, experiment, flags):
     # two routes to the same bytes: the written field, and np.savetxt of the

@@ -19,7 +19,7 @@ from entwined.propagator import RaySpec, region_for_fan, write_region
 from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
 from test_propagator import fresh_ray
-from helpers import (best_lag_loop, channel_sign_bound, cord_fiber_offsets, expand_then_mask,
+from helpers import (best_lag_loop, channel_sign_bound, cord_fiber_offsets, exact_residual, expand_then_mask,
                      fit_sinusoid_golden, fit_sinusoid_oracle, incidences_exact, incidences_int,
                      int64_copy, profile_oracle, savetxt_bytes)
 
@@ -1208,16 +1208,18 @@ FIT_INPUTS = {"noisy-sweep": noisy_sweep, "fan-n20": fan_profiles,
 
 @pytest.mark.parametrize("inputs", FIT_INPUTS.values(), ids=FIT_INPUTS.keys())
 def test_fit_sinusoid_matches_the_lstsq_fit(inputs):
-    """The normal-equation fit against an SVD solve of every trial, with the
-    same bracket and search.  Worst deviations measured (omega, amplitude,
-    rms relative; offset over amplitude): the 40 draws here 2.6e-10, 6.0e-11,
-    3.0e-14, 1.6e-10; fan 4.6e-10, 1.1e-10, 1.1e-14, 2.1e-10; carrier 5.8e-10,
-    8.4e-11, 7.8e-15, 1.5e-10.  In 2000 draws of the sweep's distribution
-    (seeds 1 and 2) seven omegas deviated by more than 1e-9, the worst by
-    3.3e-9 at N=10, each as good a minimiser of the lstsq objective to its
-    rounding.  The spread is which trial wins in the flat bottom of the
-    objective, where the two solvers' rounding decides; the lstsq fit moves
-    as far when its times change by one ulp."""
+    """The normal-equation fit against the least-squares fit solved exactly
+    at every trial (``exact_residual``: sums by ``math.fsum``, the 3x3
+    system in Fractions), with the same bracket and search.  Worst
+    deviations measured (omega, amplitude, rms relative; offset over
+    amplitude): the 40 draws here 3.4e-10, 1.0e-10, 5.5e-14, 1.9e-10; fan
+    3.1e-10, 8.1e-11, 5.6e-15, 1.8e-10; carrier 5.9e-10, 9.4e-11, 4.8e-15,
+    1.6e-10.  In 2000 draws of the sweep's distribution (seeds 1 and 2)
+    three omegas deviated by more than 1e-9, the worst by 5.3e-9 at N=10,
+    each as good a minimiser of the exact objective to its rounding.  The
+    spread is which trial wins in the flat bottom of the objective, where
+    rounding decides; the exact fit moves as far when its times change by
+    one ulp."""
     for times, values in inputs():
         new, old = fit_sinusoid(times, values), fit_sinusoid_oracle(times, values)
         assert new.omega == pytest.approx(old.omega, rel=1e-9, abs=0)
@@ -1250,21 +1252,18 @@ def test_fit_sinusoid_finds_the_frequency_of_many_periods():
 
 def test_fit_sinusoid_stops_in_the_lstsq_minimum_where_it_is_flat():
     """The noisy n=10, M=5 carrier (rel_rms 9 %, 1.3 periods) has an objective
-    so flat that the two solvers stop 8.2e-10 apart in omega; the lstsq fit
-    itself moves up to 2.5e-9 when its times change by one ulp.  The new
-    omega is as good a minimiser of the lstsq objective as the old one, to
-    the objective's own rounding (each residual carries eps * max|values|)."""
-    def lstsq_rms(times, values, omega):
-        basis = np.column_stack([np.sin(omega * times), np.cos(omega * times), np.ones_like(times)])
-        coef, *_ = np.linalg.lstsq(basis, values, rcond=None)
-        return float(np.sqrt(np.mean((values - basis @ coef) ** 2)))
-
+    so flat that the fit and the exactly solved one (``exact_residual``)
+    stop 1.0e-9 apart in omega; the exact fit itself moves up to 2.7e-9
+    when its times change by one ulp.  The fit's omega is as good a
+    minimiser of the exact objective as the exact fit's, to the objective's
+    own rounding (each residual carries eps * max|values|)."""
     for times, values in carrier_profiles(5):
         new, old = fit_sinusoid(times, values), fit_sinusoid_oracle(times, values)
         assert new.omega == pytest.approx(old.omega, rel=1e-8, abs=0)
         assert new.rms_residual == pytest.approx(old.rms_residual, rel=1e-9, abs=0)
         rounding = 4 * np.finfo(float).eps * np.max(np.abs(values))
-        assert lstsq_rms(times, values, new.omega) <= lstsq_rms(times, values, old.omega) + rounding
+        exact_rms = exact_residual(times, values)
+        assert exact_rms(new.omega)[0] <= exact_rms(old.omega)[0] + rounding
 
 
 def test_fit_sinusoid_is_repeatable_and_solves_each_trial_once(monkeypatch):
@@ -1275,9 +1274,13 @@ def test_fit_sinusoid_is_repeatable_and_solves_each_trial_once(monkeypatch):
     solved = []
     solve = density._fit_at
 
-    def record(omega, times, rows):
-        solved.append(omega)
-        return solve(omega, times, rows)
+    def record(times, values):
+        at = solve(times, values)
+
+        def recorded(omega):
+            solved.append(omega)
+            return at(omega)
+        return recorded
 
     profiles = fan_profiles() + fan_profiles(50, 60, 6.0)
     monkeypatch.setattr(density, "_fit_at", record)
@@ -1328,9 +1331,8 @@ def test_singular_normal_equations_raise():
     """At omega = 2 pi / dt every sample sits at one phase: cos is exactly
     one, the column of the constant."""
     times = np.arange(64) * 0.1
-    rows = np.ones((4, len(times)))
     with pytest.raises(ValueError, match="singular"):
-        density._fit_at(2.0 * np.pi / 0.1, times, rows)
+        density._fit_at(times, np.ones_like(times))(2.0 * np.pi / 0.1)
 
 
 @pytest.mark.parametrize("offset, rel", [(0.0, 1e-12), (0.5, 1e-12), (0.25, 1e-7),
@@ -1340,9 +1342,9 @@ def test_fit_sinusoid_fits_a_nyquist_alternating_input(n, offset, rel):
     """5 * (-1)**k sits at the Nyquist frequency, where sin and cos of the
     samples are collinear.  On the lattice points (offset 0) and the cell
     centres (0.5) one of them vanishes and the fit gives amplitude 5 to
-    1e-15, as the lstsq fit does.  A quarter cell off, both are +-1/sqrt(2)
+    1e-15, as an SVD solve does.  A quarter cell off, both are +-1/sqrt(2)
     and the normal equations keep only about half the digits: amplitude
-    5 + 3e-8 at most (measured), rms 3e-8, where lstsq gives 5 to 1e-15;
+    5 + 3.4e-8 at most (measured), rms 3.4e-8, where an SVD gives 5 to 1e-15;
     times far from zero (373.3 and 1000.25 cells) keep as many.  The FFT
     bracket's top is capped at the Nyquist frequency: a bracket symmetric
     about it put the first trial on it, where the equations are singular

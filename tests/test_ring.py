@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,3 +201,31 @@ def test_metrics_on_uniform_single_slice_field():
     assert metrics.dominant_mode == 0
     assert metrics.phase_drift == 0.0
     assert math.isnan(metrics.mode_purity)
+
+
+def test_phase_drift_is_the_exact_least_squares_slope_of_the_slice_phases():
+    """Seeded mode-2 waves whose phase wanders from slice to slice, one slice
+    left empty: the drift is the least-squares slope of the live slices'
+    unwrapped phases against their indices, solved exactly in Fractions,
+    times the period in slices."""
+    rng = np.random.default_rng(27)
+    slices, x_cells = 24, 32
+    field = DensityField(0.1, 0, 0, 2 * slices, x_cells)
+    field.counts = field.counts.astype(np.int16)
+    x = np.arange(x_cells)
+    for k in range(slices):
+        phase = -0.35 * k + rng.normal(0.0, 0.2)
+        field.adolescent[2 * k:2 * k + 2] = np.rint(100.0 * np.cos(4.0 * np.pi * x / x_cells + phase))
+    field.adolescent[10:12] = 0
+    metrics = standing_wave_metrics(field, slice_cells=2, period_cells=5.0)
+    assert metrics.dominant_mode == 2 and metrics.n_slices == slices
+
+    coef = np.fft.rfft(field.adolescent.reshape(slices, 2, x_cells).sum(axis=1).astype(float), axis=1)[:, 2]
+    live = np.abs(coef) > 1e-12
+    idx = [Fraction(int(i)) for i in np.nonzero(live)[0]]
+    phases = [Fraction(p) for p in np.unwrap(np.angle(coef[live])).tolist()]
+    mean_i, mean_p = sum(idx) / len(idx), sum(phases) / len(phases)
+    slope = (sum((i - mean_i) * (p - mean_p) for i, p in zip(idx, phases))
+             / sum((i - mean_i) ** 2 for i in idx))
+    assert len(idx) == slices - 1
+    assert metrics.phase_drift == pytest.approx(float(slope * Fraction(5, 2)), rel=1e-13, abs=0)

@@ -1,5 +1,6 @@
-"""Tests of tools/same_bytes.py: the tree diff, the command-line list, and
-the exit codes its runner records from a stand-in ``entwined`` package.
+"""Tests of tools/same_bytes.py: the tree diff, the command-line list, the
+``--env`` flag, and the exit codes its runner records from a stand-in
+``entwined`` package.
 Imported by path, like tests/test_calibrate.py."""
 
 import importlib.util
@@ -83,7 +84,11 @@ def test_command_lines_cover_workloads_acceptance_and_extras(same_bytes):
 
 # a stand-in entwined package whose main exits, returns or raises by its argv
 _FAKE_CLI = """
+import os
+
 def main(argv):
+    if argv[0] == "env":
+        return int(os.environ.get("SAME_BYTES_TEST_CODE", "0"))
     if argv[0] == "raise":
         raise ValueError("a rule its owner did not catch")
     if argv[0] == "usage":
@@ -99,3 +104,25 @@ def test_runner_records_a_raising_command_as_its_own_code(same_bytes, tmp_path):
     assert codes == {"ok-t1": 0, "ok-t2": 0, "refused-t1": 2, "refused-t2": 2,
                      "usage-t1": 2, "usage-t2": 2,
                      "crash-t1": "raised ValueError", "crash-t2": "raised ValueError"}
+
+
+def test_env_flag_collects_name_value_pairs(same_bytes):
+    parser = same_bytes.build_parser()
+    args = parser.parse_args(["HEAD", "--env", "OPENBLAS_CORETYPE=Haswell", "--env", "A=x=y",
+                              "--env", "EMPTY="])
+    assert args.env == [("OPENBLAS_CORETYPE", "Haswell"), ("A", "x=y"), ("EMPTY", "")]
+    assert parser.parse_args(["HEAD"]).env == []
+    for bad in ("NOVALUE", "=1"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["HEAD", "--env", bad])
+
+
+def test_runner_sets_env_on_its_own_side_only(same_bytes, tmp_path, monkeypatch):
+    monkeypatch.delenv("SAME_BYTES_TEST_CODE", raising=False)
+    _write(tmp_path / "src", {"entwined/__init__.py": b"", "entwined/cli.py": _FAKE_CLI.encode()})
+    lines = {"env": ["env"]}
+    with_env = same_bytes.run_side(tmp_path / "src", tmp_path / "tree", lines,
+                                   [("SAME_BYTES_TEST_CODE", "3")])
+    without = same_bytes.run_side(tmp_path / "src", tmp_path / "ref", lines)
+    assert with_env == {"env-t1": 3, "env-t2": 3}
+    assert without == {"env-t1": 0, "env-t2": 0}

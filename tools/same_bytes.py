@@ -2,6 +2,7 @@
 """Check that the working tree writes the same output bytes as a git revision.
 
     python3 tools/same_bytes.py REF [--seed N] [--command "propagate --n 100 --cords 120"]
+                                    [--env OPENBLAS_CORETYPE=Haswell]
 
 Exports ``src/`` of REF with ``git archive`` into a temporary directory (the
 repository's checkout and worktree list are never touched), then runs the
@@ -14,6 +15,10 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
 - the n = 200, M = 240 ray fan, the most framed rows and cells of any line;
 - the 64-cycle ring, the tallest field, exported one row block at a time;
 - every ``--command`` given.
+
+Each ``--env NAME=VALUE`` sets one environment variable for the working
+tree's runs only, so that ``same_bytes.py HEAD --env OPENBLAS_CORETYPE=Haswell``
+compares the bytes of one source under two CPU kernels.
 
 Both sides write under the same relative ``--out``.  Every output file whose
 sha256 differs, or that only one side wrote, is printed, and so is every
@@ -118,12 +123,13 @@ def export_src(ref: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_side(src: Path, workdir: Path, lines: dict[str, list[str]]) -> dict[str, int]:
-    """Run every command line at --threads 1 and 2 from ``workdir``; exit codes by output dir."""
+def run_side(src: Path, workdir: Path, lines: dict[str, list[str]], env=()) -> dict[str, int]:
+    """Run every command line at --threads 1 and 2 from ``workdir``, with the
+    ``env`` (name, value) pairs added to the environment; exit codes by output dir."""
     workdir.mkdir(parents=True)
     argvs = {f"{out}-t{threads}": argv + ["--threads", threads, "--out", f"out/{out}-t{threads}"]
              for out, argv in lines.items() for threads in ("1", "2")}
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = {**os.environ, **dict(env), "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", _RUNNER, json.dumps(list(argvs.values()))],
                           cwd=workdir, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -131,19 +137,33 @@ def run_side(src: Path, workdir: Path, lines: dict[str, list[str]]) -> dict[str,
     return dict(zip(argvs, json.loads(proc.stdout.strip().splitlines()[-1])))
 
 
-def main(argv=None) -> int:
+def env_pair(text: str) -> tuple[str, str]:
+    """``NAME=VALUE`` as (name, value); the value may hold ``=`` and be empty."""
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git revision to compare against, e.g. HEAD")
     parser.add_argument("--seed", type=int, default=0, help="seed of the kernel-sweep draw")
     parser.add_argument("--command", action="append", default=[], metavar="ARGS",
                         help="one more entwined command line, quoted (repeatable)")
-    args = parser.parse_args(argv)
+    parser.add_argument("--env", action="append", default=[], type=env_pair, metavar="NAME=VALUE",
+                        help="environment variable for the working tree's runs only (repeatable)")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     lines = command_lines(args.seed, [shlex.split(c) for c in args.command])
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
         tmp = Path(tmp)
         ref_src = export_src(args.ref, tmp / "ref")
         codes = {"ref": run_side(ref_src, tmp / "ref-run", lines),
-                 "tree": run_side(ROOT / "src", tmp / "tree-run", lines)}
+                 "tree": run_side(ROOT / "src", tmp / "tree-run", lines, args.env)}
         bad_codes = [name for name in codes["ref"] if codes["ref"][name] != codes["tree"][name]]
         for name in bad_codes:
             print(f"exit code differs: {name}: {args.ref} {codes['ref'][name]}, "
