@@ -31,11 +31,13 @@ merged before the expansion: each distinct segment is expanded once, and
 each of its incidences scatter-adds its net signed weight (the sum of
 time_dir * w over its rows, which may cancel to 0) straight into the
 field's one store.  The store is the narrowest signed integer type, int8 to
-int64, that holds every count a pass can reach: before it scatters, each
-pass bounds it per channel, sign and time cell and widens the store once
-if it must, so counts are exact.  A pass whose summed |w| reaches 2**53
-raises, so every count also holds exactly as a float64, the type profiles
-and fits read it as.  Export writes a channel's text one row block at a time.
+int64, that holds every count a call can reach: before it scatters, each
+counting call plans all its passes (``accumulate`` makes one, a ray fan
+one per ray), bounds the counts per channel, sign and time cell and widens
+the store once if it must, so counts are exact.  A call whose summed |w|
+reaches 2**53 raises, so every count also holds exactly as a float64, the
+type profiles and fits read it as.  Export writes a channel's text one row
+block at a time.
 """
 
 from __future__ import annotations
@@ -240,32 +242,39 @@ def _slabs(k_lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(k_lo - starts, counts) + np.arange(int(counts.sum()))
 
 
-def _rows(segs: SegmentArray, cell: float, window=None):
-    """Row phase of the slab expansion of the frame-applied end points.
+def _slab_ranges(segs: SegmentArray, cell: float, window=None):
+    """Each stored row's first slab and slab count, from its frame-applied
+    t end points alone (``row_times``): the slabs its t span overlaps, and
+    at least the one it sits in (a frame of ``t_scale`` 0 maps a row to one
+    time).  Slab edges are binned by ``_snapped``.  ``window`` (t_lo, t_hi),
+    if given, then clamps each range to [t_lo, t_hi), so slabs outside it
+    are never expanded."""
+    t1, t2 = segs.row_times()
+    k_lo = _snapped(np.floor, np.minimum(t1, t2) / cell)
+    # exclusive; a row mapped to one time still covers the one slab it sits in
+    k_hi = np.maximum(_snapped(np.ceil, np.maximum(t1, t2) / cell), k_lo + 1)
+    if window is not None:
+        np.clip(k_lo, window[0], None, out=k_lo)
+        np.clip(k_hi, None, window[1], out=k_hi)
+    return k_lo, (k_hi - k_lo).clip(min=0)
 
-    Returns each stored row's first slab and slab count, and ``expand(a, b)``, which
-    gives the absolute (t_cell, x_cell) and the stored row of every (row,
-    covered time-cell) incidence of rows a..b-1.  Each row is the straight
-    line between its ``row_endpoints()``: a slab's x midpoint lies at
-    ``x1 + slope * (t_m - t1)``, ``slope = (x2 - x1) / (t2 - t1)`` (0 where
-    t2 == t1, so a row that a frame of ``t_scale`` 0 maps to one time bins
-    at x1 and covers the one slab it sits in).  Slab edges and x midpoints
-    are binned by ``_snapped``.  The slope's rounding error times a row's
-    length stays far below the ``1e-12*|s|`` tolerance, so identity frames
-    still bin exactly.  ``window`` (t_lo, t_hi), if given, clamps each row's
-    slab range to [t_lo, t_hi) after that one-slab rule, so slabs outside
-    it are never expanded.
+
+def _expander(segs: SegmentArray, cell: float, k_lo: np.ndarray, counts: np.ndarray):
+    """``expand(a, b)``, which gives the absolute (t_cell, x_cell) and the
+    stored row of every (row, covered time-cell) incidence of rows a..b-1,
+    row i covering ``counts[i]`` slabs from ``k_lo[i]``.
+
+    Each row is the straight line between its ``row_endpoints()``: a slab's
+    x midpoint lies at ``x1 + slope * (t_m - t1)``, ``slope = (x2 - x1) /
+    (t2 - t1)`` (0 where t2 == t1, so a row that a frame of ``t_scale`` 0
+    maps to one time bins at x1), with ``t_m`` the midpoint of the slab's
+    part of the row.  X midpoints are binned by ``_snapped``.  The slope's
+    rounding error times a row's length stays far below the ``1e-12*|s|``
+    tolerance, so identity frames still bin exactly.
     """
     x1, t1, x2, t2 = segs.row_endpoints()
     lo = np.minimum(t1, t2)
     hi = np.maximum(t1, t2)
-    k_lo = _snapped(np.floor, lo / cell)
-    # exclusive; a row mapped to one time still covers the one slab it sits in
-    k_hi = np.maximum(_snapped(np.ceil, hi / cell), k_lo + 1)
-    if window is not None:
-        np.clip(k_lo, window[0], None, out=k_lo)
-        np.clip(k_hi, None, window[1], out=k_hi)
-    counts = (k_hi - k_lo).clip(min=0)
     dt = t2 - t1
     slope = np.where(dt != 0, (x2 - x1) / np.where(dt == 0, 1.0, dt), 0.0)
 
@@ -285,7 +294,15 @@ def _rows(segs: SegmentArray, cell: float, window=None):
         s /= cell
         return k, _snapped(np.floor, s), np.repeat(np.arange(a, b), c)
 
-    return k_lo, counts, expand
+    return expand
+
+
+def _rows(segs: SegmentArray, cell: float, window=None):
+    """Row phase of the slab expansion of the frame-applied end points:
+    each stored row's first slab and slab count (``_slab_ranges``, cut to
+    ``window`` if given) and ``expand(a, b)`` over them (``_expander``)."""
+    k_lo, counts = _slab_ranges(segs, cell, window)
+    return k_lo, counts, _expander(segs, cell, k_lo, counts)
 
 
 def _incidences(segs: SegmentArray, cell: float, window=None):
@@ -370,118 +387,139 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
                         "pass the path's right envelope, right_envelope(path)")
     if envelope.rows:
         grouped = _distinct(envelope)
-        _count(field, envelope.subset(grouped[0]), grouped, clip)
+        _count(field, [(envelope.subset(grouped[0]), grouped)], clip)
     return field
 
 
-def _count(field: DensityField, segments: SegmentArray, grouped, clip: bool,
-           profile: np.ndarray | None = None) -> None:
-    """The counting pass of ``accumulate`` over segments already grouped.
+def _count(field: DensityField, passes, clip: bool, profiles=None) -> None:
+    """Count passes over segments already grouped into ``field``, under one
+    plan made before anything is scattered.
 
-    ``segments`` are distinct segments and ``grouped`` their ``(first,
-    signed, summed)`` as ``_distinct`` returns them: the stored row an
-    out-of-field error names, the net signed weight and the summed |w| of
-    each.  ``profile``, if given, is an int64 array of shape
-    (len(segments.frames), 2, field.t_cells): every incidence that lands in
-    the field is added to it too, at (frame_idx, channel, t), so it holds
-    the x-summed profile of each frame's segments.  The exact-sum limit, the block loop and the
-    undo on a raise cover the profile as they cover the field.
+    Each pass is ``(segments, (first, signed, summed))``: distinct segments
+    as ``_distinct`` groups them, with the stored row an out-of-field error
+    names, the net signed weight and the summed |w| of each.  ``profiles``,
+    if given, holds one int64 array of shape (2, field.t_cells) per pass:
+    every incidence of the pass that lands in the field is added to it too,
+    at (channel, t), so it holds that pass's x-summed profile.
+
+    The plan takes each pass's slab ranges from its t end points
+    (``_slab_ranges``), widens the store once for all the passes
+    (``_widen``) and decides once whether their summed |w| could reach the
+    exact-sum limit at all; if it could, the landed sum is carried from
+    pass to pass and raises OverflowError on reaching 2**53.  Then the
+    passes are expanded and scattered one after the other, so only one
+    pass's rows are expanded at a time.  A raise takes every block already
+    added, of every pass, back out of the field and the profiles.
     """
-    first, signed, summed = grouped
-    window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
-    k_lo, counts, expand = _rows(segments, field.cell, window)
-    left = segments.species != RIGHT_MOVER  # channel 1, senescent; right movers are 0, adolescent
-    _widen(field, k_lo, counts, signed, summed, left)
-    rows, cols = field.t_cells, field.x_cells
-    flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
-    # exact in the store's type: no landed |weight| passes the bound it was sized for
-    weights = signed.astype(flat.dtype)
-    # the channel is folded into the linear index, so one pass covers both
-    channel_offset = np.where(left, rows, 0)
-    if profile is not None:
-        profile_flat = profile.reshape(-1)  # a view, as for the field
-        frame_offset = segments.frame_idx.astype(np.int64) * (2 * rows)
-
-    def landing(a: int, b: int):
-        """Linear field index, linear profile index (None without a
-        profile) and segment of every incidence of segments a..b-1 that
-        lands in the field."""
-        k, j, idx = expand(a, b)
-        k -= field.t0_cell
-        j -= field.x0_cell
-        col = np.mod(j, cols) if field.wrap_x else j
-        ok = (k >= 0) & (k < rows) & (col >= 0) & (col < cols)
-        if not ok.all():
-            if not clip:
-                bad = int(np.flatnonzero(~ok)[0])
-                raise ValueError(
-                    f"stored row {int(first[idx[bad]])} writes outside the field at cell "
-                    f"(t={int(k[bad]) + field.t0_cell}, x={int(j[bad]) + field.x0_cell}); "
-                    "pass clip=True to drop it"
-                )
-            k, col, idx = k[ok], col[ok], idx[ok]
-        lin = k  # built in place
-        lin += channel_offset[idx]
-        at = lin + frame_offset[idx] if profile is not None else None
-        lin *= cols
-        lin += col
-        return lin, at, idx
-
-    def scatter(ufunc, lin, at, idx):
-        ufunc.at(flat, lin, weights[idx])
-        if at is not None:
-            ufunc.at(profile_flat, at, signed[idx])
-
+    cell, rows, cols = field.cell, field.t_cells, field.x_cells
+    window = (field.t0_cell, field.t0_cell + rows) if clip else None
+    plan = []  # per pass: k_lo, counts, signed, summed, left
+    for segments, (_, signed, summed) in passes:
+        # left: channel 1, senescent; right movers are 0, adolescent
+        plan.append((*_slab_ranges(segments, cell, window), signed, summed,
+                     segments.species != RIGHT_MOVER))
+    _widen(field, plan)
     # exact sums only where the summed |w| could reach the limit at all
-    summing = int(summed.max()) * int(counts.sum()) >= _EXACT_LIMIT
+    summing = (max(int(summed.max()) for _, _, _, summed, _ in plan)
+               * sum(int(counts.sum()) for _, counts, _, _, _ in plan) >= _EXACT_LIMIT)
+    flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
+    views = [None] * len(passes) if profiles is None else [p.reshape(-1) for p in profiles]
+
+    def land(p: int, ufunc, stop=None):
+        """Scatter the incidences of pass ``p``'s segments 0..stop-1 that
+        land in the field with ``ufunc``, one block at a time, and yield
+        each block's end segment and the segment of each landed incidence
+        once the block is scattered."""
+        (segments, (first, _, _)), (k_lo, counts, signed, _, left) = passes[p], plan[p]
+        expand = _expander(segments, cell, k_lo, counts)
+        # exact in the store's type: no landed |weight| passes the bound it was sized for
+        weights = signed.astype(flat.dtype)
+        # the channel is folded into the linear index, so one scatter covers both
+        channel_offset = np.where(left, rows, 0)
+
+        def scatter(a: int, b: int) -> np.ndarray:
+            """Scatter the landing incidences of segments a..b-1; return
+            their segments.  Its other block arrays die on return, so the
+            next block's expansion does not overlap them."""
+            k, j, idx = expand(a, b)
+            k -= field.t0_cell
+            j -= field.x0_cell
+            col = np.mod(j, cols) if field.wrap_x else j
+            ok = (k >= 0) & (k < rows) & (col >= 0) & (col < cols)
+            if not ok.all():
+                if not clip:
+                    bad = int(np.flatnonzero(~ok)[0])
+                    raise ValueError(
+                        f"stored row {int(first[idx[bad]])} writes outside the field at cell "
+                        f"(t={int(k[bad]) + field.t0_cell}, x={int(j[bad]) + field.x0_cell}); "
+                        "pass clip=True to drop it"
+                    )
+                k, col, idx = k[ok], col[ok], idx[ok]
+            lin = k  # built in place
+            lin += channel_offset[idx]
+            if views[p] is not None:
+                ufunc.at(views[p], lin, signed[idx])
+            lin *= cols
+            lin += col
+            ufunc.at(flat, lin, weights[idx])
+            return idx
+
+        for a, b in _blocks(counts[:stop]):
+            yield b, scatter(a, b)
+
     total = 0
-    landed = 0  # segments 0..landed-1 are added into the field
+    landed = []  # segments 0..landed[p]-1 of pass p are added into the field
     try:
-        for a, b in _blocks(counts):
-            lin, at, idx = landing(a, b)
-            if summing:
-                total += sum(summed[idx].tolist())  # Python ints: exact
-            scatter(np.add, lin, at, idx)
-            landed = b
-        if total >= _EXACT_LIMIT:
-            raise OverflowError(f"summed segment weight {total} reaches 2**53; "
-                                "counts past it would not be exact as float64")
+        for p, (_, _, _, summed, _) in enumerate(plan):
+            landed.append(0)
+            for b, idx in land(p, np.add):
+                if summing:
+                    total += sum(summed[idx].tolist())  # Python ints: exact
+                landed[p] = b
+            if total >= _EXACT_LIMIT:
+                raise OverflowError(f"summed segment weight {total} reaches 2**53; "
+                                    "counts past it would not be exact as float64")
     except BaseException:
         # integer adds are exact (modulo the type's range), so taking the
         # landed blocks back out restores every cell
-        for a, b in _blocks(counts[:landed]):
-            scatter(np.subtract, *landing(a, b))
+        for p, stop in enumerate(landed):
+            for _ in land(p, np.subtract, stop):
+                pass
         raise
 
 
-def _widen(field: DensityField, k_lo: np.ndarray, counts: np.ndarray, signed: np.ndarray,
-           summed: np.ndarray, left: np.ndarray) -> None:
+def _widen(field: DensityField, passes) -> None:
     """Widen ``field.counts`` to the narrowest of ``_WIDTHS`` that holds
-    every |count| a pass over segments of first slab ``k_lo``, slab count
-    ``counts``, net weight ``signed``, summed |w| ``summed`` and channel
-    ``left`` (True for senescent) can reach: the largest |count| held plus
-    the largest sum, over (channel, sign, time cell), of the |net weight| of
-    the segments of that channel and sign whose slab range covers the cell.
-    It holds as a segment adds at most one incidence per time cell, wrapped
-    in x or not: a pass adds P - N to a cell, P and N sums of positive and
-    negative weights within it, and |P - N| <= max(P, N).  Where those sums
-    could wrap int64, the store becomes int64; a store of zeros is
-    allocated anew, never cast.
+    every |count| the ``passes`` can reach, each given as its segments'
+    first slab ``k_lo``, slab count ``counts``, net weight ``signed``,
+    summed |w| ``summed`` and channel ``left`` (True for senescent): the
+    largest |count| held plus the largest sum, over (channel, sign, time
+    cell), of the |net weight| of the segments of every pass of that
+    channel and sign whose slab range covers the cell.  It holds as a
+    segment adds at most one incidence per time cell, wrapped in x or not:
+    the passes add P - N to a cell, P and N sums of positive and negative
+    weights within it, and |P - N| <= max(P, N).  Where those sums could
+    wrap int64, the store becomes int64; a store of zeros is allocated anew,
+    never cast.  Called once before anything is scattered, so the store is
+    replaced at most once however many passes follow.
     """
     store = field.counts
     if store.dtype == np.int64:
         return
     held = max(-int(store.min()), int(store.max()))
     bound = 2 ** 63 - 1
-    if int(summed.max()) * len(summed) < 2 ** 63:  # no running sum of |signed| wraps
+    segments = sum(len(summed) for _, _, _, summed, _ in passes)
+    if max(int(summed.max()) for _, _, _, summed, _ in passes) * segments < 2 ** 63:
+        # no running sum of |signed| wraps
         span = field.t_cells + 1  # differences over the t cells, one run per (channel, sign)
         diff = np.zeros(4 * span, dtype=np.int64)
-        size = np.abs(signed)
-        for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
-            at = np.clip(ends - field.t0_cell, 0, field.t_cells)
-            np.add(at, span, out=at, where=signed < 0)  # in place: no per-segment key
-            np.add(at, 2 * span, out=at, where=left)
-            ufunc.at(diff, at, size)
+        for k_lo, counts, signed, _, left in passes:
+            size = np.abs(signed)
+            for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
+                at = np.clip(ends - field.t0_cell, 0, field.t_cells)
+                np.add(at, span, out=at, where=signed < 0)  # in place: no per-segment key
+                np.add(at, 2 * span, out=at, where=left)
+                ufunc.at(diff, at, size)
         bound = held + int(np.cumsum(diff.reshape(4, span), axis=1).max())
     dtype = np.dtype(next(d for d in _WIDTHS if np.iinfo(d).max >= bound))
     if dtype.itemsize > store.itemsize:  # never narrowed: the caller's store stays

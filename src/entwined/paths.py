@@ -55,9 +55,13 @@ class Frame:
     def apply(self, x_internal, t_internal):
         """Map internal-unit coordinates to output coords; coordinates and
         fields may be arrays (one value per coordinate) or scalars."""
-        t = self.t_scale * np.asarray(t_internal, dtype=float) + self.t0
+        t = self.time(t_internal)
         x = self.x_scale * np.asarray(x_internal, dtype=float) + self.drift * t + self.x0
         return x, t
+
+    def time(self, t_internal):
+        """The output t of ``apply``, which needs no x."""
+        return self.t_scale * np.asarray(t_internal, dtype=float) + self.t0
 
 
 def _refuse_rows(name: str, values: np.ndarray, bad: np.ndarray, rule: str) -> None:
@@ -240,17 +244,27 @@ class SegmentArray:
         idx = self.expand_index()
         return tuple(e[idx] for e in self.row_endpoints())
 
+    def _row_frame(self) -> Frame:
+        """The frame of every stored row: several frames apply as one
+        ``Frame`` of per-row fields gathered by ``frame_idx``."""
+        if len(self.frames) == 1:
+            return self.frames[0]
+        return Frame(**{field.name: np.array([getattr(f, field.name) for f in self.frames])
+                        [self.frame_idx] for field in fields(Frame)})
+
     def row_endpoints(self):
-        """Frame-applied (x1, t1, x2, t2) float arrays, one entry per stored row;
-        several frames apply as one ``Frame`` of per-row fields gathered by ``frame_idx``."""
+        """Frame-applied (x1, t1, x2, t2) float arrays, one entry per stored row."""
         half = self.lattice.half
-        frame = self.frames[0]
-        if len(self.frames) > 1:
-            frame = Frame(**{field.name: np.array([getattr(f, field.name) for f in self.frames])
-                             [self.frame_idx] for field in fields(Frame)})
+        frame = self._row_frame()
         x1, t1 = frame.apply(self.x1 * half, self.t1 * half)
         x2, t2 = frame.apply(self.x2 * half, self.t2 * half)
         return x1, t1, x2, t2
+
+    def row_times(self):
+        """The frame-applied (t1, t2) of ``row_endpoints``, no x computed."""
+        half = self.lattice.half
+        frame = self._row_frame()
+        return frame.time(self.t1 * half), frame.time(self.t2 * half)
 
 
 class EntwinedPath:

@@ -9,9 +9,10 @@ rate:
 
 A ray is written by retuning a cable so its loop period matches
 2*pi/omega(v), shearing it onto the ray, and accumulating its counted
-segments.  A region is written by counting a whole fan of such rays in one
-pass, as one array with a frame per ray, and comparing each ray's density
-profile, gathered in the same pass, against the analytic frequency law.
+segments.  A region is written by counting a whole fan of such rays into
+one field, one ray at a time under one plan made before anything is
+scattered, and comparing each ray's density profile, gathered as its ray
+is counted, against the analytic frequency law.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from .density import (DensityField, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil, _cell_floor,
                       _count, _distinct)
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import (EntwinedPath, Frame, SegmentArray, build_cable, cable_steady_window,
-                    cable_counts, with_frame)
+from .paths import EntwinedPath, Frame, build_cable, cable_steady_window, cable_counts, with_frame
 
 
 def analytic_kernel(x, t, mass: float):
@@ -137,9 +137,10 @@ def region_time_cells(region: RegionSpec) -> tuple[int, int]:
     writes ``region`` into: its t range floored and ceiled to whole cells.
 
     Raises ``SpecError`` when they are fewer than each ray's sinusoid fit
-    takes, past the int64 range of a cell index, or when the field's two
-    channels in int64, the widest store counting may need, would pass the
-    largest array numpy can allocate, before anything is built.
+    takes or than its channel-lag search reads (``_max_lag``), past the
+    int64 range of a cell index, or when the field's two channels in int64,
+    the widest store counting may need, would pass the largest array numpy
+    can allocate, before anything is built.
     """
     cell = region.lattice.cell_physical
     try:  # the end lies past the start, so it overflows whenever the start does
@@ -151,6 +152,13 @@ def region_time_cells(region: RegionSpec) -> tuple[int, int]:
     if t_cells < _FIT_SAMPLES:
         raise SpecError([f"n_periods: the window spans only {t_cells} time cells; a sinusoid fit "
                          f"needs at least {_FIT_SAMPLES} (increase n_periods or the lattice's n)"])
+    # the ray of largest |v| has the lowest frequency, so its lag search reads the most cells
+    v = max(region.ray_fan, key=abs, default=0.0)
+    lag = _max_lag(reduced_frequency(v, region.lattice.mass), cell)
+    if t_cells <= lag:
+        raise SpecError([f"n_periods: the window spans only {t_cells} time cells; the channel lag of "
+                         f"the ray at v = {v!r} is searched over {lag} cells and needs at "
+                         f"least {lag + 1} (increase n_periods)"])
     size = 2 * t_cells * x_cells * np.dtype(np.int64).itemsize
     if size > np.iinfo(np.intp).max:
         raise SpecError([f"n_periods: too large: the field of {t_cells} x {x_cells} cells takes "
@@ -246,6 +254,13 @@ class RegionResult:
         return max(r.rel_rms for r in self.reports)
 
 
+def _max_lag(omega: float, cell: float) -> int:
+    """Most cells ``_ray_report`` shifts a ray's senescent profile by in its
+    channel-lag search: one carrier period, 2*pi/omega, in cells, plus 2.
+    ``best_lag`` needs more time cells than that."""
+    return int(2.0 * np.pi / omega / cell) + 2
+
+
 def _ray_report(ray: RaySpec, profile: np.ndarray, field: DensityField) -> RayReport:
     """Fit the ray's x-summed profile against the frequency law.
 
@@ -255,8 +270,7 @@ def _ray_report(ray: RaySpec, profile: np.ndarray, field: DensityField) -> RayRe
     ado, sen = profile
     fit = fit_sinusoid(field.t_centers(), ado.astype(float))
     period_cells = 2.0 * np.pi / ray.omega / field.cell
-    max_lag = int(period_cells) + 2
-    lag = best_lag(ado, sen, max_lag)
+    lag = best_lag(ado, sen, _max_lag(ray.omega, field.cell))
     return RayReport(
         v=ray.v,
         omega_expected=ray.omega,
@@ -275,19 +289,20 @@ def write_region(region: RegionSpec, M: int) -> RegionResult:
     distinct ``ray_repeats`` count (one for most fans), before any ray is
     written, and its counted rows are grouped once into distinct segments
     (``density._distinct``).  Each ray's frame comes from ``write_ray``, and
-    the distinct segments of its cable are tiled across the rays' frames,
-    in fan order, as one multi-frame array whose ``frame_idx`` is the ray's
-    index.  That array is counted in one pass straight into the region
-    field, and each landed incidence is also added to its ray's row of an
-    x-summed profile, from which that ray's report is fitted.
-    A t window of fewer time cells than a ray's fit takes raises
-    ``SpecError`` (``region_time_cells``) before any cable is built.
-    Cells outside the region are clipped silently (cables overhang the
-    window by construction).  A report sees only what of its ray lands
-    inside the x window: ``region_for_fan`` pads that window so no ray is
-    clipped in x, but a hand-built ``RegionSpec`` narrower than its rays
-    gets profiles of the part inside.  The exact-sum limit of the counting
-    pass covers the whole fan.
+    each ray is one counting pass (``density._count``): the distinct
+    segments of its cable under its own frame, counted straight into the
+    region field, with each landed incidence also added to the ray's own
+    (2, t_cells) x-summed profile, from which its report is fitted.  The
+    rays are counted in fan order, one at a time, under one plan made
+    before the first scatter: the store is widened once for the whole fan,
+    and the exact-sum limit covers the whole fan.
+    A t window of fewer time cells than a ray's fit takes, or than its
+    channel-lag search reads, raises ``SpecError`` (``region_time_cells``)
+    before any cable is built.  Cells outside the region are clipped
+    silently (cables overhang the window by construction).  A report sees
+    only what of its ray lands inside the x window: ``region_for_fan`` pads
+    that window so no ray is clipped in x, but a hand-built ``RegionSpec``
+    narrower than its rays gets profiles of the part inside.
     """
     if not region.ray_fan:
         raise ValueError("ray fan is empty")
@@ -308,16 +323,13 @@ def write_region(region: RegionSpec, M: int) -> RegionResult:
         counted = cables[r].segs.counted()
         grouped[r] = _distinct(counted)
         distinct[r] = counted.subset(grouped[r][0])
-    frames = tuple(write_ray(ray, cables[r]).segs.frames[0] for ray, r in zip(rays, repeats))
+    frames = [write_ray(ray, cables[r]).segs.frames[0] for ray, r in zip(rays, repeats)]
     # only the distinct counted rows are counted: the connectors and the
     # repeated rows do not stay alive for the whole fan
     del cables
-    segments = SegmentArray.stack([distinct[r].reframed(np.full(distinct[r].rows, i), frames)
-                                   for i, r in enumerate(repeats)], frames)
-    # (first, signed, summed) of every ray's segments, in the same order
-    tiled = tuple(np.concatenate([grouped[r][k] for r in repeats]) for k in range(3))
+    passes = [(distinct[r].reframed(0, (frame,)), grouped[r]) for frame, r in zip(frames, repeats)]
     profiles = np.zeros((len(rays), 2, t_cells), dtype=np.int64)
-    _count(field, segments, tiled, clip=True, profile=profiles)
+    _count(field, passes, clip=True, profiles=profiles)
     reports = tuple(_ray_report(ray, p, field) for ray, p in zip(rays, profiles))
     return RegionResult(field=field, reports=reports)
 

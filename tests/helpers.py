@@ -3,10 +3,12 @@
 These deliberately avoid the library's path/accumulation machinery: the
 chessboard oracle walks explicit step tuples, the profile oracle stamps
 the closed-form single-loop density directly onto cell arrays, and field
-text is checked against numpy's own ``savetxt``.  The one exception checks
-clipped counting: it takes the library's slab expansion with no window,
-masks it afterwards and adds it up with ``np.add.at``; the store bound of
-a counting pass is summed over the same incidences.  Identity-frame
+text is checked against numpy's own ``savetxt``.  The exceptions check
+counting against itself: clipped counting against the library's slab
+expansion with no window, masked afterwards and added up with
+``np.add.at``; the store bound of a counting pass, summed over the same
+incidences; and a fan counted one ray at a time against the whole fan
+stacked into one multi-frame array and counted by ``accumulate``.  Identity-frame
 counting is checked against an integer slab expansion, which bins in
 half-cell integers and never rounds, and framed counting against one that
 applies each frame in Fractions and rounds only in the final binning.  The sinusoid fit is checked
@@ -27,8 +29,11 @@ from itertools import product
 
 import numpy as np
 
-from entwined.density import SinusoidFit, _brent, _fft_bracket, _incidences, _slabs
-from entwined.paths import _JOIN_ULPS, RIGHT_MOVER, cable_steady_window
+from entwined.density import (DensityField, SinusoidFit, _brent, _cell_ceil, _cell_floor,
+                              _fft_bracket, _incidences, _slabs, accumulate)
+from entwined.paths import (_JOIN_ULPS, RIGHT_MOVER, SegmentArray, build_cable,
+                            cable_steady_window, right_envelope)
+from entwined.propagator import RaySpec, ray_repeats, write_ray
 
 
 def continuity_by_expansion(path):
@@ -162,6 +167,34 @@ def int64_copy(field):
     out = field.copy()
     out.counts = out.counts.astype(np.int64)
     return out
+
+
+def one_pass_fan(region, M):
+    """A fan counted the one-pass way: each ray's counted rows, framed by
+    ``write_ray`` on a cable built for that ray alone, stacked into one
+    multi-frame array whose ``frame_idx`` is the ray's index and counted by
+    one clipped ``accumulate`` into an int64 field of the region's cells.
+    A ray's (2, t_cells) profile is its own rows counted the same way alone
+    and summed over x.  Returns the field and the (rays, 2, t_cells)
+    profiles."""
+    lattice = region.lattice
+    cell = lattice.cell_physical
+    t0 = _cell_floor(region.t_range[0], cell)
+    x0 = _cell_floor(region.x_range[0], cell)
+    shape = (cell, t0, x0, _cell_ceil(region.t_range[1], cell) - t0,
+             _cell_ceil(region.x_range[1], cell) - x0)
+    envelopes = []
+    for v in region.ray_fan:
+        ray = RaySpec.from_velocity(v, lattice.mass, region.t_range)
+        cable = build_cable((0.0, 0.0), lattice, M=M, repeats=ray_repeats(ray, lattice, M))
+        envelopes.append(right_envelope(write_ray(ray, cable)))
+    frames = [envelope.frames[0] for envelope in envelopes]
+    stacked = SegmentArray.stack([envelope.reframed(i, frames)
+                                  for i, envelope in enumerate(envelopes)], frames)
+    field = accumulate(int64_copy(DensityField(*shape)), stacked, clip=True)
+    profiles = np.stack([accumulate(int64_copy(DensityField(*shape)), envelope, clip=True)
+                         .counts.sum(axis=2) for envelope in envelopes])
+    return field, profiles
 
 
 def expand_then_mask(field, envelope):

@@ -204,6 +204,9 @@ _RING_TOO_SHORT = ("error: ring.cycles: one wrap spans 43 cells, more than the 1
                    "(cycles = 1)\n")
 _WINDOW_TOO_SHORT = ("error: propagate.n_periods: the window spans only {} time cells; a sinusoid "
                      "fit needs at least 8 (increase n_periods or the lattice's n)\n")
+_LAG_TOO_LONG = ("error: propagate.n_periods: the window spans only {} time cells; the channel "
+                 "lag of the ray at v = -0.25 is searched over {} cells and needs at least {} "
+                 "(increase n_periods)\n")
 
 
 def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
@@ -221,7 +224,9 @@ def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
     ("ring", "[lattice]\nn = 4\n[ring]\nm_cords = 1\ncycles = 1\nmode = 3\n", _RING_TOO_SHORT),
     ("propagate", "[lattice]\nn = 2\n[propagate]\nm_cords = 1\nn_periods = 0.1\n",
      _WINDOW_TOO_SHORT.format(1)),
-], ids=["carrier", "ring", "propagate"])
+    ("propagate", "[lattice]\nn = 10\n[propagate]\nm_cords = 10\nn_periods = 1.1\n",
+     _LAG_TOO_LONG.format(22, 22, 23)),
+], ids=["carrier", "ring", "propagate", "propagate-lag"])
 def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, experiment, ini, message):
     config = tmp_path / "run.ini"
     config.write_text(ini)
@@ -241,6 +246,28 @@ def test_validate_refuses_a_window_one_cell_short_of_a_fit(tmp_path, n_periods, 
     assert validate(load_config("propagate", None, overrides)) == problems
     argv = ["propagate", "--n", "2", "--cords", "1", "--n-periods", str(n_periods)]
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == status
+
+
+@pytest.mark.parametrize("n, cords, n_periods, message", [
+    (10, 10, 1.0, _LAG_TOO_LONG.format(20, 22, 23)),
+    (10, 10, 1.1, _LAG_TOO_LONG.format(22, 22, 23)),
+    (10, 10, 1.2, None),
+    (50, 60, 1.05, _LAG_TOO_LONG.format(105, 105, 106)),
+], ids=["n10-1.0", "n10-1.1", "n10-1.2", "n50-1.05"])
+def test_validate_refuses_a_window_no_longer_than_the_slowest_rays_lag_search(
+        tmp_path, capsys, n, cords, n_periods, message):
+    # each window holds the 8 samples a fit needs; the slowest rays, v = +-0.25,
+    # shift their senescent profile by up to int(2*pi/omega/cell) + 2 cells,
+    # and best_lag needs one cell more than that
+    overrides = {("lattice", "n"): n, ("propagate", "m_cords"): cords,
+                 ("propagate", "n_periods"): n_periods}
+    expected = [] if message is None else [message.removeprefix("error: ").rstrip()]
+    assert validate(load_config("propagate", None, overrides)) == expected
+    out = tmp_path / "out"
+    argv = ["propagate", "--n", str(n), "--cords", str(cords), "--n-periods", str(n_periods)]
+    assert run_cli(argv + ["--out", str(out)]) == (0 if message is None else 2)
+    assert capsys.readouterr().err == ("" if message is None else message)
+    assert out.exists() == (message is None)
 
 
 @pytest.mark.parametrize("argv, status, message", [
@@ -340,6 +367,10 @@ _BAD_VALUES = {
     "propagate-window-rounds": (
         "propagate", {("propagate", "start_periods"): 1e20}, "propagate",
         lambda: region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11), 1e20, 6.0)),
+    "propagate-lag-window": (
+        "propagate", {("propagate", "n_periods"): 1.1}, "propagate",
+        lambda: region_time_cells(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),
+                                                 2.0, 1.1))),
     "propagate-field-size": (
         "propagate", {("propagate", "n_periods"): 1e16}, "propagate",
         lambda: region_time_cells(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),

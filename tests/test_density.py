@@ -362,6 +362,21 @@ def test_counting_allocates_no_field_sized_temporary(monkeypatch):
     assert peaks[1] < field.counts.nbytes + block
 
 
+def test_the_fan_count_expands_one_ray_at_a_time():
+    # the ray-fan workload, propagate --n 50 --cords 60: its 1.26 MB int16
+    # store, the int8 store it replaces and one block's expansion; the fan's
+    # 11 x 1,750 segments expanded together, as one stacked array, traced 5.47 MB
+    region = region_for_fan(LatticeSpec(n=50), propagator.velocity_fan(-0.25, 0.25, 11))
+    tracemalloc.start()
+    try:
+        result = write_region(region, M=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.field.counts.nbytes == 1_262_400
+    assert peak < 4 * 2 ** 20
+
+
 # --- the store's width ----------------------------------------------------
 
 
@@ -486,22 +501,24 @@ def test_ring_modes_stores_are_int8_and_count_as_int64(factor, bound, monkeypatc
 
 
 def test_ray_fan_store_is_int16_and_counts_as_int64(monkeypatch):
-    # the ray-fan workload, propagate --n 50 --cords 60: its one counting pass
+    # the ray-fan workload, propagate --n 50 --cords 60: one pass per ray, all
+    # counted again into an int64 copy of the store
     count = propagator._count
     twins = []
 
-    def twice(field, segments, grouped, clip, profile):
-        twins.append((int64_copy(field), profile.copy(), profile))
-        count(twins[-1][0], segments, grouped, clip, profile=twins[-1][1])
-        count(field, segments, grouped, clip, profile=profile)
+    def twice(field, passes, clip, profiles):
+        twins.append((int64_copy(field), profiles.copy(), profiles))
+        count(twins[-1][0], passes, clip, profiles=twins[-1][1])
+        count(field, passes, clip, profiles=profiles)
 
     monkeypatch.setattr(propagator, "_count", twice)
     lattice = LatticeSpec(n=50)
     result = write_region(region_for_fan(lattice, propagator.velocity_fan(-0.25, 0.25, 11)), M=60)
-    (wide, wide_profile, profile), = twins
-    assert result.field.counts.dtype == np.int16 and profile.dtype == np.int64
+    (wide, wide_profiles, profiles), = twins
+    assert len(profiles) == 11
+    assert result.field.counts.dtype == np.int16 and profiles.dtype == np.int64
     assert np.array_equal(result.field.counts, wide.counts)
-    assert np.array_equal(profile, wide_profile)
+    assert np.array_equal(profiles, wide_profiles)
 
 
 def test_carrier_large_store_is_int32_and_counts_as_int64():
@@ -696,11 +713,11 @@ def test_any_error_after_blocks_landed_leaves_the_field_unchanged(case, monkeypa
     # again and subtracted
     set_block(monkeypatch, 7)
     env, field = case()
-    rows = density._rows
+    expander = density._expander
     expanded = []
 
-    def failing_rows(*args):
-        k_lo, counts, expand = rows(*args)
+    def failing_expander(*args):
+        expand = expander(*args)
 
         def expand_or_fail(a, b):
             expanded.append((a, b))
@@ -708,9 +725,9 @@ def test_any_error_after_blocks_landed_leaves_the_field_unchanged(case, monkeypa
                 raise MemoryError("third block")
             return expand(a, b)
 
-        return k_lo, counts, expand_or_fail
+        return expand_or_fail
 
-    monkeypatch.setattr(density, "_rows", failing_rows)
+    monkeypatch.setattr(density, "_expander", failing_expander)
     assert _raises_and_leaves_unchanged(_filled(field), env, MemoryError) == "third block"
     assert expanded[3:] == expanded[:2]
 

@@ -307,16 +307,18 @@ def test_the_fans_framed_rows_take_their_signs_from_their_steps(monkeypatch):
     counted = []
     count = propagator._count
 
-    def spy(field, segments, *args, **kwargs):
-        counted.append(segments)
-        return count(field, segments, *args, **kwargs)
+    def spy(field, passes, *args, **kwargs):
+        counted.extend(segments for segments, _ in passes)
+        return count(field, passes, *args, **kwargs)
 
     monkeypatch.setattr(propagator, "_count", spy)
     lattice = LatticeSpec.for_mass(10, mass=1.0)
     propagator.write_region(propagator.region_for_fan(lattice, (-0.2, 0.0, 0.3), n_periods=3.0), 5)
-    (segments,) = counted
-    assert len(segments.frames) == 3
-    _assert_signs_of_the_steps(segments)
+    # one pass per ray, each under its own frame
+    assert len(counted) == 3
+    assert len({frame for segments in counted for frame in segments.frames}) == 3
+    for segments in counted:
+        _assert_signs_of_the_steps(segments)
 
 
 @pytest.mark.parametrize("value", [-1, 2])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,9 +11,9 @@ from entwined.density import (CHANNELS, DensityField, Region, accumulate, best_l
 from entwined.lattice import LatticeSpec
 from entwined.paths import build_cable, cords_per_shift, right_envelope
 from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, ray_repeats,
-                                 reduced_frequency, region_for_fan, write_ray, write_region,
-                                 _ray_report)
-from helpers import repeats_covering
+                                 reduced_frequency, region_for_fan, velocity_fan, write_ray,
+                                 write_region, _ray_report)
+from helpers import one_pass_fan, repeats_covering
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +363,76 @@ def test_fan_count_keeps_the_exact_sum_limit_over_the_summed_field(lattice, monk
     monkeypatch.setattr(density, "_EXACT_LIMIT", max(landed) + 1)
     with pytest.raises(OverflowError, match="2\\*\\*53"):
         write_region(region, M=10)
+
+
+def _counted_profiles(monkeypatch):
+    """The profiles each later ``write_region`` counts its fan's passes into."""
+    seen = []
+    count = propagator._count
+
+    def spy(field, passes, clip, profiles):
+        seen.append(profiles)
+        count(field, passes, clip, profiles=profiles)
+
+    monkeypatch.setattr(propagator, "_count", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n, M, region_of, repeats", [
+    (50, 60, lambda lat: region_for_fan(lat, velocity_fan(-0.25, 0.25, 11)), {8}),
+    (10, 5, lambda lat: region_for_fan(lat, velocity_fan(-0.9, 0.9, 7), n_periods=3.0), {4, 5}),
+    # narrower than its rays in x and shorter than them in t
+    (20, 12, lambda lat: RegionSpec(x_range=(-3.5, 4.2), t_range=(14.0, 21.0),
+                                    ray_fan=(-0.2, 0.0, 0.25), lattice=lat), {3}),
+], ids=["acceptance-fan", "n10-two-cables", "narrow-region"])
+def test_per_ray_passes_count_as_the_one_pass_fan(n, M, region_of, repeats, monkeypatch):
+    lattice = LatticeSpec.for_mass(n, mass=1.0)
+    region = region_of(lattice)
+    assert {ray_repeats(RaySpec.from_velocity(v, lattice.mass, region.t_range), lattice, M)
+            for v in region.ray_fan} == repeats
+    field, profiles = one_pass_fan(region, M)
+    seen = _counted_profiles(monkeypatch)
+    result = write_region(region, M)
+    (counted,) = seen
+    assert (result.field.t0_cell, result.field.x0_cell) == (field.t0_cell, field.x0_cell)
+    assert result.field.adolescent.any() and result.field.senescent.any()
+    assert np.array_equal(result.field.counts, field.counts)
+    assert counted.shape == profiles.shape == (len(region.ray_fan), 2, field.t_cells)
+    assert np.array_equal(counted, profiles)
+    if region.x_range[1] - region.x_range[0] < 10.0:  # the narrow region clips its rays in x
+        wide = RegionSpec(x_range=(region.x_range[0] - 10.0, region.x_range[1] + 10.0),
+                          t_range=region.t_range, ray_fan=region.ray_fan, lattice=lattice)
+        assert np.abs(one_pass_fan(wide, M)[0].counts).sum() > np.abs(field.counts).sum()
+
+
+def test_fan_count_decides_exact_sums_over_the_whole_fan(lattice, monkeypatch):
+    # for every ray, its largest summed |w| times its incidences lies below
+    # the limit, so a decision taken ray by ray would never sum; the fan's
+    # landed sum reaches it, and raises exactly from there
+    region = region_for_fan(lattice, velocity_fan(-0.25, 0.25, 11), n_periods=3.0)
+    cell = lattice.cell_physical
+    window = (_cell_floor(region.t_range[0], cell), _cell_ceil(region.t_range[1], cell))
+    x_lo = _cell_floor(region.x_range[0], cell)
+    x_hi = _cell_ceil(region.x_range[1], cell)
+    reach, landed = [], []
+    for v in region.ray_fan:
+        env = right_envelope(fresh_ray(RaySpec.from_velocity(v, lattice.mass, region.t_range),
+                                       lattice, 10))
+        first, _, summed = density._distinct(env)
+        segments = env.subset(first)
+        _, counts = density._slab_ranges(segments, cell, window)
+        reach.append(int(summed.max()) * int(counts.sum()))
+        _, j, idx = density._incidences(segments, cell, window)
+        landed.append(int(summed[idx[(j >= x_lo) & (j < x_hi)]].sum()))
+    assert max(reach) < sum(landed)
+    # the landed sum is carried from ray to ray, and the ray that reaches the limit raises
+    for limit in (max(reach) + 1, sum(landed)):
+        monkeypatch.setattr(density, "_EXACT_LIMIT", limit)
+        total = next(total for total in itertools.accumulate(landed) if total >= limit)
+        with pytest.raises(OverflowError, match=f"summed segment weight {total} reaches 2\\*\\*53"):
+            write_region(region, M=10)
+    monkeypatch.setattr(density, "_EXACT_LIMIT", sum(landed) + 1)
+    assert write_region(region, M=10).field.adolescent.any()
 
 
 @pytest.mark.parametrize("fan", [(0.0,), (-0.2, 0.0)])
