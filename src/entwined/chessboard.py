@@ -36,6 +36,7 @@ ANY = "any"
 
 ENUMERATION_CAP = 24
 _COLUMN = {RIGHT: 0, LEFT: 1}
+_OVERFLOW = "corner sum overflowed double precision; use exact=True"
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,8 @@ def kernel_corner_sum(hist: CornerHistogram, eps, mass, exact: bool = False) -> 
     Even R contributes to phi_plus with sign (-1)**(R//2); odd R to
     phi_minus with sign (-1)**((R-1)//2).  With ``exact=True``, ``eps`` and
     ``mass`` are taken as rationals and the components come back as
-    :class:`fractions.Fraction`.
+    :class:`fractions.Fraction`; in float, a sum past double range raises
+    OverflowError.
     """
     if exact:
         em = Fraction(eps) * Fraction(mass)
@@ -153,13 +155,16 @@ def kernel_corner_sum(hist: CornerHistogram, eps, mass, exact: bool = False) -> 
         minus = 0.0
     for r in sorted(hist.counts):
         count = hist.counts[r]
-        term = count * em**r
+        try:
+            term = count * em**r
+        except OverflowError:  # a float power raises where a float sum turns inf
+            raise OverflowError(_OVERFLOW) from None
         if r % 2 == 0:
             plus += term if r % 4 == 0 else -term
         else:
             minus += term if r % 4 == 1 else -term
-    if not exact and not (np.isfinite(plus) and np.isfinite(minus)):
-        raise OverflowError("corner sum overflowed double precision; use exact=True")
+    if not exact and not (math.isfinite(plus) and math.isfinite(minus)):
+        raise OverflowError(_OVERFLOW)
     return KernelValue(phi_plus=plus, phi_minus=minus)
 
 
@@ -208,10 +213,14 @@ def _transfer_steps(n: int, eps, mass, initial_direction: str, incoming_corner: 
 
 
 def _read(psi: np.ndarray, denominator, idx: int, final_direction: str) -> KernelValue:
-    """The kernel at row ``idx`` of one state of :func:`_transfer_steps`."""
+    """The kernel at row ``idx`` of one state of :func:`_transfer_steps`; raises
+    OverflowError on a float amplitude past double range."""
     k = psi[idx, 0] + psi[idx, 1] if final_direction == ANY else psi[idx, _COLUMN[final_direction]]
     if denominator is None:
-        return KernelValue(float(k.real), float(k.imag))
+        plus, minus = float(k.real), float(k.imag)
+        if not (math.isfinite(plus) and math.isfinite(minus)):
+            raise OverflowError(_OVERFLOW)
+        return KernelValue(plus, minus)
     return KernelValue(Fraction(k[0], denominator), Fraction(k[1], denominator))
 
 
@@ -222,16 +231,18 @@ def kernel_transfer_matrix(problem: ChessboardProblem, exact: bool = False) -> K
     step moves a cell along its direction with weight 1, or reverses with
     weight ``i*eps*mass``.  Agrees with enumeration + corner sum exactly
     and scales to step counts far past the enumeration cap.  With
-    ``exact=True`` the components come back as :class:`fractions.Fraction`.
+    ``exact=True`` the components come back as :class:`fractions.Fraction`;
+    in float, a kernel past double range raises OverflowError.
     """
     n = problem.n_steps
     idx = n + problem.displacement
     if not (0 <= idx < 2 * n + 1):
         zero = Fraction(0) if exact else 0.0
         return KernelValue(zero, zero)
-    for state in _transfer_steps(n, problem.step_size, problem.mass, problem.initial_direction,
-                                 problem.incoming_corner, exact):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):  # _read refuses what overflowed
+        for state in _transfer_steps(n, problem.step_size, problem.mass,
+                                     problem.initial_direction, problem.incoming_corner, exact):
+            pass
     return _read(*state, idx, problem.final_direction)
 
 
@@ -259,7 +270,10 @@ def kernel_phase_series(t_max: float, eps: float, mass: float,
     One transfer evolution is run and the displacement-0 amplitude read off
     after every step (odd step counts have no returning path and yield 0).
     Used to watch the carrier phase build up; requires ``eps*mass < 1``.
+    Raises OverflowError at the first amplitude past double range.
     """
     n = _phase_steps(t_max, eps, mass)
-    return [((step + 1) * eps, _read(*state, n, final_direction))
-            for step, state in enumerate(_transfer_steps(n, eps, mass, initial_direction, incoming_corner))]
+    with np.errstate(over="ignore", invalid="ignore"):  # _read refuses what overflowed
+        return [((step + 1) * eps, _read(*state, n, final_direction))
+                for step, state in enumerate(_transfer_steps(n, eps, mass, initial_direction,
+                                                             incoming_corner))]

@@ -5,7 +5,9 @@ Configuration comes from an INI-style key = value file selected with
 files, a human-readable ``summary.txt``, and a ``manifest.json`` recording
 the fully resolved configuration and a sha256 per artifact.  Output bytes
 are identical for identical configurations regardless of thread count, so
-manifests can be compared directly.
+manifests can be compared directly.  Each experiment imports the modules it
+runs when its configuration is checked, so a run compiles no other
+experiment's code.
 
 Exit status: 0 success, 2 configuration/validation error, 1 runtime error.
 """
@@ -13,7 +15,6 @@ Exit status: 0 success, 2 configuration/validation error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import functools
 import hashlib
@@ -25,17 +26,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chessboard import (ANY, RIGHT, ChessboardProblem, _check_cap,
-                         _phase_steps, enumerate_corner_histogram, kernel_corner_sum,
-                         kernel_phase_series, kernel_transfer_matrix)
-from .density import (ReferenceDensity, accumulate, best_lag, carrier_steady_cells, compare,
-                      export_field, field_for_segments, steady_region)
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import build_cable, cable_counts, right_envelope
-from .propagator import (region_for_fan, region_time_cells, velocity_fan, write_ray_report,
-                         write_region)
-from .ring import (RingSpec, drift_in_cells_per_period, ring_cells, ring_clock, run_ring,
-                   standing_wave_metrics, wrap_rows)
 
 EXPERIMENTS = ("chessboard", "carrier", "propagate", "ring")
 
@@ -55,8 +46,9 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "displacement": (int, 0),
         "step_size": (float, 0.1),
         "mass": (float, 1.0),
-        "initial_direction": (str, RIGHT),
-        "final_direction": (str, ANY),
+        # chessboard.RIGHT and ANY, spelled out: only a chessboard run loads that module
+        "initial_direction": (str, "right"),
+        "final_direction": (str, "any"),
         "incoming_corner": (bool, False),
         "phase_t_max": (float, 0.0),
     },
@@ -118,6 +110,8 @@ def load_config(experiment: str, config_path: str | None, overrides: dict) -> di
     resolved = {section: {k: default for k, (_t, default) in keys.items()}
                 for section, keys in _SCHEMA.items()}
     if config_path is not None:
+        import configparser
+
         parser = configparser.ConfigParser()
         read = parser.read(config_path)
         if not read:
@@ -180,17 +174,25 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
     n = config["lattice"]["n"]
     cords = {"M": "m_cords"}
     if exp == "chessboard":
+        from .chessboard import ChessboardProblem, _check_cap, _phase_steps
+
         problem = specs["problem"] = from_section(ChessboardProblem, exp)
         build(exp, lambda: _check_cap(block["n_steps"]))
         if problem is not None and block["phase_t_max"] != 0:
             build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
                   {"t_max": "phase_t_max"})
     elif exp == "carrier":
+        from .density import carrier_steady_cells
+        from .paths import cable_counts
+
         counts = build(exp, lambda: cable_counts(n, block["m_cords"], block["repeats"]), cords)
         if lattice is not None and counts:
             build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]),
                   cords)
     elif exp == "propagate":
+        from .paths import cable_counts
+        from .propagator import region_for_fan, region_time_cells, velocity_fan
+
         build(exp, lambda: cable_counts(n, block["m_cords"]), cords)
         fan = build(exp, lambda: velocity_fan(block["v_min"], block["v_max"], block["v_count"]))
         if lattice is not None and fan is not None:
@@ -199,6 +201,9 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             if region is not None:
                 build(exp, lambda: region_time_cells(region))
     elif exp == "ring":
+        from .paths import cable_counts
+        from .ring import RingSpec, ring_cells, wrap_rows
+
         spec = from_section(RingSpec, exp)
         # a ring's cables take cycles + 2 repeats; with cycles refused, only M is checked
         build(exp, lambda: cable_counts(n, block["m_cords"], spec.cycles + 2 if spec else 1),
@@ -259,6 +264,8 @@ class _Artifacts:
         self._write(self._dir() / name, (text.encode(),))
 
     def export(self, field, name: str) -> None:
+        from .density import export_field
+
         export_field(field, self._dir(), name, write=self._write)
 
     def manifest(self, config: dict) -> None:
@@ -273,6 +280,9 @@ class _Artifacts:
 
 def _run_chessboard(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Three-backend lattice kernel table."""
+    from .chessboard import (enumerate_corner_histogram, kernel_corner_sum, kernel_phase_series,
+                             kernel_transfer_matrix)
+
     block = config["chessboard"]
     problem = specs["problem"]
     hist = enumerate_corner_histogram(problem)
@@ -319,6 +329,10 @@ def _run_chessboard(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Cable density and sinusoid fit."""
+    from .density import (ReferenceDensity, accumulate, best_lag, compare, field_for_segments,
+                          steady_region)
+    from .paths import build_cable, right_envelope
+
     lattice = specs["lattice"]
     block = config["carrier"]
     cable = build_cable((0.0, 0.0), lattice, M=block["m_cords"], repeats=block["repeats"])
@@ -360,6 +374,8 @@ def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ray-fan region write and frequency law."""
+    from .propagator import write_ray_report, write_region
+
     result = write_region(specs["region"], M=config["propagate"]["m_cords"])
     art.export(result.field, "region_field")
     buf = io.StringIO()
@@ -374,6 +390,9 @@ def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_ring(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ring standing-wave experiment."""
+    from .ring import (drift_in_cells_per_period, ring_clock, run_ring, standing_wave_metrics,
+                       wrap_rows)
+
     lattice, spec = specs["lattice"], specs["ring"]
     block = config["ring"]
     field = run_ring(spec, lattice, M=block["m_cords"], origin_cell=block["origin_cell"])

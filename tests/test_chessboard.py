@@ -105,9 +105,43 @@ def test_corner_sum_sign_pattern_exact():
             assert k.phi_minus == (term if r % 4 == 1 else -term)
 
 
+_OVERFLOW = "^corner sum overflowed double precision; use exact=True$"
+
+
 def test_corner_sum_overflow_reported():
-    with pytest.raises(OverflowError):
+    # the sum turns inf; then a single power past double range, which Python
+    # raises as a bare errno OverflowError
+    with pytest.raises(OverflowError, match=_OVERFLOW):
         kernel_corner_sum(CornerHistogram({500: 10**6}), 10.0, 10.0)
+    hist = enumerate_corner_histogram(ChessboardProblem(n_steps=24, displacement=0))
+    with pytest.raises(OverflowError, match=_OVERFLOW):
+        kernel_corner_sum(hist, 1e200, 1.0)
+    assert kernel_corner_sum(hist, 1e200, 1.0, exact=True) == kernel_transfer_matrix(
+        ChessboardProblem(n_steps=24, displacement=0, step_size=1e200), exact=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_transfer_refuses_an_amplitude_past_double_range():
+    problem = ChessboardProblem(n_steps=24, displacement=0, step_size=1e200)
+    with pytest.raises(OverflowError, match=_OVERFLOW):
+        kernel_transfer_matrix(problem)
+    # (1e15)**23 = 1e345 is out of range; 1e13 keeps every amplitude finite
+    with pytest.raises(OverflowError, match=_OVERFLOW):
+        kernel_transfer_matrix(ChessboardProblem(n_steps=24, displacement=0, step_size=1e15))
+    k = kernel_transfer_matrix(ChessboardProblem(n_steps=24, displacement=0, step_size=1e13))
+    assert math.isfinite(k.phi_plus) and math.isfinite(k.phi_minus)
+
+
+@pytest.mark.filterwarnings("error")
+def test_phase_series_stops_at_the_first_amplitude_past_double_range():
+    # at eps*mass = 0.9 the return amplitude passes double range at step 2410,
+    # t = 2169; one step before, the series ends on finite amplitudes
+    series = kernel_phase_series(2168.2, 0.9, 1.0)
+    assert len(series) == 2409
+    assert all(math.isfinite(k.phi_plus) and math.isfinite(k.phi_minus) for _t, k in series)
+    assert max(abs(k.phi_minus) for _t, k in series) > 1e308
+    with pytest.raises(OverflowError, match=_OVERFLOW):
+        kernel_phase_series(2169.0, 0.9, 1.0)
 
 
 def test_enumeration_cap_error_names_cap():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -62,6 +63,13 @@ def test_unknown_keys_rejected(tmp_path):
     ini.write_text("[wibble]\nx = 1\n")
     with pytest.raises(ConfigError, match="unknown config section"):
         load_config("carrier", str(ini), {})
+
+
+def test_chessboard_direction_defaults_are_the_problems():
+    # spelled out in the schema, so that resolving a configuration loads no chessboard
+    defaults = {f.name: f.default for f in dataclasses.fields(ChessboardProblem)}
+    for key in ("initial_direction", "final_direction", "incoming_corner"):
+        assert cli._SCHEMA["chessboard"][key][1] == defaults[key]
 
 
 def test_missing_config_file_rejected():
@@ -513,6 +521,21 @@ def test_rejected_command_lines_leave_the_shared_parser_intact(tmp_path, monkeyp
     assert cli.build_parser() is not cli.build_parser()
     assert run_cli(argv + ["--out", str(tmp_path / "fresh")]) == 0
     assert read_tree(tmp_path / "shared") == read_tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("flags", [
+    # the return amplitude passes double range at t = 2169
+    ["--step-size", "0.9", "--phase-t-max", "3600"],
+    # (eps*mass)**23 = 1e4600 in the corner sum, and inf in the float transfer
+    ["--n-steps", "24", "--step-size", "1e200"],
+], ids=["phase-series", "corner-sum"])
+def test_chessboard_overflow_exits_1_before_it_writes(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["chessboard", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: corner sum overflowed double precision; use exact=True\n"
+    assert not out.exists()
 
 
 # --- experiments produce their artifacts ------------------------------------
