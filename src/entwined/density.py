@@ -30,14 +30,15 @@ rows that lie on one segment of one frame, whichever way they run, are
 merged before the expansion: each distinct segment is expanded once, and
 each of its incidences scatter-adds its net signed weight (the sum of
 time_dir * w over its rows, which may cancel to 0) straight into the
-field's one store.  The store is the narrowest signed integer type, int8 to
-int64, that holds every count a call can reach: before it scatters, each
-counting call plans all its passes (``accumulate`` makes one, a ray fan
-one per ray), bounds the counts per channel, sign and time cell and widens
-the store once if it must, so counts are exact.  A call whose summed |w|
-reaches 2**53 raises, so every count also holds exactly as a float64, the
-type profiles and fits read it as.  Export writes a channel's text one row
-block at a time.
+field's one store.  Before it scatters, each counting call plans all its
+passes (``accumulate`` makes one, a ray fan one per ray) and bounds the
+counts per channel, sign and time cell.  That bound is the one exactness
+rule: a call whose bound reaches 2**53 raises before it touches the store,
+so every count a call leaves, and every x-summed row of a field that call
+alone counted, is exact as a float64, the type profiles and fits read it as.
+Below it the store is widened once, if it must be, to the narrowest signed
+integer type, int8 to int64, that holds the bound.  Export writes a
+channel's text one row block at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, cable_counts, cable_steady_window
 
 _WIDTHS = (np.int8, np.int16, np.int32, np.int64)  # store types, narrowest first
-_EXACT_LIMIT = 2 ** 53  # summed |weight| refused from here: float64 holds integers below it
+_LOW = 2 ** 32 - 1  # low half of an int64
+_EXACT_LIMIT = 2 ** 53  # store bound refused from here: float64 holds integers below it
 _BLOCK = 16384  # incidences expanded at once by ``accumulate``
 _FORMAT_BLOCK = 16384  # cells formatted at once by ``_format_matrix``
 _UNIFORM_TOL = 1e-6  # largest spread of the time steps, relative to their mean, still called uniform
@@ -200,9 +202,10 @@ def carrier_steady_cells(spec: LatticeSpec, M: int, repeats: int) -> int:
     the cable's parameters alone: neither the cable nor a field is built.
 
     Raises ``SpecError`` when the parameters break a rule of ``cable_counts``,
-    the cells are fewer than a sinusoid fit takes, or counting the cable
-    reaches the exact-sum limit: its field holds every one of its counted
-    rows, 16 a cord repeat, each adding its |weight| on n/2 time cells.
+    the cells are fewer than a sinusoid fit takes, or the counting pass's
+    store bound (``_widen``) reaches 2**53: the sum of the cords per shift,
+    or past one repeat the larger of that and twice the largest count, as a
+    train's last fiber shares a cell with the next repeat's first.
     """
     counts = cable_counts(spec.n, M, repeats)
     lo, hi = cable_steady_window(spec, counts, repeats)
@@ -211,10 +214,10 @@ def carrier_steady_cells(spec: LatticeSpec, M: int, repeats: int) -> int:
     if cells < _FIT_SAMPLES:
         problems.append(f"repeats: steady region is only {cells} cells; a sinusoid fit needs "
                         f"at least {_FIT_SAMPLES} (increase repeats or the lattice's n)")
-    summed = 8 * spec.n * repeats * sum(counts)
-    if summed >= _EXACT_LIMIT:
-        problems.append(f"M: counting the cable sums |weight| {summed} over its cells, which "
-                        "reaches 2**53; counts past it would not be exact as float64")
+    bound = sum(counts) if repeats == 1 else max(sum(counts), 2 * max(counts))
+    if bound >= _EXACT_LIMIT:
+        problems.append(f"M: counts of the cable can reach {bound}, which reaches 2**53; "
+                        "counts past it would not be exact as float64")
     SpecError.check(problems)
     return cells
 
@@ -297,19 +300,11 @@ def _expander(segs: SegmentArray, cell: float, k_lo: np.ndarray, counts: np.ndar
     return expand
 
 
-def _rows(segs: SegmentArray, cell: float, window=None):
-    """Row phase of the slab expansion of the frame-applied end points:
-    each stored row's first slab and slab count (``_slab_ranges``, cut to
-    ``window`` if given) and ``expand(a, b)`` over them (``_expander``)."""
-    k_lo, counts = _slab_ranges(segs, cell, window)
-    return k_lo, counts, _expander(segs, cell, k_lo, counts)
-
-
 def _incidences(segs: SegmentArray, cell: float, window=None):
     """(t_cell, x_cell, stored row) of every incidence, the whole expansion
     at once.  ``window`` (t_lo, t_hi) keeps only slabs t_lo <= t_cell < t_hi."""
-    _, counts, expand = _rows(segs, cell, window)
-    return expand(0, len(counts))
+    k_lo, counts = _slab_ranges(segs, cell, window)
+    return _expander(segs, cell, k_lo, counts)(0, len(counts))
 
 
 def _blocks(counts: np.ndarray):
@@ -329,9 +324,9 @@ def _distinct(envelope: SegmentArray):
     points, whichever way they run.
 
     Returns, per group in the order of its first stored row: that row's
-    index, the net signed weight (the sum of time_dir * weight) and the
-    summed |weight|, a Python-int object array where int64 could wrap.
-    A row's end points are taken lower t first, which fixes its species.
+    index and the net signed weight, the sum of time_dir * weight.  A row's
+    end points are taken lower t first, which fixes its species.  A net
+    weight past int64 raises OverflowError; it is never wrapped.
     """
     swap = envelope.t1 > envelope.t2
     ends = (np.where(swap, envelope.x2, envelope.x1), np.where(swap, envelope.t2, envelope.t1),
@@ -344,15 +339,16 @@ def _distinct(envelope: SegmentArray):
         ranked = key[order]
         new[1:] |= ranked[1:] != ranked[:-1]
     starts = np.flatnonzero(new)
-    weight = envelope.weight[order]
-    # int64: a net weight wraps only where the summed |weight| passes 2**63, refused where it lands
-    signed = envelope.time_dir[order] * weight
-    if int(weight.max()) * len(weight) >= 2 ** 63:
-        weight = weight.astype(object)
+    weight, sign = envelope.weight[order], envelope.time_dir[order]
+    # high and low 32 bits summed apart: neither sum wraps, so a net past int64 is seen
+    high = np.add.reduceat(sign * (weight >> 32), starts)
+    low = np.add.reduceat(sign * (weight & _LOW), starts)
+    high += low >> 32
+    if high.min() < -2 ** 31 or high.max() >= 2 ** 31:
+        raise OverflowError("the net weight of a segment passes int64")
     first = order[starts]
     by_first = np.argsort(first)
-    return (first[by_first], np.add.reduceat(signed, starts)[by_first],
-            np.add.reduceat(weight, starts)[by_first])
+    return first[by_first], ((high << 32) | (low & _LOW))[by_first]
 
 
 def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) -> DensityField:
@@ -373,14 +369,13 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     Segments are expanded in consecutive blocks of at most ``_BLOCK``
     incidences, so transient memory is one block, not the whole incidence
     list nor a copy of the field.  Each block's signed weights are
-    scatter-added straight into ``field.counts``, in the store's type, which
-    the pass first widens if a count could pass it (``_widen``).  A call
-    that raises leaves every count unchanged, though the store may stay
-    widened: the blocks already added are expanded again and subtracted,
-    which integer arithmetic undoes exactly.  A pass whose summed |w| (not
-    its net weight) reaches 2**53 raises OverflowError.
-    An x-summed profile is a row sum of the field:
-    ``field.channel(name).sum(axis=1)``.
+    scatter-added straight into ``field.counts``, in the store's type.  A
+    pass whose store bound (``_widen``) reaches 2**53 raises OverflowError
+    before it widens the store or scatters.  A call that raises later
+    leaves every count unchanged, though the store may stay widened: the
+    blocks already added are expanded again and subtracted, which integer
+    arithmetic undoes exactly.  An x-summed profile is a row sum of the
+    field: ``field.channel(name).sum(axis=1)``.
     """
     if not isinstance(envelope, SegmentArray):
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
@@ -395,52 +390,50 @@ def _count(field: DensityField, passes, clip: bool, profiles=None) -> None:
     """Count passes over segments already grouped into ``field``, under one
     plan made before anything is scattered.
 
-    Each pass is ``(segments, (first, signed, summed))``: distinct segments
-    as ``_distinct`` groups them, with the stored row an out-of-field error
-    names, the net signed weight and the summed |w| of each.  ``profiles``,
-    if given, holds one int64 array of shape (2, field.t_cells) per pass:
-    every incidence of the pass that lands in the field is added to it too,
-    at (channel, t), so it holds that pass's x-summed profile.
+    Each pass is ``(segments, (first, signed))``: distinct segments as
+    ``_distinct`` groups them, with the stored row an out-of-field error
+    names and the net signed weight of each.  ``profiles``, if given, holds
+    one int64 array of shape (2, field.t_cells) per pass: every incidence of
+    the pass that lands in the field is added to it too, at (channel, t), so
+    it holds that pass's x-summed profile.
 
     The plan takes each pass's slab ranges from its t end points
-    (``_slab_ranges``), widens the store once for all the passes
-    (``_widen``) and decides once whether their summed |w| could reach the
-    exact-sum limit at all; if it could, the landed sum is carried from
-    pass to pass and raises OverflowError on reaching 2**53.  Then the
-    passes are expanded and scattered one after the other, so only one
-    pass's rows are expanded at a time.  A raise takes every block already
-    added, of every pass, back out of the field and the profiles.
+    (``_slab_ranges``) and one bound on every count, and on what the passes
+    add to an x-summed row or profile (``_widen``).  A bound that reaches 2**53
+    raises OverflowError before the store is widened or anything is
+    scattered.  Then the passes are expanded and scattered one after the
+    other, so only one pass's rows are expanded at a time.  A later raise
+    takes every block already added, of every pass, back out of the field
+    and the profiles.
     """
     cell, rows, cols = field.cell, field.t_cells, field.x_cells
     window = (field.t0_cell, field.t0_cell + rows) if clip else None
-    plan = []  # per pass: k_lo, counts, signed, summed, left
-    for segments, (_, signed, summed) in passes:
+    plan = []  # per pass: k_lo, counts, signed, left
+    for segments, (_, signed) in passes:
         # left: channel 1, senescent; right movers are 0, adolescent
-        plan.append((*_slab_ranges(segments, cell, window), signed, summed,
+        plan.append((*_slab_ranges(segments, cell, window), signed,
                      segments.species != RIGHT_MOVER))
-    _widen(field, plan)
-    # exact sums only where the summed |w| could reach the limit at all
-    summing = (max(int(summed.max()) for _, _, _, summed, _ in plan)
-               * sum(int(counts.sum()) for _, counts, _, _, _ in plan) >= _EXACT_LIMIT)
+    bound = _widen(field, plan)
+    if bound >= _EXACT_LIMIT:
+        raise OverflowError(f"counts can reach {bound}, which reaches 2**53; counts past it "
+                            "would not be exact as float64")
     flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
     views = [None] * len(passes) if profiles is None else [p.reshape(-1) for p in profiles]
 
     def land(p: int, ufunc, stop=None):
         """Scatter the incidences of pass ``p``'s segments 0..stop-1 that
         land in the field with ``ufunc``, one block at a time, and yield
-        each block's end segment and the segment of each landed incidence
-        once the block is scattered."""
-        (segments, (first, _, _)), (k_lo, counts, signed, _, left) = passes[p], plan[p]
+        each block's end segment once the block is scattered."""
+        (segments, (first, _)), (k_lo, counts, signed, left) = passes[p], plan[p]
         expand = _expander(segments, cell, k_lo, counts)
         # exact in the store's type: no landed |weight| passes the bound it was sized for
         weights = signed.astype(flat.dtype)
         # the channel is folded into the linear index, so one scatter covers both
         channel_offset = np.where(left, rows, 0)
 
-        def scatter(a: int, b: int) -> np.ndarray:
-            """Scatter the landing incidences of segments a..b-1; return
-            their segments.  Its other block arrays die on return, so the
-            next block's expansion does not overlap them."""
+        def scatter(a: int, b: int) -> None:
+            """Scatter the landing incidences of segments a..b-1; its block
+            arrays die on return, before the next block is expanded."""
             k, j, idx = expand(a, b)
             k -= field.t0_cell
             j -= field.x0_cell
@@ -462,23 +455,16 @@ def _count(field: DensityField, passes, clip: bool, profiles=None) -> None:
             lin *= cols
             lin += col
             ufunc.at(flat, lin, weights[idx])
-            return idx
 
         for a, b in _blocks(counts[:stop]):
-            yield b, scatter(a, b)
+            scatter(a, b)
+            yield b
 
-    total = 0
-    landed = []  # segments 0..landed[p]-1 of pass p are added into the field
+    landed = [0] * len(plan)  # segments 0..landed[p]-1 of pass p are added into the field
     try:
-        for p, (_, _, _, summed, _) in enumerate(plan):
-            landed.append(0)
-            for b, idx in land(p, np.add):
-                if summing:
-                    total += sum(summed[idx].tolist())  # Python ints: exact
-                landed[p] = b
-            if total >= _EXACT_LIMIT:
-                raise OverflowError(f"summed segment weight {total} reaches 2**53; "
-                                    "counts past it would not be exact as float64")
+        for p in range(len(plan)):
+            for landed[p] in land(p, np.add):
+                pass
     except BaseException:
         # integer adds are exact (modulo the type's range), so taking the
         # landed blocks back out restores every cell
@@ -488,42 +474,44 @@ def _count(field: DensityField, passes, clip: bool, profiles=None) -> None:
         raise
 
 
-def _widen(field: DensityField, passes) -> None:
-    """Widen ``field.counts`` to the narrowest of ``_WIDTHS`` that holds
-    every |count| the ``passes`` can reach, each given as its segments'
-    first slab ``k_lo``, slab count ``counts``, net weight ``signed``,
-    summed |w| ``summed`` and channel ``left`` (True for senescent): the
-    largest |count| held plus the largest sum, over (channel, sign, time
-    cell), of the |net weight| of the segments of every pass of that
-    channel and sign whose slab range covers the cell.  It holds as a
-    segment adds at most one incidence per time cell, wrapped in x or not:
-    the passes add P - N to a cell, P and N sums of positive and negative
-    weights within it, and |P - N| <= max(P, N).  Where those sums could
-    wrap int64, the store becomes int64; a store of zeros is allocated anew,
-    never cast.  Called once before anything is scattered, so the store is
-    replaced at most once however many passes follow.
+def _widen(field: DensityField, passes) -> int:
+    """Bound every |count| the ``passes`` can leave in ``field``, each pass
+    given as its segments' first slab ``k_lo``, slab count ``counts``, net
+    weight ``signed`` and channel ``left`` (True for senescent); below
+    ``_EXACT_LIMIT``, widen ``field.counts`` to the narrowest of ``_WIDTHS``
+    that holds the bound (a store of zeros anew, never cast).  Return it.
+
+    The bound is the largest |count| held plus the largest sum, over
+    (channel, sign, time cell), of the |net weight| of the segments whose
+    slab range covers the cell.  A segment adds at most one incidence per
+    time cell, wrapped in x or not, so the passes add P - N to a cell and to
+    its x-summed row, P and N sums of positive and negative weights, and
+    |P - N| <= max(P, N).  The high and low 32 bits of each |net weight| are
+    summed apart, so neither sum wraps.
     """
     store = field.counts
-    if store.dtype == np.int64:
-        return
     held = max(-int(store.min()), int(store.max()))
-    bound = 2 ** 63 - 1
-    segments = sum(len(summed) for _, _, _, summed, _ in passes)
-    if max(int(summed.max()) for _, _, _, summed, _ in passes) * segments < 2 ** 63:
-        # no running sum of |signed| wraps
-        span = field.t_cells + 1  # differences over the t cells, one run per (channel, sign)
-        diff = np.zeros(4 * span, dtype=np.int64)
-        for k_lo, counts, signed, _, left in passes:
-            size = np.abs(signed)
-            for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
-                at = np.clip(ends - field.t0_cell, 0, field.t_cells)
-                np.add(at, span, out=at, where=signed < 0)  # in place: no per-segment key
-                np.add(at, 2 * span, out=at, where=left)
-                ufunc.at(diff, at, size)
-        bound = held + int(np.cumsum(diff.reshape(4, span), axis=1).max())
-    dtype = np.dtype(next(d for d in _WIDTHS if np.iinfo(d).max >= bound))
-    if dtype.itemsize > store.itemsize:  # never narrowed: the caller's store stays
-        field.counts = store.astype(dtype) if held else np.zeros(store.shape, dtype)
+    span = field.t_cells + 1  # differences over the t cells, one run per (channel, sign)
+    diff = np.zeros((2, 4 * span), dtype=np.int64)  # high and low halves of the sizes
+    for k_lo, counts, signed, left in passes:
+        size = np.abs(signed).view(np.uint64)  # |-2**63| too
+        halves = (size >> 32).view(np.int64), (size & _LOW).view(np.int64)
+        for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
+            at = np.clip(ends - field.t0_cell, 0, field.t_cells)
+            np.add(at, span, out=at, where=signed < 0)  # in place: no per-segment key
+            np.add(at, 2 * span, out=at, where=left)
+            for row, half in zip(diff, halves):
+                ufunc.at(row, at, half)
+    high, low = np.cumsum(diff.reshape(2, 4, span), axis=2)
+    high += low >> 32
+    low &= _LOW
+    top = int(high.max())
+    bound = held + (top << 32) + int(low[high == top].max())
+    if bound < _EXACT_LIMIT:
+        dtype = np.dtype(next(d for d in _WIDTHS if np.iinfo(d).max >= bound))
+        if dtype.itemsize > store.itemsize:  # never narrowed: the caller's store stays
+            field.counts = store.astype(dtype) if held else np.zeros(store.shape, dtype)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +736,9 @@ def best_lag(reference: np.ndarray, delayed: np.ndarray, max_lag: int) -> int:
     """Integer lag maximizing sum(reference[i] * delayed[i + lag]).
 
     Scores use a fixed window of len - max_lag samples so lags compete
-    fairly; ties resolve to the smallest lag.
+    fairly; ties resolve to the smallest lag.  Scores are exact: in int64
+    where max|reference| * max|delayed| * window is below 2**63, else in
+    Python ints.
     """
     reference = np.asarray(reference, dtype=np.int64)
     delayed = np.asarray(delayed, dtype=np.int64)
@@ -757,7 +747,10 @@ def best_lag(reference: np.ndarray, delayed: np.ndarray, max_lag: int) -> int:
         raise ValueError("max_lag leaves no overlap window")
     if len(delayed) < len(reference):
         raise ValueError("delayed is shorter than reference")
-    # row lag of the view is delayed[lag:lag + window]; an int64 product runs numpy's own loop, not BLAS
+    top = math.prod(max(-int(v.min()), int(v.max())) for v in (reference, delayed))
+    if top * window >= 2 ** 63:  # an int64 score could wrap
+        reference, delayed = reference.astype(object), delayed.astype(object)
+    # row lag of the view is delayed[lag:lag + window]; numpy's own loop, not BLAS
     scores = sliding_window_view(delayed[:len(reference)], window) @ reference[:window]
     return int(np.argmax(scores))
 

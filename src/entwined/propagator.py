@@ -294,8 +294,9 @@ def write_region(region: RegionSpec, M: int) -> RegionResult:
     region field, with each landed incidence also added to the ray's own
     (2, t_cells) x-summed profile, from which its report is fitted.  The
     rays are counted in fan order, one at a time, under one plan made
-    before the first scatter: the store is widened once for the whole fan,
-    and the exact-sum limit covers the whole fan.
+    before the first scatter: one bound covers the fan and its rays'
+    profiles, so the store is widened once, and a fan whose counts could
+    reach 2**53 raises OverflowError before any is counted.
     A t window of fewer time cells than a ray's fit takes, or than its
     channel-lag search reads, raises ``SpecError`` (``region_time_cells``)
     before any cable is built.  Cells outside the region are clipped
@@ -321,7 +322,7 @@ def write_region(region: RegionSpec, M: int) -> RegionResult:
     for r in dict.fromkeys(repeats):
         cables[r] = build_cable((0.0, 0.0), lattice, M=M, repeats=r)
         counted = cables[r].segs.counted()
-        grouped[r] = _distinct(counted)
+        grouped[r] = _distinct(counted)  # first stored row and net weight of each segment
         distinct[r] = counted.subset(grouped[r][0])
     frames = [write_ray(ray, cables[r]).segs.frames[0] for ray, r in zip(rays, repeats)]
     # only the distinct counted rows are counted: the connectors and the

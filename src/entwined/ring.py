@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, accumulate, _cell_ceil
+from .density import _EXACT_LIMIT, DensityField, accumulate, _cell_ceil
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import EntwinedPath, Frame, build_cable, concatenate, right_envelope, with_frame
 
@@ -173,6 +173,8 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
     slices) so each slice integrates enough world-line passes to expose the
     spatial mode; the dominant mode maximizes time-averaged power, and the
     closed-form least-squares slope of its phase across slices is the drift.
+    A field whose slice sums could reach 2**53, ``slice_cells`` times its
+    largest |count|, raises OverflowError: they would not be exact as float64.
     """
     data = field.adolescent
     if not data.any():
@@ -183,6 +185,9 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
     n_slices = t_cells // slice_cells
     if n_slices < 1:
         raise ValueError("slice_cells exceeds the field extent")
+    reach = slice_cells * max(-int(data.min()), int(data.max()))
+    if reach >= _EXACT_LIMIT:
+        raise OverflowError(f"slice sums can reach {reach}, past exact float64 at 2**53")
     trimmed = data[: n_slices * slice_cells]
     slices = trimmed.reshape(n_slices, slice_cells, -1).sum(axis=1).astype(float)
 

@@ -14,8 +14,8 @@ half-cell integers and never rounds, and framed counting against one that
 applies each frame in Fractions and rounds only in the final binning.  The sinusoid fit is checked
 against the same search with each trial frequency's normal equations summed
 by ``math.fsum`` and solved exactly in Fractions, and against the
-golden-section search it replaced; the channel lag against one ``np.dot``
-per lag.  A ray's
+golden-section search it replaced; the channel lag against one sum of
+Python-int products per lag.  A ray's
 cord repeats are checked by trying repeats counts against the shared
 steady-window formula.  A path's continuity is checked by expanding it
 into its logical segments, one row each, and comparing every consecutive
@@ -169,20 +169,17 @@ def int64_copy(field):
     return out
 
 
-def one_pass_fan(region, M):
-    """A fan counted the one-pass way: each ray's counted rows, framed by
-    ``write_ray`` on a cable built for that ray alone, stacked into one
-    multi-frame array whose ``frame_idx`` is the ray's index and counted by
-    one clipped ``accumulate`` into an int64 field of the region's cells.
-    A ray's (2, t_cells) profile is its own rows counted the same way alone
-    and summed over x.  Returns the field and the (rays, 2, t_cells)
-    profiles."""
+def fan_envelopes(region, M):
+    """An empty int64 field of the region's cells (``int64_copy``), each
+    ray's counted rows, framed by ``write_ray`` on a cable built for that ray
+    alone, and those rows stacked into one multi-frame array whose
+    ``frame_idx`` is the ray's index."""
     lattice = region.lattice
     cell = lattice.cell_physical
     t0 = _cell_floor(region.t_range[0], cell)
     x0 = _cell_floor(region.x_range[0], cell)
-    shape = (cell, t0, x0, _cell_ceil(region.t_range[1], cell) - t0,
-             _cell_ceil(region.x_range[1], cell) - x0)
+    field = DensityField(cell, t0, x0, _cell_ceil(region.t_range[1], cell) - t0,
+                         _cell_ceil(region.x_range[1], cell) - x0)
     envelopes = []
     for v in region.ray_fan:
         ray = RaySpec.from_velocity(v, lattice.mass, region.t_range)
@@ -191,10 +188,19 @@ def one_pass_fan(region, M):
     frames = [envelope.frames[0] for envelope in envelopes]
     stacked = SegmentArray.stack([envelope.reframed(i, frames)
                                   for i, envelope in enumerate(envelopes)], frames)
-    field = accumulate(int64_copy(DensityField(*shape)), stacked, clip=True)
-    profiles = np.stack([accumulate(int64_copy(DensityField(*shape)), envelope, clip=True)
-                         .counts.sum(axis=2) for envelope in envelopes])
-    return field, profiles
+    return int64_copy(field), envelopes, stacked
+
+
+def one_pass_fan(region, M):
+    """A fan counted the one-pass way: its stacked rows (``fan_envelopes``)
+    counted by one clipped ``accumulate`` into an int64 field of the
+    region's cells.  A ray's (2, t_cells) profile is its own rows counted
+    the same way alone and summed over x.  Returns the field and the (rays,
+    2, t_cells) profiles."""
+    field, envelopes, stacked = fan_envelopes(region, M)
+    profiles = np.stack([accumulate(field.copy(), envelope, clip=True).counts.sum(axis=2)
+                         for envelope in envelopes])
+    return accumulate(field, stacked, clip=True), profiles
 
 
 def expand_then_mask(field, envelope):
@@ -437,11 +443,13 @@ def fit_sinusoid_golden(times, values):
 
 
 def best_lag_loop(reference, delayed, max_lag):
-    """``best_lag`` as one ``np.dot`` per lag, scored in Python ints."""
-    reference = np.asarray(reference, dtype=np.int64)
-    delayed = np.asarray(delayed, dtype=np.int64)
+    """``best_lag`` as one sum of products per lag, scored in Python ints,
+    which never wrap; the first of equal scores wins."""
+    reference = [int(v) for v in reference]
+    delayed = [int(v) for v in delayed]
     window = len(reference) - max_lag
     if window <= 0:
         raise ValueError("max_lag leaves no overlap window")
-    scores = [int(np.dot(reference[:window], delayed[lag:lag + window])) for lag in range(max_lag + 1)]
-    return int(np.argmax(scores))
+    scores = [sum(a * b for a, b in zip(reference[:window], delayed[lag:lag + window]))
+              for lag in range(max_lag + 1)]
+    return scores.index(max(scores))

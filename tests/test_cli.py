@@ -383,6 +383,7 @@ _BAD_VALUES = {
         "propagate", {("propagate", "n_periods"): 1e16}, "propagate",
         lambda: region_time_cells(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),
                                                  2.0, 1e16))),
+    # n = 10 at 1e16 cords: the counts can reach the sum of the cords, 6.3e16, past 2**53
     "carrier-exact-sum": (
         "carrier", {("carrier", "m_cords"): 10 ** 16}, "carrier",
         lambda: carrier_steady_cells(LatticeSpec(n=10), 10 ** 16, 3), {"M": "m_cords"}),
@@ -416,7 +417,7 @@ def test_owners_that_do_not_depend_on_each_other_report_together(tmp_path, capsy
 # values whose times or cell counts overflow to inf (or whose squares underflow
 # to 0) or past int64, repeat counts past a cable's int32 reach, cord counts
 # past an int64 weight and cycles past the largest float, a field past the
-# largest array, a carrier past the exact-sum limit and a window whose end
+# largest array, a carrier whose counts could reach 2**53 and a window whose end
 # rounds to its start: each owner refuses them before a cast raises or a
 # cable is built
 _REFUSED_BY_THEIR_OWNER = {
@@ -584,6 +585,26 @@ def test_propagate_artifacts(tmp_path):
     assert report[0].startswith("v\tomega_expected")
     assert len(report) == 5  # header + 3 rays + summary line
     assert report[-1].startswith("# max_rel_freq_error")
+
+
+def test_heavy_carrier_writes_the_quarter_period_lag(tmp_path):
+    # at 1e10 cords the profiles' lag scores pass int64; scored exactly, the
+    # lag is the quarter period, as at small cord counts
+    out = tmp_path / "ca"
+    assert run_cli(["carrier", "--n", "10", "--cords", "10000000000", "--out", str(out)]) == 0
+    header, row = (out / "carrier_fit.tsv").read_text().splitlines()
+    fit = dict(zip(header.split("\t"), row.split("\t")))
+    assert fit["lag_cells"] == fit["quarter_period_cells"] == "5"
+
+
+def test_heavy_fan_runs_and_keeps_each_rays_lag(tmp_path):
+    # 2e10 cords: the fan's counts stay far below 2**53, so it runs, and each
+    # ray's lag lies within a cell of its quarter period
+    out = tmp_path / "pr"
+    assert run_cli(["propagate", "--n", "50", "--cords", "20000000000", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in (out / "ray_report.tsv").read_text().splitlines()[1:-1]]
+    assert len(rows) == 11
+    assert all(abs(int(row[6]) - float(row[7])) <= 1.0 for row in rows)
 
 
 def test_propagate_fits_80_periods_in_the_true_minimum(tmp_path):

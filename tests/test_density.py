@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from entwined import density, propagator, ring
@@ -232,14 +233,18 @@ def test_carrier_steady_cells_count_the_steady_region(n, M, repeats):
             density.carrier_steady_cells(lattice, M, repeats)
 
 
-@pytest.mark.parametrize("n, M, repeats", [(10, 20, 3), (4, 7, 3), (2, 1, 5)])
+@pytest.mark.parametrize("n, M, repeats", [
+    (10, 20, 3), (4, 7, 3), (2, 1, 5), (10, 20, 1), (8, 13, 1), (12, 1000, 2), (4, 2, 2),
+    (50, 60, 1), (50, 123457, 5), (24, 5, 3), (100, 1000, 3),
+])
 def test_carrier_exact_sum_rule_is_the_counting_passs_limit(n, M, repeats, monkeypatch):
-    # at each limit either side of the carrier's summed |weight|, validation
-    # refuses M exactly when counting the built cable raises
+    # validate's closed form is the counting pass's own store bound: at a
+    # limit equal to it both refuse, one above it both accept
     lattice = LatticeSpec(n=n)
     cable = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
-    summed = 8 * n * repeats * sum(cords_per_shift(n, M))
-    for limit in (summed, summed + 1):
+    cords = cords_per_shift(n, M)
+    bound = sum(cords) if repeats == 1 else max(sum(cords), 2 * max(cords))
+    for limit in (bound, bound + 1):
         monkeypatch.setattr(density, "_EXACT_LIMIT", limit)
         try:
             density.carrier_steady_cells(lattice, M, repeats)
@@ -249,11 +254,11 @@ def test_carrier_exact_sum_rule_is_the_counting_passs_limit(n, M, repeats, monke
         refused = any(p.startswith("M: ") for p in problems)
         field = field_for_segments(cable.segs, pad=2)
         if refused:
-            with pytest.raises(OverflowError, match=f"^summed segment weight {summed} "):
+            with pytest.raises(OverflowError, match=f"^counts can reach {bound}, "):
                 accumulate(field, right_envelope(cable))
         else:
             accumulate(field, right_envelope(cable))
-        assert refused == (limit == summed)
+        assert refused == (limit == bound)
 
 
 def _weighted_fiber_envelope(spec, weight):
@@ -263,7 +268,8 @@ def _weighted_fiber_envelope(spec, weight):
 
 
 def test_weighted_counts_stay_integer_exact(spec):
-    # four counted rows of n/2 = 5 cells each: 20 incidences, 20 * weight < 2**53
+    # each of the four counted rows is alone in its channel and sign, so no
+    # count passes the weight, below 2**53
     fiber = build_fiber((0.0, 0.0), spec)
     empty = field_for_segments(fiber.segs, pad=2)
     unit = accumulate(empty.copy(), right_envelope(fiber))
@@ -275,39 +281,46 @@ def test_weighted_counts_stay_integer_exact(spec):
 
 
 def test_weighted_counts_refuse_inexact_sums(spec):
+    # a count of 2**53 would not be exact as float64: refused before the
+    # store is widened, so it keeps its type; one less counts exactly
     field = field_for_segments(build_fiber((0.0, 0.0), spec).segs, pad=2)
-    env = _weighted_fiber_envelope(spec, 2 ** 49)  # 20 * 2**49 > 2**53
-    with pytest.raises(OverflowError, match="2\\*\\*53"):
-        accumulate(field, env)
-    assert not field.adolescent.any()
+    message = _raises_and_leaves_unchanged(field, _weighted_fiber_envelope(spec, 2 ** 53),
+                                           OverflowError)
+    assert message == (f"counts can reach {2 ** 53}, which reaches 2**53; counts past it "
+                       "would not be exact as float64")
+    assert field.counts.dtype == np.int8 and not field.counts.any()
+    accumulate(field, _weighted_fiber_envelope(spec, 2 ** 53 - 1))
+    assert set(field.counts.flat) == {0, 2 ** 53 - 1, -(2 ** 53 - 1)}
 
 
 def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkeypatch):
-    # four rows of five incidences, each row a block of its own: the summed
-    # |weight| reaches 2**53 only in the last block
+    # four rows of five incidences, each row a block of its own; the field
+    # already holds counts up to 5, which the bound adds, and a refused pass
+    # expands no block at all
     set_block(monkeypatch, 3)
     env = right_envelope(build_fiber((0.0, 0.0), spec))
-    _, counts, _ = density._rows(env, spec.eps)
+    _, counts = density._slab_ranges(env, spec.eps)
     assert counts.tolist() == [5] * 4 and len(list(density._blocks(counts))) == 4
-    least = -(-2 ** 53 // 20)  # the least weight whose 20 incidences sum to 2**53
     unit = accumulate(field_for_segments(env, pad=2), env)
     filled = _filled(unit)
+    held = int(np.abs(filled.counts).max())
+    assert held == 5
+    expander = density._expander
+    expanded = []
+
+    def spy(*args):
+        expanded.append(args)
+        return expander(*args)
+
+    monkeypatch.setattr(density, "_expander", spy)
+    least = 2 ** 53 - held  # the least weight a cell could carry to 2**53
     message = _raises_and_leaves_unchanged(filled, _weighted_fiber_envelope(spec, least),
                                            OverflowError)
-    assert message.startswith(f"summed segment weight {20 * least} reaches 2**53")
+    assert message.startswith(f"counts can reach {2 ** 53}, ")
+    assert expanded == [] and filled.counts.dtype == np.int8
     below = accumulate(filled.copy(), _weighted_fiber_envelope(spec, least - 1))
     wide = filled.counts.astype(np.int64) + unit.counts.astype(np.int64) * (least - 1)
-    assert np.array_equal(below.counts, wide)
-    # the limit is on what lands, and includes 2**53 itself: 16 of the 20
-    # slabs lie in this window
-    short = DensityField(unit.cell, 4, unit.x0_cell, unit.t0_cell + unit.t_cells - 4, unit.x_cells)
-    assert len(_incidences(env, spec.eps, (4, short.t0_cell + short.t_cells))[0]) == 16
-    _raises_and_leaves_unchanged(_filled(short), _weighted_fiber_envelope(spec, 2 ** 49),
-                                 OverflowError, clip=True)
-    clipped = accumulate(short.copy(), _weighted_fiber_envelope(spec, 2 ** 49 - 1), clip=True)
-    unit_short = accumulate(short.copy(), env, clip=True)
-    wide = unit_short.adolescent.astype(np.int64) * (2 ** 49 - 1)
-    assert np.array_equal(clipped.adolescent, wide)
+    assert np.array_equal(below.counts, wide) and len(expanded) == 1
 
 
 def test_counting_memory_is_one_block_not_the_incidence_list(monkeypatch):
@@ -461,25 +474,22 @@ def test_copy_keeps_a_widened_store(spec):
     assert not np.shares_memory(dup.counts, field.counts)
 
 
-@pytest.mark.parametrize("error", [OverflowError, ValueError])
+@pytest.mark.parametrize("error", [ValueError])
 def test_a_pass_that_raises_leaves_every_count_though_it_widened(spec, error, monkeypatch):
     # four rows of five incidences, each a block of its own, so blocks land
-    # in the widened store before the pass raises
+    # in the widened store before the pass raises: the third row starts
+    # last, and a field cut there holds the first two
     set_block(monkeypatch, 3)
     env = right_envelope(build_fiber((0.0, 0.0), spec))
     field = field_for_segments(env, pad=2)
-    if error is OverflowError:  # 20 * 2**49 reaches 2**53 after the last block
-        weight, dtype = 2 ** 49, np.int64
-    else:  # the third row starts last: a field cut there holds the first two
-        weight, dtype = 1000, np.int16
-        k_lo = density._rows(env, field.cell)[0]
-        assert k_lo.argmax() == 2
-        field = DensityField(field.cell, field.t0_cell, field.x0_cell,
-                             int(k_lo.max()) - field.t0_cell, field.x_cells)
+    k_lo = density._slab_ranges(env, field.cell)[0]
+    assert k_lo.argmax() == 2
+    field = DensityField(field.cell, field.t0_cell, field.x0_cell,
+                         int(k_lo.max()) - field.t0_cell, field.x_cells)
     filled = _filled(field)
     assert filled.counts.dtype == np.int8
-    _raises_and_leaves_unchanged(filled, _weighted_fiber_envelope(spec, weight), error)
-    assert filled.counts.dtype == dtype
+    _raises_and_leaves_unchanged(filled, _weighted_fiber_envelope(spec, 1000), error)
+    assert filled.counts.dtype == np.int16
 
 
 @pytest.mark.parametrize("factor, bound", [(1.0, 120), (1.5, 126)], ids=["eigen", "off-eigen"])
@@ -587,7 +597,8 @@ def _blocks_wholly_outside(env, field):
     """Blocks of ``accumulate(field, env, clip=True)`` that expand incidences
     of which none lands in the field."""
     window = (field.t0_cell, field.t0_cell + field.t_cells)
-    _, counts, expand = density._rows(env, field.cell, window)
+    k_lo, counts = density._slab_ranges(env, field.cell, window)
+    expand = density._expander(env, field.cell, k_lo, counts)
     outside = 0
     for a, b in density._blocks(counts):
         _, j, _ = expand(a, b)
@@ -601,7 +612,7 @@ def test_clipped_counting_matches_expand_then_mask(case, block, monkeypatch):
     block = set_block(monkeypatch, block)
     env, field = case()
     if block == 1:  # rows longer than a block are a block of their own
-        assert (density._rows(env, field.cell)[1] > block).any()
+        assert (density._slab_ranges(env, field.cell)[1] > block).any()
     # unclipped over a field that holds every incidence
     filled = _filled(field)
     counted, oracle = accumulate(filled.copy(), env), expand_then_mask(filled, env)
@@ -740,7 +751,7 @@ def test_unclipped_error_from_a_later_block_leaves_the_field_unchanged(case, mon
     late = DensityField(field.cell, field.t0_cell, field.x0_cell, field.t_cells * 3 // 4,
                         field.x_cells, wrap_x=field.wrap_x)
     message, row = _first_escape_message(env, late)
-    _, counts, _ = density._rows(env, late.cell)
+    _, counts = density._slab_ranges(env, late.cell)
     blocks = list(density._blocks(counts))
     first_bad = next(i for i, (a, b) in enumerate(blocks) if a <= row < b)
     assert first_bad >= 2
@@ -756,7 +767,7 @@ def test_coincident_rows_merge_to_the_distinct_segments(n, M, repeats, rows, seg
     # the trains at neighbouring shifts share segments, and a fiber's fifth
     # row runs back along the second row of the fiber half a period later
     env = right_envelope(build_cable((0.0, 0.0), LatticeSpec(n=n), M=M, repeats=repeats))
-    first, _, _ = density._distinct(env)
+    first, _ = density._distinct(env)
     assert (env.rows, len(first)) == (rows, segments)
 
 
@@ -767,7 +778,7 @@ def test_ring_rows_merge_to_the_distinct_segments_of_each_frame(monkeypatch):
     monkeypatch.setattr(ring, "accumulate", lambda field, env, clip: calls.append(env))
     run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
     (env,) = calls
-    first, _, _ = density._distinct(env)
+    first, _ = density._distinct(env)
     counted_frames = np.unique(env.frame_idx)  # the bridge's frame holds no counted row
     assert len(counted_frames) == 2
     for frame in counted_frames:
@@ -839,15 +850,11 @@ def test_merged_counting_equals_the_unmerged_expansion(kind, n, M, repeats, fram
         assert np.array_equal(counted.senescent, oracle.senescent)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["fiber", "cord", "cable"]), n=st.sampled_from([2, 4, 6, 10]),
-       M=st.integers(1, 12), frames=st.lists(_frames, min_size=1, max_size=3),
-       weights=st.integers(1, 2 ** 20), seed=st.integers(0, 2 ** 32 - 1),
-       filled=st.booleans(), wrap_x=st.booleans(), clip=st.booleans())
-def test_a_pass_stores_counts_in_the_narrowest_type_of_its_channel_sign_bound(
-        kind, n, M, frames, weights, seed, filled, wrap_x, clip):
-    # both species and both time directions in several frames; the store is
-    # sized by the per-(channel, sign, t) bound, which no count passes
+def _weighted_case(kind, n, M, frames, weights, seed, filled, wrap_x, clip):
+    """A fiber, cord or cable's counted rows in every frame of ``frames``,
+    with random weights up to ``weights``, repeated and reversed
+    (``_coincident``), and a field that holds every incidence or, with
+    ``clip``, a random t window of it, holding random counts if ``filled``."""
     lattice = LatticeSpec(n=n)
     if kind == "fiber":
         path = build_fiber((0.0, 0.0), lattice)
@@ -865,8 +872,23 @@ def test_a_pass_stores_counts_in_the_narrowest_type_of_its_channel_sign_bound(
         t_cells = int(rng.integers(1, bounds.t_cells - t_lo + 1))
     field = DensityField(bounds.cell, bounds.t0_cell + t_lo, bounds.x0_cell, t_cells, x_cells,
                          wrap_x=wrap_x)
-    if filled:
-        field = _filled(field, seed=seed % 1000)
+    return env, _filled(field, seed=seed % 1000) if filled else field
+
+
+_weighted_cases = dict(kind=st.sampled_from(["fiber", "cord", "cable"]),
+                       n=st.sampled_from([2, 4, 6, 10]), M=st.integers(1, 12),
+                       frames=st.lists(_frames, min_size=1, max_size=3),
+                       weights=st.integers(1, 2 ** 20), seed=st.integers(0, 2 ** 32 - 1),
+                       filled=st.booleans(), wrap_x=st.booleans(), clip=st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_weighted_cases)
+def test_a_pass_stores_counts_in_the_narrowest_type_of_its_channel_sign_bound(
+        kind, n, M, frames, weights, seed, filled, wrap_x, clip):
+    # both species and both time directions in several frames; the store is
+    # sized by the per-(channel, sign, t) bound, which no count passes
+    env, field = _weighted_case(kind, n, M, frames, weights, seed, filled, wrap_x, clip)
     bound = channel_sign_bound(field, env)
     oracle = expand_then_mask(field, env)
     accumulate(field, env, clip=clip)
@@ -875,36 +897,69 @@ def test_a_pass_stores_counts_in_the_narrowest_type_of_its_channel_sign_bound(
     assert np.array_equal(field.counts, oracle.counts)
 
 
-def test_cancelling_rows_still_count_their_summed_weight_toward_the_limit():
-    # one segment run forward and back, 2**52 each way: the net weight is 0,
-    # but the summed |weight| reaches 2**53 on the one slab they cover
-    lattice = LatticeSpec(n=10)
-    env = SegmentArray(lattice, [0, 1], [0, 1], [1, 0], [1, 0], [1, 1], [0, 0], (Frame(),),
-                       weight=[2 ** 52, 2 ** 52])
-    first, net, summed = density._distinct(env)
-    assert (first.tolist(), net.tolist(), summed.tolist()) == ([0], [0], [2 ** 53])
-    field = field_for_segments(env, pad=1)
-    message = _raises_and_leaves_unchanged(_filled(field), env, OverflowError)
-    assert message.startswith(f"summed segment weight {2 ** 53} reaches 2**53")
-    # one less each way stays exact, and the net 0 adds nothing
-    below = SegmentArray(lattice, env.x1, env.t1, env.x2, env.t2, env.envelope, env.frame_idx,
-                         env.frames, weight=[2 ** 52 - 1] * 2)
-    filled = _filled(field)
-    counted = accumulate(filled.copy(), below)
-    assert np.array_equal(counted.adolescent, filled.adolescent)
-    assert np.array_equal(counted.senescent, filled.senescent)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_weighted_cases, offset=st.integers(-2, 2))
+def test_a_pass_raises_exactly_when_the_channel_sign_bound_reaches_the_limit(
+        kind, n, M, frames, weights, seed, filled, wrap_x, clip, offset):
+    # the limit is set around the oracle's bound: a pass at or past it is
+    # refused and leaves the store as it was, counts and type; below it, it
+    # counts what the unmerged expansion counts
+    env, field = _weighted_case(kind, n, M, frames, weights, seed, filled, wrap_x, clip)
+    bound = channel_sign_bound(field, env)
+    limit = max(1, bound + offset)
+    with mock.patch.object(density, "_EXACT_LIMIT", limit):
+        if bound >= limit:
+            kept = field.counts.copy()
+            with pytest.raises(OverflowError, match=f"^counts can reach {bound}, "):
+                accumulate(field, env, clip=clip)
+            assert field.counts.dtype == kept.dtype and np.array_equal(field.counts, kept)
+        else:
+            oracle = expand_then_mask(field, env)
+            accumulate(field, env, clip=clip)
+            assert np.array_equal(field.counts, oracle.counts)
 
 
-def test_summed_weights_past_int64_are_refused_not_wrapped():
-    # 2**62 four times sums past int64: the group's summed |weight| stays a
-    # Python int, so the refusal names the true sum; the one row is stored
-    # forward and backward in turn, so the net weight cancels to 0
-    lattice = LatticeSpec(n=10)
-    env = SegmentArray(lattice, [0, 1] * 2, [0, 1] * 2, [1, 0] * 2, [1, 0] * 2, [1] * 4, [0] * 4,
-                       (Frame(),), weight=[2 ** 62] * 4)
-    assert density._distinct(env)[2].tolist() == [2 ** 64]
-    message = _raises_and_leaves_unchanged(field_for_segments(env, pad=1), env, OverflowError)
-    assert message.startswith(f"summed segment weight {2 ** 64} reaches 2**53")
+def _reversed_pairs(weights, backward=0):
+    """One lightlike row stored once per weight, forward in t, except the last
+    ``backward`` rows, which run it backward."""
+    rows = len(weights)
+    forward = rows - backward
+    return SegmentArray(LatticeSpec(n=10), [0] * forward + [1] * backward,
+                        [0] * forward + [1] * backward, [1] * forward + [0] * backward,
+                        [1] * forward + [0] * backward, [1] * rows, [0] * rows, (Frame(),),
+                        weight=weights)
+
+
+@pytest.mark.parametrize("weight", [2 ** 52, 2 ** 62])
+def test_cancelling_rows_count_only_their_net_weight(weight):
+    # one segment run forward and back, the same weight each way: the net
+    # weight is 0, so the pass is accepted, adds nothing and keeps the store
+    env = _reversed_pairs([weight] * 2, backward=1)
+    first, net = density._distinct(env)
+    assert (first.tolist(), net.tolist()) == ([0], [0])
+    filled = _filled(field_for_segments(env, pad=1))
+    counted = accumulate(filled.copy(), env)
+    assert counted.counts.dtype == np.int8
+    assert np.array_equal(counted.counts, filled.counts)
+
+
+def test_net_weights_past_int64_are_refused_not_wrapped():
+    # 2**62 four times the same way nets 2**64, which int64 would wrap to 0;
+    # one way and back in pairs it nets 0 exactly
+    env = _reversed_pairs([2 ** 62] * 4)
+    with pytest.raises(OverflowError, match="^the net weight of a segment passes int64$"):
+        density._distinct(env)
+    _raises_and_leaves_unchanged(field_for_segments(env, pad=1), env, OverflowError)
+    assert density._distinct(_reversed_pairs([2 ** 62] * 4, backward=2))[1].tolist() == [0]
+    # the nets at either end of int64 are exact, and their counts refused at the bound
+    for weights, backward, net in (([2 ** 62, 2 ** 62 - 1], 0, 2 ** 63 - 1),
+                                   ([2 ** 62] * 2, 2, -2 ** 63)):
+        env = _reversed_pairs(weights, backward)
+        assert density._distinct(env)[1].tolist() == [net]
+        message = _raises_and_leaves_unchanged(field_for_segments(env, pad=1), env, OverflowError)
+        assert message.startswith(f"counts can reach {abs(net)}, ")
+    with pytest.raises(OverflowError, match="passes int64"):
+        density._distinct(_reversed_pairs([2 ** 62] * 2 + [1], backward=3))
 
 
 def test_row_mapped_to_one_time_counts_in_the_one_slab_it_sits_in():
@@ -1400,6 +1455,26 @@ def test_best_lag_matches_the_per_lag_loop_and_breaks_ties_low():
         ties += scores.count(max(scores)) > 1
         assert best_lag(reference, delayed, max_lag) == best_lag_loop(reference, delayed, max_lag)
     assert ties > 30
+
+
+def test_best_lag_scores_large_profiles_exactly():
+    # scaled by 10**9, every product passes 2**63, so int64 scores would wrap
+    # and pick other lags; exact scores keep the unscaled lag
+    rng = np.random.default_rng(12)
+    scale = 10 ** 9
+    wrapped = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 80))
+        max_lag = int(rng.integers(0, n))
+        reference = rng.integers(-1000, 1001, size=n)
+        delayed = rng.integers(-1000, 1001, size=n + int(rng.integers(0, 3)))
+        lag = best_lag(reference, delayed, max_lag)
+        big = reference * scale, delayed * scale
+        assert best_lag(*big, max_lag) == lag == best_lag_loop(*big, max_lag)
+        window = n - max_lag
+        scores = sliding_window_view(big[1][:n], window) @ big[0][:window]  # int64: wraps
+        wrapped += int(np.argmax(scores)) != lag
+    assert wrapped > 50
 
 
 # --- regions and export ----------------------------------------------------

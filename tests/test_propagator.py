@@ -1,4 +1,3 @@
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,7 +12,7 @@ from entwined.paths import build_cable, cords_per_shift, right_envelope
 from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, ray_repeats,
                                  reduced_frequency, region_for_fan, velocity_fan, write_ray,
                                  write_region, _ray_report)
-from helpers import one_pass_fan, repeats_covering
+from helpers import channel_sign_bound, fan_envelopes, one_pass_fan, repeats_covering
 
 
 @pytest.fixture(scope="module")
@@ -344,24 +343,21 @@ def test_write_region_builds_one_cable_per_distinct_repeats(n, M, fan, n_periods
     assert len(grouped) == len(built)
 
 
+def _fan_bounds(region, M):
+    """Each ray's own store bound in the region's empty field, and the
+    whole fan's, counted into one field (``channel_sign_bound``)."""
+    field, envelopes, stacked = fan_envelopes(region, M)
+    return [channel_sign_bound(field, env) for env in envelopes], channel_sign_bound(field, stacked)
+
+
 def test_fan_count_keeps_the_exact_sum_limit_over_the_summed_field(lattice, monkeypatch):
-    # every ray lands under the limit on its own; the fan, summed into one
-    # field, reaches it, so its counts would not all be exact as float64
+    # every ray's counts stay under the limit on their own; the fan's, summed
+    # into one field, reach it, so they would not all be exact as float64
     region = region_for_fan(lattice, (-0.1, 0.1), start_periods=2.0, n_periods=3.0)
-    cell = lattice.cell_physical
-    t0 = _cell_floor(region.t_range[0], cell)
-    window = (t0, _cell_ceil(region.t_range[1], cell))
-    x_lo = _cell_floor(region.x_range[0], cell)
-    x_hi = _cell_ceil(region.x_range[1], cell)
-    landed = []
-    for v in region.ray_fan:
-        env = right_envelope(fresh_ray(RaySpec.from_velocity(v, lattice.mass, region.t_range),
-                                       lattice, 10))
-        _, j, idx = density._incidences(env, cell, window)
-        landed.append(int(env.weight[idx[(j >= x_lo) & (j < x_hi)]].sum()))
-    assert max(landed) < sum(landed)
-    monkeypatch.setattr(density, "_EXACT_LIMIT", max(landed) + 1)
-    with pytest.raises(OverflowError, match="2\\*\\*53"):
+    rays, fan = _fan_bounds(region, 10)
+    assert max(rays) < fan
+    monkeypatch.setattr(density, "_EXACT_LIMIT", max(rays) + 1)
+    with pytest.raises(OverflowError, match=f"^counts can reach {fan}, which reaches 2\\*\\*53"):
         write_region(region, M=10)
 
 
@@ -406,33 +402,20 @@ def test_per_ray_passes_count_as_the_one_pass_fan(n, M, region_of, repeats, monk
 
 
 def test_fan_count_decides_exact_sums_over_the_whole_fan(lattice, monkeypatch):
-    # for every ray, its largest summed |w| times its incidences lies below
-    # the limit, so a decision taken ray by ray would never sum; the fan's
-    # landed sum reaches it, and raises exactly from there
+    # one bound covers the fan, decided before the first ray is counted: at
+    # the fan's bound nothing is counted; one above it every ray is, and no
+    # cell of the field nor value of a ray's profile passes that bound
     region = region_for_fan(lattice, velocity_fan(-0.25, 0.25, 11), n_periods=3.0)
-    cell = lattice.cell_physical
-    window = (_cell_floor(region.t_range[0], cell), _cell_ceil(region.t_range[1], cell))
-    x_lo = _cell_floor(region.x_range[0], cell)
-    x_hi = _cell_ceil(region.x_range[1], cell)
-    reach, landed = [], []
-    for v in region.ray_fan:
-        env = right_envelope(fresh_ray(RaySpec.from_velocity(v, lattice.mass, region.t_range),
-                                       lattice, 10))
-        first, _, summed = density._distinct(env)
-        segments = env.subset(first)
-        _, counts = density._slab_ranges(segments, cell, window)
-        reach.append(int(summed.max()) * int(counts.sum()))
-        _, j, idx = density._incidences(segments, cell, window)
-        landed.append(int(summed[idx[(j >= x_lo) & (j < x_hi)]].sum()))
-    assert max(reach) < sum(landed)
-    # the landed sum is carried from ray to ray, and the ray that reaches the limit raises
-    for limit in (max(reach) + 1, sum(landed)):
-        monkeypatch.setattr(density, "_EXACT_LIMIT", limit)
-        total = next(total for total in itertools.accumulate(landed) if total >= limit)
-        with pytest.raises(OverflowError, match=f"summed segment weight {total} reaches 2\\*\\*53"):
-            write_region(region, M=10)
-    monkeypatch.setattr(density, "_EXACT_LIMIT", sum(landed) + 1)
-    assert write_region(region, M=10).field.adolescent.any()
+    _, fan = _fan_bounds(region, 10)
+    seen = _counted_profiles(monkeypatch)
+    monkeypatch.setattr(density, "_EXACT_LIMIT", fan)
+    with pytest.raises(OverflowError, match=f"^counts can reach {fan}, "):
+        write_region(region, M=10)
+    assert not seen[0].any()
+    monkeypatch.setattr(density, "_EXACT_LIMIT", fan + 1)
+    result = write_region(region, M=10)
+    assert result.field.adolescent.any()
+    assert np.abs(result.field.counts).max() <= fan and np.abs(seen[1]).max() <= fan
 
 
 @pytest.mark.parametrize("fan", [(0.0,), (-0.2, 0.0)])

@@ -193,6 +193,23 @@ def test_metrics_reject_empty_field():
         standing_wave_metrics(field)
 
 
+@pytest.mark.parametrize("slice_cells", [1, 3])
+def test_metrics_refuse_slice_sums_that_could_reach_2_53(slice_cells):
+    # a count whose slice sum would reach 2**53 is refused, whatever its
+    # sign; one below the limit, the sums are exact and read
+    field = DensityField(0.1, 0, 0, 6, 8)
+    field.counts = field.counts.astype(np.int64)
+    x = np.arange(8)
+    largest = -(-2 ** 53 // slice_cells)  # the least |count| whose slice sum reaches 2**53
+    for sign in (1, -1):
+        field.adolescent[:] = np.where(x % 4 < 2, 1, -1)
+        field.adolescent[0, 0] = sign * largest
+        with pytest.raises(OverflowError, match=f"^slice sums can reach {slice_cells * largest}, "):
+            standing_wave_metrics(field, slice_cells=slice_cells)
+    field.adolescent[0, 0] = largest - 1
+    assert standing_wave_metrics(field, slice_cells=slice_cells).n_slices == 6 // slice_cells
+
+
 def test_metrics_on_uniform_single_slice_field():
     # degenerate spectrum: everything in the zero mode, drift pinned to 0
     field = DensityField(0.1, 0, 0, 1, 16)

@@ -14,6 +14,7 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
 - a ray fan whose rays need two different cable repeats counts;
 - the n = 200, M = 240 ray fan, the most framed rows and cells of any line;
 - the 64-cycle ring, the tallest field, exported one row block at a time;
+- a carrier of 1e10 cords, whose channel-lag scores pass int64;
 - every ``--command`` given.
 
 Each ``--env NAME=VALUE`` sets one environment variable for the working
@@ -61,6 +62,9 @@ LARGE_FAN = ["propagate", "--n", "200", "--cords", "240"]
 # the tallest field of any line: 40,960 x 160 cells a channel, a 13 MB int8 store
 LONG_RING = ["ring", "--n", "20", "--cords", "30", "--cycles", "64"]
 
+# the heaviest weights of any line: its profiles' lag scores pass int64
+HEAVY_WEIGHTS = ["carrier", "--n", "10", "--cords", "10000000000"]
+
 # runs argument lists through entwined.cli.main in one process and prints
 # their exit codes as JSON; argparse rejects a bad flag with SystemExit, and
 # a command that raises is recorded as "raised <exception type>", so that one
@@ -97,6 +101,7 @@ def command_lines(seed: int, extra=()) -> dict[str, list[str]]:
     lines["mixed-repeats/cmd00"] = list(MIXED_REPEATS)
     lines["large-fan/cmd00"] = list(LARGE_FAN)
     lines["long-ring/cmd00"] = list(LONG_RING)
+    lines["heavy-weights/cmd00"] = list(HEAVY_WEIGHTS)
     for i, argv in enumerate(extra):
         lines[f"extra/cmd{i:02d}"] = list(argv)
     return lines
