@@ -247,7 +247,8 @@ def kernel_transfer_matrix(problem: ChessboardProblem, exact: bool = False) -> K
 
 
 def _phase_steps(t_max: float, eps: float, mass: float) -> int:
-    """Steps of a phase series up to ``t_max``; raises SpecError on a broken precondition."""
+    """Steps of a phase series up to ``t_max``; raises SpecError on a broken precondition
+    or a transfer state, one complex128 (2n+1, 2) array, past the largest array."""
     if not (eps > 0):
         raise SpecError(["eps: must be positive"])
     problems = []
@@ -258,6 +259,9 @@ def _phase_steps(t_max: float, eps: float, mass: float) -> int:
         problems.append(f"t_max: smaller than one step of {eps}")
     elif not np.isfinite(n):
         problems.append(f"t_max: {t_max} is not a finite number of steps of {eps}")
+    elif (2 * int(n) + 1) * 2 * np.dtype(np.complex128).itemsize > np.iinfo(np.intp).max:
+        problems.append(f"t_max: too large: the transfer state of {n:.6g} steps passes the largest "
+                        f"array, {np.iinfo(np.intp).max} bytes")
     SpecError.check(problems)
     return int(n)
 

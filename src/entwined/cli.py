@@ -5,9 +5,11 @@ Configuration comes from an INI-style key = value file selected with
 files, a human-readable ``summary.txt``, and a ``manifest.json`` recording
 the fully resolved configuration and a sha256 per artifact.  Output bytes
 are identical for identical configurations regardless of thread count, so
-manifests can be compared directly.  Each experiment imports the modules it
-runs when its configuration is checked, so a run compiles no other
-experiment's code.
+manifests can be compared directly.  Checking a configuration imports
+only the experiment's own modules and builds every object the run uses,
+for a counting experiment its plan: all it counts and the bound it counts
+under.  ``validate`` refuses what that plan refuses, so a configuration it
+passes fails no rule later, and a run counts the plan it checked.
 
 Exit status: 0 success, 2 configuration/validation error, 1 runtime error.
 """
@@ -171,7 +173,6 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
     specs = {"lattice": lattice}
     exp = config["experiment"]
     block = config[exp]
-    n = config["lattice"]["n"]
     cords = {"M": "m_cords"}
     if exp == "chessboard":
         from .chessboard import ChessboardProblem, _check_cap, _phase_steps
@@ -182,32 +183,27 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
                   {"t_max": "phase_t_max"})
     elif exp == "carrier":
-        from .density import carrier_steady_cells
-        from .paths import cable_counts
+        from .density import plan_carrier
 
-        counts = build(exp, lambda: cable_counts(n, block["m_cords"], block["repeats"]), cords)
-        if lattice is not None and counts:
-            build(exp, lambda: carrier_steady_cells(lattice, block["m_cords"], block["repeats"]),
-                  cords)
+        if lattice is not None:
+            specs["carrier"] = build(exp, lambda: plan_carrier(
+                lattice, block["m_cords"], block["repeats"], config["run"]["clip"]), cords)
     elif exp == "propagate":
         from .paths import cable_counts
-        from .propagator import region_for_fan, region_time_cells, velocity_fan
+        from .propagator import plan_region, region_for_fan, velocity_fan
 
-        build(exp, lambda: cable_counts(n, block["m_cords"]), cords)
+        # checked apart: the plan's cables are built only for a good fan
+        counts = build(exp, lambda: cable_counts(config["lattice"]["n"], block["m_cords"]), cords)
         fan = build(exp, lambda: velocity_fan(block["v_min"], block["v_max"], block["v_count"]))
         if lattice is not None and fan is not None:
-            region = specs["region"] = build(exp, lambda: region_for_fan(
+            region = build(exp, lambda: region_for_fan(
                 lattice, fan, block["start_periods"], block["n_periods"]))
-            if region is not None:
-                build(exp, lambda: region_time_cells(region))
+            if region is not None and counts is not None:
+                specs[exp] = build(exp, lambda: plan_region(region, block["m_cords"]), cords)
     elif exp == "ring":
-        from .paths import cable_counts
-        from .ring import RingSpec, ring_cells, wrap_rows
+        from .ring import RingSpec, plan_ring
 
         spec = from_section(RingSpec, exp)
-        # a ring's cables take cycles + 2 repeats; with cycles refused, only M is checked
-        build(exp, lambda: cable_counts(n, block["m_cords"], spec.cycles + 2 if spec else 1),
-              {**cords, "repeats": "cycles"})
         # the factor scales the eigen speed; an explicit speed replaces it
         factor = block["speed_factor"]
         if not factor > 0:
@@ -216,13 +212,13 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
         elif block["speed"] is not None and factor != 1.0:
             problems.append("ring.speed_factor: cannot be combined with ring.speed")
         if spec is not None and lattice is not None:
-            build("ring", lambda: ring_cells(spec.circumference, lattice))
-            v = build("ring", lambda: spec.resolved_speed(lattice.mass))
+            v = build(exp, lambda: spec.resolved_speed(lattice.mass))
             if v is not None and spec.speed is None and factor != 1.0:
-                spec = build("ring", lambda: dataclasses.replace(spec, speed=factor * v))
+                spec = build(exp, lambda: dataclasses.replace(spec, speed=factor * v))
             if v is not None and spec is not None:
-                build("ring", lambda: wrap_rows(spec, lattice))
-        specs["ring"] = spec
+                # a ring's cables take cycles + 2 repeats
+                specs["ring"] = build(exp, lambda: plan_ring(spec, lattice, block["m_cords"]),
+                                      {**cords, "repeats": "cycles"})
     return specs, problems
 
 
@@ -329,18 +325,14 @@ def _run_chessboard(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Cable density and sinusoid fit."""
-    from .density import (ReferenceDensity, accumulate, best_lag, compare, field_for_segments,
-                          steady_region)
-    from .paths import build_cable, right_envelope
+    from .density import ReferenceDensity, _count, best_lag, compare
 
     lattice = specs["lattice"]
-    block = config["carrier"]
-    cable = build_cable((0.0, 0.0), lattice, M=block["m_cords"], repeats=block["repeats"])
-    env = right_envelope(cable)
-    field = field_for_segments(cable.segs, pad=2)
-    accumulate(field, env, clip=config["run"]["clip"])
+    cable, region, counting = specs.pop("carrier")
+    _count(counting)
+    field = counting.field
+    del counting  # the counted passes die before the fit and the export
 
-    region = steady_region(cable, field)
     ts, xs = region.slices(field)
     ado = field.adolescent[ts, xs].sum(axis=1)
     sen = field.senescent[ts, xs].sum(axis=1)
@@ -374,9 +366,9 @@ def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ray-fan region write and frequency law."""
-    from .propagator import write_ray_report, write_region
+    from .propagator import count_region, write_ray_report
 
-    result = write_region(specs["region"], M=config["propagate"]["m_cords"])
+    result = count_region(*specs.pop("propagate"))
     art.export(result.field, "region_field")
     buf = io.StringIO()
     write_ray_report(result.reports, buf)
@@ -390,14 +382,12 @@ def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_ring(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ring standing-wave experiment."""
-    from .ring import (drift_in_cells_per_period, ring_clock, run_ring, standing_wave_metrics,
-                       wrap_rows)
+    from .ring import count_ring, drift_in_cells_per_period, standing_wave_metrics
 
-    lattice, spec = specs["lattice"], specs["ring"]
-    block = config["ring"]
-    field = run_ring(spec, lattice, M=block["m_cords"], origin_cell=block["origin_cell"])
-    v, t_scale, _wrap = ring_clock(spec, lattice)
-    metrics = standing_wave_metrics(field, slice_cells=wrap_rows(spec, lattice),
+    lattice, block = specs["lattice"], config["ring"]
+    v, t_scale, slice_cells, counting = specs.pop("ring")
+    field = count_ring(counting, block["origin_cell"])
+    metrics = standing_wave_metrics(field, slice_cells=slice_cells,
                                     period_cells=PERIOD * t_scale / lattice.cell_physical)
     cells_per_period = drift_in_cells_per_period(metrics, field.x_cells)
 
@@ -409,7 +399,7 @@ def _run_ring(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     )
     art.write_text("ring_metrics.tsv", text)
     return [
-        f"speed: {_fmt(v)} (mode {spec.mode})",
+        f"speed: {_fmt(v)} (mode {block['mode']})",
         f"dominant spatial mode: {metrics.dominant_mode}",
         f"phase drift: {_fmt(cells_per_period)} cells/period, purity {_fmt(metrics.mode_purity)}",
     ]
@@ -425,14 +415,14 @@ _RUNNERS = {
 
 def run(config: dict) -> int:
     """Execute the configured experiment; returns the process exit status."""
-    specs, problems = _specs(config)
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
-    out_dir = Path(config["run"]["out"])
-    art = _Artifacts(out_dir)
     try:
+        specs, problems = _specs(config)
+        if problems:
+            for problem in problems:
+                print(f"error: {problem}", file=sys.stderr)
+            return 2
+        out_dir = Path(config["run"]["out"])
+        art = _Artifacts(out_dir)
         lines = _RUNNERS[config["experiment"]](config, art, specs)
     except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
@@ -495,7 +485,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if command == "validate":
-        issues = validate(config)
+        try:  # the plans it builds can run out of memory, as a run can
+            issues = validate(config)
+        except (ValueError, OverflowError, MemoryError) as exc:
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 1
         for issue in issues:
             print(issue)
         if issues:

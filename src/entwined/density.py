@@ -30,14 +30,14 @@ rows that lie on one segment of one frame, whichever way they run, are
 merged before the expansion: each distinct segment is expanded once, and
 each of its incidences scatter-adds its net signed weight (the sum of
 time_dir * w over its rows, which may cancel to 0) straight into the
-field's one store.  Before it scatters, each counting call plans all its
-passes (``accumulate`` makes one, a ray fan one per ray) and bounds the
-counts per channel, sign and time cell.  That bound is the one exactness
-rule: a call whose bound reaches 2**53 raises before it touches the store,
-so every count a call leaves, and every x-summed row of a field that call
-alone counted, is exact as a float64, the type profiles and fits read it as.
-Below it the store is widened once, if it must be, to the narrowest signed
-integer type, int8 to int64, that holds the bound.  Export writes a
+field's one store.  A plan (``_plan``) takes all the passes of a call
+(``accumulate`` makes one, a ray fan one per ray) and, touching no store,
+bounds every count and x-summed row, held ones included, per channel, sign
+and time cell.  That bound is the one exactness rule: a plan whose bound
+reaches 2**53 is refused, so every count and row a call leaves is exact as
+a float64, the type profiles and fits read it as.  The count (``_count``)
+widens the store once, if it must, to the narrowest signed integer type,
+int8 to int64, that holds the bound, then scatters.  Export writes a
 channel's text one row block at a time.
 """
 
@@ -52,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, cable_counts, cable_steady_window
+from .paths import RIGHT_MOVER, EntwinedPath, SegmentArray, build_cable, right_envelope
 
 _WIDTHS = (np.int8, np.int16, np.int32, np.int64)  # store types, narrowest first
 _LOW = 2 ** 32 - 1  # low half of an int64
@@ -196,32 +196,6 @@ def steady_region(path: EntwinedPath, field: DensityField) -> Region:
     return Region(t_lo, t_hi, field.x0_cell, field.x0_cell + field.x_cells)
 
 
-def carrier_steady_cells(spec: LatticeSpec, M: int, repeats: int) -> int:
-    """Cells of ``steady_region`` for the cable ``build_cable((0.0, 0.0),
-    spec, M, repeats)`` on a field of cell eps that covers it, found from
-    the cable's parameters alone: neither the cable nor a field is built.
-
-    Raises ``SpecError`` when the parameters break a rule of ``cable_counts``,
-    the cells are fewer than a sinusoid fit takes, or the counting pass's
-    store bound (``_widen``) reaches 2**53: the sum of the cords per shift,
-    or past one repeat the larger of that and twice the largest count, as a
-    train's last fiber shares a cell with the next repeat's first.
-    """
-    counts = cable_counts(spec.n, M, repeats)
-    lo, hi = cable_steady_window(spec, counts, repeats)
-    cells = max(0, _cell_floor(hi, spec.eps) - _cell_ceil(lo, spec.eps))
-    problems = []
-    if cells < _FIT_SAMPLES:
-        problems.append(f"repeats: steady region is only {cells} cells; a sinusoid fit needs "
-                        f"at least {_FIT_SAMPLES} (increase repeats or the lattice's n)")
-    bound = sum(counts) if repeats == 1 else max(sum(counts), 2 * max(counts))
-    if bound >= _EXACT_LIMIT:
-        problems.append(f"M: counts of the cable can reach {bound}, which reaches 2**53; "
-                        "counts past it would not be exact as float64")
-    SpecError.check(problems)
-    return cells
-
-
 def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int = 1,
                        wrap_x: bool = False) -> DensityField:
     """Smallest cell-aligned field covering every stored row, counted or
@@ -351,6 +325,12 @@ def _distinct(envelope: SegmentArray):
     return first[by_first], ((high << 32) | (low & _LOW))[by_first]
 
 
+def _pass(envelope: SegmentArray):
+    """A counting pass: ``envelope``'s distinct segments, first rows and net weights (``_distinct``)."""
+    first, signed = _distinct(envelope)
+    return envelope.subset(first), first, signed
+
+
 def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) -> DensityField:
     """Add the envelope's signed counts into ``field`` (in place) and return it.
 
@@ -370,7 +350,7 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     incidences, so transient memory is one block, not the whole incidence
     list nor a copy of the field.  Each block's signed weights are
     scatter-added straight into ``field.counts``, in the store's type.  A
-    pass whose store bound (``_widen``) reaches 2**53 raises OverflowError
+    call whose plan's bound (``_plan``) reaches 2**53 raises OverflowError
     before it widens the store or scatters.  A call that raises later
     leaves every count unchanged, though the store may stay widened: the
     blocks already added are expanded again and subtracted, which integer
@@ -381,50 +361,94 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
                         "pass the path's right envelope, right_envelope(path)")
     if envelope.rows:
-        grouped = _distinct(envelope)
-        _count(field, [(envelope.subset(grouped[0]), grouped)], clip)
+        _count(_plan(field, [_pass(envelope)], clip))
     return field
 
 
-def _count(field: DensityField, passes, clip: bool, profiles=None) -> None:
-    """Count passes over segments already grouped into ``field``, under one
-    plan made before anything is scattered.
+@dataclass(frozen=True)
+class CountPlan:
+    """A counting call planned by ``_plan``: its field, passes ``(segments,
+    first, signed, k_lo, counts, left)`` and ``clip``, the largest |count| or
+    |x-summed row| held, its bound once counted and the type that holds it."""
 
-    Each pass is ``(segments, (first, signed))``: distinct segments as
-    ``_distinct`` groups them, with the stored row an out-of-field error
-    names and the net signed weight of each.  ``profiles``, if given, holds
-    one int64 array of shape (2, field.t_cells) per pass: every incidence of
-    the pass that lands in the field is added to it too, at (channel, t), so
-    it holds that pass's x-summed profile.
+    field: DensityField
+    passes: list
+    clip: bool
+    held: int
+    bound: int
+    dtype: np.dtype
 
-    The plan takes each pass's slab ranges from its t end points
-    (``_slab_ranges``) and one bound on every count, and on what the passes
-    add to an x-summed row or profile (``_widen``).  A bound that reaches 2**53
-    raises OverflowError before the store is widened or anything is
-    scattered.  Then the passes are expanded and scattered one after the
-    other, so only one pass's rows are expanded at a time.  A later raise
-    takes every block already added, of every pass, back out of the field
-    and the profiles.
+
+def _plan(field: DensityField, passes, clip: bool) -> CountPlan:
+    """Plan counting ``passes`` (each as ``_pass`` makes it) into ``field``,
+    widening and scattering nothing: their slab ranges (``_slab_ranges``, cut
+    to the field's t window with ``clip``) and one bound on every count,
+    x-summed row and ray profile; a bound that reaches 2**53 raises
+    OverflowError.
+
+    The bound is the largest |count| or |x-summed row| of a channel that
+    ``field`` holds plus the largest sum, over (channel, sign, time cell),
+    of the |net weight| of the segments whose slab range covers the cell.  A
+    segment adds at most one incidence per time cell, wrapped in x or not,
+    so the passes add P - N to a cell and to its x-summed row, P and N sums
+    of positive and negative weights, and |P - N| <= max(P, N).  Held rows
+    are summed in int64, or in Python ints where that could wrap, and the
+    high and low 32 bits of each |net weight| are summed apart, so no sum
+    wraps.
     """
-    cell, rows, cols = field.cell, field.t_cells, field.x_cells
-    window = (field.t0_cell, field.t0_cell + rows) if clip else None
-    plan = []  # per pass: k_lo, counts, signed, left
-    for segments, (_, signed) in passes:
-        # left: channel 1, senescent; right movers are 0, adolescent
-        plan.append((*_slab_ranges(segments, cell, window), signed,
-                     segments.species != RIGHT_MOVER))
-    bound = _widen(field, plan)
+    window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
+    # left: channel 1, senescent; right movers are 0, adolescent
+    planned = [(segments, first, signed, *_slab_ranges(segments, field.cell, window),
+                segments.species != RIGHT_MOVER) for segments, first, signed in passes]
+    store = field.counts
+    held = max(-int(store.min()), int(store.max()))
+    if held:
+        rows = store.sum(axis=2, dtype=np.int64 if held * field.x_cells < 2 ** 63 else object)
+        held = max(held, -int(rows.min()), int(rows.max()))
+    span = field.t_cells + 1  # differences over the t cells, one run per (channel, sign)
+    diff = np.zeros((2, 4 * span), dtype=np.int64)  # high and low halves of the sizes
+    for _, _, signed, k_lo, counts, left in planned:
+        size = np.abs(signed).view(np.uint64)  # |-2**63| too
+        halves = (size >> 32).view(np.int64), (size & _LOW).view(np.int64)
+        for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
+            at = np.clip(ends - field.t0_cell, 0, field.t_cells)
+            np.add(at, span, out=at, where=signed < 0)  # in place: no per-segment key
+            np.add(at, 2 * span, out=at, where=left)
+            for row, half in zip(diff, halves):
+                ufunc.at(row, at, half)
+    high, low = np.cumsum(diff.reshape(2, 4, span), axis=2)
+    high += low >> 32
+    low &= _LOW
+    top = int(high.max())
+    bound = held + (top << 32) + int(low[high == top].max())
     if bound >= _EXACT_LIMIT:
         raise OverflowError(f"counts can reach {bound}, which reaches 2**53; counts past it "
                             "would not be exact as float64")
+    dtype = np.dtype(next(d for d in _WIDTHS if np.iinfo(d).max >= bound))
+    return CountPlan(field, planned, clip, held, bound, dtype)
+
+
+def _count(plan: CountPlan, profiles=None) -> None:
+    """Count a plan's passes into its field: widen the store once to the
+    plan's type if it is wider (a store of zeros anew, never cast), then
+    expand and scatter one pass after the other.  ``profiles``, if given,
+    holds one int64 array of shape (2, field.t_cells) per pass, to which each
+    landed incidence of the pass is added too, at (channel, t): its x-summed
+    profile.  A raise takes every block already added back out of both.
+    """
+    field, clip = plan.field, plan.clip
+    store = field.counts
+    if plan.dtype.itemsize > store.itemsize:  # never narrowed: the caller's store stays
+        field.counts = store.astype(plan.dtype) if plan.held else np.zeros(store.shape, plan.dtype)
+    cell, rows, cols = field.cell, field.t_cells, field.x_cells
     flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
-    views = [None] * len(passes) if profiles is None else [p.reshape(-1) for p in profiles]
+    views = [None] * len(plan.passes) if profiles is None else [p.reshape(-1) for p in profiles]
 
     def land(p: int, ufunc, stop=None):
         """Scatter the incidences of pass ``p``'s segments 0..stop-1 that
         land in the field with ``ufunc``, one block at a time, and yield
         each block's end segment once the block is scattered."""
-        (segments, (first, _)), (k_lo, counts, signed, left) = passes[p], plan[p]
+        segments, first, signed, k_lo, counts, left = plan.passes[p]
         expand = _expander(segments, cell, k_lo, counts)
         # exact in the store's type: no landed |weight| passes the bound it was sized for
         weights = signed.astype(flat.dtype)
@@ -460,9 +484,9 @@ def _count(field: DensityField, passes, clip: bool, profiles=None) -> None:
             scatter(a, b)
             yield b
 
-    landed = [0] * len(plan)  # segments 0..landed[p]-1 of pass p are added into the field
+    landed = [0] * len(plan.passes)  # segments 0..landed[p]-1 of pass p are added into the field
     try:
-        for p in range(len(plan)):
+        for p in range(len(plan.passes)):
             for landed[p] in land(p, np.add):
                 pass
     except BaseException:
@@ -474,44 +498,28 @@ def _count(field: DensityField, passes, clip: bool, profiles=None) -> None:
         raise
 
 
-def _widen(field: DensityField, passes) -> int:
-    """Bound every |count| the ``passes`` can leave in ``field``, each pass
-    given as its segments' first slab ``k_lo``, slab count ``counts``, net
-    weight ``signed`` and channel ``left`` (True for senescent); below
-    ``_EXACT_LIMIT``, widen ``field.counts`` to the narrowest of ``_WIDTHS``
-    that holds the bound (a store of zeros anew, never cast).  Return it.
+def plan_carrier(spec: LatticeSpec, M: int, repeats: int, clip: bool = False):
+    """The carrier run, planned: the cable ``build_cable((0.0, 0.0), spec, M,
+    repeats)``, its ``steady_region`` in the field that covers it, padded by
+    2 cells, and the plan (``_plan``) that counts its right envelope there.
 
-    The bound is the largest |count| held plus the largest sum, over
-    (channel, sign, time cell), of the |net weight| of the segments whose
-    slab range covers the cell.  A segment adds at most one incidence per
-    time cell, wrapped in x or not, so the passes add P - N to a cell and to
-    its x-summed row, P and N sums of positive and negative weights, and
-    |P - N| <= max(P, N).  The high and low 32 bits of each |net weight| are
-    summed apart, so neither sum wraps.
+    Raises ``SpecError`` for every rule ``build_cable`` refuses, a steady
+    region shorter than a sinusoid fit takes, and counts the plan refuses.
     """
-    store = field.counts
-    held = max(-int(store.min()), int(store.max()))
-    span = field.t_cells + 1  # differences over the t cells, one run per (channel, sign)
-    diff = np.zeros((2, 4 * span), dtype=np.int64)  # high and low halves of the sizes
-    for k_lo, counts, signed, left in passes:
-        size = np.abs(signed).view(np.uint64)  # |-2**63| too
-        halves = (size >> 32).view(np.int64), (size & _LOW).view(np.int64)
-        for ufunc, ends in ((np.add, k_lo), (np.subtract, k_lo + counts)):
-            at = np.clip(ends - field.t0_cell, 0, field.t_cells)
-            np.add(at, span, out=at, where=signed < 0)  # in place: no per-segment key
-            np.add(at, 2 * span, out=at, where=left)
-            for row, half in zip(diff, halves):
-                ufunc.at(row, at, half)
-    high, low = np.cumsum(diff.reshape(2, 4, span), axis=2)
-    high += low >> 32
-    low &= _LOW
-    top = int(high.max())
-    bound = held + (top << 32) + int(low[high == top].max())
-    if bound < _EXACT_LIMIT:
-        dtype = np.dtype(next(d for d in _WIDTHS if np.iinfo(d).max >= bound))
-        if dtype.itemsize > store.itemsize:  # never narrowed: the caller's store stays
-            field.counts = store.astype(dtype) if held else np.zeros(store.shape, dtype)
-    return bound
+    cable = build_cable((0.0, 0.0), spec, M=M, repeats=repeats)
+    field = field_for_segments(cable.segs, pad=2)
+    region = steady_region(cable, field)
+    cells = max(0, region.t_hi - region.t_lo)
+    problems = []
+    if cells < _FIT_SAMPLES:
+        problems.append(f"repeats: steady region is only {cells} cells; a sinusoid fit needs "
+                        f"at least {_FIT_SAMPLES} (increase repeats or the lattice's n)")
+    try:
+        counting = _plan(field, [_pass(right_envelope(cable))], clip)
+    except OverflowError as exc:
+        problems.append(f"M: {exc}")
+    SpecError.check(problems)
+    return cable, region, counting
 
 
 # ---------------------------------------------------------------------------

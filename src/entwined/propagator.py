@@ -10,9 +10,9 @@ rate:
 A ray is written by retuning a cable so its loop period matches
 2*pi/omega(v), shearing it onto the ray, and accumulating its counted
 segments.  A region is written by counting a whole fan of such rays into
-one field, one ray at a time under one plan made before anything is
-scattered, and comparing each ray's density profile, gathered as its ray
-is counted, against the analytic frequency law.
+one field, one ray at a time under one plan (``plan_region``) made before
+anything is scattered, and comparing each ray's density profile, gathered
+as its ray is counted, against the analytic frequency law.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (DensityField, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil, _cell_floor,
-                      _count, _distinct)
+from .density import (CountPlan, DensityField, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil,
+                      _cell_floor, _count, _pass, _plan)
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import EntwinedPath, Frame, build_cable, cable_steady_window, cable_counts, with_frame
 
@@ -123,47 +123,6 @@ def region_for_fan(lattice: LatticeSpec, ray_fan, start_periods: float = 2.0,
     v_hi = max(max(ray_fan), 0.0)
     x_range = (v_lo * t_range[1] - pad, v_hi * t_range[1] + pad)
     return RegionSpec(x_range=x_range, t_range=t_range, ray_fan=tuple(ray_fan), lattice=lattice)
-
-
-def _x_cells(region: RegionSpec) -> tuple[int, int]:
-    """First x cell and number of x cells of ``region``'s field."""
-    cell = region.lattice.cell_physical
-    x0_cell = _cell_floor(region.x_range[0], cell)
-    return x0_cell, _cell_ceil(region.x_range[1], cell) - x0_cell
-
-
-def region_time_cells(region: RegionSpec) -> tuple[int, int]:
-    """First time cell and number of time cells of the field ``write_region``
-    writes ``region`` into: its t range floored and ceiled to whole cells.
-
-    Raises ``SpecError`` when they are fewer than each ray's sinusoid fit
-    takes or than its channel-lag search reads (``_max_lag``), past the
-    int64 range of a cell index, or when the field's two channels in int64,
-    the widest store counting may need, would pass the largest array numpy
-    can allocate, before anything is built.
-    """
-    cell = region.lattice.cell_physical
-    try:  # the end lies past the start, so it overflows whenever the start does
-        t0_cell = _cell_floor(region.t_range[0], cell)
-        t_cells = _cell_ceil(region.t_range[1], cell) - t0_cell
-        x_cells = _x_cells(region)[1]
-    except OverflowError as exc:
-        raise SpecError([f"n_periods: too large: the window reaches {exc}"]) from None
-    if t_cells < _FIT_SAMPLES:
-        raise SpecError([f"n_periods: the window spans only {t_cells} time cells; a sinusoid fit "
-                         f"needs at least {_FIT_SAMPLES} (increase n_periods or the lattice's n)"])
-    # the ray of largest |v| has the lowest frequency, so its lag search reads the most cells
-    v = max(region.ray_fan, key=abs, default=0.0)
-    lag = _max_lag(reduced_frequency(v, region.lattice.mass), cell)
-    if t_cells <= lag:
-        raise SpecError([f"n_periods: the window spans only {t_cells} time cells; the channel lag of "
-                         f"the ray at v = {v!r} is searched over {lag} cells and needs at "
-                         f"least {lag + 1} (increase n_periods)"])
-    size = 2 * t_cells * x_cells * np.dtype(np.int64).itemsize
-    if size > np.iinfo(np.intp).max:
-        raise SpecError([f"n_periods: too large: the field of {t_cells} x {x_cells} cells takes "
-                         f"{size} bytes, past the largest array, {np.iinfo(np.intp).max} bytes"])
-    return t0_cell, t_cells
 
 
 def _t_scale(ray: RaySpec, spec: LatticeSpec) -> float:
@@ -282,57 +241,83 @@ def _ray_report(ray: RaySpec, profile: np.ndarray, field: DensityField) -> RayRe
     )
 
 
-def write_region(region: RegionSpec, M: int) -> RegionResult:
-    """Sweep every ray in the fan, sum their densities, compare per ray.
+def plan_region(region: RegionSpec, M: int):
+    """Build all that ``write_region`` counts, and plan the count: returns
+    the rays and the plan (``density._plan``) that counts them into the
+    region's field, its x and t ranges floored and ceiled to whole cells.
+    One cable is built per distinct ``ray_repeats`` count (one for most
+    fans), its counted rows are grouped once (``density._pass``), and each
+    ray is one pass: those segments under its frame from ``write_ray``.
 
-    Rays differ only in their ``Frame``, so one cable is built for each
-    distinct ``ray_repeats`` count (one for most fans), before any ray is
-    written, and its counted rows are grouped once into distinct segments
-    (``density._distinct``).  Each ray's frame comes from ``write_ray``, and
-    each ray is one counting pass (``density._count``): the distinct
-    segments of its cable under its own frame, counted straight into the
-    region field, with each landed incidence also added to the ray's own
-    (2, t_cells) x-summed profile, from which its report is fitted.  The
-    rays are counted in fan order, one at a time, under one plan made
-    before the first scatter: one bound covers the fan and its rays'
-    profiles, so the store is widened once, and a fan whose counts could
-    reach 2**53 raises OverflowError before any is counted.
-    A t window of fewer time cells than a ray's fit takes, or than its
-    channel-lag search reads, raises ``SpecError`` (``region_time_cells``)
-    before any cable is built.  Cells outside the region are clipped
-    silently (cables overhang the window by construction).  A report sees
-    only what of its ray lands inside the x window: ``region_for_fan`` pads
-    that window so no ray is clipped in x, but a hand-built ``RegionSpec``
-    narrower than its rays gets profiles of the part inside.
+    Raises ``SpecError``, before any cable is built, when the field has
+    fewer time cells than a ray's fit takes or than its lag search reads
+    (``_max_lag``), or lies past the int64 range of a cell index or, in
+    int64, the widest store, past the largest array; then for every rule
+    ``build_cable`` refuses, and for counts the plan refuses.
     """
     if not region.ray_fan:
         raise ValueError("ray fan is empty")
     lattice = region.lattice
-    mass = lattice.mass
     cell = lattice.cell_physical
-    t0_cell, t_cells = region_time_cells(region)
-    x0_cell, x_cells = _x_cells(region)
-
+    try:  # the end lies past the start, so it overflows whenever the start does
+        t0_cell = _cell_floor(region.t_range[0], cell)
+        t_cells = _cell_ceil(region.t_range[1], cell) - t0_cell
+        x0_cell = _cell_floor(region.x_range[0], cell)
+        x_cells = _cell_ceil(region.x_range[1], cell) - x0_cell
+    except OverflowError as exc:
+        raise SpecError([f"n_periods: too large: the window reaches {exc}"]) from None
+    if t_cells < _FIT_SAMPLES:
+        raise SpecError([f"n_periods: the window spans only {t_cells} time cells; a sinusoid fit "
+                         f"needs at least {_FIT_SAMPLES} (increase n_periods or the lattice's n)"])
+    # the ray of largest |v| has the lowest frequency, so its lag search reads the most cells
+    v = max(region.ray_fan, key=abs)
+    lag = _max_lag(reduced_frequency(v, lattice.mass), cell)
+    if t_cells <= lag:
+        raise SpecError([f"n_periods: the window spans only {t_cells} time cells; the channel lag of "
+                         f"the ray at v = {v!r} is searched over {lag} cells and needs at "
+                         f"least {lag + 1} (increase n_periods)"])
+    size = 2 * t_cells * x_cells * np.dtype(np.int64).itemsize
+    if size > np.iinfo(np.intp).max:
+        raise SpecError([f"n_periods: too large: the field of {t_cells} x {x_cells} cells takes "
+                         f"{size} bytes, past the largest array, {np.iinfo(np.intp).max} bytes"])
     # allocated before the cables are built: in the opposite order the n=50
     # fan's peak RSS reads about 0.3 MB higher (heap layout, not live data)
     field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
-    rays = [RaySpec.from_velocity(v, mass, region.t_range) for v in region.ray_fan]
+    rays = tuple(RaySpec.from_velocity(v, lattice.mass, region.t_range) for v in region.ray_fan)
     repeats = [ray_repeats(ray, lattice, M) for ray in rays]
-    cables, grouped, distinct = {}, {}, {}
-    for r in dict.fromkeys(repeats):
-        cables[r] = build_cable((0.0, 0.0), lattice, M=M, repeats=r)
-        counted = cables[r].segs.counted()
-        grouped[r] = _distinct(counted)  # first stored row and net weight of each segment
-        distinct[r] = counted.subset(grouped[r][0])
+    cables = {r: build_cable((0.0, 0.0), lattice, M=M, repeats=r) for r in dict.fromkeys(repeats)}
     frames = [write_ray(ray, cables[r]).segs.frames[0] for ray, r in zip(rays, repeats)]
-    # only the distinct counted rows are counted: the connectors and the
-    # repeated rows do not stay alive for the whole fan
-    del cables
-    passes = [(distinct[r].reframed(0, (frame,)), grouped[r]) for frame, r in zip(frames, repeats)]
-    profiles = np.zeros((len(rays), 2, t_cells), dtype=np.int64)
-    _count(field, passes, clip=True, profiles=profiles)
-    reports = tuple(_ray_report(ray, p, field) for ray, p in zip(rays, profiles))
-    return RegionResult(field=field, reports=reports)
+    try:
+        grouped = {r: _pass(cable.segs.counted()) for r, cable in cables.items()}
+        # only the distinct counted rows are kept: the connectors and the
+        # repeated rows do not stay alive for the whole fan
+        del cables
+        passes = [(grouped[r][0].reframed(0, (frame,)), *grouped[r][1:])
+                  for frame, r in zip(frames, repeats)]
+        return rays, _plan(field, passes, clip=True)
+    except OverflowError as exc:
+        raise SpecError([f"M: {exc}"]) from None
+
+
+def count_region(rays, counting: CountPlan) -> RegionResult:
+    """Count a fan planned by ``plan_region`` in fan order, each landed
+    incidence also added to its ray's own (2, t_cells) x-summed profile, and
+    fit each ray's report from that profile.  Cells outside the region are
+    clipped silently (cables overhang the window by construction).  A report
+    sees only what of its ray lands inside the x window: ``region_for_fan``
+    pads that window so no ray is clipped in x, but a hand-built
+    ``RegionSpec`` narrower than its rays gets profiles of the part inside.
+    """
+    field = counting.field
+    profiles = np.zeros((len(rays), 2, field.t_cells), dtype=np.int64)
+    _count(counting, profiles)
+    return RegionResult(field, tuple(_ray_report(ray, p, field) for ray, p in zip(rays, profiles)))
+
+
+def write_region(region: RegionSpec, M: int) -> RegionResult:
+    """Sweep every ray in the fan, sum their densities and compare per ray, as
+    ``count_region(*plan_region(region, M))``: a fan whose counts could reach 2**53 is refused."""
+    return count_region(*plan_region(region, M))
 
 
 RAY_REPORT_COLUMNS = ("v", "omega_expected", "omega_fitted", "rel_freq_error",

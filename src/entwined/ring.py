@@ -11,6 +11,7 @@ when p*L = 2*pi*k, i.e. at the eigen speeds
 consistent with v = sqrt(2*E_k/m) for E_k = (2*pi*k)**2 / (2*m*L**2).  At an
 eigen speed the accumulated density shows a stationary k-wavelength spatial
 mode; at other speeds the dominant mode's phase drifts from wrap to wrap.
+``plan_ring`` builds and plans what a ring run counts; ``count_ring`` counts it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _EXACT_LIMIT, DensityField, accumulate, _cell_ceil
+from .density import _EXACT_LIMIT, CountPlan, DensityField, _cell_ceil, _count, _pass, _plan
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import EntwinedPath, Frame, build_cable, concatenate, right_envelope, with_frame
 
@@ -96,30 +97,6 @@ def ring_clock(spec: RingSpec, lattice: LatticeSpec) -> tuple[float, float, floa
     return v, t_scale, wrap_time
 
 
-def ring_rows(spec: RingSpec, lattice: LatticeSpec) -> int:
-    """Time cells ``run_ring`` writes: ``cycles`` carrier periods, rounded."""
-    _v, t_scale, _wrap = ring_clock(spec, lattice)
-    return int(round(spec.cycles * (PERIOD * t_scale) / lattice.cell_physical))
-
-
-def wrap_rows(spec: RingSpec, lattice: LatticeSpec) -> int:
-    """Time cells of one wrap ``L / v``, rounded and at least 1: the slice in
-    which the ring's standing wave is read (every written row at ``v = 0``).
-
-    One wrap must fit in the rows ``run_ring`` writes; raises ``SpecError``
-    otherwise.
-    """
-    _v, _t_scale, wrap_time = ring_clock(spec, lattice)
-    rows = ring_rows(spec, lattice)
-    if wrap_time is None:
-        return rows
-    wrap = max(1, int(round(wrap_time / lattice.cell_physical)))
-    if wrap > rows:
-        raise SpecError([f"cycles: one wrap spans {wrap} cells, more than the {rows} cells "
-                         f"written (cycles = {spec.cycles})"])
-    return wrap
-
-
 def _pair_path(spec: RingSpec, lattice: LatticeSpec, M: int) -> EntwinedPath:
     """The cables drifting at +v and -v, concatenated into one continuous
     path; the joining bridge is excluded from counting."""
@@ -130,23 +107,48 @@ def _pair_path(spec: RingSpec, lattice: LatticeSpec, M: int) -> EntwinedPath:
                         for drift in (v, -v)])
 
 
-def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0) -> DensityField:
-    """Write the counter-propagating pair on the periodic domain.
-
-    The pair's one path (``_pair_path``) is accumulated with x wrapped
-    modulo the circumference.  ``origin_cell`` rotates the write origin by
-    whole cells; by ring symmetry this only rolls the field.  The degenerate
-    ``speed=0`` run writes plain carrier columns with no spatial mode.
+def plan_ring(spec: RingSpec, lattice: LatticeSpec, M: int):
+    """Build all that ``run_ring`` counts, and plan the count.  Returns the
+    drift speed and time scale (``ring_clock``), the rows of one wrap
+    ``L / v`` in which the standing wave is read (rounded, at least 1, every
+    row at ``v = 0``), and the plan (``density._plan``) that counts the
+    pair's path (``_pair_path``), x wrapped, into ``cycles`` carrier periods
+    of time cells, rounded, from the start of its steady window.  Raises
+    ``SpecError`` for the rules of ``ring_cells`` and ``ring_clock``, a wrap
+    longer than the rows, every rule of ``build_cable`` (whose repeats are
+    ``cycles + 2``), and counts the plan refuses.
     """
     cell = lattice.cell_physical
     x_cells = ring_cells(spec.circumference, lattice)
+    v, t_scale, wrap_time = ring_clock(spec, lattice)
+    rows = int(round(spec.cycles * (PERIOD * t_scale) / cell))
+    wrap = rows if wrap_time is None else max(1, int(round(wrap_time / cell)))
+    if wrap > rows:
+        raise SpecError([f"cycles: one wrap spans {wrap} cells, more than the {rows} cells "
+                         f"written (cycles = {spec.cycles})"])
     path = _pair_path(spec, lattice, M)
-    t0_cell = _cell_ceil(path.steady_window[0], cell)
-    field = DensityField(cell, t0_cell, 0, ring_rows(spec, lattice), x_cells, wrap_x=True)
-    accumulate(field, right_envelope(path), clip=True)
-    if origin_cell % x_cells:
-        field.counts = np.roll(field.counts, origin_cell % x_cells, axis=2)
+    field = DensityField(cell, _cell_ceil(path.steady_window[0], cell), 0, rows, x_cells,
+                         wrap_x=True)
+    try:
+        return v, t_scale, wrap, _plan(field, [_pass(right_envelope(path))], clip=True)
+    except OverflowError as exc:
+        raise SpecError([f"M: {exc}"]) from None
+
+
+def count_ring(counting: CountPlan, origin_cell: int = 0) -> DensityField:
+    """Count a ring planned by ``plan_ring`` and return its field, rotated by
+    ``origin_cell`` whole cells: by ring symmetry, a roll of the field."""
+    field = counting.field
+    _count(counting)
+    if origin_cell % field.x_cells:
+        field.counts = np.roll(field.counts, origin_cell % field.x_cells, axis=2)
     return field
+
+
+def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0) -> DensityField:
+    """Write the counter-propagating pair on the periodic domain as planned by
+    ``plan_ring``; a ``speed=0`` run writes carrier columns with no spatial mode."""
+    return count_ring(plan_ring(spec, lattice, M)[-1], origin_cell)
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,10 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
     slices) so each slice integrates enough world-line passes to expose the
     spatial mode; the dominant mode maximizes time-averaged power, and the
     closed-form least-squares slope of its phase across slices is the drift.
-    A field whose slice sums could reach 2**53, ``slice_cells`` times its
-    largest |count|, raises OverflowError: they would not be exact as float64.
+    Slices are summed in int64, and a field whose slice sums could pass it,
+    ``slice_cells`` times its largest |count|, raises OverflowError; so does
+    one whose largest |slice sum| reaches 2**53: it would not be exact as
+    float64.
     """
     data = field.adolescent
     if not data.any():
@@ -186,10 +190,14 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
     if n_slices < 1:
         raise ValueError("slice_cells exceeds the field extent")
     reach = slice_cells * max(-int(data.min()), int(data.max()))
-    if reach >= _EXACT_LIMIT:
-        raise OverflowError(f"slice sums can reach {reach}, past exact float64 at 2**53")
+    if reach >= 2 ** 63:
+        raise OverflowError(f"slice sums can reach {reach}, past int64")
     trimmed = data[: n_slices * slice_cells]
-    slices = trimmed.reshape(n_slices, slice_cells, -1).sum(axis=1).astype(float)
+    slices = trimmed.reshape(n_slices, slice_cells, -1).sum(axis=1, dtype=np.int64)
+    reach = max(-int(slices.min()), int(slices.max()))
+    if reach >= _EXACT_LIMIT:
+        raise OverflowError(f"slice sums reach {reach}, past exact float64 at 2**53")
+    slices = slices.astype(float)
 
     spectra = np.fft.rfft(slices, axis=1)
     power = np.mean(np.abs(spectra) ** 2, axis=0)

@@ -222,14 +222,21 @@ def expand_then_mask(field, envelope):
     return out
 
 
+def held_bound(field):
+    """The largest |count| or |x-summed row| of a channel that ``field``
+    holds, summed in Python ints."""
+    counts = field.counts.astype(object)
+    return int(max(np.abs(counts).max(), np.abs(counts.sum(axis=2)).max()))
+
+
 def channel_sign_bound(field, envelope):
     """The bound a counting pass of ``envelope`` into ``field`` sizes its
-    store by, summed over incidences: the largest |count| ``field`` holds
-    plus the largest sum, over (channel, sign, time cell of the field), of
-    the |net weight| of the segments of that channel and sign with an
-    incidence in that time cell.  A segment is a frame and a pair of end
-    points, lower t first; its net weight sums time_dir * weight over its
-    stored rows, whichever way they run."""
+    store by, summed over incidences: the largest |count| or |x-summed row|
+    ``field`` holds (``held_bound``) plus the largest sum, over (channel,
+    sign, time cell of the field), of the |net weight| of the segments of
+    that channel and sign with an incidence in that time cell.  A segment is
+    a frame and a pair of end points, lower t first; its net weight sums
+    time_dir * weight over its stored rows, whichever way they run."""
     net, first = {}, {}
     rows = zip(envelope.frame_idx.tolist(), envelope.x1.tolist(), envelope.t1.tolist(),
                envelope.x2.tolist(), envelope.t2.tolist(), envelope.weight.tolist())
@@ -246,7 +253,7 @@ def channel_sign_bound(field, envelope):
     group = 2 * (envelope.species != RIGHT_MOVER)[idx] + (row_net[idx] < 0)
     sums = np.zeros((4, field.t_cells), dtype=np.int64)
     np.add.at(sums, (group, k), np.abs(row_net[idx]))
-    return int(np.abs(field.counts.astype(np.int64)).max()) + int(sums.max())
+    return held_bound(field) + int(sums.max())
 
 
 def rows_int(segs, window=None):

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -15,15 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entwined import cli
-from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem
+from entwined import cli, density, propagator, ring
+from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem, _phase_steps
 from entwined.cli import ConfigError, load_config, main, validate
-from entwined.density import carrier_steady_cells
+from entwined.density import plan_carrier
 from entwined.lattice import LatticeSpec, SpecError
 from entwined.paths import cable_counts
-from entwined.propagator import region_for_fan, region_time_cells, velocity_fan
-from entwined.ring import RingSpec, eigen_speed, ring_cells, wrap_rows
-from helpers import savetxt_bytes
+from entwined.propagator import plan_region, region_for_fan, velocity_fan
+from entwined.ring import RingSpec, eigen_speed, plan_ring, ring_cells
+from helpers import held_bound, savetxt_bytes
 
 
 def run_cli(args):
@@ -206,6 +207,23 @@ def test_memory_error_reported_not_raised(tmp_path, capsys, monkeypatch, exc, me
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("experiment, owner", [
+    ("carrier", density), ("propagate", propagator), ("ring", ring)])
+def test_memory_error_while_planning_exits_1(tmp_path, capsys, monkeypatch, experiment, owner):
+    # the plan builds the cable at validate, and a run builds its plan first:
+    # running out of memory there is a runtime error, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(owner, "build_cable", exhausted)
+    out = tmp_path / "out"
+    assert run_cli([experiment, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
+    assert run_cli(["validate", "--experiment", experiment]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 _CARRIER_TOO_SHORT = ("error: carrier.repeats: steady region is only 0 cells; a sinusoid fit "
                       "needs at least 8 (increase repeats or the lattice's n)\n")
 _RING_TOO_SHORT = ("error: ring.cycles: one wrap spans 43 cells, more than the 14 cells written "
@@ -342,16 +360,16 @@ _BAD_VALUES = {
                          speed=1.2 * eigen_speed(1, LatticeSpec(n=10).mass, _EIGEN_L))),
     "carrier-steady-cells": (
         "carrier", {("lattice", "n"): 4, ("carrier", "m_cords"): 3, ("carrier", "repeats"): 2},
-        "carrier", lambda: carrier_steady_cells(LatticeSpec(n=4), 3, 2)),
+        "carrier", lambda: plan_carrier(LatticeSpec(n=4), 3, 2)),
     "propagate-window": (
         "propagate", {("lattice", "n"): 2, ("propagate", "m_cords"): 1,
                       ("propagate", "n_periods"): 0.1}, "propagate",
-        lambda: region_time_cells(region_for_fan(LatticeSpec(n=2), (-0.25, 0.25), 2.0, 0.1))),
+        lambda: plan_region(region_for_fan(LatticeSpec(n=2), (-0.25, 0.25), 2.0, 0.1), 1)),
     "ring-wrap": (
         "ring", {("lattice", "n"): 4, ("ring", "m_cords"): 1, ("ring", "cycles"): 1,
                  ("ring", "mode"): 3}, "ring",
-        lambda: wrap_rows(RingSpec(circumference=8.0 * math.pi, mode=3, cycles=1),
-                          LatticeSpec(n=4))),
+        lambda: plan_ring(RingSpec(circumference=8.0 * math.pi, mode=3, cycles=1),
+                          LatticeSpec(n=4), M=1)),
     # rules whose field names differ from their config keys take _specs' renames
     "carrier-m-cords": ("carrier", {("carrier", "m_cords"): 0}, "carrier",
                         lambda: cable_counts(10, 0, 3), {"M": "m_cords"}),
@@ -377,16 +395,20 @@ _BAD_VALUES = {
         lambda: region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11), 1e20, 6.0)),
     "propagate-lag-window": (
         "propagate", {("propagate", "n_periods"): 1.1}, "propagate",
-        lambda: region_time_cells(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),
-                                                 2.0, 1.1))),
+        lambda: plan_region(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),
+                                           2.0, 1.1), 60)),
     "propagate-field-size": (
         "propagate", {("propagate", "n_periods"): 1e16}, "propagate",
-        lambda: region_time_cells(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),
-                                                 2.0, 1e16))),
+        lambda: plan_region(region_for_fan(LatticeSpec(n=10), velocity_fan(-0.25, 0.25, 11),
+                                           2.0, 1e16), 60)),
     # n = 10 at 1e16 cords: the counts can reach the sum of the cords, 6.3e16, past 2**53
     "carrier-exact-sum": (
         "carrier", {("carrier", "m_cords"): 10 ** 16}, "carrier",
-        lambda: carrier_steady_cells(LatticeSpec(n=10), 10 ** 16, 3), {"M": "m_cords"}),
+        lambda: plan_carrier(LatticeSpec(n=10), 10 ** 16, 3), {"M": "m_cords"}),
+    # 1e301 steps of 0.1: their (2n+1, 2) complex128 transfer state passes the largest array
+    "chessboard-phase-array": (
+        "chessboard", {("chessboard", "phase_t_max"): 1e300}, "chessboard",
+        lambda: _phase_steps(1e300, 0.1, 1.0), {"t_max": "phase_t_max"}),
 }
 
 
@@ -416,10 +438,11 @@ def test_owners_that_do_not_depend_on_each_other_report_together(tmp_path, capsy
 
 # values whose times or cell counts overflow to inf (or whose squares underflow
 # to 0) or past int64, repeat counts past a cable's int32 reach, cord counts
-# past an int64 weight and cycles past the largest float, a field past the
-# largest array, a carrier whose counts could reach 2**53 and a window whose end
-# rounds to its start: each owner refuses them before a cast raises or a
-# cable is built
+# past an int64 weight and cycles past the largest float, a field or a
+# transfer state past the largest array and a window whose end rounds to its
+# start: each owner refuses them before a cast raises or a cable is built.
+# A carrier, fan or ring whose counts could reach 2**53 is refused by its
+# plan, once its cable is built and before anything is counted
 _REFUSED_BY_THEIR_OWNER = {
     "start-periods": ["propagate", "--start-periods", "1e308"],
     "n-periods": ["propagate", "--n-periods", "1e308"],
@@ -437,6 +460,9 @@ _REFUSED_BY_THEIR_OWNER = {
     "n-periods-field": ["propagate", "--n-periods", "1e16"],
     "carrier-cords-exact": ["carrier", "--cords", "10000000000000000"],
     "start-periods-float": ["propagate", "--start-periods", "1e20"],
+    "propagate-cords-exact": ["propagate", "--n", "50", "--cords", "1000000000000000"],
+    "ring-cords-exact": ["ring", "--n", "20", "--cords", "10000000000000000"],
+    "phase-t-max-array": ["chessboard", "--phase-t-max", "1e300"],
 }
 
 
@@ -605,6 +631,62 @@ def test_heavy_fan_runs_and_keeps_each_rays_lag(tmp_path):
     rows = [line.split("\t") for line in (out / "ray_report.tsv").read_text().splitlines()[1:-1]]
     assert len(rows) == 11
     assert all(abs(int(row[6]) - float(row[7])) <= 1.0 for row in rows)
+
+
+def test_heavy_ring_reads_its_slice_sums_exactly(tmp_path):
+    # at 1e14 cords a wrap's rows times the largest count pass 2**53, but no
+    # slice sums past 2.1e14: the ring runs, and its eigen mode stands still
+    # with the purity of a light ring
+    rows = []
+    for cords in ("30", "100000000000000"):
+        out = tmp_path / cords
+        assert run_cli(["ring", "--n", "20", "--cords", cords, "--out", str(out)]) == 0
+        header, row = (out / "ring_metrics.tsv").read_text().splitlines()
+        rows.append(dict(zip(header.split("\t"), row.split("\t"))))
+    light, heavy = rows
+    assert heavy["dominant_mode"] == light["dominant_mode"] == "1"
+    assert float(heavy["drift_cells_per_period"]) == float(light["drift_cells_per_period"]) == 0.0
+    assert abs(float(heavy["mode_purity"]) - float(light["mode_purity"])) < 0.02
+
+
+def _same_bytes_counting_lines():
+    """The counting command lines of tools/same_bytes.py (kernel sweep seed 7)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_bytes.py"
+    spec = importlib.util.spec_from_file_location("same_bytes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: argv for name, argv in module.command_lines(7).items() if argv[0] != "chessboard"}
+
+
+@pytest.mark.parametrize("argv", list(_same_bytes_counting_lines().values()),
+                         ids=list(_same_bytes_counting_lines()))
+def test_the_run_counts_the_plan_validate_builds(tmp_path, monkeypatch, argv):
+    # validate's plan and the plan the run counts share one bound and one
+    # store type, which the counted field has and whose bound its cells and
+    # rows keep; a plan refused at validate refuses the run before any count
+    args = cli.build_parser().parse_args(argv)
+    specs, problems = cli._specs(load_config(args.command, None, cli._overrides_from_args(args)))
+    counted = []
+
+    def spy(plan, profiles=None):
+        count(plan, profiles)
+        counted.append((plan.bound, plan.dtype, plan.field.counts.dtype, held_bound(plan.field)))
+
+    count = density._count
+    for module in (density, propagator, ring):
+        monkeypatch.setattr(module, "_count", spy)
+    code = run_cli(argv + ["--out", str(tmp_path / "out")])
+    if problems:
+        assert code == 2 and counted == [] and specs[args.command] is None
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{args.command}.m_cords: counts can reach ")
+        return
+    assert code == 0
+    planned = specs[args.command][-1]
+    (bound, dtype, stored, held), = counted
+    assert (bound, dtype) == (planned.bound, planned.dtype) and stored == dtype
+    assert held <= bound < 2 ** 53
+    assert planned.held == 0 and not planned.field.counts.any()  # validate counted nothing
 
 
 def test_propagate_fits_80_periods_in_the_true_minimum(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from entwined import density, propagator, ring
+from entwined.cli import load_config, validate
 from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, _format_matrix,
                               _incidences, accumulate, best_lag, compare,
                               export_field, field_for_segments, fit_sinusoid, reference_eval,
@@ -21,8 +23,8 @@ from entwined.ring import RingSpec, run_ring
 from test_paths import materialised_cable
 from test_propagator import fresh_ray
 from helpers import (best_lag_loop, channel_sign_bound, cord_fiber_offsets, exact_residual, expand_then_mask,
-                     fit_sinusoid_golden, fit_sinusoid_oracle, incidences_exact, incidences_int,
-                     int64_copy, profile_oracle, savetxt_bytes)
+                     fit_sinusoid_golden, fit_sinusoid_oracle, held_bound, incidences_exact,
+                     incidences_int, int64_copy, profile_oracle, savetxt_bytes)
 
 
 @pytest.fixture
@@ -220,17 +222,29 @@ def test_carrier_field_extent_at_large_m():
 @pytest.mark.parametrize("n, M, repeats", [(n, M, r) for n in (2, 4, 10) for M in (1, 3, 20)
                                             for r in (1, 2, 3, 4)])
 def test_carrier_steady_cells_count_the_steady_region(n, M, repeats):
-    # the closed form agrees with the built cable's steady region, and
-    # refuses exactly the cables whose region a sinusoid fit cannot take
+    # the carrier's plan holds the built cable's steady region in the field
+    # that covers it, counts nothing until it is counted, and then counts what
+    # accumulate does; it refuses exactly the cables whose region a sinusoid
+    # fit cannot take
     lattice = LatticeSpec(n=n)
     cable = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
-    region = steady_region(cable, field_for_segments(cable.segs, pad=2))
+    field = field_for_segments(cable.segs, pad=2)
+    region = steady_region(cable, field)
     cells = max(0, region.t_hi - region.t_lo)
-    if cells >= 8:
-        assert density.carrier_steady_cells(lattice, M, repeats) == cells
-    else:
+    if cells < 8:
         with pytest.raises(SpecError, match=f"^repeats: steady region is only {cells} cells; "):
-            density.carrier_steady_cells(lattice, M, repeats)
+            density.plan_carrier(lattice, M, repeats)
+        return
+    planned, steady, counting = density.plan_carrier(lattice, M, repeats)
+    assert len(planned) == len(cable) and steady == region
+    planned_field = counting.field
+    assert (planned_field.t0_cell, planned_field.x0_cell, planned_field.counts.shape) == \
+        (field.t0_cell, field.x0_cell, field.counts.shape)
+    assert planned_field.counts.dtype == np.int8 and not planned_field.counts.any()
+    density._count(counting)
+    accumulate(field, right_envelope(cable))
+    assert planned_field.counts.dtype == field.counts.dtype == counting.dtype
+    assert np.array_equal(planned_field.counts, field.counts)
 
 
 @pytest.mark.parametrize("n, M, repeats", [
@@ -238,27 +252,27 @@ def test_carrier_steady_cells_count_the_steady_region(n, M, repeats):
     (50, 60, 1), (50, 123457, 5), (24, 5, 3), (100, 1000, 3),
 ])
 def test_carrier_exact_sum_rule_is_the_counting_passs_limit(n, M, repeats, monkeypatch):
-    # validate's closed form is the counting pass's own store bound: at a
-    # limit equal to it both refuse, one above it both accept
+    # validate refuses a carrier exactly where its count does: at a limit
+    # equal to the count's bound (the oracle's) both refuse, one above it
+    # both accept
     lattice = LatticeSpec(n=n)
     cable = build_cable((0.0, 0.0), lattice, M=M, repeats=repeats)
-    cords = cords_per_shift(n, M)
-    bound = sum(cords) if repeats == 1 else max(sum(cords), 2 * max(cords))
+    bound = channel_sign_bound(field_for_segments(cable.segs, pad=2), right_envelope(cable))
+    config = load_config("carrier", None, {("lattice", "n"): n, ("carrier", "m_cords"): M,
+                                           ("carrier", "repeats"): repeats})
     for limit in (bound, bound + 1):
         monkeypatch.setattr(density, "_EXACT_LIMIT", limit)
-        try:
-            density.carrier_steady_cells(lattice, M, repeats)
-            problems = []
-        except SpecError as exc:
-            problems = exc.problems
-        refused = any(p.startswith("M: ") for p in problems)
+        # some of these cables are too short for a fit, which is refused apart
+        problems = [p for p in validate(config) if p.startswith("carrier.m_cords: ")]
         field = field_for_segments(cable.segs, pad=2)
-        if refused:
+        if limit == bound:
+            assert problems == [f"carrier.m_cords: counts can reach {bound}, which reaches "
+                                "2**53; counts past it would not be exact as float64"]
             with pytest.raises(OverflowError, match=f"^counts can reach {bound}, "):
                 accumulate(field, right_envelope(cable))
         else:
+            assert problems == []
             accumulate(field, right_envelope(cable))
-        assert refused == (limit == bound)
 
 
 def _weighted_fiber_envelope(spec, weight):
@@ -295,16 +309,16 @@ def test_weighted_counts_refuse_inexact_sums(spec):
 
 def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkeypatch):
     # four rows of five incidences, each row a block of its own; the field
-    # already holds counts up to 5, which the bound adds, and a refused pass
-    # expands no block at all
+    # already holds counts up to 5 and x-summed rows up to 22, which the
+    # bound adds, and a refused pass expands no block at all
     set_block(monkeypatch, 3)
     env = right_envelope(build_fiber((0.0, 0.0), spec))
     _, counts = density._slab_ranges(env, spec.eps)
     assert counts.tolist() == [5] * 4 and len(list(density._blocks(counts))) == 4
     unit = accumulate(field_for_segments(env, pad=2), env)
     filled = _filled(unit)
-    held = int(np.abs(filled.counts).max())
-    assert held == 5
+    held = held_bound(filled)
+    assert int(np.abs(filled.counts).max()) == 5 and held == 22  # an x-summed row's
     expander = density._expander
     expanded = []
 
@@ -323,13 +337,37 @@ def test_inexact_sums_are_refused_only_past_the_limit_across_blocks(spec, monkey
     assert np.array_equal(below.counts, wide) and len(expanded) == 1
 
 
-def test_counting_memory_is_one_block_not_the_incidence_list(monkeypatch):
-    # the ring-modes eigen run's one accumulate: 780k incidences over 5120 x 160 cells
-    calls = []
-    monkeypatch.setattr(ring, "accumulate",
-                        lambda field, env, clip: calls.append((field, env, clip)))
-    run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
-    (field, env, clip), = calls
+def test_rows_a_field_holds_count_toward_the_limit(spec, monkeypatch):
+    # three cells of every row hold 2**52, so every x-summed row already
+    # holds 3 * 2**52, though no cell passes 2**53: counting the fiber onto
+    # it could leave rows past 2**53, so it is refused before any block is
+    # expanded, and the counts and their type stay as they were
+    env = right_envelope(build_fiber((0.0, 0.0), spec))
+    field = int64_copy(field_for_segments(env, pad=2))
+    field.counts[:, :, :3] = 2 ** 52
+    kept = field.counts.copy()
+    expanded = []
+    monkeypatch.setattr(density, "_expander", lambda *args: expanded.append(args))
+    with pytest.raises(OverflowError, match=f"^counts can reach {3 * 2 ** 52 + 1}, "):
+        accumulate(field, env)
+    assert expanded == []
+    assert field.counts.dtype == np.int64 and np.array_equal(field.counts, kept)
+
+
+def _ring_modes_pass(speed_factor=1.0):
+    """The field ``run_ring`` plans for a ring-modes run, ring --n 20 --cords
+    30 [--speed-factor 1.5], still empty, and the pair's right envelope, which
+    its one clipped pass counts there."""
+    lattice, circumference = LatticeSpec(n=20), 8.0 * math.pi
+    spec = RingSpec(circumference,
+                    speed=speed_factor * ring.eigen_speed(1, lattice.mass, circumference))
+    counting = ring.plan_ring(spec, lattice, M=30)[-1]
+    return counting.field, right_envelope(ring._pair_path(spec, lattice, M=30)), True
+
+
+def test_counting_memory_is_one_block_not_the_incidence_list():
+    # the ring-modes eigen run's one pass: 780k incidences over 5120 x 160 cells
+    field, env, clip = _ring_modes_pass()
     twice = SegmentArray.stack([env, env], env.frames)
     peaks = []
     for envelope in (env, twice):
@@ -349,15 +387,11 @@ def test_counting_memory_is_one_block_not_the_incidence_list(monkeypatch):
     assert peaks[1] < 1.1 * peaks[0]  # twice the incidences, the same blocks and accumulator
 
 
-def test_counting_allocates_no_field_sized_temporary(monkeypatch):
-    # the ring-modes eigen run's one accumulate, straight into its 1.6 MB
-    # int8 store as it is; a second pass, whose counts could reach 14 + 120,
-    # widens that store to int16 once
-    calls = []
-    monkeypatch.setattr(ring, "accumulate",
-                        lambda field, env, clip: calls.append((field, env, clip)))
-    run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
-    (field, env, clip), = calls
+def test_counting_allocates_no_field_sized_temporary():
+    # the ring-modes eigen run's one pass, straight into its 1.6 MB int8
+    # store as it is; a second pass, whose counts and rows could reach the
+    # rows held plus 120, widens that store to int16 once
+    field, env, clip = _ring_modes_pass()
     peaks = []
     for dtype in (np.int8, np.int16):
         tracemalloc.start()
@@ -493,16 +527,10 @@ def test_a_pass_that_raises_leaves_every_count_though_it_widened(spec, error, mo
 
 
 @pytest.mark.parametrize("factor, bound", [(1.0, 120), (1.5, 126)], ids=["eigen", "off-eigen"])
-def test_ring_modes_stores_are_int8_and_count_as_int64(factor, bound, monkeypatch):
+def test_ring_modes_stores_are_int8_and_count_as_int64(factor, bound):
     # the two runs of the ring-modes workload, ring --n 20 --cords 30 [--speed-factor 1.5];
     # the off-eigen bound is one below int8's limit, so a looser bound would widen it
-    lattice, circumference = LatticeSpec(n=20), 8.0 * math.pi
-    spec = RingSpec(circumference, speed=factor * ring.eigen_speed(1, lattice.mass, circumference))
-    calls = []
-    monkeypatch.setattr(ring, "accumulate",
-                        lambda field, env, clip: calls.append((field, env, clip)))
-    run_ring(spec, lattice, M=30)
-    (field, env, clip), = calls
+    field, env, clip = _ring_modes_pass(factor)
     assert channel_sign_bound(field, env) == bound
     wide = accumulate(int64_copy(field), env, clip=clip)
     accumulate(field, env, clip=clip)
@@ -516,10 +544,10 @@ def test_ray_fan_store_is_int16_and_counts_as_int64(monkeypatch):
     count = propagator._count
     twins = []
 
-    def twice(field, passes, clip, profiles):
-        twins.append((int64_copy(field), profiles.copy(), profiles))
-        count(twins[-1][0], passes, clip, profiles=twins[-1][1])
-        count(field, passes, clip, profiles=profiles)
+    def twice(plan, profiles):
+        twins.append((int64_copy(plan.field), profiles.copy(), profiles))
+        count(dataclasses.replace(plan, field=twins[-1][0]), twins[-1][1])
+        count(plan, profiles)
 
     monkeypatch.setattr(propagator, "_count", twice)
     lattice = LatticeSpec(n=50)
@@ -771,13 +799,10 @@ def test_coincident_rows_merge_to_the_distinct_segments(n, M, repeats, rows, seg
     assert (env.rows, len(first)) == (rows, segments)
 
 
-def test_ring_rows_merge_to_the_distinct_segments_of_each_frame(monkeypatch):
+def test_ring_rows_merge_to_the_distinct_segments_of_each_frame():
     # the ring-modes eigen run counts one cable in two frames: 3,040 rows and
     # 860 distinct segments in each, and nothing merges across frames
-    calls = []
-    monkeypatch.setattr(ring, "accumulate", lambda field, env, clip: calls.append(env))
-    run_ring(RingSpec(circumference=8 * math.pi), LatticeSpec(n=20), M=30)
-    (env,) = calls
+    _, env, _ = _ring_modes_pass()
     first, _ = density._distinct(env)
     counted_frames = np.unique(env.frame_idx)  # the bridge's frame holds no counted row
     assert len(counted_frames) == 2
@@ -1080,8 +1105,8 @@ def _framed_cases():
     path = ring._pair_path(spec, lattice, M=8)
     cell = lattice.cell_physical
     yield pytest.param(right_envelope(path), cell, None, id="ring")
-    t0_cell = density._cell_ceil(path.steady_window[0], cell)
-    window = (t0_cell, t0_cell + ring.ring_rows(spec, lattice))
+    field = ring.plan_ring(spec, lattice, M=8)[-1].field
+    window = (field.t0_cell, field.t0_cell + field.t_cells)
     yield pytest.param(right_envelope(path), cell, window, id="ring-windowed")
 
 

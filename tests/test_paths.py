@@ -303,17 +303,11 @@ def test_direction_and_species_are_the_signs_of_each_step(n):
         _assert_signs_of_the_steps(path.segs)
 
 
-def test_the_fans_framed_rows_take_their_signs_from_their_steps(monkeypatch):
-    counted = []
-    count = propagator._count
-
-    def spy(field, passes, *args, **kwargs):
-        counted.extend(segments for segments, _ in passes)
-        return count(field, passes, *args, **kwargs)
-
-    monkeypatch.setattr(propagator, "_count", spy)
+def test_the_fans_framed_rows_take_their_signs_from_their_steps():
     lattice = LatticeSpec.for_mass(10, mass=1.0)
-    propagator.write_region(propagator.region_for_fan(lattice, (-0.2, 0.0, 0.3), n_periods=3.0), 5)
+    _, plan = propagator.plan_region(
+        propagator.region_for_fan(lattice, (-0.2, 0.0, 0.3), n_periods=3.0), 5)
+    counted = [segments for segments, *_ in plan.passes]
     # one pass per ray, each under its own frame
     assert len(counted) == 3
     assert len({frame for segments in counted for frame in segments.frames}) == 3

@@ -7,8 +7,8 @@ import pytest
 from entwined.density import DensityField
 from entwined.lattice import LatticeSpec, SpecError
 from entwined.lattice import PERIOD
-from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, ring_clock,
-                           ring_rows, run_ring, standing_wave_metrics, wrap_rows)
+from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, plan_ring, ring_clock,
+                           run_ring, standing_wave_metrics)
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +163,10 @@ def test_ring_clock_sets_the_written_extent(lattice, circumference, speed):
         assert (t_scale, wrap_time) == (lattice.mass_scale, None)
     field = run_ring(spec, lattice, M=4)
     assert field.t_cells == round(spec.cycles * PERIOD * t_scale / lattice.cell_physical)
-    assert field.t_cells == ring_rows(spec, lattice)
+    planned = plan_ring(spec, lattice, M=4)
+    assert planned[:2] == (v, t_scale) and planned[-1].field.t_cells == field.t_cells
     if v == 0:
-        assert wrap_rows(spec, lattice) == field.t_cells  # a still ring is read as one slice
+        assert planned[2] == field.t_cells  # a still ring is read as one slice
 
 
 @pytest.mark.parametrize("mode, cycles, factor",
@@ -176,15 +177,15 @@ def test_one_wrap_must_fit_in_the_written_rows(lattice, circumference, mode, cyc
     v = factor * eigen_speed(mode, lattice.mass, circumference)
     spec = RingSpec(circumference=circumference, mode=mode, speed=v, cycles=cycles)
     wrap = round(circumference / v / lattice.cell_physical)
-    rows = ring_rows(spec, lattice)
+    rows = round(cycles * PERIOD * lattice.mass_scale / (v * v) / lattice.cell_physical)
     if wrap <= rows:
-        assert wrap_rows(spec, lattice) == wrap
+        assert plan_ring(spec, lattice, M=1)[2] == wrap
     else:
         with pytest.raises(SpecError, match=f"^cycles: one wrap spans {wrap} cells, more than "
                                             f"the {rows} cells written \\(cycles = {cycles}\\)$"):
-            wrap_rows(spec, lattice)
+            plan_ring(spec, lattice, M=1)
     longer = RingSpec(circumference=circumference, mode=mode, speed=v, cycles=cycles + 2)
-    assert wrap_rows(longer, lattice) == wrap  # two more periods always hold it
+    assert plan_ring(longer, lattice, M=1)[2] == wrap  # two more periods always hold it
 
 
 def test_metrics_reject_empty_field():
@@ -195,19 +196,28 @@ def test_metrics_reject_empty_field():
 
 @pytest.mark.parametrize("slice_cells", [1, 3])
 def test_metrics_refuse_slice_sums_that_could_reach_2_53(slice_cells):
-    # a count whose slice sum would reach 2**53 is refused, whatever its
-    # sign; one below the limit, the sums are exact and read
+    # a slice sum that reaches 2**53, whatever its sign, is refused: it would
+    # not be exact as float64.  The rule reads the sums themselves, not
+    # slice_cells times the largest |count|: counts that cancel in their
+    # slice are read, and only a count whose slice could pass int64 is refused
     field = DensityField(0.1, 0, 0, 6, 8)
     field.counts = field.counts.astype(np.int64)
-    x = np.arange(8)
-    largest = -(-2 ** 53 // slice_cells)  # the least |count| whose slice sum reaches 2**53
+    wave = np.where(np.arange(8) % 4 < 2, 1, -1)
+    rest = slice_cells - 1  # the first slice's other rows add 1 each to column 0
     for sign in (1, -1):
-        field.adolescent[:] = np.where(x % 4 < 2, 1, -1)
-        field.adolescent[0, 0] = sign * largest
-        with pytest.raises(OverflowError, match=f"^slice sums can reach {slice_cells * largest}, "):
+        field.adolescent[:] = wave
+        field.adolescent[0, 0] = sign * 2 ** 53 - rest
+        with pytest.raises(OverflowError, match=f"^slice sums reach {2 ** 53}, "):
             standing_wave_metrics(field, slice_cells=slice_cells)
-    field.adolescent[0, 0] = largest - 1
+    field.adolescent[0, 0] = 2 ** 53 - 1 - rest
     assert standing_wave_metrics(field, slice_cells=slice_cells).n_slices == 6 // slice_cells
+    if slice_cells > 1:
+        field.adolescent[:] = wave
+        field.adolescent[0, 0], field.adolescent[1, 0] = 2 ** 60, -2 ** 60
+        assert standing_wave_metrics(field, slice_cells=slice_cells).n_slices == 2
+        field.adolescent[0, 0] = 2 ** 62
+        with pytest.raises(OverflowError, match=f"^slice sums can reach {3 * 2 ** 62}, past int64"):
+            standing_wave_metrics(field, slice_cells=slice_cells)
 
 
 def test_metrics_on_uniform_single_slice_field():

@@ -78,8 +78,10 @@ def test_command_lines_cover_workloads_acceptance_and_extras(same_bytes):
     assert lines["large-fan/cmd00"] == ["propagate", "--n", "200", "--cords", "240"]
     assert lines["long-ring/cmd00"] == ["ring", "--n", "20", "--cords", "30", "--cycles", "64"]
     assert lines["heavy-weights/cmd00"] == ["carrier", "--n", "10", "--cords", "10000000000"]
+    assert lines["heavy-slices/cmd00"] == ["ring", "--n", "20", "--cords", "100000000000000"]
+    assert lines["phase-array/cmd00"] == ["chessboard", "--phase-t-max", "1e300"]
     assert lines["extra/cmd00"] == ["propagate", "--n", "100", "--cords", "120"]
-    assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1 + 1 + 1 + 1
+    assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1 + 1 + 1 + 4 + 1
     assert not any("--threads" in argv or "--out" in argv for argv in lines.values())
 
 

@@ -25,8 +25,8 @@ from entwined.lattice import PERIOD, LatticeSpec
 from entwined.paths import build_cable, right_envelope
 from entwined.propagator import (RaySpec, ray_repeats, region_for_fan, velocity_fan, write_ray,
                                  write_region)
-from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, ring_clock, run_ring,
-                          standing_wave_metrics, wrap_rows)
+from entwined.ring import (RingSpec, count_ring, drift_in_cells_per_period, eigen_speed, plan_ring,
+                          standing_wave_metrics)
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "calibration.json"
 
@@ -79,9 +79,9 @@ def ring_drifts():
         ("off_eigen_1p5", RingSpec(circumference=L, mode=1,
                                    speed=1.5 * eigen_speed(1, lattice.mass, L), cycles=8)),
     ):
-        field = run_ring(spec, lattice, M=30)
-        _v, t_scale, _wrap = ring_clock(spec, lattice)
-        metrics = standing_wave_metrics(field, slice_cells=wrap_rows(spec, lattice),
+        _v, t_scale, slice_cells, counting = plan_ring(spec, lattice, M=30)
+        field = count_ring(counting)
+        metrics = standing_wave_metrics(field, slice_cells=slice_cells,
                                         period_cells=PERIOD * t_scale / lattice.cell_physical)
         out[label] = {
             "dominant_mode": metrics.dominant_mode,

@@ -15,6 +15,9 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
 - the n = 200, M = 240 ray fan, the most framed rows and cells of any line;
 - the 64-cycle ring, the tallest field, exported one row block at a time;
 - a carrier of 1e10 cords, whose channel-lag scores pass int64;
+- four lines that the plan ``validate`` builds settles: a fan and a ring
+  whose counts could reach 2**53 and a phase series past the largest array
+  (exit 2), and a ring whose slice sums are read exactly (exit 0);
 - every ``--command`` given.
 
 Each ``--env NAME=VALUE`` sets one environment variable for the working
@@ -65,6 +68,14 @@ LONG_RING = ["ring", "--n", "20", "--cords", "30", "--cycles", "64"]
 # the heaviest weights of any line: its profiles' lag scores pass int64
 HEAVY_WEIGHTS = ["carrier", "--n", "10", "--cords", "10000000000"]
 
+# refused by the plan at validate, or run because the slice sums are read exactly
+PLANNED = {
+    "heavy-fan": ["propagate", "--n", "50", "--cords", "1000000000000000"],
+    "heavy-ring": ["ring", "--n", "20", "--cords", "10000000000000000"],
+    "heavy-slices": ["ring", "--n", "20", "--cords", "100000000000000"],
+    "phase-array": ["chessboard", "--phase-t-max", "1e300"],
+}
+
 # runs argument lists through entwined.cli.main in one process and prints
 # their exit codes as JSON; argparse rejects a bad flag with SystemExit, and
 # a command that raises is recorded as "raised <exception type>", so that one
@@ -102,6 +113,8 @@ def command_lines(seed: int, extra=()) -> dict[str, list[str]]:
     lines["large-fan/cmd00"] = list(LARGE_FAN)
     lines["long-ring/cmd00"] = list(LONG_RING)
     lines["heavy-weights/cmd00"] = list(HEAVY_WEIGHTS)
+    for name, argv in PLANNED.items():
+        lines[f"{name}/cmd00"] = list(argv)
     for i, argv in enumerate(extra):
         lines[f"extra/cmd{i:02d}"] = list(argv)
     return lines
