@@ -8,8 +8,8 @@ are identical for identical configurations regardless of thread count, so
 manifests can be compared directly.  Checking a configuration imports
 only the experiment's own modules and builds every object the run uses,
 for a counting experiment its plan: all it counts and the bound it counts
-under.  ``validate`` refuses what that plan refuses, so a configuration it
-passes fails no rule later, and a run counts the plan it checked.
+under.  ``validate`` refuses what that plan refuses, and a run counts the
+plan it checked; only a ring's slice sums are checked after counting.
 
 Exit status: 0 success, 2 configuration/validation error, 1 runtime error.
 """

@@ -237,7 +237,7 @@ _LAG_TOO_LONG = ("error: propagate.n_periods: the window spans only {} time cell
 
 def test_empty_steady_region_is_reported_as_such(tmp_path, capsys):
     # n=2 with one repeat: the cable's steady window holds no whole cell,
-    # found from the cable's parameters before anything is built
+    # found by the carrier's plan from the cable it builds, before any count
     out = tmp_path / "out"
     assert run_cli(["carrier", "--n", "2", "--cords", "1", "--repeats", "1",
                     "--out", str(out)]) == 2
@@ -303,7 +303,7 @@ def test_validate_refuses_a_window_no_longer_than_the_slowest_rays_lag_search(
      _WINDOW_TOO_SHORT.format(1)),
 ], ids=["carrier", "ring", "propagate"])
 def test_failed_run_leaves_a_missing_out_missing(tmp_path, capsys, argv, status, message):
-    # each stops at its rules, before anything is built, and writes nothing
+    # each stops at its rules, before anything is counted, and writes nothing
     out = tmp_path / "out"
     assert run_cli(argv + ["--out", str(out)]) == status
     assert capsys.readouterr().err == message
@@ -474,7 +474,7 @@ def test_out_of_range_values_exit_2_with_rule_lines_only(tmp_path, capsys, argv)
         warnings.simplefilter("error")  # a RuntimeWarning would be a value gone astray
         started = time.perf_counter()
         assert run_cli(argv + ["--out", str(out)]) == 2
-        assert time.perf_counter() - started < 5.0  # refused before anything is built
+        assert time.perf_counter() - started < 5.0  # refused before anything is counted
     err = capsys.readouterr().err
     assert err and all(re.fullmatch(r"error: [a-z_]+\.[a-z_]+: .+", line)
                        for line in err.splitlines())
