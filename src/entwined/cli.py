@@ -1,14 +1,14 @@
-"""Command-line front end: run the four experiments, emit reproducible files.
+"""Command-line front end: collect a configuration, format what a run returns.
 
 Configuration comes from an INI-style key = value file selected with
 ``--config`` plus per-flag overrides (flags win).  Every run writes its data
 files, a human-readable ``summary.txt``, and a ``manifest.json`` recording
 the fully resolved configuration and a sha256 per artifact.  Output bytes
 are identical for identical configurations regardless of thread count, so
-manifests can be compared directly.  Checking a configuration imports
-only the experiment's own modules and builds every object the run uses,
-for a counting experiment its plan: all it counts and the bound it counts
-under.  ``validate`` refuses what that plan refuses, and a run counts the
+manifests can be diffed directly.  The library owns every rule and the
+experiments' logic: checking a configuration imports only the experiment's
+modules and builds every object the run uses, a counting experiment's plan.
+``validate`` refuses what that plan refuses, and a run counts the
 plan it checked; only a ring's slice sums are checked after counting.
 
 Exit status: 0 success, 2 configuration/validation error, 1 runtime error.
@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .lattice import PERIOD, LatticeSpec, SpecError
+from .lattice import LatticeSpec, SpecError
 
 EXPERIMENTS = ("chessboard", "carrier", "propagate", "ring")
 
@@ -182,43 +182,37 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
         if problem is not None and block["phase_t_max"] != 0:
             build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
                   {"t_max": "phase_t_max"})
-    elif exp == "carrier":
+        return specs, problems
+    from .paths import cable_counts
+
+    if exp == "ring":
+        from .ring import RingSpec, plan_ring
+
+        spec = from_section(RingSpec, exp)
+    ready = lattice is not None and (exp != "ring" or spec is not None)
+    if exp == "propagate" or not ready:
+        # planners check the cables they build from good specs only, a fan's for
+        # a good fan only; a ring's cycles stay with RingSpec and its plan
+        counts = build(exp, lambda: cable_counts(config["lattice"]["n"], block["m_cords"],
+                                                 block.get("repeats", 1)), cords)
+    if exp == "carrier" and ready:
         from .density import plan_carrier
 
-        if lattice is not None:
-            specs["carrier"] = build(exp, lambda: plan_carrier(
-                lattice, block["m_cords"], block["repeats"], config["run"]["clip"]), cords)
+        specs[exp] = build(exp, lambda: plan_carrier(
+            lattice, block["m_cords"], block["repeats"], config["run"]["clip"]), cords)
     elif exp == "propagate":
-        from .paths import cable_counts
         from .propagator import plan_region, region_for_fan, velocity_fan
 
-        # checked apart: the plan's cables are built only for a good fan
-        counts = build(exp, lambda: cable_counts(config["lattice"]["n"], block["m_cords"]), cords)
         fan = build(exp, lambda: velocity_fan(block["v_min"], block["v_max"], block["v_count"]))
-        if lattice is not None and fan is not None:
+        if ready and fan is not None:
             region = build(exp, lambda: region_for_fan(
                 lattice, fan, block["start_periods"], block["n_periods"]))
             if region is not None and counts is not None:
                 specs[exp] = build(exp, lambda: plan_region(region, block["m_cords"]), cords)
-    elif exp == "ring":
-        from .ring import RingSpec, plan_ring
-
-        spec = from_section(RingSpec, exp)
-        # the factor scales the eigen speed; an explicit speed replaces it
-        factor = block["speed_factor"]
-        if not factor > 0:
-            problems.append("ring.speed_factor: must be positive")
-            factor = 1.0
-        elif block["speed"] is not None and factor != 1.0:
-            problems.append("ring.speed_factor: cannot be combined with ring.speed")
-        if spec is not None and lattice is not None:
-            v = build(exp, lambda: spec.resolved_speed(lattice.mass))
-            if v is not None and spec.speed is None and factor != 1.0:
-                spec = build(exp, lambda: dataclasses.replace(spec, speed=factor * v))
-            if v is not None and spec is not None:
-                # a ring's cables take cycles + 2 repeats
-                specs["ring"] = build(exp, lambda: plan_ring(spec, lattice, block["m_cords"]),
-                                      {**cords, "repeats": "cycles"})
+    elif exp == "ring" and ready:
+        # a ring's cables take cycles + 2 repeats
+        specs[exp] = build(exp, lambda: plan_ring(spec, lattice, block["m_cords"]),
+                           {**cords, "repeats": "cycles"})
     return specs, problems
 
 
@@ -325,7 +319,7 @@ def _run_chessboard(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Cable density and sinusoid fit."""
-    from .density import ReferenceDensity, _count, best_lag, compare
+    from .density import _count, best_lag, fit_sinusoid
 
     lattice = specs["lattice"]
     cable, region, counting = specs.pop("carrier")
@@ -333,18 +327,16 @@ def _run_carrier(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     field = counting.field
     del counting  # the counted passes die before the fit and the export
 
-    ts, xs = region.slices(field)
-    ado = field.adolescent[ts, xs].sum(axis=1)
-    sen = field.senescent[ts, xs].sum(axis=1)
+    # the steady region spans every x cell: its profile is a slice of the rows
+    rows = field.counts.sum(axis=2)
+    ts = region.slices(field)[0]
+    ado, sen = rows[:, ts]
     centers = field.t_centers()[ts]
-    report = compare(field, ReferenceDensity("sinusoid"), "adolescent", region)
-    fit = report.fitted
+    fit = fit_sinusoid(centers, ado)
     quarter = lattice.cells_per_period // 4
     # the quarter-period channel lag is exact construct-wide, so correlate
     # over the full profile rather than the steady interior
-    full_ado = field.adolescent.sum(axis=1)
-    full_sen = field.senescent.sum(axis=1)
-    lag = best_lag(full_ado, full_sen, lattice.cells_per_period // 2)
+    lag = best_lag(rows[0], rows[1], lattice.cells_per_period // 2)
 
     art.export(field, "carrier_field")
     profile = "t_center\tadolescent\tsenescent\n"
@@ -384,11 +376,10 @@ def _run_ring(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ring standing-wave experiment."""
     from .ring import count_ring, drift_in_cells_per_period, standing_wave_metrics
 
-    lattice, block = specs["lattice"], config["ring"]
-    v, t_scale, slice_cells, counting = specs.pop("ring")
+    block = config["ring"]
+    v, slice_cells, period_cells, counting = specs.pop("ring")
     field = count_ring(counting, block["origin_cell"])
-    metrics = standing_wave_metrics(field, slice_cells=slice_cells,
-                                    period_cells=PERIOD * t_scale / lattice.cell_physical)
+    metrics = standing_wave_metrics(field, slice_cells, period_cells)
     cells_per_period = drift_in_cells_per_period(metrics, field.x_cells)
 
     art.export(field, "ring_field")

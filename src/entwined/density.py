@@ -532,15 +532,13 @@ class ReferenceDensity:
 
     kinds: fiber_unit (single-loop right-mover wave), fiber_unit_lagged
     (the same delayed a quarter period), square_wave (two-fiber sum),
-    delta_chain (cord spikes; needs eps), sinusoid (amplitude, period,
-    phase).
+    delta_chain (cord spikes; needs eps), sinusoid (no closed form:
+    ``compare`` fits its amplitude, period and phase, and ``reference_eval``
+    refuses it).
     """
 
     kind: str
     eps: float = 0.0
-    amplitude: float = 1.0
-    period: float = PERIOD
-    phase: float = 0.0
 
     KINDS = ("fiber_unit", "fiber_unit_lagged", "square_wave", "delta_chain", "sinusoid")
 
@@ -570,7 +568,7 @@ def reference_eval(ref: ReferenceDensity, t) -> np.ndarray:
         return _square_wave(t)
     if ref.kind == "delta_chain":
         return _square_wave(t) - _square_wave(t - ref.eps)
-    return ref.amplitude * np.sin(2.0 * np.pi * t / ref.period + ref.phase)
+    raise ValueError("a sinusoid reference is fitted by compare, not evaluated")
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,16 @@ def eigen_speed(k: int, mass: float, circumference: float) -> float:
 class RingSpec:
     """Ring run parameters.
 
-    ``speed`` defaults to the eigen speed of ``mode``; pass another value
-    (e.g. 1.5x eigen) to probe off-eigen behaviour.  ``cycles`` is the
-    temporal extent in carrier periods of the written pattern.
+    The drift speed is the eigen speed of ``mode`` times ``speed_factor``
+    (e.g. 1.5 to probe off-eigen behaviour), or a ``speed`` given instead.
+    ``cycles`` is the temporal extent in carrier periods of the pattern.
     """
 
     circumference: float
     mode: int = 1
     speed: float | None = None
     cycles: int = 8
+    speed_factor: float = 1.0
 
     def __post_init__(self):
         problems = []
@@ -65,12 +66,19 @@ class RingSpec:
             problems.append("cycles: must be >= 1")
         elif self.cycles > sys.float_info.max:  # ``ring_clock`` takes it as a float
             problems.append(f"cycles: must be at most the largest float, {sys.float_info.max!r}")
+        if not self.speed_factor > 0:
+            problems.append("speed_factor: must be positive")
+        elif self.speed is not None and self.speed_factor != 1.0:
+            problems.append("speed_factor: cannot be combined with ring.speed")
         SpecError.check(problems)
 
     def resolved_speed(self, mass: float) -> float:
         if self.speed is not None:
             return self.speed
-        return eigen_speed(self.mode, mass, self.circumference)
+        v = self.speed_factor * eigen_speed(self.mode, mass, self.circumference)
+        if not v < 1.0:
+            raise SpecError([f"speed_factor: superluminal drift; scaled eigen speed {v} must lie below 1"])
+        return v
 
 
 def ring_cells(circumference: float, lattice: LatticeSpec) -> int:
@@ -92,7 +100,8 @@ def ring_clock(spec: RingSpec, lattice: LatticeSpec) -> tuple[float, float, floa
     t_scale = lattice.mass_scale / (v * v) if v * v else math.inf  # v * v underflows below 1e-162
     wrap_time = spec.circumference / v
     if not math.isfinite(max(spec.cycles * PERIOD * t_scale, wrap_time) / lattice.cell_physical):
-        key = "circumference" if spec.speed is None else "speed"
+        key = ("speed" if spec.speed is not None else
+               "circumference" if spec.speed_factor == 1.0 else "speed_factor")
         raise SpecError([f"{key}: drift speed {v!r} is too slow for a finite count of cells"])
     return v, t_scale, wrap_time
 
@@ -109,16 +118,17 @@ def _pair_path(spec: RingSpec, lattice: LatticeSpec, M: int) -> EntwinedPath:
 
 def plan_ring(spec: RingSpec, lattice: LatticeSpec, M: int):
     """Build all that ``run_ring`` counts, and plan the count.  Returns the
-    drift speed and time scale (``ring_clock``), the rows of one wrap
-    ``L / v`` in which the standing wave is read (rounded, at least 1, every
-    row at ``v = 0``), and the plan (``density._plan``) that counts the
-    pair's path (``_pair_path``), x wrapped, into ``cycles`` carrier periods
-    of time cells, rounded, from the start of its steady window.  Raises
-    ``SpecError`` for the rules of ``ring_cells`` and ``ring_clock``, a wrap
-    longer than the rows, every rule of ``build_cable`` (whose repeats are
-    ``cycles + 2``), and counts the plan refuses.
-    """
+    drift speed (``ring_clock``), the ``slice_cells`` and ``period_cells`` of
+    ``standing_wave_metrics`` (one wrap ``L / v`` in rows, rounded, at least
+    1, every row at ``v = 0``; one carrier period in rows), and the plan
+    (``density._plan``) that counts the pair's path (``_pair_path``), x
+    wrapped, into ``cycles`` carrier periods of time cells, rounded, from its
+    steady window's start.  Raises ``SpecError`` for the rules of
+    ``RingSpec.resolved_speed``, ``ring_cells`` and ``ring_clock``, in that
+    order, a wrap longer than the rows, every rule of ``build_cable`` (whose
+    repeats are ``cycles + 2``), and counts the plan refuses."""
     cell = lattice.cell_physical
+    spec.resolved_speed(lattice.mass)
     x_cells = ring_cells(spec.circumference, lattice)
     v, t_scale, wrap_time = ring_clock(spec, lattice)
     rows = int(round(spec.cycles * (PERIOD * t_scale) / cell))
@@ -130,7 +140,7 @@ def plan_ring(spec: RingSpec, lattice: LatticeSpec, M: int):
     field = DensityField(cell, _cell_ceil(path.steady_window[0], cell), 0, rows, x_cells,
                          wrap_x=True)
     try:
-        return v, t_scale, wrap, _plan(field, [_pass(right_envelope(path))], clip=True)
+        return v, wrap, PERIOD * t_scale / cell, _plan(field, [_pass(right_envelope(path))], clip=True)
     except OverflowError as exc:
         raise SpecError([f"M: {exc}"]) from None
 

@@ -25,6 +25,10 @@ def test_amplitude_uniformity_reproduces_fixture_exactly(calibrate, calibration)
     assert calibrate.amplitude_uniformity() == calibration["measured"]["ray_amplitude_uniformity"]
 
 
+def test_ring_drifts_reproduce_fixture_exactly(calibrate, calibration):
+    assert calibrate.ring_drifts() == calibration["measured"]["ring"]
+
+
 def test_carrier_rel_rms_reproduces_fixture(calibrate, calibration):
     measured = calibration["measured"]
     rel_rms, period = calibrate.carrier_rel_rms(10, 20, 3)

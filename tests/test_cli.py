@@ -356,8 +356,12 @@ _BAD_VALUES = {
         lambda: eigen_speed(1, LatticeSpec(n=10).mass, 2.0 * math.pi)),
     "eigen-after-factor": (
         "ring", {("ring", "circumference"): _EIGEN_L, ("ring", "speed_factor"): 1.2}, "ring",
-        lambda: RingSpec(circumference=_EIGEN_L,
-                         speed=1.2 * eigen_speed(1, LatticeSpec(n=10).mass, _EIGEN_L))),
+        lambda: RingSpec(circumference=_EIGEN_L, speed_factor=1.2).resolved_speed(
+            LatticeSpec(n=10).mass)),
+    "factor-too-slow": (
+        "ring", {("ring", "speed_factor"): 1e-170}, "ring",
+        lambda: plan_ring(RingSpec(circumference=8.0 * math.pi, speed_factor=1e-170),
+                          LatticeSpec(n=10), M=30)),
     "carrier-steady-cells": (
         "carrier", {("lattice", "n"): 4, ("carrier", "m_cords"): 3, ("carrier", "repeats"): 2},
         "carrier", lambda: plan_carrier(LatticeSpec(n=4), 3, 2)),
@@ -424,16 +428,36 @@ def test_validate_reports_the_problems_the_library_raises(case):
         f"{section}.{renames.get(field, field)}: {reason}" for field, reason in fields]
 
 
+_ODD_N = "lattice.n: n must be even so quarter periods align to cells"
+
+
 @pytest.mark.parametrize("argv, lines", [
     (["carrier", "--cords", "0", "--repeats", "0"],
      ["carrier.m_cords: must be >= 1", "carrier.repeats: must be >= 1"]),
     (["propagate", "--cords", "0", "--v-min", "2", "--v-max", "1.5"],
      ["propagate.m_cords: must be >= 1", "propagate.v_min: must not exceed v_max",
       "propagate.v_min: superluminal drift", "propagate.v_max: superluminal drift"]),
-], ids=["carrier", "propagate"])
+    # a refused lattice or RingSpec builds no cable, and the cable rules report beside it
+    (["carrier", "--n", "3", "--cords", "0"], [_ODD_N, "carrier.m_cords: must be >= 1"]),
+    (["ring", "--n", "3", "--cords", "0"], [_ODD_N, "ring.m_cords: must be >= 1"]),
+    (["ring", "--mode", "0", "--cords", "0"], ["ring.mode: must be >= 1", "ring.m_cords: must be >= 1"]),
+    (["ring", "--speed-factor", "-1", "--cords", "0"],
+     ["ring.speed_factor: must be positive", "ring.m_cords: must be >= 1"]),
+], ids=["carrier", "propagate", "carrier-lattice", "ring-lattice", "ring-spec", "ring-factor"])
 def test_owners_that_do_not_depend_on_each_other_report_together(tmp_path, capsys, argv, lines):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("factor, reason", [
+    ("-1", "must be positive"),
+    ("10", "superluminal drift; scaled eigen speed 2.5 must lie below 1"),
+    ("1e-170", "drift speed 2.5e-171 is too slow for a finite count of cells"),
+])
+def test_speed_factor_rules_name_the_factor(tmp_path, capsys, factor, reason):
+    # the eigen speed at the default n and circumference is 0.25
+    assert run_cli(["ring", "--speed-factor", factor, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: ring.speed_factor: {reason}\n"
 
 
 # values whose times or cell counts overflow to inf (or whose squares underflow
@@ -621,6 +645,31 @@ def test_heavy_carrier_writes_the_quarter_period_lag(tmp_path):
     header, row = (out / "carrier_fit.tsv").read_text().splitlines()
     fit = dict(zip(header.split("\t"), row.split("\t")))
     assert fit["lag_cells"] == fit["quarter_period_cells"] == "5"
+
+
+@pytest.mark.parametrize("cords", [20, 10 ** 10])
+def test_carrier_fit_and_profile_are_those_of_compare_on_the_steady_region(tmp_path, cords):
+    # the runner fits and prints slices of the field's row sums; compare fits the steady
+    # region's x-summed profile.  At 1e10 cords the lag scores take the object route
+    out = tmp_path / "ca"
+    assert run_cli(["carrier", "--n", "10", "--cords", str(cords), "--out", str(out)]) == 0
+    lattice = LatticeSpec(n=10)
+    cable, _region, counting = plan_carrier(lattice, cords, 3)
+    density._count(counting)
+    field = counting.field
+    region = density.steady_region(cable, field)
+    fit = density.compare(field, density.ReferenceDensity("sinusoid"), "adolescent", region).fitted
+    lag = density.best_lag(field.adolescent.sum(axis=1), field.senescent.sum(axis=1),
+                           lattice.cells_per_period // 2)
+    _header, row = (out / "carrier_fit.tsv").read_text().splitlines()
+    assert [float(v) for v in row.split("\t")[:6]] == [
+        fit.period, fit.amplitude, fit.phase, fit.offset, fit.rms_residual, fit.rel_rms]
+    assert row.split("\t")[6:] == [str(lag), str(lattice.cells_per_period // 4)]
+    ts, xs = region.slices(field)
+    profile = np.loadtxt(out / "carrier_profile.tsv", skiprows=1, dtype=object)
+    assert profile[:, 0].astype(float).tolist() == field.t_centers()[ts].tolist()
+    for column, channel in ((1, field.adolescent), (2, field.senescent)):
+        assert profile[:, column].astype(int).tolist() == channel[ts, xs].sum(axis=1).tolist()
 
 
 def test_heavy_fan_runs_and_keeps_each_rays_lag(tmp_path):

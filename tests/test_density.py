@@ -1152,6 +1152,15 @@ def test_reference_delta_chain_is_square_wave_difference():
         ReferenceDensity("no_such_kind")
 
 
+def test_sinusoid_reference_is_fitted_not_evaluated():
+    # compare fits a sinusoid's amplitude, period and phase; none is a field to set
+    with pytest.raises(ValueError, match="fitted by compare"):
+        reference_eval(ReferenceDensity("sinusoid"), np.linspace(0.0, 4.0, 9))
+    for name in ("amplitude", "period", "phase"):
+        with pytest.raises(TypeError, match=name):
+            ReferenceDensity("sinusoid", **{name: 1.0})
+
+
 # --- cord and cable against references and oracles -------------------------
 
 

@@ -164,9 +164,24 @@ def test_ring_clock_sets_the_written_extent(lattice, circumference, speed):
     field = run_ring(spec, lattice, M=4)
     assert field.t_cells == round(spec.cycles * PERIOD * t_scale / lattice.cell_physical)
     planned = plan_ring(spec, lattice, M=4)
-    assert planned[:2] == (v, t_scale) and planned[-1].field.t_cells == field.t_cells
+    assert planned[0] == v and planned[-1].field.t_cells == field.t_cells
+    assert planned[2] == PERIOD * t_scale / lattice.cell_physical  # the rows of one period
     if v == 0:
-        assert planned[2] == field.t_cells  # a still ring is read as one slice
+        assert planned[1] == field.t_cells  # a still ring is read as one slice
+
+
+def test_speed_factor_scales_the_eigen_speed_and_owns_its_rules(lattice, circumference):
+    eigen = eigen_speed(1, lattice.mass, circumference)
+    scaled = RingSpec(circumference=circumference, speed_factor=1.5)
+    assert scaled.resolved_speed(lattice.mass) == 1.5 * eigen
+    assert RingSpec(circumference=circumference, speed=0.3, speed_factor=1.0).resolved_speed(1.0) == 0.3
+    for factor, speed, problem in ((0.0, None, "must be positive"), (-1.0, 0.3, "must be positive"),
+                                   (1.5, 0.3, "cannot be combined with ring.speed")):
+        with pytest.raises(SpecError) as exc:
+            RingSpec(circumference=circumference, speed=speed, speed_factor=factor)
+        assert exc.value.problems == [f"speed_factor: {problem}"]
+    with pytest.raises(SpecError, match=r"^speed_factor: superluminal drift; scaled eigen speed 2\.0 "):
+        RingSpec(circumference=circumference, speed_factor=8.0).resolved_speed(lattice.mass)  # 8 * 0.25
 
 
 @pytest.mark.parametrize("mode, cycles, factor",
@@ -179,13 +194,13 @@ def test_one_wrap_must_fit_in_the_written_rows(lattice, circumference, mode, cyc
     wrap = round(circumference / v / lattice.cell_physical)
     rows = round(cycles * PERIOD * lattice.mass_scale / (v * v) / lattice.cell_physical)
     if wrap <= rows:
-        assert plan_ring(spec, lattice, M=1)[2] == wrap
+        assert plan_ring(spec, lattice, M=1)[1] == wrap
     else:
         with pytest.raises(SpecError, match=f"^cycles: one wrap spans {wrap} cells, more than "
                                             f"the {rows} cells written \\(cycles = {cycles}\\)$"):
             plan_ring(spec, lattice, M=1)
     longer = RingSpec(circumference=circumference, mode=mode, speed=v, cycles=cycles + 2)
-    assert plan_ring(longer, lattice, M=1)[2] == wrap  # two more periods always hold it
+    assert plan_ring(longer, lattice, M=1)[1] == wrap  # two more periods always hold it
 
 
 def test_metrics_reject_empty_field():

@@ -18,13 +18,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entwined.density import (DensityField, ReferenceDensity, accumulate, compare,
-                              field_for_segments, fit_sinusoid, steady_region,
-                              _cell_ceil, _cell_floor)
-from entwined.lattice import PERIOD, LatticeSpec
+from entwined.density import (ReferenceDensity, accumulate, compare, field_for_segments,
+                              fit_sinusoid, steady_region)
+from entwined.lattice import LatticeSpec
 from entwined.paths import build_cable, right_envelope
-from entwined.propagator import (RaySpec, ray_repeats, region_for_fan, velocity_fan, write_ray,
-                                 write_region)
+from entwined.propagator import region_for_fan, velocity_fan, write_region
 from entwined.ring import (RingSpec, count_ring, drift_in_cells_per_period, eigen_speed, plan_ring,
                           standing_wave_metrics)
 
@@ -50,20 +48,13 @@ def fan_error(n, M, n_periods):
 
 
 def amplitude_uniformity():
-    lattice = LatticeSpec.for_mass(20, mass=1.0)
-    ray = RaySpec.from_velocity(0.1, lattice.mass, (2 * math.pi, 14 * math.pi))
-    cable = build_cable((0.0, 0.0), lattice, M=40, repeats=ray_repeats(ray, lattice, 40))
-    path = write_ray(ray, cable)
-    cell = lattice.cell_physical
-    t0 = _cell_floor(ray.t_span[0], cell)
-    t_cells = _cell_ceil(ray.t_span[1], cell) - t0
-    # the path's whole x extent over the ray's t span: row sums are the full profile
-    bounds = field_for_segments(path.segs, cell=cell)
-    field = DensityField(cell, t0, bounds.x0_cell, t_cells, bounds.x_cells)
-    accumulate(field, right_envelope(path), clip=True)
+    # one ray at v = 0.1 over periods 1 to 7: its region holds the ray's whole x extent
+    region = region_for_fan(LatticeSpec.for_mass(20, mass=1.0), (0.1,), start_periods=1.0,
+                            n_periods=6.0)
+    field = write_region(region, M=40).field
     ado = field.adolescent.sum(axis=1).astype(float)
     centers = field.t_centers()
-    half = t_cells // 2
+    half = field.t_cells // 2
     first = fit_sinusoid(centers[:half], ado[:half])
     second = fit_sinusoid(centers[half:], ado[half:])
     return abs(first.amplitude - second.amplitude) / first.amplitude
@@ -79,10 +70,9 @@ def ring_drifts():
         ("off_eigen_1p5", RingSpec(circumference=L, mode=1,
                                    speed=1.5 * eigen_speed(1, lattice.mass, L), cycles=8)),
     ):
-        _v, t_scale, slice_cells, counting = plan_ring(spec, lattice, M=30)
+        _v, slice_cells, period_cells, counting = plan_ring(spec, lattice, M=30)
         field = count_ring(counting)
-        metrics = standing_wave_metrics(field, slice_cells=slice_cells,
-                                        period_cells=PERIOD * t_scale / lattice.cell_physical)
+        metrics = standing_wave_metrics(field, slice_cells, period_cells)
         out[label] = {
             "dominant_mode": metrics.dominant_mode,
             "drift_cells_per_period": drift_in_cells_per_period(metrics, field.x_cells),
