@@ -25,9 +25,8 @@ _PUBLIC = {
     "density": ("DensityField", "Region", "ReferenceDensity", "ErrorReport", "SinusoidFit",
                 "accumulate", "best_lag", "compare", "export_field", "field_for_segments",
                 "fit_sinusoid", "reference_eval", "steady_region", "whole_region"),
-    "propagator": ("RaySpec", "RayReport", "RegionSpec", "RegionResult", "analytic_kernel",
-                   "ray_repeats", "reduced_frequency", "region_for_fan", "write_ray",
-                   "write_region"),
+    "propagator": ("RaySpec", "RayReport", "RegionSpec", "RegionResult", "ray_repeats",
+                   "reduced_frequency", "region_for_fan", "write_ray", "write_region"),
     "ring": ("RingSpec", "RingMetrics", "eigen_speed", "run_ring", "standing_wave_metrics",
              "drift_in_cells_per_period"),
 }

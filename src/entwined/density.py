@@ -30,15 +30,16 @@ rows that lie on one segment of one frame, whichever way they run, are
 merged before the expansion: each distinct segment is expanded once, and
 each of its incidences scatter-adds its net signed weight (the sum of
 time_dir * w over its rows, which may cancel to 0) straight into the
-field's one store.  A plan (``_plan``) takes all the passes of a call
+field's one store.  A count starts from an empty field: a plan (``_plan``)
+refuses a field that holds any count, takes all the passes of a call
 (``accumulate`` makes one, a ray fan one per ray) and, touching no store,
-bounds every count and x-summed row, held ones included, per channel, sign
-and time cell.  That bound is the one exactness rule: a plan whose bound
-reaches 2**53 is refused, so every count and row a call leaves is exact as
-a float64, the type profiles and fits read it as.  The count (``_count``)
-widens the store once, if it must, to the narrowest signed integer type,
-int8 to int64, that holds the bound, then scatters.  Export writes a
-channel's text one row block at a time.
+bounds every count and x-summed row per channel, sign and time cell.  That
+bound is the one exactness rule: a plan whose bound reaches 2**53 is
+refused, so every count and row a call leaves is exact as a float64, the
+type profiles and fits read it as.  The count (``_count``) widens the store
+once, if it must, to the narrowest signed integer type, int8 to int64, that
+holds the bound, then scatters; if it raises, it zeroes what it counted.
+Export writes a channel's text one row block at a time.
 """
 
 from __future__ import annotations
@@ -196,6 +197,17 @@ def steady_region(path: EntwinedPath, field: DensityField) -> Region:
     return Region(t_lo, t_hi, field.x0_cell, field.x0_cell + field.x_cells)
 
 
+def _planned_field(key: str, cell: float, t0_cell: int, x0_cell: int, t_cells: int, x_cells: int,
+                   wrap_x: bool) -> DensityField:
+    """A planner's empty field, or ``SpecError`` naming ``key`` where its
+    store in int64, the widest, would pass the largest array."""
+    size = 2 * t_cells * x_cells * np.dtype(np.int64).itemsize
+    if size > np.iinfo(np.intp).max:
+        raise SpecError([f"{key}: too large: the field of {t_cells} x {x_cells} cells takes "
+                         f"{size} bytes, past the largest array, {np.iinfo(np.intp).max} bytes"])
+    return DensityField(cell, t0_cell, x0_cell, t_cells, x_cells, wrap_x=wrap_x)
+
+
 def field_for_segments(segs: SegmentArray, cell: float | None = None, pad: int = 1,
                        wrap_x: bool = False) -> DensityField:
     """Smallest cell-aligned field covering every stored row, counted or
@@ -332,7 +344,8 @@ def _pass(envelope: SegmentArray):
 
 
 def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) -> DensityField:
-    """Add the envelope's signed counts into ``field`` (in place) and return it.
+    """Count the envelope's signed counts into the empty ``field`` (in place)
+    and return it; a field that holds any count raises ValueError, untouched.
 
     ``envelope`` is a SegmentArray, usually ``right_envelope(path)``.  Each
     stored row counts with its multiplicity; counts are integers and the
@@ -352,10 +365,8 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
     scatter-added straight into ``field.counts``, in the store's type.  A
     call whose plan's bound (``_plan``) reaches 2**53 raises OverflowError
     before it widens the store or scatters.  A call that raises later
-    leaves every count unchanged, though the store may stay widened: the
-    blocks already added are expanded again and subtracted, which integer
-    arithmetic undoes exactly.  An x-summed profile is a row sum of the
-    field: ``field.channel(name).sum(axis=1)``.
+    leaves every count 0, though the store may stay widened.  An x-summed
+    profile is a row sum of the field: ``field.channel(name).sum(axis=1)``.
     """
     if not isinstance(envelope, SegmentArray):
         raise TypeError(f"counting takes a SegmentArray, not {type(envelope).__name__}; "
@@ -367,14 +378,13 @@ def accumulate(field: DensityField, envelope: SegmentArray, clip: bool = False) 
 
 @dataclass(frozen=True)
 class CountPlan:
-    """A counting call planned by ``_plan``: its field, passes ``(segments,
-    first, signed, k_lo, counts, left)`` and ``clip``, the largest |count| or
-    |x-summed row| held, its bound once counted and the type that holds it."""
+    """A counting call planned by ``_plan``: its empty field, passes
+    ``(segments, first, signed, k_lo, counts, left)`` and ``clip``, the bound
+    on every count and x-summed row once counted and the type that holds it."""
 
     field: DensityField
     passes: list
     clip: bool
-    held: int
     bound: int
     dtype: np.dtype
 
@@ -383,28 +393,22 @@ def _plan(field: DensityField, passes, clip: bool) -> CountPlan:
     """Plan counting ``passes`` (each as ``_pass`` makes it) into ``field``,
     widening and scattering nothing: their slab ranges (``_slab_ranges``, cut
     to the field's t window with ``clip``) and one bound on every count,
-    x-summed row and ray profile; a bound that reaches 2**53 raises
-    OverflowError.
+    x-summed row and ray profile.  A field that holds any count raises
+    ValueError, and a bound that reaches 2**53 OverflowError.
 
-    The bound is the largest |count| or |x-summed row| of a channel that
-    ``field`` holds plus the largest sum, over (channel, sign, time cell),
-    of the |net weight| of the segments whose slab range covers the cell.  A
+    The bound is the largest sum, over (channel, sign, time cell), of the
+    |net weight| of the segments whose slab range covers the cell.  A
     segment adds at most one incidence per time cell, wrapped in x or not,
-    so the passes add P - N to a cell and to its x-summed row, P and N sums
-    of positive and negative weights, and |P - N| <= max(P, N).  Held rows
-    are summed in int64, or in Python ints where that could wrap, and the
-    high and low 32 bits of each |net weight| are summed apart, so no sum
-    wraps.
+    so the passes give a cell and its x-summed row P - N, P and N sums of
+    positive and negative weights, and |P - N| <= max(P, N).  The high and
+    low 32 bits of each |net weight| are summed apart, so no sum wraps.
     """
+    if field.counts.any():
+        raise ValueError("the field already holds counts; a count starts from an empty field")
     window = (field.t0_cell, field.t0_cell + field.t_cells) if clip else None
     # left: channel 1, senescent; right movers are 0, adolescent
     planned = [(segments, first, signed, *_slab_ranges(segments, field.cell, window),
                 segments.species != RIGHT_MOVER) for segments, first, signed in passes]
-    store = field.counts
-    held = max(-int(store.min()), int(store.max()))
-    if held:
-        rows = store.sum(axis=2, dtype=np.int64 if held * field.x_cells < 2 ** 63 else object)
-        held = max(held, -int(rows.min()), int(rows.max()))
     span = field.t_cells + 1  # differences over the t cells, one run per (channel, sign)
     diff = np.zeros((2, 4 * span), dtype=np.int64)  # high and low halves of the sizes
     for _, _, signed, k_lo, counts, left in planned:
@@ -420,81 +424,67 @@ def _plan(field: DensityField, passes, clip: bool) -> CountPlan:
     high += low >> 32
     low &= _LOW
     top = int(high.max())
-    bound = held + (top << 32) + int(low[high == top].max())
+    bound = (top << 32) + int(low[high == top].max())
     if bound >= _EXACT_LIMIT:
         raise OverflowError(f"counts can reach {bound}, which reaches 2**53; counts past it "
                             "would not be exact as float64")
     dtype = np.dtype(next(d for d in _WIDTHS if np.iinfo(d).max >= bound))
-    return CountPlan(field, planned, clip, held, bound, dtype)
+    return CountPlan(field, planned, clip, bound, dtype)
 
 
 def _count(plan: CountPlan, profiles=None) -> None:
-    """Count a plan's passes into its field: widen the store once to the
-    plan's type if it is wider (a store of zeros anew, never cast), then
-    expand and scatter one pass after the other.  ``profiles``, if given,
-    holds one int64 array of shape (2, field.t_cells) per pass, to which each
-    landed incidence of the pass is added too, at (channel, t): its x-summed
-    profile.  A raise takes every block already added back out of both.
+    """Count a plan's passes into its field, which holds no count: replace the
+    store with zeros of the plan's type if that is wider, then expand and
+    scatter one pass after the other, one block at a time.  ``profiles``, if
+    given, holds one int64 array of shape (2, field.t_cells) per pass, to
+    which each landed incidence of the pass is added too, at (channel, t):
+    its x-summed profile.  A raise leaves the store and the profiles all 0.
     """
     field, clip = plan.field, plan.clip
-    store = field.counts
-    if plan.dtype.itemsize > store.itemsize:  # never narrowed: the caller's store stays
-        field.counts = store.astype(plan.dtype) if plan.held else np.zeros(store.shape, plan.dtype)
+    if plan.dtype.itemsize > field.counts.itemsize:  # never narrowed: a wider store stays
+        field.counts = np.zeros(field.counts.shape, plan.dtype)
     cell, rows, cols = field.cell, field.t_cells, field.x_cells
     flat = field.counts.reshape(-1)  # a view: ``counts`` is contiguous
     views = [None] * len(plan.passes) if profiles is None else [p.reshape(-1) for p in profiles]
-
-    def land(p: int, ufunc, stop=None):
-        """Scatter the incidences of pass ``p``'s segments 0..stop-1 that
-        land in the field with ``ufunc``, one block at a time, and yield
-        each block's end segment once the block is scattered."""
-        segments, first, signed, k_lo, counts, left = plan.passes[p]
-        expand = _expander(segments, cell, k_lo, counts)
-        # exact in the store's type: no landed |weight| passes the bound it was sized for
-        weights = signed.astype(flat.dtype)
-        # the channel is folded into the linear index, so one scatter covers both
-        channel_offset = np.where(left, rows, 0)
-
-        def scatter(a: int, b: int) -> None:
-            """Scatter the landing incidences of segments a..b-1; its block
-            arrays die on return, before the next block is expanded."""
-            k, j, idx = expand(a, b)
-            k -= field.t0_cell
-            j -= field.x0_cell
-            col = np.mod(j, cols) if field.wrap_x else j
-            ok = (k >= 0) & (k < rows) & (col >= 0) & (col < cols)
-            if not ok.all():
-                if not clip:
-                    bad = int(np.flatnonzero(~ok)[0])
-                    raise ValueError(
-                        f"stored row {int(first[idx[bad]])} writes outside the field at cell "
-                        f"(t={int(k[bad]) + field.t0_cell}, x={int(j[bad]) + field.x0_cell}); "
-                        "pass clip=True to drop it"
-                    )
-                k, col, idx = k[ok], col[ok], idx[ok]
-            lin = k  # built in place
-            lin += channel_offset[idx]
-            if views[p] is not None:
-                ufunc.at(views[p], lin, signed[idx])
-            lin *= cols
-            lin += col
-            ufunc.at(flat, lin, weights[idx])
-
-        for a, b in _blocks(counts[:stop]):
-            scatter(a, b)
-            yield b
-
-    landed = [0] * len(plan.passes)  # segments 0..landed[p]-1 of pass p are added into the field
     try:
-        for p in range(len(plan.passes)):
-            for landed[p] in land(p, np.add):
-                pass
+        for (segments, first, signed, k_lo, counts, left), view in zip(plan.passes, views):
+            expand = _expander(segments, cell, k_lo, counts)
+            # exact in the store's type: no landed |weight| passes the bound it was sized for
+            weights = signed.astype(flat.dtype)
+            # the channel is folded into the linear index, so one scatter covers both
+            channel_offset = np.where(left, rows, 0)
+
+            def scatter(a: int, b: int) -> None:
+                """Scatter the landing incidences of segments a..b-1; its block
+                arrays die on return, before the next block is expanded."""
+                k, j, idx = expand(a, b)
+                k -= field.t0_cell
+                j -= field.x0_cell
+                col = np.mod(j, cols) if field.wrap_x else j
+                ok = (k >= 0) & (k < rows) & (col >= 0) & (col < cols)
+                if not ok.all():
+                    if not clip:
+                        bad = int(np.flatnonzero(~ok)[0])
+                        raise ValueError(
+                            f"stored row {int(first[idx[bad]])} writes outside the field at cell "
+                            f"(t={int(k[bad]) + field.t0_cell}, x={int(j[bad]) + field.x0_cell}); "
+                            "pass clip=True to drop it"
+                        )
+                    k, col, idx = k[ok], col[ok], idx[ok]
+                lin = k  # built in place
+                lin += channel_offset[idx]
+                if view is not None:
+                    np.add.at(view, lin, signed[idx])
+                lin *= cols
+                lin += col
+                np.add.at(flat, lin, weights[idx])
+
+            for a, b in _blocks(counts):
+                scatter(a, b)
     except BaseException:
-        # integer adds are exact (modulo the type's range), so taking the
-        # landed blocks back out restores every cell
-        for p, stop in enumerate(landed):
-            for _ in land(p, np.subtract, stop):
-                pass
+        for zeroed in (flat, *views):
+            if zeroed is not None:
+                zeroed[:] = 0
         raise
 
 

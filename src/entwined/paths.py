@@ -457,11 +457,13 @@ def cable_counts(n: int, M: int, repeats: int = 1) -> list[int]:
     """``cords_per_shift(n, M)`` of the cable ``build_cable`` builds on a lattice
     of ``n``, or ``SpecError`` listing every rule its parameters break.  Its t
     reaches ``4n`` half-cells a repeat, ``3n + 2`` for the last fiber and
-    ``2(n - 1)`` for the last shift, which int32 vertex columns must hold."""
+    ``2(n - 1)`` for the last shift, which int32 vertex columns must hold.  No
+    cord count passes ``floor(float(M))``, which an even ``n`` reaches at
+    ``k = n/2``, so the rules build no list."""
     problems = []
     if M < 1:
         problems.append("M: must be >= 1")
-    elif M > _INT64.max or max(cords_per_shift(n, M), default=0) > _INT64.max:
+    elif M > _INT64.max or float(M) > _INT64.max:
         problems.append(f"M: each shift's cord count must fit an int64 weight, <= {_INT64.max}")
     if repeats < 1:
         problems.append("repeats: must be >= 1")

@@ -23,23 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import (CountPlan, DensityField, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil,
-                      _cell_floor, _count, _pass, _plan)
+                      _cell_floor, _count, _pass, _plan, _planned_field)
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import EntwinedPath, Frame, build_cable, cable_steady_window, cable_counts, with_frame
-
-
-def analytic_kernel(x, t, mass: float):
-    """Unit-modulus, un-normalized kernel exp(-i*m*t*(1 - x^2/(2 t^2))).
-
-    Valid in the low-velocity regime |x/t| << 1 (not enforced); ``t`` must
-    be positive.
-    """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("analytic kernel requires t > 0")
-    out = np.exp(-1j * mass * t * (1.0 - x**2 / (2.0 * t**2)))
-    return complex(out) if out.ndim == 0 else out
 
 
 def reduced_frequency(v: float, mass: float) -> float:
@@ -276,13 +262,9 @@ def plan_region(region: RegionSpec, M: int):
         raise SpecError([f"n_periods: the window spans only {t_cells} time cells; the channel lag of "
                          f"the ray at v = {v!r} is searched over {lag} cells and needs at "
                          f"least {lag + 1} (increase n_periods)"])
-    size = 2 * t_cells * x_cells * np.dtype(np.int64).itemsize
-    if size > np.iinfo(np.intp).max:
-        raise SpecError([f"n_periods: too large: the field of {t_cells} x {x_cells} cells takes "
-                         f"{size} bytes, past the largest array, {np.iinfo(np.intp).max} bytes"])
     # allocated before the cables are built: in the opposite order the n=50
     # fan's peak RSS reads about 0.3 MB higher (heap layout, not live data)
-    field = DensityField(cell, t0_cell, x0_cell, t_cells, x_cells)
+    field = _planned_field("n_periods", cell, t0_cell, x0_cell, t_cells, x_cells, wrap_x=False)
     rays = tuple(RaySpec.from_velocity(v, lattice.mass, region.t_range) for v in region.ray_fan)
     repeats = [ray_repeats(ray, lattice, M) for ray in rays]
     cables = {r: build_cable((0.0, 0.0), lattice, M=M, repeats=r) for r in dict.fromkeys(repeats)}

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _EXACT_LIMIT, CountPlan, DensityField, _cell_ceil, _count, _pass, _plan
+from .density import (_EXACT_LIMIT, CountPlan, DensityField, _cell_ceil, _count, _pass, _plan,
+                      _planned_field)
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import EntwinedPath, Frame, build_cable, concatenate, right_envelope, with_frame
 
@@ -126,7 +127,8 @@ def plan_ring(spec: RingSpec, lattice: LatticeSpec, M: int):
     steady window's start.  Raises ``SpecError`` for the rules of
     ``RingSpec.resolved_speed``, ``ring_cells`` and ``ring_clock``, in that
     order, a wrap longer than the rows, every rule of ``build_cable`` (whose
-    repeats are ``cycles + 2``), and counts the plan refuses."""
+    repeats are ``cycles + 2``), a field past the largest array, and counts
+    the plan refuses."""
     cell = lattice.cell_physical
     spec.resolved_speed(lattice.mass)
     x_cells = ring_cells(spec.circumference, lattice)
@@ -137,8 +139,8 @@ def plan_ring(spec: RingSpec, lattice: LatticeSpec, M: int):
         raise SpecError([f"cycles: one wrap spans {wrap} cells, more than the {rows} cells "
                          f"written (cycles = {spec.cycles})"])
     path = _pair_path(spec, lattice, M)
-    field = DensityField(cell, _cell_ceil(path.steady_window[0], cell), 0, rows, x_cells,
-                         wrap_x=True)
+    field = _planned_field("circumference", cell, _cell_ceil(path.steady_window[0], cell), 0, rows,
+                           x_cells, wrap_x=True)
     try:
         return v, wrap, PERIOD * t_scale / cell, _plan(field, [_pass(right_envelope(path))], clip=True)
     except OverflowError as exc:
@@ -166,7 +168,7 @@ class RingMetrics:
     """Spatial-mode summary of a ring field.
 
     ``phase_drift`` is the linear drift of the dominant mode's spatial phase
-    in radians per carrier period (per slice when no period is given);
+    in radians per carrier period;
     ``mode_purity`` is the dominant mode's share of time-averaged spectral
     power (NaN for the degenerate mode-0 case).
     """
@@ -177,14 +179,14 @@ class RingMetrics:
     n_slices: int
 
 
-def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
-                          period_cells: float | None = None) -> RingMetrics:
+def standing_wave_metrics(field: DensityField, slice_cells: int, period_cells: float) -> RingMetrics:
     """Fourier-analyze the adolescent channel per time slice.
 
-    Rows are aggregated into slices of ``slice_cells`` rows (default: 32
-    slices) so each slice integrates enough world-line passes to expose the
-    spatial mode; the dominant mode maximizes time-averaged power, and the
-    closed-form least-squares slope of its phase across slices is the drift.
+    Rows are aggregated into slices of ``slice_cells`` rows so each slice
+    integrates enough world-line passes to expose the spatial mode; the
+    dominant mode maximizes time-averaged power, and the closed-form
+    least-squares slope of its phase across slices, scaled to a carrier
+    period of ``period_cells`` rows, is the drift.
     Slices are summed in int64, and a field whose slice sums could pass it,
     ``slice_cells`` times its largest |count|, raises OverflowError; so does
     one whose largest |slice sum| reaches 2**53: it would not be exact as
@@ -194,8 +196,6 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
     if not data.any():
         raise ValueError("all-zero field")
     t_cells = data.shape[0]
-    if slice_cells is None:
-        slice_cells = max(1, t_cells // 32)
     n_slices = t_cells // slice_cells
     if n_slices < 1:
         raise ValueError("slice_cells exceeds the field extent")
@@ -226,10 +226,7 @@ def standing_wave_metrics(field: DensityField, slice_cells: int | None = None,
     phases = np.unwrap(np.angle(coef[live]))
     centred = idx - idx.mean()  # numpy sums in their fixed order, not a LAPACK kernel's
     slope = (centred * (phases - phases.mean())).sum() / (centred * centred).sum()  # rad per slice
-    if period_cells is not None:
-        drift = float(slope * (period_cells / slice_cells))
-    else:
-        drift = float(slope)
+    drift = float(slope * (period_cells / slice_cells))
     return RingMetrics(dominant_mode=dominant, phase_drift=drift, mode_purity=purity,
                        n_slices=n_slices)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entwined import cli, density, propagator, ring
+from entwined import cli, density, paths, propagator, ring
 from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem, _phase_steps
 from entwined.cli import ConfigError, load_config, main, validate
 from entwined.density import plan_carrier
@@ -24,7 +24,7 @@ from entwined.lattice import LatticeSpec, SpecError
 from entwined.paths import cable_counts
 from entwined.propagator import plan_region, region_for_fan, velocity_fan
 from entwined.ring import RingSpec, eigen_speed, plan_ring, ring_cells
-from helpers import held_bound, savetxt_bytes
+from helpers import savetxt_bytes
 
 
 def run_cli(args):
@@ -487,6 +487,7 @@ _REFUSED_BY_THEIR_OWNER = {
     "propagate-cords-exact": ["propagate", "--n", "50", "--cords", "1000000000000000"],
     "ring-cords-exact": ["ring", "--n", "20", "--cords", "10000000000000000"],
     "phase-t-max-array": ["chessboard", "--phase-t-max", "1e300"],
+    "ring-still-field": ["ring", "--speed", "0", "--circumference", "1e300"],
 }
 
 
@@ -514,6 +515,21 @@ def test_out_of_range_values_exit_2_with_rule_lines_only(tmp_path, capsys, argv)
     ini.write_text("".join(f"[{section}]\n" + "".join(keys) for section, keys in sections.items()))
     assert run_cli(["validate", "--experiment", experiment, "--config", str(ini)]) == 2
     assert capsys.readouterr().out == err.replace("error: ", "")
+
+
+def test_cable_rules_build_no_cord_list(tmp_path, capsys, monkeypatch):
+    # an odd n of ten million and a reach past int32: both are refused
+    # without the n-entry list of cord counts, which took seconds to build
+    def refuse(n, amplitude):
+        raise AssertionError("cords_per_shift was called")
+
+    monkeypatch.setattr(paths, "cords_per_shift", refuse)
+    argv = ["carrier", "--n", "10000001", "--cords", "5", "--repeats", "100"]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: lattice.n: n must be even so quarter periods align to cells\n"
+        "error: carrier.repeats: a cable of 100 repeats reaches t = 4050000405 half-cells, "
+        "past the int32 limit 2147483647\n")
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -719,7 +735,9 @@ def test_the_run_counts_the_plan_validate_builds(tmp_path, monkeypatch, argv):
 
     def spy(plan, profiles=None):
         count(plan, profiles)
-        counted.append((plan.bound, plan.dtype, plan.field.counts.dtype, held_bound(plan.field)))
+        cells = plan.field.counts.astype(np.int64)  # no row sum wraps: the bound is below 2**53
+        reach = max(np.abs(cells).max(), np.abs(cells.sum(axis=2)).max())
+        counted.append((plan.bound, plan.dtype, plan.field.counts.dtype, int(reach)))
 
     count = density._count
     for module in (density, propagator, ring):
@@ -728,14 +746,15 @@ def test_the_run_counts_the_plan_validate_builds(tmp_path, monkeypatch, argv):
     if problems:
         assert code == 2 and counted == [] and specs[args.command] is None
         assert len(problems) == 1
-        assert problems[0].startswith(f"{args.command}.m_cords: counts can reach ")
+        assert problems[0].startswith((f"{args.command}.m_cords: counts can reach ",
+                                       "ring.circumference: too large: the field of "))
         return
     assert code == 0
     planned = specs[args.command][-1]
-    (bound, dtype, stored, held), = counted
+    (bound, dtype, stored, reach), = counted
     assert (bound, dtype) == (planned.bound, planned.dtype) and stored == dtype
-    assert held <= bound < 2 ** 53
-    assert planned.held == 0 and not planned.field.counts.any()  # validate counted nothing
+    assert reach <= bound < 2 ** 53
+    assert not planned.field.counts.any()  # validate counted nothing
 
 
 def test_propagate_fits_80_periods_in_the_true_minimum(tmp_path):

@@ -9,9 +9,9 @@ from entwined.density import (CHANNELS, DensityField, Region, accumulate, best_l
                               field_for_segments, fit_sinusoid, _cell_ceil, _cell_floor)
 from entwined.lattice import LatticeSpec, SpecError
 from entwined.paths import build_cable, cords_per_shift, right_envelope
-from entwined.propagator import (RaySpec, RegionSpec, analytic_kernel, ray_repeats,
-                                 reduced_frequency, region_for_fan, velocity_fan, write_ray,
-                                 write_region, _ray_report)
+from entwined.propagator import (RaySpec, RegionSpec, ray_repeats, reduced_frequency,
+                                 region_for_fan, velocity_fan, write_ray, write_region,
+                                 _ray_report)
 from helpers import channel_sign_bound, fan_envelopes, one_pass_fan, repeats_covering
 
 
@@ -38,35 +38,6 @@ def ray_profile(lattice, ray, M):
     accumulate(field, right_envelope(path), clip=True)
     prof = {name: field.channel(name).sum(axis=1) for name in CHANNELS}
     return prof, field.t_centers()
-
-
-# --- analytic kernel -------------------------------------------------------
-
-
-def test_kernel_at_origin_is_pure_carrier():
-    for t in (0.5, 2.0, 9.0):
-        assert analytic_kernel(0.0, t, 1.3) == pytest.approx(np.exp(-1.3j * t))
-
-
-def test_kernel_velocity_identity():
-    # exp(-i m t (1 - x^2/2t^2)) == exp(-i m t) * exp(i m v^2 t / 2) with v = x/t
-    for x, t, m in ((0.3, 2.0, 1.0), (-0.5, 4.0, 0.7), (1.0, 10.0, 2.0)):
-        v = x / t
-        assert analytic_kernel(x, t, m) == pytest.approx(
-            np.exp(-1j * m * t) * np.exp(1j * m * v * v * t / 2.0))
-
-
-def test_kernel_has_unit_modulus():
-    x = np.linspace(-2, 2, 41)
-    t = np.full_like(x, 5.0)
-    np.testing.assert_allclose(np.abs(analytic_kernel(x, t, 1.0)), 1.0, rtol=1e-12)
-
-
-def test_kernel_requires_positive_time():
-    with pytest.raises(ValueError):
-        analytic_kernel(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        analytic_kernel(0.0, -1.0, 1.0)
 
 
 # --- ray specs -------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from entwined.density import DensityField
 from entwined.lattice import LatticeSpec, SpecError
 from entwined.lattice import PERIOD
-from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, plan_ring, ring_clock,
-                           run_ring, standing_wave_metrics)
+from entwined.ring import (RingSpec, count_ring, drift_in_cells_per_period, eigen_speed, plan_ring,
+                           ring_clock, run_ring, standing_wave_metrics)
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +136,12 @@ def test_write_origin_rolls_both_channels_of_the_store(lattice, circumference, o
 
 def test_zero_speed_writes_uniform_columns(lattice, circumference):
     spec = RingSpec(circumference=circumference, mode=1, speed=0.0, cycles=4)
-    field = run_ring(spec, lattice, M=10)
+    _, slice_cells, period_cells, counting = plan_ring(spec, lattice, M=10)
+    field = count_ring(counting)
     occupied = np.nonzero(field.adolescent.any(axis=0))[0]
     # both world lines sit on the origin column; loops wiggle one unit wide
     assert len(occupied) <= 2 * lattice.n
-    metrics = standing_wave_metrics(field)
+    metrics = standing_wave_metrics(field, slice_cells, period_cells)
     assert metrics.dominant_mode == 0
     assert metrics.phase_drift == 0.0
     assert math.isnan(metrics.mode_purity)
@@ -206,7 +207,7 @@ def test_one_wrap_must_fit_in_the_written_rows(lattice, circumference, mode, cyc
 def test_metrics_reject_empty_field():
     field = DensityField(0.1, 0, 0, 8, 8)
     with pytest.raises(ValueError, match="all-zero"):
-        standing_wave_metrics(field)
+        standing_wave_metrics(field, slice_cells=1, period_cells=1.0)
 
 
 @pytest.mark.parametrize("slice_cells", [1, 3])
@@ -223,23 +224,23 @@ def test_metrics_refuse_slice_sums_that_could_reach_2_53(slice_cells):
         field.adolescent[:] = wave
         field.adolescent[0, 0] = sign * 2 ** 53 - rest
         with pytest.raises(OverflowError, match=f"^slice sums reach {2 ** 53}, "):
-            standing_wave_metrics(field, slice_cells=slice_cells)
+            standing_wave_metrics(field, slice_cells, 1.0)
     field.adolescent[0, 0] = 2 ** 53 - 1 - rest
-    assert standing_wave_metrics(field, slice_cells=slice_cells).n_slices == 6 // slice_cells
+    assert standing_wave_metrics(field, slice_cells, 1.0).n_slices == 6 // slice_cells
     if slice_cells > 1:
         field.adolescent[:] = wave
         field.adolescent[0, 0], field.adolescent[1, 0] = 2 ** 60, -2 ** 60
-        assert standing_wave_metrics(field, slice_cells=slice_cells).n_slices == 2
+        assert standing_wave_metrics(field, slice_cells, 1.0).n_slices == 2
         field.adolescent[0, 0] = 2 ** 62
         with pytest.raises(OverflowError, match=f"^slice sums can reach {3 * 2 ** 62}, past int64"):
-            standing_wave_metrics(field, slice_cells=slice_cells)
+            standing_wave_metrics(field, slice_cells, 1.0)
 
 
 def test_metrics_on_uniform_single_slice_field():
     # degenerate spectrum: everything in the zero mode, drift pinned to 0
     field = DensityField(0.1, 0, 0, 1, 16)
     field.adolescent[:] = 3
-    metrics = standing_wave_metrics(field, slice_cells=1)
+    metrics = standing_wave_metrics(field, slice_cells=1, period_cells=1.0)
     assert metrics.dominant_mode == 0
     assert metrics.phase_drift == 0.0
     assert math.isnan(metrics.mode_purity)
