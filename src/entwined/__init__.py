@@ -21,10 +21,10 @@ _PUBLIC = {
                    "kernel_phase_series"),
     "paths": ("EntwinedPath", "Frame", "SegmentArray", "RIGHT_MOVER", "LEFT_MOVER",
               "build_fiber", "build_cord", "build_cable", "concatenate", "cords_per_shift",
-              "right_envelope", "with_frame", "dump_path"),
+              "right_envelope", "with_frame"),
     "density": ("DensityField", "Region", "ReferenceDensity", "ErrorReport", "SinusoidFit",
                 "accumulate", "best_lag", "compare", "export_field", "field_for_segments",
-                "fit_sinusoid", "reference_eval", "steady_region", "whole_region"),
+                "fit_sinusoid", "reference_eval", "steady_region"),
     "propagator": ("RaySpec", "RayReport", "RegionSpec", "RegionResult", "ray_repeats",
                    "reduced_frequency", "region_for_fan", "write_ray", "write_region"),
     "ring": ("RingSpec", "RingMetrics", "eigen_speed", "run_ring", "standing_wave_metrics",

@@ -1,7 +1,7 @@
 """Command-line front end: collect a configuration, format what a run returns.
 
 Configuration comes from an INI-style key = value file selected with
-``--config`` plus per-flag overrides (flags win).  Every run writes its data
+``--config`` plus per-flag overrides (flags win; every key has a flag).  Every run writes its data
 files, a human-readable ``summary.txt``, and a ``manifest.json`` recording
 the fully resolved configuration and a sha256 per artifact.  Output bytes
 are identical for identical configurations regardless of thread count, so
@@ -41,7 +41,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "threads": (str, "1"),
         "out": (str, "out"),
-        "clip": (bool, False),
     },
     "chessboard": {
         "n_steps": (int, 12),
@@ -73,7 +72,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "speed": (float, None),
         "speed_factor": (float, 1.0),
         "cycles": (int, 8),
-        "origin_cell": (int, 0),
     },
 }
 
@@ -183,7 +181,7 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
             build(exp, lambda: _phase_steps(block["phase_t_max"], problem.step_size, problem.mass),
                   {"t_max": "phase_t_max"})
         return specs, problems
-    from .paths import cable_counts
+    from .paths import cable_rules
 
     if exp == "ring":
         from .ring import RingSpec, plan_ring
@@ -193,13 +191,15 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
     if exp == "propagate" or not ready:
         # planners check the cables they build from good specs only, a fan's for
         # a good fan only; a ring's cycles stay with RingSpec and its plan
-        counts = build(exp, lambda: cable_counts(config["lattice"]["n"], block["m_cords"],
-                                                 block.get("repeats", 1)), cords)
+        broken = len(problems)
+        build(exp, lambda: cable_rules(config["lattice"]["n"], block["m_cords"],
+                                       block.get("repeats", 1)), cords)
+        cabled = len(problems) == broken
     if exp == "carrier" and ready:
         from .density import plan_carrier
 
-        specs[exp] = build(exp, lambda: plan_carrier(
-            lattice, block["m_cords"], block["repeats"], config["run"]["clip"]), cords)
+        specs[exp] = build(exp, lambda: plan_carrier(lattice, block["m_cords"], block["repeats"]),
+                           cords)
     elif exp == "propagate":
         from .propagator import plan_region, region_for_fan, velocity_fan
 
@@ -207,7 +207,7 @@ def _specs(config: dict) -> tuple[dict, list[str]]:
         if ready and fan is not None:
             region = build(exp, lambda: region_for_fan(
                 lattice, fan, block["start_periods"], block["n_periods"]))
-            if region is not None and counts is not None:
+            if region is not None and cabled:
                 specs[exp] = build(exp, lambda: plan_region(region, block["m_cords"]), cords)
     elif exp == "ring" and ready:
         # a ring's cables take cycles + 2 repeats
@@ -374,11 +374,13 @@ def _run_propagate(config: dict, art: _Artifacts, specs: dict) -> list[str]:
 
 def _run_ring(config: dict, art: _Artifacts, specs: dict) -> list[str]:
     """Ring standing-wave experiment."""
-    from .ring import count_ring, drift_in_cells_per_period, standing_wave_metrics
+    from .density import _count
+    from .ring import drift_in_cells_per_period, standing_wave_metrics
 
     block = config["ring"]
     v, slice_cells, period_cells, counting = specs.pop("ring")
-    field = count_ring(counting, block["origin_cell"])
+    _count(counting)
+    field = counting.field
     metrics = standing_wave_metrics(field, slice_cells, period_cells)
     cells_per_period = drift_in_cells_per_period(metrics, field.x_cells)
 
@@ -429,8 +431,7 @@ def run(config: dict) -> int:
 def _flag_keys(command: str) -> list[tuple[str, str]]:
     """(section, key) of every config key that ``command`` sets with a flag."""
     sections = ("lattice", "run") + ((command,) if command in EXPERIMENTS else ())
-    return [(section, key) for section in sections for key in _SCHEMA[section]
-            if (section, key) != ("run", "clip")]  # set in a config file only
+    return [(section, key) for section in sections for key in _SCHEMA[section]]
 
 
 @functools.cache

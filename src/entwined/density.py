@@ -147,11 +147,6 @@ class Region:
         return slice(ti, tj), slice(xi, xj)
 
 
-def whole_region(field: DensityField) -> Region:
-    return Region(field.t0_cell, field.t0_cell + field.t_cells,
-                  field.x0_cell, field.x0_cell + field.x_cells)
-
-
 def _snapped(rounding, s):
     """``rounding`` (``np.floor`` or ``np.ceil``) of the cell coordinates
     ``s``, as int64, except that a value within max(1e-9, 1e-12*|s|) of an
@@ -488,7 +483,7 @@ def _count(plan: CountPlan, profiles=None) -> None:
         raise
 
 
-def plan_carrier(spec: LatticeSpec, M: int, repeats: int, clip: bool = False):
+def plan_carrier(spec: LatticeSpec, M: int, repeats: int):
     """The carrier run, planned: the cable ``build_cable((0.0, 0.0), spec, M,
     repeats)``, its ``steady_region`` in the field that covers it, padded by
     2 cells, and the plan (``_plan``) that counts its right envelope there.
@@ -505,7 +500,7 @@ def plan_carrier(spec: LatticeSpec, M: int, repeats: int, clip: bool = False):
         problems.append(f"repeats: steady region is only {cells} cells; a sinusoid fit needs "
                         f"at least {_FIT_SAMPLES} (increase repeats or the lattice's n)")
     try:
-        counting = _plan(field, [_pass(right_envelope(cable))], clip)
+        counting = _plan(field, [_pass(right_envelope(cable))], clip=False)
     except OverflowError as exc:
         problems.append(f"M: {exc}")
     SpecError.check(problems)
@@ -851,21 +846,15 @@ def _format_matrix(matrix: np.ndarray):
         yield words.tobytes().translate(None, b"\0")
 
 
-def _write_chunks(path: Path, chunks) -> None:
-    with open(path, "wb") as f:
-        f.writelines(chunks)
-
-
-def export_field(field: DensityField, directory, basename: str, write=_write_chunks) -> list:
+def export_field(field: DensityField, directory, basename: str, write) -> list:
     """Write one integer matrix per channel plus a JSON metadata record.
 
     Returns the written paths.  Matrices are tab-delimited rows (one row per
     time cell, each ending in ``\\n``) of decimal integers with a leading
     ``-`` for negatives and no header; integers render exactly, so files are
-    bit-reproducible.  Each file is written by ``write(path, chunks)``, an
-    iterable of bytes whose join is the file (a matrix's row blocks are
-    formatted as they are asked for, which cannot raise); a caller that
-    records what it writes passes its own.
+    bit-reproducible.  Each file is written by the caller's ``write(path,
+    chunks)``, given an iterable of bytes whose join is the file (a matrix's
+    row blocks are formatted as they are asked for, which cannot raise).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

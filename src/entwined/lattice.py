@@ -71,10 +71,6 @@ class LatticeSpec:
         return 1.0 / self.n
 
     @property
-    def period(self) -> float:
-        return PERIOD
-
-    @property
     def cells_per_period(self) -> int:
         return 2 * self.n
 

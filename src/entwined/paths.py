@@ -35,8 +35,6 @@ from .lattice import PERIOD, LatticeSpec, SpecError
 RIGHT_MOVER = 1
 LEFT_MOVER = -1
 
-_SPECIES_NAMES = {RIGHT_MOVER: "right", LEFT_MOVER: "left"}
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -147,11 +145,6 @@ class SegmentArray:
         self.weight = np.asarray(weight, dtype=np.int64)
         _refuse_rows("weight", self.weight, self.weight < 1, "at least 1")
         self.runs = np.asarray(() if runs is None else runs, dtype=np.int64).reshape(-1, 4)
-
-    @classmethod
-    def empty(cls, lattice: LatticeSpec) -> "SegmentArray":
-        z = np.zeros(0, dtype=np.int32)
-        return cls(lattice, z, z, z, z, z, z, (Frame(),))
 
     @classmethod
     def from_columns(cls, lattice: LatticeSpec, cols: np.ndarray, envelope, frame_idx, frames,
@@ -431,7 +424,7 @@ def build_cord(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | Non
     """
     if spec is None:
         raise ValueError("a LatticeSpec is required")
-    cable_counts(spec.n, 1, repeats)  # a cord's repeats follow the cable rule
+    cable_rules(spec.n, 1, repeats)  # a cord's repeats follow the cable rule
     cols, env = _cord_block(spec, repeats)
     segs = SegmentArray.from_columns(spec, _moved(cols, origin, spec), env, 0, (Frame(),))
     t0 = origin[1]
@@ -453,13 +446,13 @@ def cable_steady_window(spec: LatticeSpec, counts: list[int], repeats: int) -> t
     return last_shift + PERIOD, 4.0 * repeats - 1.0 + spec.eps
 
 
-def cable_counts(n: int, M: int, repeats: int = 1) -> list[int]:
-    """``cords_per_shift(n, M)`` of the cable ``build_cable`` builds on a lattice
-    of ``n``, or ``SpecError`` listing every rule its parameters break.  Its t
-    reaches ``4n`` half-cells a repeat, ``3n + 2`` for the last fiber and
-    ``2(n - 1)`` for the last shift, which int32 vertex columns must hold.  No
-    cord count passes ``floor(float(M))``, which an even ``n`` reaches at
-    ``k = n/2``, so the rules build no list."""
+def cable_rules(n: int, M: int, repeats: int = 1) -> None:
+    """``SpecError`` listing every rule that the parameters of the cable
+    ``build_cable`` builds on a lattice of ``n`` break.  Its t reaches ``4n``
+    half-cells a repeat, ``3n + 2`` for the last fiber and ``2(n - 1)`` for
+    the last shift, which int32 vertex columns must hold.  No cord count
+    passes ``floor(float(M))``, which an even ``n`` reaches at ``k = n/2``,
+    so the rules build no cord list."""
     problems = []
     if M < 1:
         problems.append("M: must be >= 1")
@@ -471,7 +464,6 @@ def cable_counts(n: int, M: int, repeats: int = 1) -> list[int]:
         problems.append(f"repeats: a cable of {repeats} repeats reaches t = "
                         f"{n * (4 * repeats + 5)} half-cells, past the int32 limit {_INT32.max}")
     SpecError.check(problems)
-    return cords_per_shift(n, M)
 
 
 def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | None = None,
@@ -488,11 +480,12 @@ def build_cable(origin: tuple[float, float] = (0.0, 0.0), spec: LatticeSpec | No
     stored once with weight ``count`` and the back connector once with
     weight ``count - 1``, as one run of the segment array, so storage and
     counting grow with the distinct trains, not with M.  Parameters that
-    break a rule of :func:`cable_counts` are refused before anything is built.
+    break a rule of :func:`cable_rules` are refused before anything is built.
     """
     if spec is None:
         raise ValueError("a LatticeSpec is required")
-    counts = cable_counts(spec.n, M, repeats)
+    cable_rules(spec.n, M, repeats)
+    counts = cords_per_shift(spec.n, M)
     n = spec.n
 
     block_cols, block_env = _cord_block(spec, repeats)
@@ -640,25 +633,3 @@ def right_envelope(path: EntwinedPath) -> SegmentArray:
     (``path.segs``, not a copy).
     """
     return path.segs.counted()
-
-
-DUMP_COLUMNS = ("start_x", "start_t", "end_x", "end_t", "time_dir", "species")
-
-
-def dump_path(path: EntwinedPath, fh) -> None:
-    """Write one record per segment as tab-separated text.
-
-    Columns, in order: start_x, start_t, end_x, end_t (frame-applied
-    coordinates, full-precision repr), time_dir (+1/-1), species
-    (right/left).  Intended for debugging and plotting.
-    """
-    fh.write("\t".join(DUMP_COLUMNS) + "\n")
-    segs = path.segs.expand()
-    x1, t1, x2, t2 = segs.row_endpoints()
-    td = segs.time_dir
-    sp = segs.species
-    for i in range(segs.rows):
-        fh.write(
-            f"{float(x1[i])!r}\t{float(t1[i])!r}\t{float(x2[i])!r}\t{float(t2[i])!r}\t"
-            f"{int(td[i])}\t{_SPECIES_NAMES[int(sp[i])]}\n"
-        )

@@ -25,7 +25,8 @@ import numpy as np
 from .density import (CountPlan, DensityField, best_lag, fit_sinusoid, _FIT_SAMPLES, _cell_ceil,
                       _cell_floor, _count, _pass, _plan, _planned_field)
 from .lattice import PERIOD, LatticeSpec, SpecError
-from .paths import EntwinedPath, Frame, build_cable, cable_steady_window, cable_counts, with_frame
+from .paths import (EntwinedPath, Frame, build_cable, cable_rules, cable_steady_window,
+                    cords_per_shift, with_frame)
 
 
 def reduced_frequency(v: float, mass: float) -> float:
@@ -126,7 +127,8 @@ def _repeats_needed(ray: RaySpec, spec: LatticeSpec, counts: list[int]) -> int:
 def ray_repeats(ray: RaySpec, spec: LatticeSpec, M: int) -> int:
     """Cord repeats of the cable that writes ``ray``: the fewest whose steady
     window, retuned to the ray's frequency, covers ``ray.t_span``."""
-    return _repeats_needed(ray, spec, cable_counts(spec.n, M))
+    cable_rules(spec.n, M)
+    return _repeats_needed(ray, spec, cords_per_shift(spec.n, M))
 
 
 def write_ray(ray: RaySpec, cable: EntwinedPath) -> EntwinedPath:

@@ -11,7 +11,7 @@ when p*L = 2*pi*k, i.e. at the eigen speeds
 consistent with v = sqrt(2*E_k/m) for E_k = (2*pi*k)**2 / (2*m*L**2).  At an
 eigen speed the accumulated density shows a stationary k-wavelength spatial
 mode; at other speeds the dominant mode's phase drifts from wrap to wrap.
-``plan_ring`` builds and plans what a ring run counts; ``count_ring`` counts it.
+``plan_ring`` builds and plans what a ring run counts; ``density._count`` counts it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (_EXACT_LIMIT, CountPlan, DensityField, _cell_ceil, _count, _pass, _plan,
-                      _planned_field)
+from .density import _EXACT_LIMIT, DensityField, _cell_ceil, _count, _pass, _plan, _planned_field
 from .lattice import PERIOD, LatticeSpec, SpecError
 from .paths import EntwinedPath, Frame, build_cable, concatenate, right_envelope, with_frame
 
@@ -91,6 +90,13 @@ def ring_cells(circumference: float, lattice: LatticeSpec) -> int:
     return round(cells)
 
 
+def _speed_key(spec: RingSpec) -> str:
+    """The key that sets the drift speed: ``speed`` where given, else
+    ``circumference`` at an eigen speed or ``speed_factor`` off one."""
+    return ("speed" if spec.speed is not None else
+            "circumference" if spec.speed_factor == 1.0 else "speed_factor")
+
+
 def ring_clock(spec: RingSpec, lattice: LatticeSpec) -> tuple[float, float, float | None]:
     """Drift speed ``v``, the cables' time scale (carrier at the de Broglie rate
     m*v**2) and the physical time ``L / v`` of one wrap (``None`` at ``v = 0``);
@@ -101,9 +107,8 @@ def ring_clock(spec: RingSpec, lattice: LatticeSpec) -> tuple[float, float, floa
     t_scale = lattice.mass_scale / (v * v) if v * v else math.inf  # v * v underflows below 1e-162
     wrap_time = spec.circumference / v
     if not math.isfinite(max(spec.cycles * PERIOD * t_scale, wrap_time) / lattice.cell_physical):
-        key = ("speed" if spec.speed is not None else
-               "circumference" if spec.speed_factor == 1.0 else "speed_factor")
-        raise SpecError([f"{key}: drift speed {v!r} is too slow for a finite count of cells"])
+        raise SpecError([f"{_speed_key(spec)}: drift speed {v!r} is too slow for a finite count "
+                         "of cells"])
     return v, t_scale, wrap_time
 
 
@@ -127,8 +132,9 @@ def plan_ring(spec: RingSpec, lattice: LatticeSpec, M: int):
     steady window's start.  Raises ``SpecError`` for the rules of
     ``RingSpec.resolved_speed``, ``ring_cells`` and ``ring_clock``, in that
     order, a wrap longer than the rows, every rule of ``build_cable`` (whose
-    repeats are ``cycles + 2``), a field past the largest array, and counts
-    the plan refuses."""
+    repeats are ``cycles + 2``), a steady window that starts past the int64
+    range of a cell index, a field past the largest array, and counts the
+    plan refuses."""
     cell = lattice.cell_physical
     spec.resolved_speed(lattice.mass)
     x_cells = ring_cells(spec.circumference, lattice)
@@ -139,28 +145,23 @@ def plan_ring(spec: RingSpec, lattice: LatticeSpec, M: int):
         raise SpecError([f"cycles: one wrap spans {wrap} cells, more than the {rows} cells "
                          f"written (cycles = {spec.cycles})"])
     path = _pair_path(spec, lattice, M)
-    field = _planned_field("circumference", cell, _cell_ceil(path.steady_window[0], cell), 0, rows,
-                           x_cells, wrap_x=True)
+    try:
+        t0_cell = _cell_ceil(path.steady_window[0], cell)
+    except OverflowError as exc:  # a slow drift stretches the cables past any cell index
+        raise SpecError([f"{_speed_key(spec)}: too slow: the steady window starts {exc}"]) from None
+    field = _planned_field("circumference", cell, t0_cell, 0, rows, x_cells, wrap_x=True)
     try:
         return v, wrap, PERIOD * t_scale / cell, _plan(field, [_pass(right_envelope(path))], clip=True)
     except OverflowError as exc:
         raise SpecError([f"M: {exc}"]) from None
 
 
-def count_ring(counting: CountPlan, origin_cell: int = 0) -> DensityField:
-    """Count a ring planned by ``plan_ring`` and return its field, rotated by
-    ``origin_cell`` whole cells: by ring symmetry, a roll of the field."""
-    field = counting.field
-    _count(counting)
-    if origin_cell % field.x_cells:
-        field.counts = np.roll(field.counts, origin_cell % field.x_cells, axis=2)
-    return field
-
-
-def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int, origin_cell: int = 0) -> DensityField:
+def run_ring(spec: RingSpec, lattice: LatticeSpec, M: int) -> DensityField:
     """Write the counter-propagating pair on the periodic domain as planned by
     ``plan_ring``; a ``speed=0`` run writes carrier columns with no spatial mode."""
-    return count_ring(plan_ring(spec, lattice, M)[-1], origin_cell)
+    counting = plan_ring(spec, lattice, M)[-1]
+    _count(counting)
+    return counting.field
 
 
 @dataclass(frozen=True)

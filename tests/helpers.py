@@ -161,6 +161,12 @@ def savetxt_bytes(matrix):
     return buf.getvalue()
 
 
+def write_chunks(path, chunks):
+    """An ``export_field`` writer: the file is the join of its chunks."""
+    with open(path, "wb") as f:
+        f.writelines(chunks)
+
+
 def int64_copy(field):
     """A copy of ``field`` in an int64 store, the widest: counting into it
     never widens it, and no sum in it wraps."""

@@ -21,7 +21,7 @@ from entwined.chessboard import ENUMERATION_CAP, ChessboardProblem, _phase_steps
 from entwined.cli import ConfigError, load_config, main, validate
 from entwined.density import plan_carrier
 from entwined.lattice import LatticeSpec, SpecError
-from entwined.paths import cable_counts
+from entwined.paths import cable_rules
 from entwined.propagator import plan_region, region_for_fan, velocity_fan
 from entwined.ring import RingSpec, eigen_speed, plan_ring, ring_cells
 from helpers import savetxt_bytes
@@ -362,6 +362,15 @@ _BAD_VALUES = {
         "ring", {("ring", "speed_factor"): 1e-170}, "ring",
         lambda: plan_ring(RingSpec(circumference=8.0 * math.pi, speed_factor=1e-170),
                           LatticeSpec(n=10), M=30)),
+    # a steady window that starts past an int64 cell index names the key that set the speed
+    "ring-steady-start": (
+        "ring", {("ring", "speed"): 1e-10}, "ring",
+        lambda: plan_ring(RingSpec(circumference=8.0 * math.pi, speed=1e-10), LatticeSpec(n=10),
+                          M=30)),
+    "factor-steady-start": (
+        "ring", {("ring", "speed_factor"): 4e-10}, "ring",
+        lambda: plan_ring(RingSpec(circumference=8.0 * math.pi, speed_factor=4e-10),
+                          LatticeSpec(n=10), M=30)),
     "carrier-steady-cells": (
         "carrier", {("lattice", "n"): 4, ("carrier", "m_cords"): 3, ("carrier", "repeats"): 2},
         "carrier", lambda: plan_carrier(LatticeSpec(n=4), 3, 2)),
@@ -376,11 +385,11 @@ _BAD_VALUES = {
                           LatticeSpec(n=4), M=1)),
     # rules whose field names differ from their config keys take _specs' renames
     "carrier-m-cords": ("carrier", {("carrier", "m_cords"): 0}, "carrier",
-                        lambda: cable_counts(10, 0, 3), {"M": "m_cords"}),
+                        lambda: cable_rules(10, 0, 3), {"M": "m_cords"}),
     "carrier-repeats": ("carrier", {("carrier", "repeats"): 0}, "carrier",
-                        lambda: cable_counts(10, 20, 0)),
+                        lambda: cable_rules(10, 20, 0)),
     "ring-m-cords": ("ring", {("ring", "m_cords"): 0}, "ring",
-                     lambda: cable_counts(10, 0, 8 + 2), {"M": "m_cords"}),
+                     lambda: cable_rules(10, 0, 8 + 2), {"M": "m_cords"}),
     "propagate-v-count": ("propagate", {("propagate", "v_count"): 0}, "propagate",
                           lambda: velocity_fan(-0.25, 0.25, 0)),
     "propagate-v-order": ("propagate", {("propagate", "v_min"): 0.2, ("propagate", "v_max"): 0.1},
@@ -488,6 +497,7 @@ _REFUSED_BY_THEIR_OWNER = {
     "ring-cords-exact": ["ring", "--n", "20", "--cords", "10000000000000000"],
     "phase-t-max-array": ["chessboard", "--phase-t-max", "1e300"],
     "ring-still-field": ["ring", "--speed", "0", "--circumference", "1e300"],
+    "ring-steady-start": ["ring", "--speed", "1e-10"],
 }
 
 
@@ -532,6 +542,18 @@ def test_cable_rules_build_no_cord_list(tmp_path, capsys, monkeypatch):
         "past the int32 limit 2147483647\n")
 
 
+def test_an_odd_n_is_refused_by_the_cable_rules_alone(tmp_path, capsys, monkeypatch):
+    # no rule of the cable is broken, and no cable is built for a refused lattice
+    def refuse(n, amplitude):
+        raise AssertionError("cords_per_shift was called")
+
+    monkeypatch.setattr(paths, "cords_per_shift", refuse)
+    argv = ["carrier", "--n", "10000001", "--cords", "5"]
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: lattice.n: n must be even so quarter periods align to cells\n")
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = cli.build_parser()
     return next(action.choices for action in parser._actions
@@ -569,8 +591,7 @@ def test_no_flag_without_a_config_key(command):
     keys = {key for section in sections for key in cli._SCHEMA[section]}
     dests = {action.dest for action in _subcommands()[command]._actions}
     extra = {"help", "config"} | ({"experiment"} if command == "validate" else set())
-    assert dests - extra <= keys
-    assert keys - dests == {"clip"}  # [run] clip is set in a config file only
+    assert dests - extra == keys
 
 
 def test_parser_is_built_once_per_process():
@@ -747,7 +768,8 @@ def test_the_run_counts_the_plan_validate_builds(tmp_path, monkeypatch, argv):
         assert code == 2 and counted == [] and specs[args.command] is None
         assert len(problems) == 1
         assert problems[0].startswith((f"{args.command}.m_cords: counts can reach ",
-                                       "ring.circumference: too large: the field of "))
+                                       "ring.circumference: too large: the field of ",
+                                       "ring.speed: too slow: the steady window starts "))
         return
     assert code == 0
     planned = specs[args.command][-1]

@@ -14,7 +14,7 @@ from entwined.cli import load_config, validate
 from entwined.density import (CHANNELS, DensityField, ReferenceDensity, Region, _format_matrix,
                               _incidences, accumulate, best_lag, compare,
                               export_field, field_for_segments, fit_sinusoid, reference_eval,
-                              steady_region, whole_region)
+                              steady_region)
 from entwined.lattice import LatticeSpec, SpecError
 from entwined.paths import (RIGHT_MOVER, Frame, SegmentArray, build_cable, build_cord,
                             build_fiber, concatenate, cords_per_shift, right_envelope, with_frame)
@@ -24,7 +24,7 @@ from test_paths import materialised_cable
 from test_propagator import fresh_ray
 from helpers import (best_lag_loop, channel_sign_bound, cord_fiber_offsets, exact_residual, expand_then_mask,
                      fit_sinusoid_golden, fit_sinusoid_oracle, incidences_exact,
-                     incidences_int, int64_copy, profile_oracle, savetxt_bytes)
+                     incidences_int, int64_copy, profile_oracle, savetxt_bytes, write_chunks)
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ def test_empty_envelope_leaves_field_unchanged(spec):
     fiber = build_fiber((0.0, 0.0), spec)
     field = field_for_segments(fiber.segs)
     accumulate(field, fiber.segs.subset(np.zeros(8, dtype=bool)))
-    accumulate(field, SegmentArray.empty(spec))
+    accumulate(field, fiber.segs.subset(np.arange(0)))
     assert not field.adolescent.any() and not field.senescent.any()
 
 
@@ -1165,7 +1165,9 @@ def test_cord_transients_confined_to_one_period(spec):
     field = field_for_segments(cord.segs, pad=2)
     accumulate(field, right_envelope(cord))
     ref = ReferenceDensity("delta_chain", eps=spec.eps)
-    full = x_summed(field, "adolescent", whole_region(field))
+    whole = Region(field.t0_cell, field.t0_cell + field.t_cells, field.x0_cell,
+                   field.x0_cell + field.x_cells)
+    full = x_summed(field, "adolescent", whole)
     centers = field.t_centers()
     expected = reference_eval(ref, centers)
     mismatch = np.nonzero(full != expected)[0] + field.t0_cell
@@ -1512,7 +1514,7 @@ def test_export_field_roundtrip(tmp_path, spec):
     cord = build_cord((0.0, 0.0), spec)
     field = field_for_segments(cord.segs, pad=1)
     accumulate(field, right_envelope(cord))
-    written = export_field(field, tmp_path, "cord")
+    written = export_field(field, tmp_path, "cord", write_chunks)
     names = sorted(p.name for p in written)
     assert names == ["cord.adolescent.tsv", "cord.meta.json", "cord.senescent.tsv"]
     back = np.loadtxt(tmp_path / "cord.adolescent.tsv", dtype=np.int64, delimiter="\t")
@@ -1626,14 +1628,14 @@ def test_format_memory_is_the_table_and_one_block():
 
 def test_export_field_writes_each_channel_in_row_blocks(tmp_path):
     # 1000 x 40 cells a channel, three formatter blocks: ``write`` is handed
-    # each block as it is formatted, and the default writer joins them
+    # each block as it is formatted, and a writer that joins them writes the file
     field = DensityField(0.5, -3, 7, 1000, 40)
     field.counts = np.random.default_rng(8).integers(-300, 300, field.counts.shape,
                                                      dtype=np.int16)
     chunks = {}
     export_field(field, tmp_path / "recorded", "f",
                  write=lambda path, parts: chunks.setdefault(path.name, list(parts)))
-    written = export_field(field, tmp_path / "written", "f")
+    written = export_field(field, tmp_path / "written", "f", write_chunks)
     assert sorted(chunks) == sorted(path.name for path in written)
     for name in CHANNELS:
         parts = chunks[f"f.{name}.tsv"]

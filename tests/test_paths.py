@@ -1,4 +1,3 @@
-import io
 import re
 from collections import Counter
 
@@ -7,10 +6,10 @@ import pytest
 
 from entwined import propagator
 from entwined.density import accumulate, field_for_segments
-from entwined.lattice import LatticeSpec
+from entwined.lattice import PERIOD, LatticeSpec
 from entwined.paths import (LEFT_MOVER, RIGHT_MOVER, EntwinedPath, Frame, SegmentArray,
                             _connector_columns, build_cable, build_cord, build_fiber,
-                            concatenate, cords_per_shift, dump_path, right_envelope, with_frame)
+                            concatenate, cords_per_shift, right_envelope, with_frame)
 from entwined.ring import RingSpec, _pair_path
 from helpers import continuity_by_expansion
 
@@ -24,7 +23,7 @@ def spec():
 
 def test_lattice_spec_invariants():
     spec = LatticeSpec(n=10)
-    assert spec.eps * 2 * spec.n == spec.period == 4.0
+    assert spec.eps * 2 * spec.n == PERIOD == 4.0
     assert spec.cells_per_period == 20
     with pytest.raises(ValueError):
         LatticeSpec(n=0)
@@ -359,20 +358,6 @@ def test_with_frame_requires_positive_time_scale(spec):
         with_frame(fiber, Frame(t_scale=-1.0))
 
 
-def test_dump_path_format(spec):
-    fiber = build_fiber((0.0, 0.0), spec)
-    buf = io.StringIO()
-    dump_path(fiber, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "start_x\tstart_t\tend_x\tend_t\ttime_dir\tspecies"
-    assert len(lines) == 9
-    first = lines[1].split("\t")
-    assert [float(first[0]), float(first[1])] == [0.0, 0.0]
-    assert [float(first[2]), float(first[3])] == [1.0, 1.0]
-    assert first[4] == "1"
-    assert first[5] == "right"
-
-
 # --- multiplicity-encoded cables ---------------------------------------------
 
 
@@ -464,11 +449,6 @@ def test_logical_views_follow_the_expanded_path(spec):
     assert all(np.array_equal(a, b) for a, b in zip(ends, ref_ends))
     for i in (0, 1, 57, len(ref) // 2, len(ref) - 1, -1):
         assert [e[i] for e in ends] == [e[i] for e in ref_ends]
-    ours, theirs = io.StringIO(), io.StringIO()
-    dump_path(cable, ours)
-    dump_path(ref, theirs)
-    assert ours.getvalue() == theirs.getvalue()
-    assert len(ours.getvalue().splitlines()) == len(ref) + 1
 
 
 def test_validate_continuity_reports_stored_rows(spec):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entwined.density import DensityField
+from entwined.density import DensityField, _count
 from entwined.lattice import LatticeSpec, SpecError
 from entwined.lattice import PERIOD
-from entwined.ring import (RingSpec, count_ring, drift_in_cells_per_period, eigen_speed, plan_ring,
-                           ring_clock, run_ring, standing_wave_metrics)
+from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, plan_ring, ring_clock,
+                           run_ring, standing_wave_metrics)
 
 
 @pytest.fixture(scope="module")
@@ -111,33 +111,11 @@ def test_off_eigen_phase_drifts(lattice, circumference, calibration):
     assert drift_o >= 10.0 * max(drift_e, 1e-12)
 
 
-def test_rotation_of_write_origin_only_rolls_the_field(lattice, circumference):
-    spec = RingSpec(circumference=circumference, mode=1, cycles=4)
-    base = run_ring(spec, lattice, M=10)
-    rolled = run_ring(spec, lattice, M=10, origin_cell=7)
-    assert np.array_equal(rolled.adolescent, np.roll(base.adolescent, 7, axis=1))
-    assert np.array_equal(rolled.senescent, np.roll(base.senescent, 7, axis=1))
-    assert rolled.adolescent.sum() == base.adolescent.sum()
-
-
-@pytest.mark.parametrize("origin_cell", [1, -3, 165])
-def test_write_origin_rolls_both_channels_of_the_store(lattice, circumference, origin_cell):
-    spec = RingSpec(circumference=circumference, mode=1, cycles=4)
-    base = run_ring(spec, lattice, M=10)
-    rolled = run_ring(spec, lattice, M=10, origin_cell=origin_cell)
-    shift = origin_cell % base.x_cells
-    assert shift
-    for i in range(2):  # a channel no roll leaves as it is
-        assert not np.array_equal(np.roll(base.counts[i], shift, axis=1), base.counts[i])
-    assert np.array_equal(rolled.counts, np.roll(base.counts, shift, axis=2))
-    assert np.shares_memory(rolled.adolescent, rolled.counts)
-    assert np.shares_memory(rolled.senescent, rolled.counts)
-
-
 def test_zero_speed_writes_uniform_columns(lattice, circumference):
     spec = RingSpec(circumference=circumference, mode=1, speed=0.0, cycles=4)
     _, slice_cells, period_cells, counting = plan_ring(spec, lattice, M=10)
-    field = count_ring(counting)
+    _count(counting)
+    field = counting.field
     occupied = np.nonzero(field.adolescent.any(axis=0))[0]
     # both world lines sit on the origin column; loops wiggle one unit wide
     assert len(occupied) <= 2 * lattice.n

@@ -81,8 +81,9 @@ def test_command_lines_cover_workloads_acceptance_and_extras(same_bytes):
     assert lines["heavy-slices/cmd00"] == ["ring", "--n", "20", "--cords", "100000000000000"]
     assert lines["phase-array/cmd00"] == ["chessboard", "--phase-t-max", "1e300"]
     assert lines["still-ring/cmd00"] == ["ring", "--speed", "0", "--circumference", "1e300"]
+    assert lines["slow-ring/cmd00"] == ["ring", "--speed", "1e-10"]
     assert lines["extra/cmd00"] == ["propagate", "--n", "100", "--cords", "120"]
-    assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1 + 1 + 1 + 5 + 1
+    assert len(lines) == 1 + 1 + 2 + 30 + 4 + 1 + 1 + 1 + 1 + 6 + 1
     assert not any("--threads" in argv or "--out" in argv for argv in lines.values())
 
 

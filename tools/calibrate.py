@@ -18,12 +18,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entwined.density import (ReferenceDensity, accumulate, compare, field_for_segments,
+from entwined.density import (ReferenceDensity, _count, accumulate, compare, field_for_segments,
                               fit_sinusoid, steady_region)
 from entwined.lattice import LatticeSpec
 from entwined.paths import build_cable, right_envelope
 from entwined.propagator import region_for_fan, velocity_fan, write_region
-from entwined.ring import (RingSpec, count_ring, drift_in_cells_per_period, eigen_speed, plan_ring,
+from entwined.ring import (RingSpec, drift_in_cells_per_period, eigen_speed, plan_ring,
                           standing_wave_metrics)
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "calibration.json"
@@ -71,7 +71,8 @@ def ring_drifts():
                                    speed=1.5 * eigen_speed(1, lattice.mass, L), cycles=8)),
     ):
         _v, slice_cells, period_cells, counting = plan_ring(spec, lattice, M=30)
-        field = count_ring(counting)
+        _count(counting)
+        field = counting.field
         metrics = standing_wave_metrics(field, slice_cells, period_cells)
         out[label] = {
             "dominant_mode": metrics.dominant_mode,

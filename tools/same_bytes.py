@@ -15,10 +15,10 @@ same command lines with each side's ``src/`` at ``--threads 1`` and ``2``:
 - the n = 200, M = 240 ray fan, the most framed rows and cells of any line;
 - the 64-cycle ring, the tallest field, exported one row block at a time;
 - a carrier of 1e10 cords, whose channel-lag scores pass int64;
-- five lines that the plan ``validate`` builds settles: a fan and a ring
+- six lines that the plan ``validate`` builds settles: a fan and a ring
   whose counts could reach 2**53, a phase series and a still ring's field
-  past the largest array (exit 2), and a ring whose slice sums are read
-  exactly (exit 0);
+  past the largest array, a ring too slow for an int64 cell index (exit 2),
+  and a ring whose slice sums are read exactly (exit 0);
 - every ``--command`` given.
 
 Each ``--env NAME=VALUE`` sets one environment variable for the working
@@ -69,14 +69,16 @@ LONG_RING = ["ring", "--n", "20", "--cords", "30", "--cycles", "64"]
 # the heaviest weights of any line: its profiles' lag scores pass int64
 HEAVY_WEIGHTS = ["carrier", "--n", "10", "--cords", "10000000000"]
 
-# refused by the plan at validate (a still ring's field by its size), or run
-# because the slice sums are read exactly
+# refused by the plan at validate (a still ring's field by its size, a slow
+# ring's steady window by its start cell), or run because the slice sums are
+# read exactly
 PLANNED = {
     "heavy-fan": ["propagate", "--n", "50", "--cords", "1000000000000000"],
     "heavy-ring": ["ring", "--n", "20", "--cords", "10000000000000000"],
     "heavy-slices": ["ring", "--n", "20", "--cords", "100000000000000"],
     "phase-array": ["chessboard", "--phase-t-max", "1e300"],
     "still-ring": ["ring", "--speed", "0", "--circumference", "1e300"],
+    "slow-ring": ["ring", "--speed", "1e-10"],
 }
 
 # runs argument lists through entwined.cli.main in one process and prints
